@@ -1,54 +1,16 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels over pre-drawn random arrays.
 
-Backend selection: numba is used when importable unless the environment
-variable ``INFORATE_NUMBA`` is set to ``0``/``false``/``off``, in which
-case the numpy fallbacks run.  Both paths consume identical pre-drawn
-random arrays, so results agree across backends up to floating-point
-rounding.  ``benchmarks/bench_kernels.py`` times the two side by side.
+Each kernel is a numpy expression of a scalar recurrence; given the same
+draws it returns the same path, so sampled paths are reproducible given
+(seed, stream).
 """
-
-import os
 
 import numpy as np
 from scipy.signal import lfilter
 
 
-def _env_wants_numba():
-    return os.environ.get("INFORATE_NUMBA", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USE_NUMBA = _HAVE_NUMBA and _env_wants_numba()
-
-
-def backend():
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# -- AR(1) recurrence: x[k+1] = a*x[k] + z[k] --------------------------------
-
-
-def ar1_path_numpy(x0, a, z):
+def ar1_path(x0, a, z):
+    """AR(1) recurrence x[k+1] = a*x[k] + z[k] from x[0] = x0."""
     out = np.empty(z.size + 1)
     out[0] = x0
     if z.size:
@@ -56,25 +18,8 @@ def ar1_path_numpy(x0, a, z):
     return out
 
 
-@njit(cache=True)
-def ar1_path_numba(x0, a, z):
-    out = np.empty(z.size + 1)
-    out[0] = x0
-    for i in range(z.size):
-        out[i + 1] = a * out[i] + z[i]
-    return out
-
-
-def ar1_path(x0, a, z):
-    if USE_NUMBA:
-        return ar1_path_numba(x0, a, z)
-    return ar1_path_numpy(x0, a, z)
-
-
-# -- cyclic walk: wrap(x[k] + u[k]) onto [-M, M) ------------------------------
-
-
-def cyclic_path_numpy(x0, steps, m):
+def cyclic_path(x0, steps, m):
+    """Cyclic walk x[k+1] = wrap(x[k] + steps[k]) onto [-m, m)."""
     out = np.empty(steps.size + 1)
     out[0] = x0
     if steps.size:
@@ -84,27 +29,8 @@ def cyclic_path_numpy(x0, steps, m):
     return ((out + m) % (2.0 * m)) - m
 
 
-@njit(cache=True)
-def cyclic_path_numba(x0, steps, m):
-    out = np.empty(steps.size + 1)
-    x = ((x0 + m) % (2.0 * m)) - m
-    out[0] = x
-    for i in range(steps.size):
-        x = ((x + steps[i] + m) % (2.0 * m)) - m
-        out[i + 1] = x
-    return out
-
-
-def cyclic_path(x0, steps, m):
-    if USE_NUMBA:
-        return cyclic_path_numba(x0, steps, m)
-    return cyclic_path_numpy(x0, steps, m)
-
-
-# -- block-alternating chain on [0,4): parity flips every step ----------------
-
-
-def alternating_blocks_path_numpy(x0, blocks, offsets):
+def alternating_blocks_path(x0, blocks, offsets):
+    """Block-alternating chain on [0, 4): the block parity flips every step."""
     out = np.empty(blocks.size + 1)
     out[0] = x0
     if blocks.size:
@@ -114,42 +40,7 @@ def alternating_blocks_path_numpy(x0, blocks, offsets):
     return out
 
 
-@njit(cache=True)
-def alternating_blocks_path_numba(x0, blocks, offsets):
-    out = np.empty(blocks.size + 1)
-    out[0] = x0
-    parity = int(np.floor(x0)) % 2
-    for i in range(blocks.size):
-        parity = (parity + 1) % 2
-        out[i + 1] = 2.0 * blocks[i] + parity + offsets[i]
-    return out
-
-
-def alternating_blocks_path(x0, blocks, offsets):
-    if USE_NUMBA:
-        return alternating_blocks_path_numba(x0, blocks, offsets)
-    return alternating_blocks_path_numpy(x0, blocks, offsets)
-
-
-# -- joint histogram accumulation for mutual-information estimates ------------
-
-
-def pair_counts_numpy(ix, iy, nbins):
+def pair_counts(ix, iy, nbins):
+    """nbins x nbins joint counts of paired bin indices."""
     flat = np.bincount(ix * nbins + iy, minlength=nbins * nbins)
     return flat.reshape(nbins, nbins)
-
-
-@njit(cache=True)
-def pair_counts_numba(ix, iy, nbins):
-    flat = np.zeros(nbins * nbins, dtype=np.int64)
-    for i in range(ix.size):
-        flat[ix[i] * nbins + iy[i]] += 1
-    return flat.reshape(nbins, nbins)
-
-
-def pair_counts(ix, iy, nbins):
-    ix = np.ascontiguousarray(ix, dtype=np.int64)
-    iy = np.ascontiguousarray(iy, dtype=np.int64)
-    if USE_NUMBA:
-        return pair_counts_numba(ix, iy, nbins)
-    return pair_counts_numpy(ix, iy, nbins)

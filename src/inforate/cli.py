@@ -2,7 +2,7 @@
 
 Subcommands regenerate the library's reference numbers as CSV sweeps or
 JSON reports.  Sweep metadata (seed, sample counts, bins, tolerances,
-backend, command line) is emitted alongside the table so every cell can
+command line, version) is emitted alongside the table so every cell can
 be re-derived.  Exit codes: 0 success, 1 check failure, 2 usage/parse
 error.
 """
@@ -13,11 +13,11 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import _kernels, __version__
+from . import __version__
 from .config import load_config
 from .errors import IncompatibleSpecError, InforateError, ParseError
 from .estimate import (
@@ -78,7 +78,6 @@ def _atomic_write(path, text):
 def _write_output(args, text, metadata):
     meta = dict(metadata)
     meta["command"] = " ".join(sys.argv[1:]) if sys.argv[1:] else args.command
-    meta["backend"] = _kernels.backend()
     meta["version"] = __version__
     if args.out:
         _atomic_write(args.out, text)
@@ -116,7 +115,6 @@ def cmd_ar1_sweep(args):
             "lower",
             "upper",
             "hw2x1",
-            "marginal_loss",
             "lump_deviation",
         ],
         metadata={
@@ -142,7 +140,6 @@ def cmd_ar1_sweep(args):
             lower=sw.lower,
             upper=sw.upper,
             hw2x1=hwx,
-            marginal_loss=sw.loss_rv_value,
             lump_deviation=rep.max_deviation,
         )
     _write_output(args, table.to_csv(), table.metadata)
@@ -215,7 +212,7 @@ def cmd_tightness(args):
             "loss_rate_vs_1": abs(lbar - 1.0),
             "hw2x1_vs_1": abs(hw2x1 - 1.0),
         },
-        "lumpability": rep.to_dict(),
+        "lumpability": asdict(rep),
     }
     _write_output(
         args,
@@ -291,7 +288,7 @@ def cmd_lump_check(args):
     rep = full_report(
         spec.function, spec.process, grid=spec.estimation.grid, tol=args.tol
     )
-    _write_output(args, json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", {})
+    _write_output(args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", {})
     return 0 if rep.condition_holds else 1
 
 
@@ -326,8 +323,8 @@ def cmd_analyze(args):
             grid=est.grid,
         )
         out["pipeline"] = "loss-rate"
-        out["loss_rate"] = report.to_dict()
-        out["lumpability"] = full_report(f, proc, grid=est.grid).to_dict()
+        out["loss_rate"] = asdict(report)
+        out["lumpability"] = asdict(full_report(f, proc, grid=est.grid))
     meta = {
         "samples": est.samples,
         "bins": est.bins,

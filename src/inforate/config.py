@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from . import pbf
-from .errors import ParseError
+from .errors import BadParameterError, ParseError
 from .estimate import QuadratureConfig
 from .process import (
     make_ar1,
@@ -68,6 +68,14 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _is_int(val):
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _build_process(spec):
     if not isinstance(spec, dict):
         raise ParseError("field 'process' must be an object")
@@ -80,13 +88,16 @@ def _build_process(spec):
     kwargs = {}
     for name in names:
         val = _require(spec, name, f"process {kind!r}")
-        if not isinstance(val, (int, float)):
+        if not _is_number(val):
             raise ParseError(f"process field {name!r} must be numeric")
         kwargs[name] = val
     extra = set(spec) - {"kind", *names}
     if extra:
         raise ParseError(f"unexpected process fields {sorted(extra)}")
-    return builder(**kwargs)
+    try:
+        return builder(**kwargs)
+    except BadParameterError as exc:
+        raise ParseError(f"bad parameters for process {kind!r}: {exc}") from exc
 
 
 def _build_single_function(spec, lo, hi):
@@ -141,10 +152,15 @@ def _build_estimation(spec):
     extra = set(spec) - known
     if extra:
         raise ParseError(f"unexpected estimation fields {sorted(extra)}")
-    try:
-        return EstimationParams(**{k: spec[k] for k in spec})
-    except TypeError as exc:
-        raise ParseError(f"bad estimation parameters: {exc}") from exc
+    for key in ("samples", "bins", "seed", "grid", "block_order"):
+        if key in spec and not _is_int(spec[key]):
+            if not (key == "bins" and spec[key] is None):
+                raise ParseError(f"estimation field {key!r} must be an integer")
+    if "quad_tol" in spec:
+        tol = spec["quad_tol"]
+        if not (_is_number(tol) and tol > 0):
+            raise ParseError("estimation field 'quad_tol' must be a positive number")
+    return EstimationParams(**spec)
 
 
 def parse_config(text, source="<config>"):

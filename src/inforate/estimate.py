@@ -168,34 +168,13 @@ def entropy_bits(probs):
 # histograms
 
 
-@dataclass(frozen=True)
-class Histogram1D:
-    edges: np.ndarray
-    counts: np.ndarray
-    total: int
-
-
-@dataclass(frozen=True)
-class Histogram2D:
-    edges_x: np.ndarray
-    edges_y: np.ndarray
-    counts: np.ndarray
-    total: int
-
-
 def default_bins(n):
     """Cube-root rule used throughout: ceil(N**(1/3)) bins per axis."""
     return int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
 
 
-def histogram1d(samples, bins):
-    samples = np.asarray(samples, dtype=float)
-    counts, edges = np.histogram(samples, bins=bins)
-    return Histogram1D(edges=edges, counts=counts, total=int(samples.size))
-
-
 def histogram2d_quantile(xs, ys, bins):
-    """Joint histogram on a bins x bins grid with marginal-quantile edges."""
+    """Joint counts on a bins x bins grid with marginal-quantile edges."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     qs = np.linspace(0.0, 1.0, bins + 1)
@@ -203,8 +182,7 @@ def histogram2d_quantile(xs, ys, bins):
     ey = np.quantile(ys, qs)
     ix = np.clip(np.searchsorted(ex[1:-1], xs, side="right"), 0, bins - 1)
     iy = np.clip(np.searchsorted(ey[1:-1], ys, side="right"), 0, bins - 1)
-    counts = _kernels.pair_counts(ix, iy, bins)
-    return Histogram2D(edges_x=ex, edges_y=ey, counts=counts, total=int(xs.size))
+    return _kernels.pair_counts(ix, iy, bins)
 
 
 def diff_entropy_hist(samples, bins=None):
@@ -214,9 +192,9 @@ def diff_entropy_hist(samples, bins=None):
         raise TooFewSamplesError("need at least 1e3 samples")
     if bins is None:
         bins = default_bins(samples.size)
-    hist = histogram1d(samples, bins)
-    widths = np.diff(hist.edges)
-    p = hist.counts / hist.total
+    counts, edges = np.histogram(samples, bins=bins)
+    widths = np.diff(edges)
+    p = counts / samples.size
     occupied = p > 0
     return float(
         -np.sum(xlog2x(p[occupied])) + np.sum(p[occupied] * np.log2(widths[occupied]))
@@ -233,8 +211,7 @@ def mutual_information_hist(xs, ys, bins=None):
         raise TooFewSamplesError("need at least 1e3 sample pairs")
     if bins is None:
         bins = default_bins(xs.size)
-    hist = histogram2d_quantile(xs, ys, bins)
-    pij = hist.counts / hist.total
+    pij = histogram2d_quantile(xs, ys, bins) / xs.size
     pi = pij.sum(axis=1)
     pj = pij.sum(axis=0)
     h_x = entropy_bits(pi)
@@ -353,34 +330,7 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
 
 def output_cond_pdf(f, cond_pdf, x1, ys):
     """Density of Y2 = g(X2) given X1 = x1, evaluated on an array of y."""
-    ys = np.asarray(ys, dtype=float)
-    out = np.zeros_like(ys)
-    for _, xs, dabs, valid in f.preimage_terms(ys):
-        if not np.any(valid):
-            continue
-        vals = np.where(valid, cond_pdf(np.where(valid, xs, 0.0), x1), 0.0)
-        out += np.where(valid, vals / np.where(valid, dabs, 1.0), 0.0)
-    return out
-
-
-def _output_window(f, wlo, whi):
-    """Hull and interior edges of g([wlo, whi] inter domain)."""
-    los, his = [], []
-    edges = []
-    for b in f.branches:
-        a = max(b.domain_lo, wlo)
-        c = min(b.domain_hi, whi)
-        if c <= a or b.kind != "injective":
-            continue
-        ya = float(b.forward(a))
-        yc = float(b.forward(c))
-        ylo, yhi = min(ya, yc), max(ya, yc)
-        los.append(ylo)
-        his.append(yhi)
-        edges.extend((ylo, yhi))
-    if not los:
-        return None
-    return min(los), max(his), edges
+    return f.preimage_sum(lambda xs: cond_pdf(xs, x1), ys)
 
 
 def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):
@@ -392,17 +342,14 @@ def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):
     def point_value(x1):
         wlo, whi = _cond_window(process, x1)
         wlo, whi = max(wlo, lo), min(whi, hi)
-        window = _output_window(f, wlo, whi)
+        window = f.image_window(wlo, whi)
         if window is None:
             return 0.0
         ylo, yhi, edges = window
         if yhi <= ylo:
             return 0.0
         # images of kernel discontinuities under g are further split points
-        splits = list(edges)
-        for s in _kernel_splits(process, x1):
-            if f.domain_lo <= s < f.domain_hi:
-                splits.append(float(f.eval(s)))
+        splits = edges + f.image_points(_kernel_splits(process, x1))
         val = quad(
             lambda ys: xlog2x(output_cond_pdf(f, cond, x1, ys)),
             ylo,

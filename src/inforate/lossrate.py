@@ -39,17 +39,6 @@ class LossRateReport:
     bound_HW2X1: float = None
     method: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "lower_bound": self.lower_bound,
-            "upper_bound_sandwich": self.upper_bound_sandwich,
-            "bound_L": self.bound_L,
-            "bound_HW": self.bound_HW,
-            "bound_HW2X1": self.bound_HW2X1,
-            "method": dict(self.method),
-        }
-
 
 @dataclass(frozen=True)
 class SandwichBounds:
@@ -203,16 +192,6 @@ def loss_rate_bounds_mc(f, process, n_samples=10**6, seed=42, bins=None):
     )
 
 
-def bound_marginal_loss(f, process, n_samples=10**6, seed=42, bins=None):
-    """The marginal loss L as an upper bound on the loss rate."""
-    return loss_rv(f, process, n_samples=n_samples, seed=seed, bins=bins)
-
-
-def bound_index_entropy_rate(f, process, k=4, n_samples=10**6, seed=42):
-    """Entropy-rate bound from the branch-index process W."""
-    return markov_block_entropy_W(f, process, k=k, n_samples=n_samples, seed=seed)
-
-
 def bound_index_given_input(f, process, cfg=DEFAULT_QUAD):
     """H(W2|X1), the sharper bound available for Markov inputs."""
     if f.has_constant:
@@ -241,7 +220,7 @@ def analyze_loss_rate(
     loss, loss_tag = _loss_rv_detail(f, process, n_samples, seed, bins, cfg)
     method["bound_L"] = loss_tag
 
-    hw = bound_index_entropy_rate(f, process, k=k, n_samples=n_samples, seed=seed)
+    hw = markov_block_entropy_W(f, process, k=k, n_samples=n_samples, seed=seed)
     method["bound_HW"] = f"plug-in order {hw.order} (converged={hw.converged})"
 
     hw2x1 = None

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameterError
-from .estimate import DEFAULT_QUAD, QuadratureConfig, _branch_probabilities
+from .estimate import (
+    QuadratureConfig,
+    _branch_probabilities,
+    _cond_pdf_fn,
+    output_cond_pdf,
+)
 
 _EDGE_EPS = 1e-9
 
@@ -31,19 +36,6 @@ class LumpabilityReport:
     tightness_b_holds: bool = None
     tightness_a_deviation: float = None
     tightness_b_deviation: float = None
-
-    def to_dict(self):
-        return {
-            "condition_holds": bool(self.condition_holds),
-            "max_deviation": float(self.max_deviation),
-            "grid": self.grid,
-            "tol": float(self.tol),
-            "witnesses": [tuple(map(float, w)) for w in self.witnesses],
-            "tightness_a_holds": self.tightness_a_holds,
-            "tightness_b_holds": self.tightness_b_holds,
-            "tightness_a_deviation": self.tightness_a_deviation,
-            "tightness_b_deviation": self.tightness_b_deviation,
-        }
 
 
 @dataclass(frozen=True)
@@ -69,26 +61,12 @@ def _nudged_grid(lo, hi, n, avoid=()):
         pts[close] += 2.0 * _EDGE_EPS
     return pts
 
-def _output_grid(f, process, n):
-    qlo, qhi = process.quad_support
-    ends = []
-    for b in f.branches:
-        a, c = max(b.domain_lo, qlo), min(b.domain_hi, qhi)
-        if c <= a or b.kind != "injective":
-            continue
-        ends.extend((float(b.forward(a)), float(b.forward(c))))
-    if not ends:
+
+def _output_range(f, process):
+    window = f.image_window(*process.quad_support)
+    if window is None:
         raise BadParameterError("function range is empty on the process support")
-    return min(ends), max(ends)
-
-
-def _preimage_sum(f, cond_pdf, x1, y2s):
-    """s(x1) over an array of y2, the weighted sum over preimages of y2."""
-    out = np.zeros_like(y2s)
-    for _, xs, dabs, valid in f.preimage_terms(y2s):
-        vals = np.where(valid, cond_pdf(np.where(valid, xs, 0.0), x1), 0.0)
-        out += np.where(valid, vals / np.where(valid, dabs, 1.0), 0.0)
-    return out
+    return window[:2]
 
 
 def check_lumpable(f, process, grid=201, tol=1e-6):
@@ -97,13 +75,10 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
         raise BadParameterError("need at least 101 grid points per axis")
     if not f.all_injective:
         raise BadParameterError("lumpability check needs an all-injective function")
-    if process.kernel is None:
-        # iid: both sums equal the output marginal density by construction
-        cond = lambda x2, x1: process.marginal_pdf(x2)
-    else:
-        cond = process.kernel.cond_pdf
+    # iid: both sums equal the output marginal density by construction
+    cond = _cond_pdf_fn(process)
 
-    y_lo, y_hi = _output_grid(f, process, grid)
+    y_lo, y_hi = _output_range(f, process)
     avoid = [b.domain_lo for b in f.branches] + [f.domain_hi]
     y1s = _nudged_grid(y_lo, y_hi, grid, avoid=avoid)
     y2s = _nudged_grid(y_lo, y_hi, grid, avoid=avoid)
@@ -119,7 +94,7 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
         ]
         if len(xs) < 2:
             continue
-        sums = [_preimage_sum(f, cond, x, y2s) for x in xs]
+        sums = [output_cond_pdf(f, cond, x, y2s) for x in xs]
         for i in range(len(xs)):
             for j in range(i + 1, len(xs)):
                 dev = _relative_deviation(sums[i], sums[j])
@@ -145,16 +120,16 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     """
     if not f.all_injective:
         raise BadParameterError("tightness check needs an all-injective function")
-    if process.kernel is None:
-        cond = lambda x2, x1: process.marginal_pdf(x2)
-    else:
-        cond = process.kernel.cond_pdf
+    cond = _cond_pdf_fn(process)
 
     qlo, qhi = process.quad_support
     avoid = [b.domain_lo for b in f.branches] + [f.domain_hi]
     xs = _nudged_grid(qlo, qhi, grid, avoid=avoid)
-    y_lo, y_hi = _output_grid(f, process, grid)
+    y_lo, y_hi = _output_range(f, process)
     y2s = _nudged_grid(y_lo, y_hi, grid, avoid=avoid)
+    # preimages of the y2 grid; every branch is injective, so entry i
+    # belongs to branch i
+    preimages = list(f.preimage_terms(y2s))
 
     prob_cfg = QuadratureConfig(abs_tol=1e-12)
     f_marg = process.marginal_pdf
@@ -181,17 +156,10 @@ def check_tightness(f, process, grid=201, tol=1e-6):
         # (a): equal weighted kernel terms wherever the inverse exists
         terms = []
         for bi in live:
-            b = f.branches[bi]
+            _, x2, dabs, valid = preimages[bi]
             with np.errstate(all="ignore"):
-                x2 = np.asarray(b.inverse(y2s), dtype=float)
-                ok = (
-                    np.isfinite(x2)
-                    & (x2 >= b.domain_lo)
-                    & (x2 < b.domain_hi)
-                )
-                val = np.where(ok, cond(np.where(ok, x2, 0.0), x), np.nan)
-                dv = np.abs(np.asarray(b.derivative(np.where(ok, x2, 1.0)), float))
-                terms.append(np.where(ok, val / dv, np.nan))
+                val = cond(np.where(valid, x2, 0.0), x)
+                terms.append(np.where(valid, val / dabs, np.nan))
         stacked = np.vstack(terms)
         defined = np.isfinite(stacked)
         cols = np.nonzero(defined.sum(axis=0) >= 2)[0]

@@ -246,6 +246,21 @@ class PiecewiseFunction:
                 out.append(PreimagePoint(branch=b.index, x=np.nan, pointwise=False))
         return tuple(out)
 
+    def preimage_sum(self, density, ys):
+        """sum over x in preimage(y) of density(x) / |g'(x)|, for an array of y.
+
+        With the marginal as density this is the output density; with a
+        kernel slice x2 -> f(x2|x1) it is the output density given x1.
+        """
+        ys = np.asarray(ys, dtype=float)
+        out = np.zeros_like(ys)
+        for _, xs, dabs, valid in self.preimage_terms(ys):
+            if not np.any(valid):
+                continue
+            vals = np.where(valid, density(np.where(valid, xs, 0.0)), 0.0)
+            out += np.where(valid, vals / np.where(valid, dabs, 1.0), 0.0)
+        return out
+
     # -- structure ------------------------------------------------------
 
     @property
@@ -263,6 +278,33 @@ class PiecewiseFunction:
 
     def interior_edges(self):
         return tuple(b.domain_lo for b in self.branches[1:])
+
+    def image_window(self, lo, hi):
+        """Image of [lo, hi] under the injective branches.
+
+        Returns (y_lo, y_hi, edges), with edges the (low, high) image
+        ends of every branch that meets the window, or None when none
+        does.
+        """
+        edges = []
+        for b in self.branches:
+            a = max(b.domain_lo, lo)
+            c = min(b.domain_hi, hi)
+            if c <= a or b.kind != "injective":
+                continue
+            ya = float(b.forward(a))
+            yc = float(b.forward(c))
+            edges.extend((min(ya, yc), max(ya, yc)))
+        if not edges:
+            return None
+        return min(edges), max(edges), edges
+
+    def image_points(self, points):
+        """Images of the points that fall in the domain, e.g. of a
+        density's discontinuities, which become split points in y."""
+        return [
+            float(self.eval(s)) for s in points if self.domain_lo <= s < self.domain_hi
+        ]
 
 
 # ---------------------------------------------------------------------------

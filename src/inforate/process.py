@@ -46,7 +46,7 @@ class StationaryProcess:
     analytic: AnalyticEntropies = None
     symmetric: bool = False  # even marginal and point-symmetric kernel
     uniform_marginal: bool = False
-    path_kind: str = None  # dispatch tag for the fast path samplers
+    path_sampler: callable = None  # (rng, n) -> path; None: scalar kernel loop
 
     @property
     def is_markov(self):
@@ -91,6 +91,14 @@ def make_ar1(a, sigma):
         d = np.asarray(x2, dtype=float) - a * np.asarray(x1, dtype=float)
         return norm_z * np.exp(-inv_2var_z * d * d)
 
+    def marginal_sampler(rng, n):
+        return rng.normal(0.0, sd_x, n)
+
+    def path_sampler(rng, n):
+        x0 = float(marginal_sampler(rng, 1)[0])
+        z = rng.normal(0.0, sigma, n - 1)
+        return _kernels.ar1_path(x0, a, z)
+
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=lambda x1, rng: a * x1 + rng.normal(0.0, sigma),
@@ -102,7 +110,7 @@ def make_ar1(a, sigma):
         name="ar1",
         params={"a": a, "sigma": sigma},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=lambda rng, n: rng.normal(0.0, sd_x, n),
+        marginal_sampler=marginal_sampler,
         kernel=kernel,
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sd_x, 10.0 * sd_x),
@@ -112,7 +120,7 @@ def make_ar1(a, sigma):
             mi_lag1=-0.5 * math.log2(1.0 - a**2),
         ),
         symmetric=True,
-        path_kind="ar1",
+        path_sampler=path_sampler,
     )
 
 
@@ -141,6 +149,14 @@ def make_cyclic_walk(M, a):
     def cond_pdf(x2, x1):
         return np.where(circular_distance(x2, x1, M) <= a, dens, 0.0)
 
+    def marginal_sampler(rng, n):
+        return rng.uniform(-M, M, n)
+
+    def path_sampler(rng, n):
+        x0 = float(marginal_sampler(rng, 1)[0])
+        steps = rng.uniform(-a, a, n - 1)
+        return _kernels.cyclic_path(x0, steps, M)
+
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=lambda x1, rng: float(
@@ -157,7 +173,7 @@ def make_cyclic_walk(M, a):
         name="cyclic_walk",
         params={"M": M, "a": a},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=lambda rng, n: rng.uniform(-M, M, n),
+        marginal_sampler=marginal_sampler,
         kernel=kernel,
         support=(-M, M),
         quad_support=(-M, M),
@@ -169,7 +185,7 @@ def make_cyclic_walk(M, a):
         ),
         symmetric=True,
         uniform_marginal=True,
-        path_kind="cyclic",
+        path_sampler=path_sampler,
     )
 
 
@@ -198,6 +214,15 @@ def make_tightness_example():
         parity = (int(math.floor(x1)) + 1) % 2
         return 2.0 * rng.integers(0, 2) + parity + rng.uniform(0.0, 1.0)
 
+    def marginal_sampler(rng, n):
+        return rng.uniform(0.0, 4.0, n)
+
+    def path_sampler(rng, n):
+        x0 = float(marginal_sampler(rng, 1)[0])
+        blocks = rng.integers(0, 2, n - 1).astype(np.float64)
+        offsets = rng.uniform(0.0, 1.0, n - 1)
+        return _kernels.alternating_blocks_path(x0, blocks, offsets)
+
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=sample_step,
@@ -209,14 +234,14 @@ def make_tightness_example():
         name="tightness",
         params={},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=lambda rng, n: rng.uniform(0.0, 4.0, n),
+        marginal_sampler=marginal_sampler,
         kernel=kernel,
         support=(0.0, 4.0),
         quad_support=(0.0, 4.0),
         marginal_split_points=(1.0, 2.0, 3.0),
         analytic=AnalyticEntropies(h_marginal=2.0, h_rate=1.0, mi_lag1=1.0),
         uniform_marginal=True,
-        path_kind="alternating",
+        path_sampler=path_sampler,
     )
 
 
@@ -257,7 +282,6 @@ def make_iid(
         analytic=analytic,
         symmetric=symmetric,
         uniform_marginal=uniform_marginal,
-        path_kind="iid",
     )
 
 
@@ -311,38 +335,25 @@ def make_iid_uniform(lo=0.0, hi=1.0):
 
 
 def sample_path(process, n, seed, stream=0):
-    """Length-n realization; deterministic in (seed, stream) per backend."""
+    """Length-n realization; deterministic in (seed, stream)."""
     if n < 1:
         raise BadParameterError("need n >= 1")
-    rng = make_rng(seed, stream)
-    kind = process.path_kind
-    if kind == "iid" or process.kernel is None:
-        values = np.asarray(process.marginal_sampler(rng, n), dtype=float)
-    elif kind == "ar1":
-        a = process.params["a"]
-        sigma = process.params["sigma"]
-        x0 = float(process.marginal_sampler(rng, 1)[0])
-        z = rng.normal(0.0, sigma, n - 1)
-        values = _kernels.ar1_path(x0, a, z)
-    elif kind == "cyclic":
-        m = process.params["M"]
-        a = process.params["a"]
-        x0 = float(process.marginal_sampler(rng, 1)[0])
-        steps = rng.uniform(-a, a, n - 1)
-        values = _kernels.cyclic_path(x0, steps, m)
-    elif kind == "alternating":
-        x0 = float(process.marginal_sampler(rng, 1)[0])
-        blocks = rng.integers(0, 2, n - 1).astype(np.float64)
-        offsets = rng.uniform(0.0, 1.0, n - 1)
-        values = _kernels.alternating_blocks_path(x0, blocks, offsets)
-    else:
-        # generic scalar fallback for custom kernels
-        values = np.empty(n)
-        values[0] = float(process.marginal_sampler(rng, 1)[0])
-        step = process.kernel.sample_step
-        for i in range(1, n):
-            values[i] = step(values[i - 1], rng)
+    values = _draw_path(process, make_rng(seed, stream), n)
     return PathSample(values=values, seed=seed, length=n, stream=stream)
+
+
+def _draw_path(process, rng, n):
+    if process.path_sampler is not None:
+        return np.asarray(process.path_sampler(rng, n), dtype=float)
+    if process.kernel is None:
+        return np.asarray(process.marginal_sampler(rng, n), dtype=float)
+    # generic scalar fallback for custom kernels
+    values = np.empty(n)
+    values[0] = float(process.marginal_sampler(rng, 1)[0])
+    step = process.kernel.sample_step
+    for i in range(1, n):
+        values[i] = step(values[i - 1], rng)
+    return values
 
 
 def stationarity_residual(process, n_grid=64):
@@ -385,39 +396,27 @@ def pushforward_process(f, process):
         raise BadParameterError("pushforward needs an all-injective function")
 
     def marginal_pdf(ys):
-        ys = np.asarray(ys, dtype=float)
-        out = np.zeros_like(ys)
-        for _, xs, dabs, valid in f.preimage_terms(ys):
-            vals = np.where(valid, process.marginal_pdf(np.where(valid, xs, 0.0)), 0.0)
-            out += np.where(valid, vals / np.where(valid, dabs, 1.0), 0.0)
-        return out
+        return f.preimage_sum(process.marginal_pdf, ys)
 
     def marginal_sampler(rng, n):
         return f.eval_array(np.asarray(process.marginal_sampler(rng, n), dtype=float))
 
+    def path_sampler(rng, n):
+        # Y = g(X) sample by sample, so mapping the input path is exact
+        return f.eval_array(_draw_path(process, rng, n))
+
     # finite output window from the truncated input window
     qlo, qhi = process.quad_support
-    ends = []
-    splits = []
-    for b in f.branches:
-        a = max(b.domain_lo, qlo)
-        c = min(b.domain_hi, qhi)
-        if c <= a:
-            continue
-        ya, yc = float(b.forward(a)), float(b.forward(c))
-        ends.extend((ya, yc))
-        splits.extend((min(ya, yc), max(ya, yc)))
-    if not ends:
+    window = f.image_window(qlo, qhi)
+    if window is None:
         raise BadParameterError("function does not cover the process support")
-    y_lo, y_hi = min(ends), max(ends)
-    for s in process.marginal_split_points:
-        if f.domain_lo <= s < f.domain_hi:
-            splits.append(float(f.eval(s)))
+    y_lo, y_hi, splits = window
+    splits += f.image_points(process.marginal_split_points)
 
-    base_cond = None
     kernel = None
     if process.kernel is not None:
         base_cond = process.kernel.cond_pdf
+        base_splits = process.kernel.split_points
 
         def cond_pdf(y2, y1):
             y2 = np.asarray(y2, dtype=float)
@@ -444,15 +443,10 @@ def pushforward_process(f, process):
 
         def split_points(y):
             pts = []
-            for p in f.preimage(float(y)):
-                if not p.pointwise:
-                    continue
-                if process.kernel.split_points is not None:
-                    for s in process.kernel.split_points(p.x):
-                        if f.domain_lo <= s < f.domain_hi:
-                            pts.append(float(f.eval(s)))
-            pts.extend(splits)
-            return tuple(pts)
+            if base_splits is not None:
+                for p in f.preimage(float(y)):
+                    pts += f.image_points(base_splits(p.x))
+            return tuple(pts + splits)
 
         kernel = MarkovKernel(
             cond_pdf=cond_pdf,
@@ -484,5 +478,5 @@ def pushforward_process(f, process):
         analytic=None,
         symmetric=symmetric,
         uniform_marginal=uniform,
-        path_kind=None if kernel is not None else "iid",
+        path_sampler=path_sampler,
     )

@@ -236,6 +236,71 @@ class TestAnalyze:
         assert report["relative_loss"] == 1.0
 
 
+class TestConfigUsageErrors:
+    AR1 = {"kind": "ar1", "a": 0.5, "sigma": 1.0}
+
+    def analyze(self, capsys, tmp_path, process=None, estimation=None):
+        spec = {"process": process or self.AR1, "function": {"kind": "magnitude"}}
+        if estimation is not None:
+            spec["estimation"] = estimation
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(spec))
+        return run_cli(capsys, "analyze", "--config", str(cfg))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples", "x"),
+            ("samples", 1e5),
+            ("bins", True),
+            ("seed", None),
+            ("grid", "101"),
+            ("block_order", 4.0),
+            ("quad_tol", 0),
+            ("quad_tol", -1e-9),
+            ("quad_tol", "1e-9"),
+            ("quad_tol", False),
+        ],
+    )
+    def test_bad_estimation_field_exits_2(self, capsys, tmp_path, field, value):
+        code, out, err = self.analyze(capsys, tmp_path, estimation={field: value})
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_well_typed_estimation_fields_parse(self):
+        from inforate.config import parse_config
+
+        spec = parse_config(
+            json.dumps(
+                {
+                    "process": self.AR1,
+                    "function": {"kind": "magnitude"},
+                    "estimation": {"bins": None, "quad_tol": 1, "samples": 5000},
+                }
+            )
+        )
+        assert spec.estimation.bins is None
+        assert spec.estimation.quad_cfg.abs_tol == 1
+        assert spec.estimation.samples == 5000
+
+    def test_out_of_range_process_parameter_exits_2(self, capsys, tmp_path):
+        process = {"kind": "ar1", "a": 2, "sigma": 1.0}
+        code, out, err = self.analyze(capsys, tmp_path, process=process)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "pole" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_boolean_process_parameter_exits_2(self, capsys, tmp_path):
+        process = {"kind": "ar1", "a": True, "sigma": 1.0}
+        code, out, err = self.analyze(capsys, tmp_path, process=process)
+        assert code == 2
+        assert out == ""
+        assert "'a' must be numeric" in err
+
+
 class TestReproducibility:
     def test_sweep_rerun_is_bit_identical(self, capsys):
         args = (
@@ -270,7 +335,8 @@ class TestReproducibility:
         assert header[0] == "n"
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert meta["M"] == 2
-        assert meta["backend"] in ("numba", "numpy")
+        assert meta["version"]
+        assert "backend" not in meta
 
     def test_metadata_lands_on_stderr(self, capsys):
         _, out, err = run_cli(capsys, "downsample", "--M", "2", "--blocks", "2")

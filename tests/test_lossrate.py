@@ -7,8 +7,6 @@ import pytest
 
 from inforate import (
     analyze_loss_rate,
-    bound_marginal_loss,
-    bound_index_entropy_rate,
     bound_index_given_input,
     cascade_loss_rate,
     identity,
@@ -21,6 +19,7 @@ from inforate import (
     make_iid_gaussian,
     make_iid_uniform,
     make_tightness_example,
+    markov_block_entropy_W,
     quantizer,
     scale,
     shift_mod,
@@ -137,8 +136,8 @@ class TestBoundChain:
         f = magnitude(-1.0, 1.0)
         value = loss_rate_analytic(f, p)
         hwx = bound_index_given_input(f, p)
-        hw_rate = bound_index_entropy_rate(f, p, k=4, n_samples=300_000, seed=11).value
-        marginal = bound_marginal_loss(f, p)
+        hw_rate = markov_block_entropy_W(f, p, k=4, n_samples=300_000, seed=11).value
+        marginal = loss_rv(f, p)
         assert value <= hwx + 1e-6
         assert hwx <= hw_rate + 0.02
         assert value <= marginal + 1e-6
@@ -148,7 +147,7 @@ class TestBoundChain:
         f = shift_mod(2.0, lo=0.0, hi=4.0)
         value = loss_rate_analytic(f, p)
         hwx = bound_index_given_input(f, p)
-        marginal = bound_marginal_loss(f, p)
+        marginal = loss_rv(f, p)
         assert value == pytest.approx(1.0, abs=1e-9)
         assert hwx == pytest.approx(1.0, abs=1e-9)
         assert marginal == 1.0
@@ -157,7 +156,7 @@ class TestBoundChain:
         p = make_ar1(0.6, 1.0)
         f = magnitude()
         hwx = bound_index_given_input(f, p)
-        hw_rate = bound_index_entropy_rate(f, p, k=4, n_samples=300_000, seed=12).value
+        hw_rate = markov_block_entropy_W(f, p, k=4, n_samples=300_000, seed=12).value
         assert hwx <= hw_rate + 0.02
 
     def test_index_bound_below_one_for_large_pole(self):
@@ -168,7 +167,7 @@ class TestBoundChain:
     def test_marginal_loss_bounds_rate_cyclic(self):
         p = make_cyclic_walk(1.0, 0.5)
         f = magnitude(-1.0, 1.0)
-        assert bound_marginal_loss(f, p) == 1.0
+        assert loss_rv(f, p) == 1.0
         assert loss_rate_analytic(f, p) == pytest.approx(0.5, abs=1e-3)
 
     def test_index_bound_refused_on_constant(self):
@@ -181,7 +180,7 @@ class TestBoundChain:
         assert loss_rv(f, p) == 0.0
         assert abs(bound_index_given_input(f, p)) <= 1e-9
         assert abs(loss_rate_analytic(f, p)) <= 1e-9
-        est = bound_index_entropy_rate(f, p, k=2, n_samples=100_000, seed=13)
+        est = markov_block_entropy_W(f, p, k=2, n_samples=100_000, seed=13)
         assert est.value == 0.0
         sw = loss_rate_bounds_mc(f, p, n_samples=10**5, seed=13)
         assert abs(sw.lower) <= 0.03 and abs(sw.upper) <= 0.03

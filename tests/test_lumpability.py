@@ -1,6 +1,7 @@
 """Markovity-of-the-output checks and bound-tightness conditions."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -106,5 +107,5 @@ class TestConsequences:
 
     def test_full_report_shape(self):
         rep = full_report(shift_mod(2.0, lo=0.0, hi=4.0), make_tightness_example())
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["condition_holds"] and d["tightness_a_holds"] and d["tightness_b_holds"]

@@ -126,6 +126,59 @@ class TestPreimage:
                 assert abs(f.eval(p.x) - y) <= 1e-10 * max(1.0, abs(y))
 
 
+_FOLDED = [
+    magnitude(),
+    square(),
+    shift_mod(2.0, offset=-1.0, lo=0.0, hi=4.0),
+    compose(magnitude(), shift_mod(2.0, offset=-1.0, lo=0.0, hi=4.0)),
+]
+_FOLDED_IDS = ["magnitude", "square", "shift_mod", "composed"]
+
+
+class TestPreimageSum:
+    @pytest.mark.parametrize("f", _FOLDED, ids=_FOLDED_IDS)
+    def test_matches_scalar_loop_over_preimages(self, f):
+        def density(x):
+            return np.exp(-((np.asarray(x, dtype=float) - 0.3) ** 2))
+
+        # 0 is left out: the square's density is infinite there
+        ys = np.concatenate([np.linspace(-1.5, 4.5, 240), [-1.0, 1.0, 2.0]])
+        want = []
+        for y in ys:
+            total = 0.0
+            for p in f.preimage(y):
+                b = f.branches[p.branch - 1]
+                total += float(density(p.x)) / abs(float(b.derivative(p.x)))
+            want.append(total)
+        got = f.preimage_sum(density, ys)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_outside_the_range_is_zero(self):
+        got = magnitude().preimage_sum(lambda x: np.ones_like(x), [-2.0, -0.5])
+        assert got.tolist() == [0.0, 0.0]
+
+
+class TestImageWindow:
+    @pytest.mark.parametrize(
+        "f",
+        _FOLDED + [scale(-2.5), magnitude(-5.0, 5.0), square(-3.0, 3.0)],
+        ids=_FOLDED_IDS + ["scale", "magnitude-finite", "square-finite"],
+    )
+    def test_full_domain_gives_the_range_hull(self, f):
+        y_lo, y_hi, edges = f.image_window(f.domain_lo, f.domain_hi)
+        assert (y_lo, y_hi) == f.range_hull()
+        assert edges == [v for b in f.branches for v in (b.range_lo, b.range_hi)]
+
+    def test_partial_and_empty_windows(self):
+        f = shift_mod(2.0, lo=0.0, hi=4.0)
+        assert f.image_window(1.0, 2.5) == (0.0, 2.0, [1.0, 2.0, 0.0, 0.5])
+        assert f.image_window(5.0, 6.0) is None
+
+    def test_image_points_keep_the_domain_only(self):
+        f = shift_mod(2.0, lo=0.0, hi=4.0)
+        assert f.image_points([-1.0, 1.0, 3.0, 4.0]) == [1.0, 1.0]
+
+
 class TestLogAbsDerivative:
     def test_magnitude_slope_one(self):
         assert magnitude().log_abs_derivative(-3.0) == 0.0

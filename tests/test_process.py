@@ -7,6 +7,8 @@ import pytest
 
 from inforate import (
     magnitude,
+    scale,
+    shift_mod,
     make_ar1,
     make_cyclic_walk,
     make_iid,
@@ -188,10 +190,10 @@ class TestSamplePath:
             path.values[0] = 0.0
 
     def test_generic_kernel_fallback(self):
-        # force the scalar loop by hiding the fast-path tag
+        # force the scalar loop by removing the path sampler
         from dataclasses import replace
 
-        p = replace(make_ar1(0.6, 1.0), path_kind=None)
+        p = replace(make_ar1(0.6, 1.0), path_sampler=None)
         x = sample_path(p, 2000, seed=3).values
         assert x.shape == (2000,)
         assert abs(np.corrcoef(x[:-1], x[1:])[0, 1] - 0.6) < 0.1
@@ -229,6 +231,37 @@ class TestPushforward:
 
         assert pushforward_process(scale(-2.0), p).symmetric
         assert not pushforward_process(magnitude(), p).symmetric
+
+    @pytest.mark.parametrize(
+        "proc, f",
+        [
+            (make_ar1(0.5, 1.0), scale(2.0)),
+            (make_ar1(0.7, 1.0), magnitude()),
+            (make_cyclic_walk(1.0, 0.4), magnitude(-1.0, 1.0)),
+            (make_tightness_example(), shift_mod(2.0, lo=0.0, hi=4.0)),
+            (make_iid_gaussian(1.0), magnitude()),
+        ],
+        ids=["ar1-scale", "ar1-abs", "cyc-abs", "tight-shift", "gauss-abs"],
+    )
+    def test_sampled_path_is_the_mapped_input_path(self, proc, f):
+        push = pushforward_process(f, proc)
+        for seed, stream in [(1, 0), (42, 3)]:
+            got = sample_path(push, 1000, seed, stream).values
+            want = f.eval_array(sample_path(proc, 1000, seed, stream).values)
+            np.testing.assert_array_equal(got, want)
+        assert sample_path(push, 1, 5).values.shape == (1,)
+
+    def test_sampled_pushforward_feeds_the_simulation_bounds(self):
+        from inforate import analyze_loss_rate, loss_rate_bounds_mc
+
+        push = pushforward_process(scale(2.0), make_ar1(0.5, 1.0))
+        sw = loss_rate_bounds_mc(magnitude(), push, n_samples=10**4, seed=1)
+        assert sw.loss_rv_value == 1.0
+        assert 0.0 < sw.lower <= sw.upper < 1.0
+        rep = analyze_loss_rate(magnitude(), push, n_samples=10**4, seed=1, grid=101)
+        assert rep.bound_L == 1.0
+        assert rep.lower_bound == sw.lower
+        assert rep.value is not None and 0.0 < rep.value < 1.0
 
     def test_uniform_inherited_through_shifts(self):
         from inforate import shift_mod
