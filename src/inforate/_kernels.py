@@ -6,11 +6,13 @@ draws it returns the same path, so sampled paths are reproducible given
 """
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 def ar1_path(x0, a, z):
     """AR(1) recurrence x[k+1] = a*x[k] + z[k] from x[0] = x0."""
+    # scipy.signal costs most of the package's import time; load it on use
+    from scipy.signal import lfilter
+
     out = np.empty(z.size + 1)
     out[0] = x0
     if z.size:

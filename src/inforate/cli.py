@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import load_config
-from .errors import IncompatibleSpecError, InforateError, ParseError
+from .config import check_estimation, load_config
+from .errors import IncompatibleSpecError, InforateError, ParseError, TooFewSamplesError
 from .estimate import (
     QuadratureConfig,
     cond_entropy_W_given_X,
@@ -77,7 +77,7 @@ def _atomic_write(path, text):
 
 def _write_output(args, text, metadata):
     meta = dict(metadata)
-    meta["command"] = " ".join(sys.argv[1:]) if sys.argv[1:] else args.command
+    meta["command"] = " ".join(args.argv)
     meta["version"] = __version__
     if args.out:
         _atomic_write(args.out, text)
@@ -397,13 +397,14 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
+        for key in ("samples", "bins", "grid", "seed", "quad_tol"):
+            check_estimation(key, getattr(args, key), "--" + key.replace("_", "-"))
         return args.func(args)
-    except (ParseError, IncompatibleSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, IncompatibleSpecError, TooFewSamplesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InforateError as exc:

@@ -144,22 +144,46 @@ def _build_function(spec, process):
     return _build_single_function(spec, lo, hi)
 
 
+# admissible (low, high) of the integer estimation values; None is open
+_INT_RANGES = {
+    "samples": (1000, None),
+    "bins": (1, None),
+    "seed": (0, None),
+    "grid": (101, None),
+    "block_order": (0, 6),
+}
+
+
+def check_estimation(key, value, label=None):
+    """Refuse an estimation value of the wrong type or out of range.
+
+    Config files and command-line flags share these limits; ``label``
+    names the value in the ParseError.
+    """
+    label = label or f"estimation field {key!r}"
+    if key == "quad_tol":
+        if not (_is_number(value) and value > 0):
+            raise ParseError(f"{label} must be a positive number")
+        return
+    if key == "bins" and value is None:
+        return
+    if not _is_int(value):
+        raise ParseError(f"{label} must be an integer")
+    lo, hi = _INT_RANGES[key]
+    if value < lo or (hi is not None and value > hi):
+        limit = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ParseError(f"{label} must be {limit}, got {value}")
+
+
 def _build_estimation(spec):
     spec = spec or {}
     if not isinstance(spec, dict):
         raise ParseError("field 'estimation' must be an object")
-    known = {"samples", "bins", "seed", "quad_tol", "grid", "block_order"}
-    extra = set(spec) - known
+    extra = set(spec) - {"quad_tol", *_INT_RANGES}
     if extra:
         raise ParseError(f"unexpected estimation fields {sorted(extra)}")
-    for key in ("samples", "bins", "seed", "grid", "block_order"):
-        if key in spec and not _is_int(spec[key]):
-            if not (key == "bins" and spec[key] is None):
-                raise ParseError(f"estimation field {key!r} must be an integer")
-    if "quad_tol" in spec:
-        tol = spec["quad_tol"]
-        if not (_is_number(tol) and tol > 0):
-            raise ParseError("estimation field 'quad_tol' must be a positive number")
+    for key, value in spec.items():
+        check_estimation(key, value)
     return EstimationParams(**spec)
 
 

@@ -8,12 +8,17 @@ entropies are in bits.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
-from .errors import NoConvergenceError, TooFewSamplesError, BadParameterError
+from .errors import (
+    BadParameterError,
+    ConstantBranchError,
+    NoConvergenceError,
+    TooFewSamplesError,
+)
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -74,7 +79,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-9
-    max_depth: int = 40
+    max_depth: int = 120
     max_intervals: int = 200_000
 
     def __post_init__(self):
@@ -105,11 +110,17 @@ def _gk15(f, lo, hi):
 
 
 def quad(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
-    """Adaptive integral of a vectorized integrand over [lo, hi].
+    """Adaptive GK15 integral of a vectorized integrand over [lo, hi].
 
     ``points`` are mandatory split locations (discontinuities, kinks);
-    they are clipped to the interval.  Raises NoConvergenceError when the
-    error estimate still exceeds ``cfg.abs_tol`` at ``cfg.max_depth``.
+    those inside the interval become initial panel edges, the others are
+    dropped.  The panel with the largest error estimate is bisected
+    until the summed estimate is at most ``cfg.abs_tol``.  Raises
+    NoConvergenceError when the panel to bisect already sits at
+    ``cfg.max_depth`` halvings, or the panel count passes
+    ``cfg.max_intervals``.  The depth limit only decides when to give
+    up: an integral that converges under a smaller limit returns the
+    same bits under a larger one.
     """
     lo = float(lo)
     hi = float(hi)
@@ -246,6 +257,39 @@ def _cond_window(process, x1):
     return kern.quad_range(x1)
 
 
+def _x1_integral(process, value, cfg, f=None):
+    """int f_X(x1) value(x1) dx1 over the truncated support.
+
+    Split at the marginal's split points and, when a function is given,
+    at its finite tile edges, where value(x1) may kink.
+    """
+    lo, hi = process.quad_support
+    f_marg = process.marginal_pdf
+    points = list(process.marginal_split_points)
+    if f is not None:
+        points += f.tile_edges
+
+    def outer(x1s):
+        return f_marg(x1s) * np.array([value(x) for x in np.atleast_1d(x1s)])
+
+    return quad(outer, lo, hi, cfg, points=points)
+
+
+def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=(), kind=None):
+    """int integrand(x, b) dx over each tile b of f cut to [lo, hi].
+
+    One entry per branch; tiles outside the window, or not of the given
+    ``kind`` when one is given, give 0.
+    """
+    out = np.zeros(len(f.branches))
+    for i, b in enumerate(f.branches):
+        a = max(b.domain_lo, lo)
+        c = min(b.domain_hi, hi)
+        if c > a and kind in (None, b.kind):
+            out[i] = quad(lambda x: integrand(x, b), a, c, cfg, points=points)
+    return out
+
+
 def marginal_entropy_quad(process, cfg=DEFAULT_QUAD):
     """h(X) = -int f log2 f over the truncated support, by quadrature."""
     f = process.marginal_pdf
@@ -263,25 +307,19 @@ def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
     if process.kernel is None:
         return marginal_entropy_quad(process, cfg)
     cond = process.kernel.cond_pdf
-    f_marg = process.marginal_pdf
     lo, hi = process.quad_support
-    inner_cfg = cfg
 
-    def inner(x1):
+    def point_entropy(x1):
         wlo, whi = _cond_window(process, x1)
-        val = quad(
+        return -quad(
             lambda x2: xlog2x(cond(x2, x1)),
             max(wlo, lo),
             min(whi, hi),
-            inner_cfg,
+            cfg,
             points=_kernel_splits(process, x1),
         )
-        return -val
 
-    def outer(x1s):
-        return f_marg(x1s) * np.array([inner(x) for x in np.atleast_1d(x1s)])
-
-    return quad(outer, lo, hi, cfg, points=process.marginal_split_points)
+    return _x1_integral(process, point_entropy, cfg)
 
 
 def _branch_probabilities(f, process, x1, cfg):
@@ -289,14 +327,7 @@ def _branch_probabilities(f, process, x1, cfg):
     cond = _cond_pdf_fn(process)
     wlo, whi = _cond_window(process, x1)
     splits = _kernel_splits(process, x1)
-    probs = np.zeros(len(f.branches))
-    for i, b in enumerate(f.branches):
-        a = max(b.domain_lo, wlo)
-        c = min(b.domain_hi, whi)
-        if c <= a:
-            continue
-        probs[i] = quad(lambda x2: cond(x2, x1), a, c, cfg, points=splits)
-    return probs
+    return branch_integrals(f, lambda x2, b: cond(x2, x1), wlo, whi, cfg, splits)
 
 
 def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
@@ -305,12 +336,7 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     W is the discrete process of partition indices; the outer expectation
     over X1 and the per-branch probabilities are both quadratures.
     """
-    lo, hi = process.quad_support
-    f_marg = process.marginal_pdf
-    inner_cfg = QuadratureConfig(
-        abs_tol=min(1e-12, cfg.abs_tol), max_depth=cfg.max_depth
-    )
-    branch_edges = [b.domain_lo for b in f.branches] + [f.domain_hi]
+    inner_cfg = replace(cfg, abs_tol=min(1e-12, cfg.abs_tol))
 
     def point_entropy(x1):
         probs = _branch_probabilities(f, process, x1, inner_cfg)
@@ -319,13 +345,7 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
             return 0.0
         return entropy_bits(probs / total)
 
-    def outer(x1s):
-        return f_marg(x1s) * np.array([point_entropy(x) for x in np.atleast_1d(x1s)])
-
-    pts = list(process.marginal_split_points) + [
-        e for e in branch_edges if np.isfinite(e)
-    ]
-    return quad(outer, lo, hi, cfg, points=pts)
+    return _x1_integral(process, point_entropy, cfg, f)
 
 
 def output_cond_pdf(f, cond_pdf, x1, ys):
@@ -336,63 +356,44 @@ def output_cond_pdf(f, cond_pdf, x1, ys):
 def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):
     """h(Y2|X1) for Y = g(X), by nested quadrature over x1 and y."""
     lo, hi = process.quad_support
-    f_marg = process.marginal_pdf
     cond = _cond_pdf_fn(process)
 
-    def point_value(x1):
+    def point_entropy(x1):
         wlo, whi = _cond_window(process, x1)
-        wlo, whi = max(wlo, lo), min(whi, hi)
-        window = f.image_window(wlo, whi)
-        if window is None:
+        window = f.image_window(max(wlo, lo), min(whi, hi))
+        if window is None or window[1] <= window[0]:
             return 0.0
         ylo, yhi, edges = window
-        if yhi <= ylo:
-            return 0.0
         # images of kernel discontinuities under g are further split points
         splits = edges + f.image_points(_kernel_splits(process, x1))
-        val = quad(
+        return -quad(
             lambda ys: xlog2x(output_cond_pdf(f, cond, x1, ys)),
             ylo,
             yhi,
             cfg,
             points=splits,
         )
-        return -val
 
-    def outer(x1s):
-        return f_marg(x1s) * np.array([point_value(x) for x in np.atleast_1d(x1s)])
-
-    pts = list(process.marginal_split_points) + [
-        b.domain_lo for b in f.branches if np.isfinite(b.domain_lo)
-    ]
-    if np.isfinite(f.domain_hi):
-        pts.append(f.domain_hi)
-    return quad(outer, lo, hi, cfg, points=pts)
+    return _x1_integral(process, point_entropy, cfg, f)
 
 
 def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):
     """E[log2 |g'(X)|] by branch-wise quadrature against the marginal."""
-    from .errors import ConstantBranchError
-
-    if any(b.kind == "constant" for b in f.branches):
+    if f.has_constant:
         raise ConstantBranchError("derivative term undefined on constant pieces")
-    lo, hi = process.quad_support
     f_marg = process.marginal_pdf
-    total = 0.0
-    for b in f.branches:
-        a = max(b.domain_lo, lo)
-        c = min(b.domain_hi, hi)
-        if c <= a:
-            continue
-        deriv = b.derivative
-        total += quad(
-            lambda x: f_marg(x) * np.log2(np.abs(deriv(x))),
-            a,
-            c,
-            cfg,
-            points=[p for p in process.marginal_split_points if a < p < c],
-        )
-    return total
+    lo, hi = process.quad_support
+    total = 0.0  # a running sum in branch order; np.sum would regroup the terms
+    for term in branch_integrals(
+        f,
+        lambda x, b: f_marg(x) * np.log2(np.abs(b.derivative(x))),
+        lo,
+        hi,
+        cfg,
+        process.marginal_split_points,
+    ):
+        total += term
+    return float(total)
 
 
 def expected_log_abs_derivative_mc(f, samples):

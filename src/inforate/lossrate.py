@@ -9,7 +9,7 @@ process is verifiably Markov the rate itself is a quadrature.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,11 +132,16 @@ def loss_rate_analytic(
     lump_tol=1e-6,
     skip_lumpability_check=False,
 ):
-    """Exact loss rate h(X2|X1) - h(Y2|X1) + E[log2|g'|] by quadrature.
+    """Exact loss rate h(X2|X1) - h(Y2|X1) + E[log2|g'(X)|], in bits.
 
-    Valid when the output process is Markov, so the check runs first and
-    NotLumpableError refuses the claim of exactness when it fails.  For
-    iid inputs the identity holds unconditionally.
+    h(X2|X1) is the process's closed form when it carries one, otherwise
+    a nested quadrature like h(Y2|X1); the derivative term is a
+    quadrature per branch.  The identity is exact when the output
+    process is Markov, so for Markov inputs the grid check of
+    ``check_lumpable`` runs first and NotLumpableError refuses the value
+    when it fails; for iid inputs the identity holds unconditionally.
+    NoConvergenceError means some integral missed ``cfg.abs_tol``
+    within the depth budget of ``cfg``; there is no retry.
     """
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
@@ -215,7 +220,6 @@ def analyze_loss_rate(
     """Assemble every applicable value and bound into one report."""
     method = {}
     value = None
-    lower = upper = None
 
     loss, loss_tag = _loss_rv_detail(f, process, n_samples, seed, bins, cfg)
     method["bound_L"] = loss_tag
@@ -223,13 +227,10 @@ def analyze_loss_rate(
     hw = markov_block_entropy_W(f, process, k=k, n_samples=n_samples, seed=seed)
     method["bound_HW"] = f"plug-in order {hw.order} (converged={hw.converged})"
 
-    hw2x1 = None
-    if process.is_markov or process.kernel is None:
-        hw2x1 = bound_index_given_input(f, process, cfg)
-        method["bound_HW2X1"] = "quadrature"
+    hw2x1 = bound_index_given_input(f, process, cfg)
+    method["bound_HW2X1"] = "quadrature"
 
     sandwich = loss_rate_bounds_mc(f, process, n_samples=n_samples, seed=seed, bins=bins)
-    lower, upper = sandwich.lower, sandwich.upper
     method["sandwich"] = f"histogram MI, N={sandwich.n_samples}, bins={sandwich.bins}"
 
     try:
@@ -237,27 +238,13 @@ def analyze_loss_rate(
             f, process, cfg, grid=grid, lump_tol=lump_tol
         )
         method["value"] = "quadrature (lumpable)"
-    except NotLumpableError as exc:
+    except (NotLumpableError, NoConvergenceError) as exc:
         method["value"] = f"unavailable: {exc}"
-    except NoConvergenceError:
-        # endpoint singularities (vanishing derivative at a tile edge)
-        # need a deeper bisection budget than the default
-        try:
-            value = loss_rate_analytic(
-                f,
-                process,
-                replace(cfg, max_depth=120),
-                grid=grid,
-                lump_tol=lump_tol,
-            )
-            method["value"] = "quadrature (lumpable, deep bisection)"
-        except (NotLumpableError, NoConvergenceError) as exc:
-            method["value"] = f"unavailable: {exc}"
 
     return LossRateReport(
         value=value,
-        lower_bound=lower,
-        upper_bound_sandwich=upper,
+        lower_bound=sandwich.lower,
+        upper_bound_sandwich=sandwich.upper,
         bound_L=loss,
         bound_HW=hw.value,
         bound_HW2X1=hw2x1,
@@ -296,22 +283,18 @@ def cascade_loss_rate(
     for nxt in f_list[1:]:
         composed = compose(nxt, composed)
 
+    def loss(g, proc, seed):
+        if method == "rv":
+            return float(loss_rv(g, proc, n_samples=n_samples, seed=seed, bins=bins))
+        return float(loss_rate_analytic(g, proc, cfg, grid=grid))
+
     stages = []
     current = process
     for i, g in enumerate(f_list):
-        if method == "rv":
-            val = loss_rv(g, current, n_samples=n_samples, seed=seed + i, bins=bins)
-        else:
-            val = loss_rate_analytic(g, current, cfg, grid=grid)
-        stages.append(float(val))
+        stages.append(loss(g, current, seed + i))
         if i + 1 < len(f_list):
             current = pushforward_process(g, current)
-
-    if method == "rv":
-        total = loss_rv(composed, process, n_samples=n_samples, seed=seed, bins=bins)
-    else:
-        total = loss_rate_analytic(composed, process, cfg, grid=grid)
-    total = float(total)
+    total = loss(composed, process, seed)
     return CascadeResult(
         total=total,
         stages=tuple(stages),

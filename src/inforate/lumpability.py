@@ -10,7 +10,7 @@ certifies that the branch-index bound H(W2|X1) is attained.  All checks
 are grid-sampled: a pass means "holds on this grid", never a proof.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,19 +79,18 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
     cond = _cond_pdf_fn(process)
 
     y_lo, y_hi = _output_range(f, process)
-    avoid = [b.domain_lo for b in f.branches] + [f.domain_hi]
-    y1s = _nudged_grid(y_lo, y_hi, grid, avoid=avoid)
-    y2s = _nudged_grid(y_lo, y_hi, grid, avoid=avoid)
+    y1s = y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
+
+    # preimages of the y1 grid, one row per branch, and where the input
+    # density is positive there
+    terms = list(f.preimage_terms(y1s))
+    pre = np.array([np.where(valid, x, 0.0) for _, x, _, valid in terms])
+    live = np.array([valid for *_, valid in terms]) & (process.marginal_pdf(pre) > 0.0)
 
     worst = 0.0
     witnesses = []
-    f_marg = process.marginal_pdf
-    for y1 in y1s:
-        xs = [
-            p.x
-            for p in f.preimage(float(y1))
-            if p.pointwise and float(f_marg(p.x)) > 0.0
-        ]
+    for col, y1 in enumerate(y1s):
+        xs = pre[live[:, col], col].tolist()
         if len(xs) < 2:
             continue
         sums = [output_cond_pdf(f, cond, x, y2s) for x in xs]
@@ -123,10 +122,9 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     cond = _cond_pdf_fn(process)
 
     qlo, qhi = process.quad_support
-    avoid = [b.domain_lo for b in f.branches] + [f.domain_hi]
-    xs = _nudged_grid(qlo, qhi, grid, avoid=avoid)
+    xs = _nudged_grid(qlo, qhi, grid, avoid=f.tile_edges)
     y_lo, y_hi = _output_range(f, process)
-    y2s = _nudged_grid(y_lo, y_hi, grid, avoid=avoid)
+    y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
     # preimages of the y2 grid; every branch is injective, so entry i
     # belongs to branch i
     preimages = list(f.preimage_terms(y2s))
@@ -178,12 +176,8 @@ def full_report(f, process, grid=201, tol=1e-6):
     """Lumpability plus tightness in one report."""
     rep = check_lumpable(f, process, grid=grid, tol=tol)
     tight = check_tightness(f, process, grid=grid, tol=tol)
-    return LumpabilityReport(
-        condition_holds=rep.condition_holds,
-        max_deviation=rep.max_deviation,
-        grid=rep.grid,
-        tol=rep.tol,
-        witnesses=rep.witnesses,
+    return replace(
+        rep,
         tightness_a_holds=tight.a_holds,
         tightness_b_holds=tight.b_holds,
         tightness_a_deviation=tight.a_deviation,

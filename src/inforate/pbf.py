@@ -144,8 +144,10 @@ class PiecewiseFunction:
                     raise BadParameterError(
                         f"{kind} between branches {prev.index} and {cur.index}"
                     )
-        edges = np.array([b.domain_lo for b in branches] + [branches[-1].domain_hi])
-        object.__setattr__(self, "_edges", edges)
+        edges = [b.domain_lo for b in branches] + [branches[-1].domain_hi]
+        object.__setattr__(self, "_edges", np.array(edges))
+        # finite tile boundaries, where integrands change branch
+        object.__setattr__(self, "tile_edges", tuple(filter(np.isfinite, edges)))
 
     # -- lookup ---------------------------------------------------------
 
@@ -525,7 +527,7 @@ def constant_mass(f, marginal_pdf, quad_support=None, split_points=(), cfg=None)
     The marginal must integrate to one over the (possibly truncated)
     support; checked to 1e-6.
     """
-    from .estimate import DEFAULT_QUAD, quad
+    from .estimate import DEFAULT_QUAD, branch_integrals, quad
 
     cfg = cfg or DEFAULT_QUAD
     if quad_support is None:
@@ -541,14 +543,10 @@ def constant_mass(f, marginal_pdf, quad_support=None, split_points=(), cfg=None)
     if all(b.kind == "constant" for b in f.branches):
         return 1.0
     mass = 0.0
-    for b in f.branches:
-        if b.kind != "constant":
-            continue
-        a, c = max(b.domain_lo, lo), min(b.domain_hi, hi)
-        if c > a:
-            mass += quad(
-                marginal_pdf, a, c, cfg, points=[p for p in split_points if a < p < c]
-            )
+    for m in branch_integrals(
+        f, lambda x, b: marginal_pdf(x), lo, hi, cfg, split_points, kind="constant"
+    ):
+        mass += m
     return float(min(max(mass, 0.0), 1.0))
 
 

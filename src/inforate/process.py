@@ -28,7 +28,6 @@ class AnalyticEntropies:
 class MarkovKernel:
     cond_pdf: callable  # (x2, x1) -> density; numpy-broadcasting
     sample_step: callable  # (x1, rng) -> x2, generic scalar fallback
-    support: tuple
     split_points: callable = None  # x -> discontinuity locations
     quad_range: callable = None  # x1 -> finite window for the x2 integral
 
@@ -102,7 +101,6 @@ def make_ar1(a, sigma):
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=lambda x1, rng: a * x1 + rng.normal(0.0, sigma),
-        support=(-np.inf, np.inf),
         split_points=None,
         quad_range=lambda x1: (a * x1 - 10.0 * sigma, a * x1 + 10.0 * sigma),
     )
@@ -162,7 +160,6 @@ def make_cyclic_walk(M, a):
         sample_step=lambda x1, rng: float(
             wrap_interval(x1 + rng.uniform(-a, a), M)
         ),
-        support=(-M, M),
         split_points=lambda x: (
             float(wrap_interval(x - a, M)),
             float(wrap_interval(x + a, M)),
@@ -226,7 +223,6 @@ def make_tightness_example():
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=sample_step,
-        support=(0.0, 4.0),
         split_points=lambda x: (1.0, 2.0, 3.0),
         quad_range=lambda x1: (0.0, 4.0),
     )
@@ -358,7 +354,7 @@ def _draw_path(process, rng, n):
 
 def stationarity_residual(process, n_grid=64):
     """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid."""
-    from .estimate import DEFAULT_QUAD, quad
+    from .estimate import DEFAULT_QUAD, _kernel_splits, quad
 
     if process.kernel is None:
         return 0.0
@@ -369,9 +365,7 @@ def stationarity_residual(process, n_grid=64):
     f = process.marginal_pdf
     worst = 0.0
     for x2 in xs2:
-        pts = ()
-        if process.kernel.split_points is not None:
-            pts = process.kernel.split_points(x2)
+        pts = _kernel_splits(process, x2)
         got = quad(lambda x1: cond(x2, x1) * f(x1), lo, hi, DEFAULT_QUAD, points=pts)
         worst = max(worst, abs(got - float(f(x2))))
     return worst
@@ -419,24 +413,24 @@ def pushforward_process(f, process):
         base_splits = process.kernel.split_points
 
         def cond_pdf(y2, y1):
+            y1 = np.asarray(y1, dtype=float)
             y2 = np.asarray(y2, dtype=float)
-            pts = f.preimage(float(y1))
-            num = 0.0
+            if y1.ndim:
+                y2 = np.broadcast_to(y2, np.broadcast_shapes(y2.shape, y1.shape))
+            # mixture weights f_X(x1)/|g'(x1)| over the preimages x1 of y1
             terms = []
-            for p in pts:
-                if not p.pointwise:
+            num = np.zeros_like(y1)
+            for _, x1, dabs, valid in f.preimage_terms(y1):
+                if not valid.any():
                     continue
-                b = f.branches[p.branch - 1]
-                w = float(process.marginal_pdf(p.x)) / float(
-                    np.abs(b.derivative(p.x))
+                x1 = np.where(valid, x1, 0.0)
+                w = np.where(
+                    valid, process.marginal_pdf(x1) / np.where(valid, dabs, 1.0), 0.0
                 )
-                if w <= 0.0:
-                    continue
-                num += w
-                terms.append((p.x, w))
-            if num <= 0.0 or not terms:
-                return np.zeros_like(y2)
-            out = np.zeros_like(y2)
+                num = num + w
+                terms.append((x1, w))
+            num = np.where(num > 0.0, num, 1.0)
+            out = np.zeros(y2.shape)
             for x1, w in terms:
                 out += (w / num) * output_cond_pdf(f, base_cond, x1, y2)
             return out
@@ -444,14 +438,14 @@ def pushforward_process(f, process):
         def split_points(y):
             pts = []
             if base_splits is not None:
-                for p in f.preimage(float(y)):
-                    pts += f.image_points(base_splits(p.x))
+                for _, x1, _, valid in f.preimage_terms(float(y)):
+                    if valid:
+                        pts += f.image_points(base_splits(float(x1)))
             return tuple(pts + splits)
 
         kernel = MarkovKernel(
             cond_pdf=cond_pdf,
             sample_step=None,
-            support=(y_lo, y_hi),
             split_points=split_points,
             quad_range=lambda y1: (y_lo, y_hi),
         )

@@ -30,7 +30,6 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=lambda x1, rng: a * x1 + shift + rng.normal(0.0, sigma),
-        support=(-np.inf, np.inf),
         quad_range=lambda x1: (
             a * x1 + shift - 10 * sigma,
             a * x1 + shift + 10 * sigma,

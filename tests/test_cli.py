@@ -260,6 +260,12 @@ class TestConfigUsageErrors:
             ("quad_tol", -1e-9),
             ("quad_tol", "1e-9"),
             ("quad_tol", False),
+            ("bins", 0),
+            ("seed", -1),
+            ("grid", 50),
+            ("samples", 500),
+            ("block_order", 7),
+            ("block_order", -1),
         ],
     )
     def test_bad_estimation_field_exits_2(self, capsys, tmp_path, field, value):
@@ -267,6 +273,33 @@ class TestConfigUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--bins", "0"),
+            ("--seed", "-1"),
+            ("--samples", "500"),
+            ("--grid", "50"),
+            ("--quad-tol", "0"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "ar1-sweep", "--a-values", "0.5", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_too_few_samples_for_the_block_order_exits_2(self, capsys, tmp_path):
+        # 2 branches at order 5 need 2**6 * 30 = 1920 samples
+        code, out, err = self.analyze(
+            capsys, tmp_path, estimation={"samples": 1000, "block_order": 5}
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "samples" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_well_typed_estimation_fields_parse(self):
@@ -337,6 +370,13 @@ class TestReproducibility:
         assert meta["M"] == 2
         assert meta["version"]
         assert "backend" not in meta
+
+    def test_metadata_records_the_parsed_command_line(self, capsys, tmp_path):
+        target = tmp_path / "sweep.csv"
+        argv = ["downsample", "--M", "2", "--blocks", "4", "--out", str(target)]
+        assert run_cli(capsys, *argv)[0] == 0
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["command"] == " ".join(argv)
 
     def test_metadata_lands_on_stderr(self, capsys):
         _, out, err = run_cli(capsys, "downsample", "--M", "2", "--blocks", "2")

@@ -2,7 +2,9 @@
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +43,17 @@ def test_dependencies_match_third_party_imports():
 def test_every_declared_dependency_is_importable():
     missing = [d for d in declared_dependencies() if importlib.util.find_spec(d) is None]
     assert not missing, f"declared but not importable: {missing}"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is most of the import time and serves one AR(1) filter
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, inforate; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

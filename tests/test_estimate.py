@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from inforate import (
+    PiecewiseFunction,
     QuadratureConfig,
+    constant_branch,
     diff_entropy_hist,
     magnitude,
     make_ar1,
@@ -29,6 +31,7 @@ from inforate.errors import (
     TooFewSamplesError,
 )
 from inforate.estimate import (
+    branch_integrals,
     cond_entropy_W_given_X,
     expected_log_abs_derivative,
     expected_log_abs_derivative_mc,
@@ -93,6 +96,25 @@ class TestQuad:
             lo, hi = p.quad_support
             total = quad(p.marginal_pdf, lo, hi, points=p.marginal_split_points)
             assert abs(total - 1.0) <= 1e-6
+
+
+class TestBranchIntegrals:
+    def test_each_tile_cut_to_the_window(self):
+        f = shift_mod(1.0, lo=0.0, hi=3.0)
+        got = branch_integrals(f, lambda x, b: b.index * np.ones_like(x), 0.5, 2.25)
+        np.testing.assert_allclose(got, [0.5, 2.0, 0.75], atol=1e-14)
+
+    def test_other_kinds_and_outside_tiles_give_zero(self):
+        # constant on the left half, |x| on the right
+        f = PiecewiseFunction(
+            (constant_branch(1, -10.0, 0.0, 0.0), magnitude(-10.0, 10.0).branches[1])
+        )
+        got = branch_integrals(
+            f, lambda x, b: gauss_pdf(x), -10.0, 10.0, kind="constant"
+        )
+        assert got[1] == 0.0
+        assert got[0] == pytest.approx(0.5, abs=1e-12)
+        assert branch_integrals(f, lambda x, b: gauss_pdf(x), 1.0, 2.0)[0] == 0.0
 
 
 class TestDiffEntropyHist:

@@ -23,6 +23,7 @@ from inforate import (
     quantizer,
     scale,
     shift_mod,
+    square,
 )
 from inforate.errors import ConstantBranchError, NotLumpableError
 from inforate._rng import make_rng
@@ -244,6 +245,17 @@ class TestReport:
         assert rep.value <= rep.bound_HW2X1 + 1e-6
         assert rep.bound_HW2X1 <= rep.bound_HW + 0.02
         assert "closed-form" in rep.method["bound_L"]
+
+    def test_vanishing_derivative_at_a_tile_edge_needs_no_retry(self):
+        # g'(0) = 0 where the branches of x**2 meet; one pass of the depth
+        # budget reaches the endpoint singularity.  x**2 is |x| followed
+        # by a bijection, which loses nothing, so the rates agree.
+        p = make_ar1(0.5, 1.0)
+        rep = analyze_loss_rate(square(), p, n_samples=10**4, seed=5, grid=101)
+        assert rep.method["value"] == "quadrature (lumpable)"
+        assert rep.value == pytest.approx(
+            loss_rate_analytic(magnitude(), p, grid=101), abs=1e-9
+        )
 
     def test_value_absent_when_not_lumpable(self):
         rep = analyze_loss_rate(

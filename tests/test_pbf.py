@@ -179,6 +179,14 @@ class TestImageWindow:
         assert f.image_points([-1.0, 1.0, 3.0, 4.0]) == [1.0, 1.0]
 
 
+class TestTileEdges:
+    def test_finite_edges_in_order(self):
+        assert magnitude().tile_edges == (0.0,)
+        assert identity().tile_edges == ()
+        assert shift_mod(2.0, lo=0.0, hi=4.0).tile_edges == (0.0, 2.0, 4.0)
+        assert half_constant().tile_edges == (0.0, 1.0, 2.0)
+
+
 class TestLogAbsDerivative:
     def test_magnitude_slope_one(self):
         assert magnitude().log_abs_derivative(-3.0) == 0.0

@@ -263,6 +263,28 @@ class TestPushforward:
         assert rep.lower_bound == sw.lower
         assert rep.value is not None and 0.0 < rep.value < 1.0
 
+    @pytest.mark.parametrize(
+        "proc, f",
+        [
+            (make_ar1(0.5, 1.0), magnitude()),
+            (make_cyclic_walk(1.0, 0.3), magnitude(-1.0, 1.0)),
+            (make_tightness_example(), shift_mod(2.0, lo=0.0, hi=4.0)),
+        ],
+        ids=["ar1-abs", "cyc-abs", "tight-shift"],
+    )
+    def test_kernel_broadcasts_like_column_by_column_calls(self, proc, f):
+        push = pushforward_process(f, proc)
+        lo, hi = push.quad_support
+        twice = pushforward_process(scale(2.0, lo, hi), push)
+        for kern, k in ((push.kernel, 1.0), (twice.kernel, 2.0)):
+            # y1 runs past both ends of the output range
+            y1 = k * (np.linspace(lo - 0.5, hi + 0.5, 17) + 1e-7)
+            y2 = k * (np.linspace(lo, hi, 29) + 3e-7)
+            got = kern.cond_pdf(y2[:, None], y1[None, :])
+            want = np.stack([kern.cond_pdf(y2, v) for v in y1], axis=1)
+            assert np.any(want > 0.0)
+            np.testing.assert_array_equal(got, want)
+
     def test_uniform_inherited_through_shifts(self):
         from inforate import shift_mod
 
