@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -90,13 +90,29 @@ def _write_output(args, text, metadata):
         print(json.dumps(meta, sort_keys=True), file=sys.stderr)
 
 
+class _Given(argparse.Action):
+    """Store the value and record that the flag was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 def _common_options(sub):
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--samples", type=int, default=10**6)
-    sub.add_argument("--bins", type=int, default=None, help="default: ceil(N^(1/3))")
-    sub.add_argument("--quad-tol", type=float, default=1e-9)
-    sub.add_argument("--grid", type=int, default=201)
+    sub.set_defaults(given=frozenset())
+    sub.add_argument("--seed", type=int, default=42, action=_Given)
+    sub.add_argument("--samples", type=int, default=10**6, action=_Given)
+    sub.add_argument(
+        "--bins", type=int, default=None, action=_Given, help="default: ceil(N^(1/3))"
+    )
+    sub.add_argument("--quad-tol", type=float, default=1e-9, action=_Given)
+    sub.add_argument("--grid", type=int, default=201, action=_Given)
     sub.add_argument("--out", type=str, default=None, help="write here (+ .meta.json)")
+
+
+def _estimation(args, spec):
+    """The config's estimation values, overridden by the flags given."""
+    return replace(spec.estimation, **{key: getattr(args, key) for key in args.given})
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +263,7 @@ def cmd_downsample(args):
 
 
 def cmd_rel_loss(args):
+    meta = {}
     if args.downsample is not None:
         if args.block is not None:
             value = downsampler_relative_loss(args.downsample, args.block)
@@ -261,7 +278,8 @@ def cmd_rel_loss(args):
         }
     elif args.config:
         spec = load_config(args.config)
-        est = spec.estimation
+        est = _estimation(args, spec)
+        meta = {"samples": est.samples, "seed": est.seed, "quad_tol": est.quad_tol}
         analytic = relative_loss_rate_constant_pieces(
             spec.function, spec.process, cfg=est.quad_cfg
         )
@@ -279,22 +297,23 @@ def cmd_rel_loss(args):
         }
     else:
         raise ParseError("rel-loss needs --downsample M or --config PATH")
-    _write_output(args, json.dumps(report, indent=2, sort_keys=True) + "\n", {})
+    _write_output(args, json.dumps(report, indent=2, sort_keys=True) + "\n", meta)
     return 0
 
 
 def cmd_lump_check(args):
     spec = load_config(args.config)
-    rep = full_report(
-        spec.function, spec.process, grid=spec.estimation.grid, tol=args.tol
+    grid = _estimation(args, spec).grid
+    rep = full_report(spec.function, spec.process, grid=grid, tol=args.tol)
+    _write_output(
+        args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", {"grid": grid}
     )
-    _write_output(args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", {})
     return 0 if rep.condition_holds else 1
 
 
 def cmd_analyze(args):
     spec = load_config(args.config)
-    est = spec.estimation
+    est = _estimation(args, spec)
     f, proc = spec.function, spec.process
     out = {"process": spec.raw.get("process"), "function": spec.raw.get("function")}
     qlo, qhi = proc.quad_support

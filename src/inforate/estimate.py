@@ -6,7 +6,6 @@ entropies of branch-index variables, and plug-in block entropies.  All
 entropies are in bits.
 """
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace
 
@@ -90,76 +89,130 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 
-def _gk15(f, lo, hi):
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    fv = np.asarray(f(c + h * _XK), dtype=float)
-    if fv.shape != (15,):
-        raise BadParameterError("integrand must map a length-15 array to one")
-    resk = float(_WK @ fv)
-    resg = float(_WG @ fv[_GAUSS_IDX])
-    err = abs(resk - resg) * h
+def _split_rows(points, n):
+    """Per-integral split points as an (n, k) array padded with NaN."""
+    rows = [np.asarray(p, dtype=float).ravel() for p in points]
+    if len(rows) not in (0, n):
+        raise BadParameterError(
+            f"need one row of split points per integral, got {len(rows)}"
+        )
+    out = np.full((n, max((r.size for r in rows), default=0)), np.nan)
+    for i, r in enumerate(rows):
+        out[i, : r.size] = r
+    return out
+
+
+def _gk15(f, a, b, col):
+    """GK15 values and error estimates of panels [a, b] of integrals col,
+    from one integrand call on all their nodes."""
+    if not a.size:
+        return np.zeros(0), np.zeros(0)
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = (c[:, None] + h[:, None] * _XK).ravel()
+    fv = np.asarray(f(x, np.repeat(col, 15)), dtype=float)
+    if fv.shape != x.shape:
+        raise BadParameterError("integrand must map each node to one value")
+    fv = fv.reshape(-1, 15)
+    resk = fv @ _WK
+    err = np.abs(resk - fv[:, _GAUSS_IDX] @ _WG) * h
     # rescale against the deviation integral so integrable endpoint
     # singularities do not pin the estimate at the raw Gauss-Kronrod gap
-    resasc = float(_WK @ np.abs(fv - 0.5 * resk)) * h
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    resabs = float(_WK @ np.abs(fv)) * h
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
-    return resk * h, err
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _WK) * h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    resabs = (np.abs(fv) @ _WK) * h
+    return resk * h, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
+    """Adaptive GK15 integrals of one vectorized integrand over many windows.
+
+    Integral j runs over [lo[j], hi[j]].  ``f(x, col)`` takes flat arrays
+    of nodes and of the integral each node belongs to, and returns one
+    value per node.  ``points`` holds one sequence of mandatory split
+    locations (discontinuities, kinks) per integral; those inside the
+    window become initial panel edges, the others are dropped.
+
+    Each integral keeps its own error control: while its summed error
+    estimate exceeds ``cfg.abs_tol``, its largest-error panels are
+    bisected until the rest sum to at most ``cfg.abs_tol / 2``.  One
+    refinement step evaluates the new panels of every integral in one
+    integrand call.  Raises NoConvergenceError when a panel to bisect
+    already sits at ``cfg.max_depth`` halvings, or an integral passes
+    ``cfg.max_intervals`` panels.  The depth limit only decides when to
+    give up: an integral that converges under a smaller limit returns
+    the same bits under a larger one.
+    """
+    lo, hi = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
+    n = lo.size
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise BadParameterError("quad requires finite bounds (truncate first)")
+    if np.any(hi < lo):
+        j = int(np.argmax(hi < lo))
+        raise BadParameterError(f"empty interval [{lo[j]}, {hi[j]}]")
+
+    # initial panels: the window of each integral cut at its interior points
+    cuts = _split_rows(points, n)
+    cuts = np.where((cuts > lo[:, None]) & (cuts < hi[:, None]), cuts, np.nan)
+    cuts = np.sort(np.column_stack([lo, cuts, hi]), axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    keep = b > a  # drops NaN padding, repeated points and empty windows
+    col = np.nonzero(keep)[0]
+    a, b = a[keep], b[keep]
+    depth = np.zeros(a.size, dtype=int)
+    val, err = _gk15(f, a, b, col)
+
+    total = np.zeros(n)
+    while True:
+        err_sum = np.bincount(col, weights=err, minlength=n)
+        # NaN sums count as done, so a NaN integrand returns NaN
+        done = ~(err_sum[col] > cfg.abs_tol)
+        total += np.bincount(col[done], weights=val[done], minlength=n)
+        live = np.nonzero(~done)[0]
+        if not live.size:
+            return total
+        # per integral, largest errors first: bisect each panel while the
+        # errors from it on sum to more than half the tolerance, and
+        # always the largest one
+        live = live[np.lexsort((-err[live], col[live]))]
+        a, b, col, val, err, depth = (v[live] for v in (a, b, col, val, err, depth))
+        first = np.r_[True, col[1:] != col[:-1]]
+        before = np.cumsum(err) - err
+        before -= before[np.searchsorted(col, col)]
+        split = first | (err_sum[col] - before > 0.5 * cfg.abs_tol)
+        count = np.bincount(col, minlength=n) + np.bincount(col, split, minlength=n)
+        stuck = split & (depth >= cfg.max_depth)
+        stuck |= first & (count[col] > cfg.max_intervals)
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            raise NoConvergenceError(
+                f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e})",
+                partial=val[col == col[i]].sum(),
+            )
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_col = np.tile(col[split], 2)
+        new_val, new_err = _gk15(f, new_a, new_b, new_col)
+        keep = ~split
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        col = np.concatenate([col[keep], new_col])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+        depth = np.concatenate([depth[keep], np.tile(depth[split] + 1, 2)])
 
 
 def quad(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     """Adaptive GK15 integral of a vectorized integrand over [lo, hi].
 
-    ``points`` are mandatory split locations (discontinuities, kinks);
-    those inside the interval become initial panel edges, the others are
-    dropped.  The panel with the largest error estimate is bisected
-    until the summed estimate is at most ``cfg.abs_tol``.  Raises
-    NoConvergenceError when the panel to bisect already sits at
-    ``cfg.max_depth`` halvings, or the panel count passes
-    ``cfg.max_intervals``.  The depth limit only decides when to give
-    up: an integral that converges under a smaller limit returns the
-    same bits under a larger one.
+    The one-integral case of ``quad_batch``: ``f`` maps an array of
+    nodes to one value each, and ``points`` are mandatory split
+    locations.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise BadParameterError("quad requires finite bounds (truncate first)")
-    if hi <= lo:
-        if hi == lo:
-            return 0.0
-        raise BadParameterError(f"empty interval [{lo}, {hi}]")
-
-    cuts = sorted({lo, hi, *(float(p) for p in points if lo < p < hi)})
-    heap = []
-    total = 0.0
-    err_total = 0.0
-    tick = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk15(f, a, b)
-        total += val
-        err_total += err
-        heapq.heappush(heap, (-err, tick, a, b, val, err, 0))
-        tick += 1
-
-    while err_total > cfg.abs_tol:
-        neg_err, _, a, b, val, err, depth = heapq.heappop(heap)
-        if depth >= cfg.max_depth or len(heap) > cfg.max_intervals:
-            raise NoConvergenceError(
-                f"quadrature stalled on [{a}, {b}] (err={err:.3e})",
-                partial=total,
-            )
-        mid = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
-        total += v1 + v2 - val
-        err_total += e1 + e2 - err
-        heapq.heappush(heap, (-e1, tick, a, mid, v1, e1, depth + 1))
-        tick += 1
-        heapq.heappush(heap, (-e2, tick, mid, b, v2, e2, depth + 1))
-        tick += 1
-    return total
+    return float(quad_batch(lambda x, col: f(x), lo, hi, cfg, [points])[0])
 
 
 def xlog2x(p):
@@ -235,11 +288,13 @@ def mutual_information_hist(xs, ys, bins=None):
 # quadrature-based entropies
 
 
-def _kernel_splits(process, x):
+def _kernel_splits(process, xs):
+    """The kernel's discontinuities at each conditioning value, one
+    sequence per entry of xs."""
     kern = process.kernel
     if kern is None or kern.split_points is None:
-        return ()
-    return kern.split_points(x)
+        return [()] * len(xs)
+    return [kern.split_points(x) for x in xs]
 
 
 def _cond_pdf_fn(process):
@@ -250,43 +305,49 @@ def _cond_pdf_fn(process):
     return kern.cond_pdf
 
 
-def _cond_window(process, x1):
+def _cond_windows(process, x1s):
+    """Low and high ends of the x2 window at each x1."""
     kern = process.kernel
     if kern is None or kern.quad_range is None:
-        return process.quad_support
-    return kern.quad_range(x1)
+        ends = [process.quad_support] * len(x1s)
+    else:
+        ends = [kern.quad_range(x) for x in x1s]
+    ends = np.array(ends, dtype=float).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
 
 
 def _x1_integral(process, value, cfg, f=None):
     """int f_X(x1) value(x1) dx1 over the truncated support.
 
-    Split at the marginal's split points and, when a function is given,
-    at its finite tile edges, where value(x1) may kink.
+    ``value`` maps an array of x1 nodes to one value each.  Split at the
+    marginal's split points and, when a function is given, at its finite
+    tile edges, where value(x1) may kink.
     """
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
     points = list(process.marginal_split_points)
     if f is not None:
         points += f.tile_edges
-
-    def outer(x1s):
-        return f_marg(x1s) * np.array([value(x) for x in np.atleast_1d(x1s)])
-
-    return quad(outer, lo, hi, cfg, points=points)
+    return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
 
 
 def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=(), kind=None):
-    """int integrand(x, b) dx over each tile b of f cut to [lo, hi].
+    """int integrand(x, col, b) dx over each tile b of f cut to the
+    windows [lo[col], hi[col]].
 
-    One entry per branch; tiles outside the window, or not of the given
-    ``kind`` when one is given, give 0.
+    ``points`` holds one sequence of split points per window.  Returns a
+    (windows, branches) array; tiles outside a window, or not of the
+    given ``kind`` when one is given, give 0.  One batched quadrature
+    per branch covers every window.
     """
-    out = np.zeros(len(f.branches))
+    lo, hi = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    out = np.zeros((lo.size, len(f.branches)))
     for i, b in enumerate(f.branches):
-        a = max(b.domain_lo, lo)
-        c = min(b.domain_hi, hi)
-        if c > a and kind in (None, b.kind):
-            out[i] = quad(lambda x: integrand(x, b), a, c, cfg, points=points)
+        if kind not in (None, b.kind):
+            continue
+        a = np.maximum(b.domain_lo, lo)
+        c = np.maximum(np.minimum(b.domain_hi, hi), a)
+        out[:, i] = quad_batch(lambda x, col: integrand(x, col, b), a, c, cfg, points)
     return out
 
 
@@ -309,25 +370,32 @@ def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
     cond = process.kernel.cond_pdf
     lo, hi = process.quad_support
 
-    def point_entropy(x1):
-        wlo, whi = _cond_window(process, x1)
-        return -quad(
-            lambda x2: xlog2x(cond(x2, x1)),
-            max(wlo, lo),
-            min(whi, hi),
+    def point_entropy(x1s):
+        wlo, whi = _cond_windows(process, x1s)
+        return -quad_batch(
+            lambda x2, col: xlog2x(cond(x2, x1s[col])),
+            np.maximum(wlo, lo),
+            np.minimum(whi, hi),
             cfg,
-            points=_kernel_splits(process, x1),
+            _kernel_splits(process, x1s),
         )
 
     return _x1_integral(process, point_entropy, cfg)
 
 
-def _branch_probabilities(f, process, x1, cfg):
-    """Pr(W2 = w | X1 = x1) for every branch w, by quadrature."""
+def _branch_probabilities(f, process, x1s, cfg):
+    """Pr(W2 = w | X1 = x1) for every x1 (rows) and branch w (columns)."""
+    x1s = np.asarray(x1s, dtype=float)
     cond = _cond_pdf_fn(process)
-    wlo, whi = _cond_window(process, x1)
-    splits = _kernel_splits(process, x1)
-    return branch_integrals(f, lambda x2, b: cond(x2, x1), wlo, whi, cfg, splits)
+    wlo, whi = _cond_windows(process, x1s)
+    return branch_integrals(
+        f,
+        lambda x2, col, b: cond(x2, x1s[col]),
+        wlo,
+        whi,
+        cfg,
+        _kernel_splits(process, x1s),
+    )
 
 
 def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
@@ -338,18 +406,18 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     """
     inner_cfg = replace(cfg, abs_tol=min(1e-12, cfg.abs_tol))
 
-    def point_entropy(x1):
-        probs = _branch_probabilities(f, process, x1, inner_cfg)
-        total = probs.sum()
-        if total <= 0:
-            return 0.0
-        return entropy_bits(probs / total)
+    def point_entropy(x1s):
+        probs = _branch_probabilities(f, process, x1s, inner_cfg)
+        total = probs.sum(axis=1, keepdims=True)
+        probs = probs / np.where(total > 0, total, 1.0)
+        return np.where(total[:, 0] > 0, -np.sum(xlog2x(probs), axis=1), 0.0)
 
     return _x1_integral(process, point_entropy, cfg, f)
 
 
 def output_cond_pdf(f, cond_pdf, x1, ys):
-    """Density of Y2 = g(X2) given X1 = x1, evaluated on an array of y."""
+    """Density of Y2 = g(X2) given X1 = x1, evaluated on an array of y;
+    x1 is a scalar or an array broadcasting against ys."""
     return f.preimage_sum(lambda xs: cond_pdf(xs, x1), ys)
 
 
@@ -358,20 +426,27 @@ def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):
     lo, hi = process.quad_support
     cond = _cond_pdf_fn(process)
 
-    def point_entropy(x1):
-        wlo, whi = _cond_window(process, x1)
-        window = f.image_window(max(wlo, lo), min(whi, hi))
-        if window is None or window[1] <= window[0]:
-            return 0.0
-        ylo, yhi, edges = window
-        # images of kernel discontinuities under g are further split points
-        splits = edges + f.image_points(_kernel_splits(process, x1))
-        return -quad(
-            lambda ys: xlog2x(output_cond_pdf(f, cond, x1, ys)),
+    def point_entropy(x1s):
+        wlo, whi = _cond_windows(process, x1s)
+        ylo = np.zeros(x1s.size)
+        yhi = np.zeros(x1s.size)
+        splits = []
+        for j, (a, c, kinks) in enumerate(
+            zip(np.maximum(wlo, lo), np.minimum(whi, hi), _kernel_splits(process, x1s))
+        ):
+            window = f.image_window(a, c)
+            if window is None or window[1] <= window[0]:
+                splits.append(())  # ylo = yhi: the integral is 0
+                continue
+            ylo[j], yhi[j], edges = window
+            # images of kernel discontinuities under g are further split points
+            splits.append(edges + f.image_points(kinks))
+        return -quad_batch(
+            lambda ys, col: xlog2x(output_cond_pdf(f, cond, x1s[col], ys)),
             ylo,
             yhi,
             cfg,
-            points=splits,
+            splits,
         )
 
     return _x1_integral(process, point_entropy, cfg, f)
@@ -386,12 +461,12 @@ def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):
     total = 0.0  # a running sum in branch order; np.sum would regroup the terms
     for term in branch_integrals(
         f,
-        lambda x, b: f_marg(x) * np.log2(np.abs(b.derivative(x))),
+        lambda x, col, b: f_marg(x) * np.log2(np.abs(b.derivative(x))),
         lo,
         hi,
         cfg,
-        process.marginal_split_points,
-    ):
+        [process.marginal_split_points],
+    )[0]:
         total += term
     return float(total)
 

@@ -23,6 +23,8 @@ from .estimate import (
 )
 
 _EDGE_EPS = 1e-9
+# points per preimage-sum call in check_lumpable
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,9 +49,8 @@ class TightnessResult:
 
 
 def _relative_deviation(s, s_prime):
-    return np.abs(s - s_prime) / np.maximum.reduce(
-        [np.abs(s), np.abs(s_prime), np.full_like(np.asarray(s, float), 1e-300)]
-    )
+    scale = np.maximum(np.maximum(np.abs(s), np.abs(s_prime)), 1e-300)
+    return np.abs(s - s_prime) / scale
 
 
 def _nudged_grid(lo, hi, n, avoid=()):
@@ -87,21 +88,34 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
     pre = np.array([np.where(valid, x, 0.0) for _, x, _, valid in terms])
     live = np.array([valid for *_, valid in terms]) & (process.marginal_pdf(pre) > 0.0)
 
+    # per block of y1 values: the preimage sums over the y2 grid of every
+    # live preimage, one row each, then every pair of live preimages of
+    # one y1, ordered by y1, then by branches; the blocks bound the
+    # temporaries
+    bi, bj = np.triu_indices(len(terms), 1)
+    step = max(1, _BLOCK_POINTS // (len(terms) * y2s.size))
     worst = 0.0
     witnesses = []
-    for col, y1 in enumerate(y1s):
-        xs = pre[live[:, col], col].tolist()
-        if len(xs) < 2:
+    for start in range(0, y1s.size, step):
+        blk = slice(start, start + step)
+        xs, lv = pre[:, blk], live[:, blk]
+        cols, pair = np.nonzero((lv[bi] & lv[bj]).T)
+        if not cols.size:
             continue
-        sums = [output_cond_pdf(f, cond, x, y2s) for x in xs]
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                dev = _relative_deviation(sums[i], sums[j])
-                k = int(np.argmax(dev))
-                if dev[k] > worst:
-                    worst = float(dev[k])
-                if dev[k] > tol and len(witnesses) < 10:
-                    witnesses.append((y1, float(y2s[k]), xs[i], xs[j]))
+        i, j = bi[pair], bj[pair]
+        row = np.cumsum(lv).reshape(lv.shape) - 1
+        sums = output_cond_pdf(
+            f, cond, xs[lv][:, None], np.broadcast_to(y2s, (lv.sum(), y2s.size))
+        )
+        dev = _relative_deviation(sums[row[i, cols]], sums[row[j, cols]])
+        k = np.argmax(dev, axis=1)
+        peak = dev[np.arange(k.size), k]
+        worst = max(worst, float(np.nanmax(peak, initial=0.0)))
+        hit = np.nonzero(peak > tol)[0][: 10 - len(witnesses)]
+        witnesses += [
+            (float(y1s[blk][c]), float(y2s[kk]), float(xs[a, c]), float(xs[b, c]))
+            for c, kk, a, b in zip(cols[hit], k[hit], i[hit], j[hit])
+        ]
     return LumpabilityReport(
         condition_holds=worst <= tol,
         max_deviation=worst,
@@ -130,13 +144,10 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     preimages = list(f.preimage_terms(y2s))
 
     prob_cfg = QuadratureConfig(abs_tol=1e-12)
-    f_marg = process.marginal_pdf
+    xs = xs[process.marginal_pdf(xs) > 0.0]
     worst_a = 0.0
     worst_b = 0.0
-    for x in xs:
-        if float(f_marg(x)) <= 0.0:
-            continue
-        probs = _branch_probabilities(f, process, x, prob_cfg)
+    for x, probs in zip(xs, _branch_probabilities(f, process, xs, prob_cfg)):
         total = probs.sum()
         if total <= 0:
             continue
@@ -160,10 +171,11 @@ def check_tightness(f, process, grid=201, tol=1e-6):
                 terms.append(np.where(valid, val / dabs, np.nan))
         stacked = np.vstack(terms)
         defined = np.isfinite(stacked)
-        cols = np.nonzero(defined.sum(axis=0) >= 2)[0]
-        for c in cols:
-            col = stacked[defined[:, c], c]
-            worst_a = max(worst_a, float(_relative_deviation(col.max(), col.min())))
+        cols = defined.sum(axis=0) >= 2
+        if cols.any():
+            both = np.where(defined, stacked, np.nan)[:, cols]
+            dev = _relative_deviation(np.nanmax(both, axis=0), np.nanmin(both, axis=0))
+            worst_a = max(worst_a, float(dev.max()))
     return TightnessResult(
         a_holds=worst_a <= tol,
         b_holds=worst_b <= tol,

@@ -294,8 +294,9 @@ class PiecewiseFunction:
             c = min(b.domain_hi, hi)
             if c <= a or b.kind != "injective":
                 continue
-            ya = float(b.forward(a))
-            yc = float(b.forward(c))
+            # + 0.0 turns a -0.0 end (the fold's left tile) into 0.0
+            ya = float(b.forward(a)) + 0.0
+            yc = float(b.forward(c)) + 0.0
             edges.extend((min(ya, yc), max(ya, yc)))
         if not edges:
             return None
@@ -544,8 +545,8 @@ def constant_mass(f, marginal_pdf, quad_support=None, split_points=(), cfg=None)
         return 1.0
     mass = 0.0
     for m in branch_integrals(
-        f, lambda x, b: marginal_pdf(x), lo, hi, cfg, split_points, kind="constant"
-    ):
+        f, lambda x, col, b: marginal_pdf(x), lo, hi, cfg, [split_points], "constant"
+    )[0]:
         mass += m
     return float(min(max(mass, 0.0), 1.0))
 

@@ -354,7 +354,7 @@ def _draw_path(process, rng, n):
 
 def stationarity_residual(process, n_grid=64):
     """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid."""
-    from .estimate import DEFAULT_QUAD, _kernel_splits, quad
+    from .estimate import DEFAULT_QUAD, _kernel_splits, quad_batch
 
     if process.kernel is None:
         return 0.0
@@ -363,12 +363,14 @@ def stationarity_residual(process, n_grid=64):
     xs2 = np.linspace(lo + eps, hi - eps, n_grid) + 1e-9
     cond = process.kernel.cond_pdf
     f = process.marginal_pdf
-    worst = 0.0
-    for x2 in xs2:
-        pts = _kernel_splits(process, x2)
-        got = quad(lambda x1: cond(x2, x1) * f(x1), lo, hi, DEFAULT_QUAD, points=pts)
-        worst = max(worst, abs(got - float(f(x2))))
-    return worst
+    got = quad_batch(
+        lambda x1, col: cond(xs2[col], x1) * f(x1),
+        np.full(n_grid, lo),
+        hi,
+        DEFAULT_QUAD,
+        _kernel_splits(process, xs2),
+    )
+    return float(np.max(np.abs(got - f(xs2))))
 
 
 # ---------------------------------------------------------------------------

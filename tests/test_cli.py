@@ -112,6 +112,25 @@ class TestLumpCheck:
         assert report["witnesses"]
 
 
+    def test_grid_flag_overrides_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "process": {"kind": "cyclic_walk", "M": 1.0, "a": 0.35},
+                    "function": {"kind": "magnitude"},
+                    "estimation": {"grid": 101},
+                }
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "lump-check", "--config", str(cfg), "--grid", "151"
+        )
+        assert code == 0
+        assert json.loads(out)["grid"] == "151x151 on [0, 1]^2"
+        assert json.loads(err.strip().splitlines()[-1])["grid"] == 151
+
+
 class TestRelLoss:
     def test_downsample_mode(self, capsys):
         code, out, _ = run_cli(
@@ -164,6 +183,22 @@ class TestAnalyze:
         assert got["lower_bound"] == pytest.approx(want.lower_bound, abs=1e-12)
         assert got["bound_HW2X1"] == pytest.approx(want.bound_HW2X1, abs=1e-12)
         assert got["value"] == pytest.approx(want.value, abs=1e-12)
+
+    def test_flags_override_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "process": {"kind": "iid_uniform", "lo": 0.0, "hi": 2.0},
+                    "function": {"kind": "quantizer", "edges": [0.0, 1.0, 2.0]},
+                    "estimation": {"seed": 3, "samples": 1000},
+                }
+            )
+        )
+        code, _, err = run_cli(capsys, "analyze", "--config", str(cfg), "--seed", "7")
+        assert code == 0
+        meta = json.loads(err.strip().splitlines()[-1])
+        assert (meta["seed"], meta["samples"]) == (7, 1000)
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"

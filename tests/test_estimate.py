@@ -1,6 +1,7 @@
 """Quadrature and estimator primitives against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from inforate import (
     make_tightness_example,
     markov_block_entropy_W,
     mutual_information_hist,
+    pushforward_process,
     quad,
+    quad_batch,
     sample_path,
     scale,
     shift_mod,
@@ -33,9 +36,13 @@ from inforate.errors import (
 from inforate.estimate import (
     branch_integrals,
     cond_entropy_W_given_X,
+    cond_entropy_output_given_input,
+    cond_entropy_rate_quad,
+    entropy_bits,
     expected_log_abs_derivative,
     expected_log_abs_derivative_mc,
     marginal_entropy_quad,
+    xlog2x,
 )
 from inforate._rng import make_rng
 
@@ -98,11 +105,41 @@ class TestQuad:
             assert abs(total - 1.0) <= 1e-6
 
 
+class TestQuadBatch:
+    def test_columns_keep_their_own_windows_and_split_points(self):
+        got = quad_batch(
+            lambda x, col: np.where(x < 0.3, 1.0, 2.0) * (col + 1),
+            [0.0, 0.0, 0.5, 1.0],
+            [1.0, 1.0, 2.0, 1.0],
+            points=[(0.3,), (0.3, 5.0), (), ()],
+        )
+        np.testing.assert_allclose(got, [1.7, 3.4, 9.0, 0.0], atol=1e-12)
+
+    def test_stalled_column_names_its_panel(self):
+        # column 0 converges at once; column 1 oscillates without end on [2, 3]
+        def f(x, col):
+            wild = np.abs(np.sin(50.0 / (np.abs(x - 2.0) + 1e-3)))
+            return np.where(col == 0, gauss_pdf(x), wild)
+
+        cfg = QuadratureConfig(abs_tol=1e-13, max_depth=3)
+        with pytest.raises(NoConvergenceError) as info:
+            quad_batch(f, [-1.0, 2.0], [1.0, 3.0], cfg)
+        a, b = map(float, re.search(r"\[(.+), (.+)\]", str(info.value)).groups())
+        assert 2.0 <= a < b <= 3.0
+        assert 0.0 < info.value.partial < 1.0
+
+    def test_one_row_of_split_points_per_integral(self):
+        with pytest.raises(BadParameterError):
+            quad_batch(lambda x, col: x, [0.0, 0.0], [1.0, 1.0], points=[(0.5,)])
+
+
 class TestBranchIntegrals:
     def test_each_tile_cut_to_the_window(self):
         f = shift_mod(1.0, lo=0.0, hi=3.0)
-        got = branch_integrals(f, lambda x, b: b.index * np.ones_like(x), 0.5, 2.25)
-        np.testing.assert_allclose(got, [0.5, 2.0, 0.75], atol=1e-14)
+        got = branch_integrals(
+            f, lambda x, col, b: b.index * np.ones_like(x), [0.5, 1.0], [2.25, 1.5]
+        )
+        np.testing.assert_allclose(got, [[0.5, 2.0, 0.75], [0.0, 1.0, 0.0]], atol=1e-14)
 
     def test_other_kinds_and_outside_tiles_give_zero(self):
         # constant on the left half, |x| on the right
@@ -110,11 +147,12 @@ class TestBranchIntegrals:
             (constant_branch(1, -10.0, 0.0, 0.0), magnitude(-10.0, 10.0).branches[1])
         )
         got = branch_integrals(
-            f, lambda x, b: gauss_pdf(x), -10.0, 10.0, kind="constant"
-        )
+            f, lambda x, col, b: gauss_pdf(x), -10.0, 10.0, kind="constant"
+        )[0]
         assert got[1] == 0.0
         assert got[0] == pytest.approx(0.5, abs=1e-12)
-        assert branch_integrals(f, lambda x, b: gauss_pdf(x), 1.0, 2.0)[0] == 0.0
+        got = branch_integrals(f, lambda x, col, b: gauss_pdf(x), 1.0, 2.0)
+        assert got[0, 0] == 0.0
 
 
 class TestDiffEntropyHist:
@@ -294,3 +332,99 @@ class TestMarginalEntropyQuad:
     def test_uniform_four(self):
         got = marginal_entropy_quad(make_iid_uniform(0.0, 4.0))
         assert got == pytest.approx(2.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the per-x1 loops that the batched nested quadrature replaced, one quad
+# call per inner integral, kept as the reference
+
+
+def _scalar_outer(process, value, f=None):
+    lo, hi = process.quad_support
+    points = list(process.marginal_split_points) + list(f.tile_edges if f else ())
+    return quad(
+        lambda x1s: process.marginal_pdf(x1s) * np.array([value(x) for x in x1s]),
+        lo,
+        hi,
+        points=points,
+    )
+
+
+def _scalar_kernel(process, x1):
+    """x2 -> f(x2|x1), the x2 window and the kernel's split points at x1."""
+    kern = process.kernel
+    window = kern.quad_range(x1) if kern.quad_range else process.quad_support
+    splits = kern.split_points(x1) if kern.split_points else ()
+    return (lambda x2: kern.cond_pdf(x2, x1)), window, splits
+
+
+def scalar_h_x2_given_x1(process):
+    lo, hi = process.quad_support
+
+    def value(x1):
+        cond, (wlo, whi), splits = _scalar_kernel(process, x1)
+        return -quad(
+            lambda x2: xlog2x(cond(x2)), max(wlo, lo), min(whi, hi), points=splits
+        )
+
+    return _scalar_outer(process, value)
+
+
+def scalar_h_y2_given_x1(f, process):
+    lo, hi = process.quad_support
+
+    def value(x1):
+        cond, (wlo, whi), splits = _scalar_kernel(process, x1)
+        window = f.image_window(max(wlo, lo), min(whi, hi))
+        if window is None or window[1] <= window[0]:
+            return 0.0
+        ylo, yhi, edges = window
+        return -quad(
+            lambda ys: xlog2x(f.preimage_sum(cond, ys)),
+            ylo,
+            yhi,
+            points=edges + f.image_points(splits),
+        )
+
+    return _scalar_outer(process, value, f)
+
+
+def scalar_hw2_given_x1(f, process):
+    inner = QuadratureConfig(abs_tol=1e-12)
+
+    def value(x1):
+        cond, (wlo, whi), splits = _scalar_kernel(process, x1)
+        probs = []
+        for b in f.branches:
+            a, c = max(b.domain_lo, wlo), min(b.domain_hi, whi)
+            probs.append(quad(cond, a, c, inner, points=splits) if c > a else 0.0)
+        total = sum(probs)
+        return entropy_bits(np.array(probs) / total) if total > 0 else 0.0
+
+    return _scalar_outer(process, value, f)
+
+
+NESTED_CASES = {
+    "ar1+magnitude": lambda: (magnitude(), make_ar1(0.5, 1.0)),
+    "walk+magnitude": lambda: (magnitude(-1.0, 1.0), make_cyclic_walk(1.0, 0.35)),
+    "tightness": lambda: (shift_mod(2.0, lo=0.0, hi=4.0), make_tightness_example()),
+    "ar1+square": lambda: (square(), make_ar1(0.5, 1.0)),
+    "pushforward+magnitude": lambda: (
+        magnitude(),
+        pushforward_process(scale(2.0), make_ar1(0.5, 1.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_CASES))
+def test_batched_nested_quadrature_matches_the_per_x1_loop(case):
+    f, proc = NESTED_CASES[case]()
+    assert cond_entropy_rate_quad(proc) == pytest.approx(
+        scalar_h_x2_given_x1(proc), abs=1e-9
+    )
+    assert cond_entropy_output_given_input(f, proc) == pytest.approx(
+        scalar_h_y2_given_x1(f, proc), abs=1e-9
+    )
+    assert cond_entropy_W_given_X(f, proc) == pytest.approx(
+        scalar_hw2_given_x1(f, proc), abs=1e-9
+    )

@@ -174,6 +174,11 @@ class TestImageWindow:
         assert f.image_window(1.0, 2.5) == (0.0, 2.0, [1.0, 2.0, 0.0, 0.5])
         assert f.image_window(5.0, 6.0) is None
 
+    def test_window_ends_carry_no_negative_zero(self):
+        # the fold's left tile ends at -(0.0); a report would print "-0"
+        y_lo, _, edges = magnitude(-1.0, 1.0).image_window(-1.0, 1.0)
+        assert np.copysign(1.0, [y_lo] + edges).tolist() == [1.0] * 5
+
     def test_image_points_keep_the_domain_only(self):
         f = shift_mod(2.0, lo=0.0, hi=4.0)
         assert f.image_points([-1.0, 1.0, 3.0, 4.0]) == [1.0, 1.0]

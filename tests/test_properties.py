@@ -1,5 +1,6 @@
-"""Properties on generated inputs: quadrature against scipy, the depth
-budget, and preimage round trips of every built-in branch."""
+"""Properties on generated inputs: quadrature against scipy, batches
+against their columns, the depth budget, and preimage round trips of
+every built-in branch."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from inforate import (
     identity,
     magnitude,
     quad,
+    quad_batch,
     scale,
     shift_mod,
     square,
 )
 from inforate.errors import NoConvergenceError
+from inforate.estimate import DEFAULT_QUAD
 
 # derandomized so the suite is repeatable; no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -79,27 +82,66 @@ def test_quad_agrees_with_scipy_on_steps_split_at_their_jumps(case):
     assert abs(quad(fn, lo, hi, points=jumps) - ref) <= 1e-10 + ref_err
 
 
+@st.composite
+def batches(draw):
+    """One to five columns, each a smooth integrand or a step integrand
+    with its jumps as split points, on its own window."""
+    smooth = smooth_integrands().map(lambda case: (*case, []))
+    return draw(st.lists(st.one_of(smooth, step_integrands()), min_size=1, max_size=5))
+
+
+def column_integrand(fns):
+    """The batch integrand f(x, col) that evaluates column j with fns[j]."""
+
+    def f(x, col):
+        out = np.empty_like(x)
+        for j, fn in enumerate(fns):
+            at = col == j
+            out[at] = fn(x[at])
+        return out
+
+    return f
+
+
+@PROPERTY
+@given(batches())
+def test_quad_batch_agrees_with_scipy_and_with_one_column_calls(columns):
+    fns, los, his, points = zip(*columns)
+    got = quad_batch(column_integrand(fns), los, his, points=points)
+    assert got.shape == (len(columns),)
+    for j, (fn, lo, hi, jumps) in enumerate(columns):
+        ref, ref_err = integrate.quad(
+            fn, lo, hi, points=jumps or None, epsabs=1e-12, epsrel=1e-12, limit=500
+        )
+        assert abs(got[j] - ref) <= 1e-9 + ref_err
+        assert abs(got[j] - quad(fn, lo, hi, points=jumps)) <= DEFAULT_QUAD.abs_tol
+
+
 @PROPERTY
 @given(
-    reals(-2.0, 2.0),
-    reals(0.1, 4.0),
-    reals(0.01, 1.5),
+    st.lists(
+        st.tuples(reals(-2.0, 2.0), reals(0.1, 4.0), reals(0.01, 1.5)),
+        min_size=1,
+        max_size=4,
+    ),
     st.sampled_from([1e-6, 1e-9, 1e-12, 1e-13]),
     st.integers(4, 40),
 )
-def test_depth_budget_only_decides_when_to_give_up(centre, width, power, tol, depth):
-    """An integral that converges at a shallow depth returns the same bits
-    at 120: the heap bisects the same panels in the same order either way."""
+def test_depth_budget_only_decides_when_to_give_up(cusps, tol, depth):
+    """A batch that converges at a shallow depth returns the same bits at
+    120: the panels bisected at each step do not depend on the limit."""
+    centre, width, power = (np.array(v) for v in zip(*cusps))
     lo, hi = centre - 0.3 * width, centre + 0.7 * width
 
-    def cusp(x):
-        return np.abs(x - centre) ** power
+    def cusp(x, col):
+        return np.abs(x - centre[col]) ** power[col]
 
     try:
-        shallow = quad(cusp, lo, hi, QuadratureConfig(abs_tol=tol, max_depth=depth))
+        shallow = quad_batch(cusp, lo, hi, QuadratureConfig(tol, max_depth=depth))
     except NoConvergenceError:
         return
-    assert quad(cusp, lo, hi, QuadratureConfig(abs_tol=tol, max_depth=120)) == shallow
+    deep = quad_batch(cusp, lo, hi, QuadratureConfig(tol, max_depth=120))
+    assert deep.tolist() == shallow.tolist()
 
 
 BUILTINS = {
