@@ -90,16 +90,15 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 def _split_rows(points, n):
-    """Per-integral split points as an (n, k) array padded with NaN."""
-    rows = [np.asarray(p, dtype=float).ravel() for p in points]
-    if len(rows) not in (0, n):
+    """Per-integral split points: an (n, k) array padded with NaN."""
+    rows = np.asarray(points, dtype=float)
+    if not rows.size:
+        return np.empty((n, 0))
+    if rows.shape[:1] != (n,) or rows.ndim != 2:
         raise BadParameterError(
-            f"need one row of split points per integral, got {len(rows)}"
+            f"need one row of split points per integral, got shape {rows.shape}"
         )
-    out = np.full((n, max((r.size for r in rows), default=0)), np.nan)
-    for i, r in enumerate(rows):
-        out[i, : r.size] = r
-    return out
+    return rows
 
 
 def _gk15(f, a, b, col):
@@ -131,9 +130,10 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
 
     Integral j runs over [lo[j], hi[j]].  ``f(x, col)`` takes flat arrays
     of nodes and of the integral each node belongs to, and returns one
-    value per node.  ``points`` holds one sequence of mandatory split
-    locations (discontinuities, kinks) per integral; those inside the
-    window become initial panel edges, the others are dropped.
+    value per node.  ``points`` is an (n, k) array, padded with NaN, of
+    mandatory split locations (discontinuities, kinks), one row per
+    integral; those inside the window become initial panel edges, the
+    others are dropped.
 
     Each integral keeps its own error control: while its summed error
     estimate exceeds ``cfg.abs_tol``, its largest-error panels are
@@ -288,15 +288,6 @@ def mutual_information_hist(xs, ys, bins=None):
 # quadrature-based entropies
 
 
-def _kernel_splits(process, xs):
-    """The kernel's discontinuities at each conditioning value, one
-    sequence per entry of xs."""
-    kern = process.kernel
-    if kern is None or kern.split_points is None:
-        return [()] * len(xs)
-    return [kern.split_points(x) for x in xs]
-
-
 def _cond_pdf_fn(process):
     kern = process.kernel
     if kern is None:
@@ -306,14 +297,16 @@ def _cond_pdf_fn(process):
 
 
 def _cond_windows(process, x1s):
-    """Low and high ends of the x2 window at each x1."""
+    """Low and high ends of the x2 window at each x1, and the kernel's
+    split points there, one row per x1."""
     kern = process.kernel
     if kern is None or kern.quad_range is None:
-        ends = [process.quad_support] * len(x1s)
+        ends = process.quad_support
     else:
-        ends = [kern.quad_range(x) for x in x1s]
-    ends = np.array(ends, dtype=float).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
+        ends = kern.quad_range(x1s)
+    lo, hi, _ = np.broadcast_arrays(*ends, x1s)
+    points = np.empty((x1s.size, 0)) if kern is None else kern.split_points(x1s)
+    return lo, hi, points
 
 
 def _x1_integral(process, value, cfg, f=None):
@@ -335,7 +328,7 @@ def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=(), kind=Non
     """int integrand(x, col, b) dx over each tile b of f cut to the
     windows [lo[col], hi[col]].
 
-    ``points`` holds one sequence of split points per window.  Returns a
+    ``points`` holds one row of split points per window.  Returns a
     (windows, branches) array; tiles outside a window, or not of the
     given ``kind`` when one is given, give 0.  One batched quadrature
     per branch covers every window.
@@ -371,13 +364,13 @@ def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
     lo, hi = process.quad_support
 
     def point_entropy(x1s):
-        wlo, whi = _cond_windows(process, x1s)
+        wlo, whi, kinks = _cond_windows(process, x1s)
         return -quad_batch(
             lambda x2, col: xlog2x(cond(x2, x1s[col])),
             np.maximum(wlo, lo),
             np.minimum(whi, hi),
             cfg,
-            _kernel_splits(process, x1s),
+            kinks,
         )
 
     return _x1_integral(process, point_entropy, cfg)
@@ -387,14 +380,9 @@ def _branch_probabilities(f, process, x1s, cfg):
     """Pr(W2 = w | X1 = x1) for every x1 (rows) and branch w (columns)."""
     x1s = np.asarray(x1s, dtype=float)
     cond = _cond_pdf_fn(process)
-    wlo, whi = _cond_windows(process, x1s)
+    wlo, whi, kinks = _cond_windows(process, x1s)
     return branch_integrals(
-        f,
-        lambda x2, col, b: cond(x2, x1s[col]),
-        wlo,
-        whi,
-        cfg,
-        _kernel_splits(process, x1s),
+        f, lambda x2, col, b: cond(x2, x1s[col]), wlo, whi, cfg, kinks
     )
 
 
@@ -427,26 +415,16 @@ def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):
     cond = _cond_pdf_fn(process)
 
     def point_entropy(x1s):
-        wlo, whi = _cond_windows(process, x1s)
-        ylo = np.zeros(x1s.size)
-        yhi = np.zeros(x1s.size)
-        splits = []
-        for j, (a, c, kinks) in enumerate(
-            zip(np.maximum(wlo, lo), np.minimum(whi, hi), _kernel_splits(process, x1s))
-        ):
-            window = f.image_window(a, c)
-            if window is None or window[1] <= window[0]:
-                splits.append(())  # ylo = yhi: the integral is 0
-                continue
-            ylo[j], yhi[j], edges = window
-            # images of kernel discontinuities under g are further split points
-            splits.append(edges + f.image_points(kinks))
+        wlo, whi, kinks = _cond_windows(process, x1s)
+        ylo, yhi, edges = f.image_window(np.maximum(wlo, lo), np.minimum(whi, hi))
+        empty = ~(yhi > ylo)  # ylo = yhi = 0 there: the integral is 0
         return -quad_batch(
             lambda ys, col: xlog2x(output_cond_pdf(f, cond, x1s[col], ys)),
-            ylo,
-            yhi,
+            np.where(empty, 0.0, ylo),
+            np.where(empty, 0.0, yhi),
             cfg,
-            splits,
+            # images of kernel discontinuities under g are further split points
+            np.column_stack([edges, f.image_points(kinks)]),
         )
 
     return _x1_integral(process, point_entropy, cfg, f)

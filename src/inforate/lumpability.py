@@ -64,10 +64,10 @@ def _nudged_grid(lo, hi, n, avoid=()):
 
 
 def _output_range(f, process):
-    window = f.image_window(*process.quad_support)
-    if window is None:
+    y_lo, y_hi, _ = f.image_window(*process.quad_support)
+    if y_lo > y_hi:
         raise BadParameterError("function range is empty on the process support")
-    return window[:2]
+    return float(y_lo), float(y_hi)
 
 
 def check_lumpable(f, process, grid=201, tol=1e-6):
@@ -139,43 +139,38 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     xs = _nudged_grid(qlo, qhi, grid, avoid=f.tile_edges)
     y_lo, y_hi = _output_range(f, process)
     y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
-    # preimages of the y2 grid; every branch is injective, so entry i
-    # belongs to branch i
-    preimages = list(f.preimage_terms(y2s))
+    # preimages of the y2 grid and their |g'|, one row per branch (every
+    # branch is injective)
+    pre = [(x2, dabs, valid) for _, x2, dabs, valid in f.preimage_terms(y2s)]
+    x2, dabs, valid = (np.array(v) for v in zip(*pre))
 
     prob_cfg = QuadratureConfig(abs_tol=1e-12)
     xs = xs[process.marginal_pdf(xs) > 0.0]
-    worst_a = 0.0
-    worst_b = 0.0
-    for x, probs in zip(xs, _branch_probabilities(f, process, xs, prob_cfg)):
-        total = probs.sum()
-        if total <= 0:
-            continue
-        probs = probs / total
-        live = np.nonzero(probs > tol)[0]
-        if live.size < 2:
-            continue
-        # (b): equal branch probabilities
-        worst_b = max(
-            worst_b,
-            float(
-                _relative_deviation(probs[live].max(), probs[live].min())
-            ),
-        )
-        # (a): equal weighted kernel terms wherever the inverse exists
-        terms = []
-        for bi in live:
-            _, x2, dabs, valid = preimages[bi]
-            with np.errstate(all="ignore"):
-                val = cond(np.where(valid, x2, 0.0), x)
-                terms.append(np.where(valid, val / dabs, np.nan))
-        stacked = np.vstack(terms)
-        defined = np.isfinite(stacked)
-        cols = defined.sum(axis=0) >= 2
-        if cols.any():
-            both = np.where(defined, stacked, np.nan)[:, cols]
-            dev = _relative_deviation(np.nanmax(both, axis=0), np.nanmin(both, axis=0))
-            worst_a = max(worst_a, float(dev.max()))
+    probs = _branch_probabilities(f, process, xs, prob_cfg)
+    total = probs.sum(axis=1, keepdims=True)
+    probs = probs / np.where(total > 0, total, 1.0)
+    # the conditions compare branches, so only x with two or more live
+    # branches count
+    live = (probs > tol) & (total > 0)
+    rows = live.sum(axis=1) >= 2
+    xs, probs, live = xs[rows], probs[rows], live[rows]
+    # (b): equal branch probabilities
+    p = np.where(live, probs, np.nan)
+    worst_b = float(
+        _relative_deviation(np.nanmax(p, axis=1), np.nanmin(p, axis=1)).max(initial=0.0)
+    )
+    # (a): equal weighted kernel terms of the live branches wherever the
+    # inverse exists, on an (x, branch, y2) array
+    with np.errstate(all="ignore"):
+        val = cond(np.where(valid, x2, 0.0), xs[:, None, None]) / dabs
+    terms = np.where(live[:, :, None] & valid & np.isfinite(val), val, np.nan)
+    cols = (~np.isnan(terms)).sum(axis=1) >= 2
+    terms = np.moveaxis(terms, 1, 2)[cols]
+    worst_a = float(
+        _relative_deviation(
+            np.nanmax(terms, axis=1), np.nanmin(terms, axis=1)
+        ).max(initial=0.0)
+    )
     return TightnessResult(
         a_holds=worst_a <= tol,
         b_holds=worst_b <= tol,

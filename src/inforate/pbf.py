@@ -282,32 +282,41 @@ class PiecewiseFunction:
         return tuple(b.domain_lo for b in self.branches[1:])
 
     def image_window(self, lo, hi):
-        """Image of [lo, hi] under the injective branches.
+        """Images of windows [lo, hi] under the injective branches.
 
-        Returns (y_lo, y_hi, edges), with edges the (low, high) image
-        ends of every branch that meets the window, or None when none
-        does.
+        Takes arrays of window ends and returns (y_lo, y_hi, edges):
+        ``edges`` holds one row of (low, high) branch image ends per
+        window, NaN for branches that miss it, and y_lo, y_hi are the
+        ends of their hull.  y_lo > y_hi marks a window that every
+        branch misses.
         """
-        edges = []
-        for b in self.branches:
-            a = max(b.domain_lo, lo)
-            c = min(b.domain_hi, hi)
-            if c <= a or b.kind != "injective":
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
+        edges = np.full(lo.shape + (2 * len(self.branches),), np.nan)
+        for i, b in enumerate(self.branches):
+            if b.kind != "injective":
                 continue
-            # + 0.0 turns a -0.0 end (the fold's left tile) into 0.0
-            ya = float(b.forward(a)) + 0.0
-            yc = float(b.forward(c)) + 0.0
-            edges.extend((min(ya, yc), max(ya, yc)))
-        if not edges:
-            return None
-        return min(edges), max(edges), edges
+            a = np.maximum(b.domain_lo, lo)
+            c = np.minimum(b.domain_hi, hi)
+            with np.errstate(all="ignore"):
+                # + 0.0 turns a -0.0 end (the fold's left tile) into 0.0
+                ya = np.asarray(b.forward(a), dtype=float) + 0.0
+                yc = np.asarray(b.forward(c), dtype=float) + 0.0
+            meets = c > a
+            edges[..., 2 * i] = np.where(meets, np.minimum(ya, yc), np.nan)
+            edges[..., 2 * i + 1] = np.where(meets, np.maximum(ya, yc), np.nan)
+        missed = np.isnan(edges)
+        y_lo = np.min(np.where(missed, np.inf, edges), axis=-1)
+        y_hi = np.max(np.where(missed, -np.inf, edges), axis=-1)
+        return y_lo, y_hi, edges
 
     def image_points(self, points):
-        """Images of the points that fall in the domain, e.g. of a
-        density's discontinuities, which become split points in y."""
-        return [
-            float(self.eval(s)) for s in points if self.domain_lo <= s < self.domain_hi
-        ]
+        """Images of an array of points, e.g. of a density's
+        discontinuities, which become split points in y; NaN where a
+        point falls outside the domain."""
+        points = np.asarray(points, dtype=float)
+        inside = (points >= self.domain_lo) & (points < self.domain_hi)
+        safe = np.where(inside, points, self.branches[0].rep_point())
+        return np.where(inside, self.eval_array(safe), np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,28 @@ class AnalyticEntropies:
     mi_lag1: float
 
 
+def _no_points(xs):
+    """No split points at any of xs: an (n, 0) array."""
+    return np.empty((np.size(xs), 0))
+
+
 @dataclass(frozen=True)
 class MarkovKernel:
+    """Transition density with its lookups, all taking arrays.
+
+    ``split_points(x1s)`` is an (n, k) array, padded with NaN, of the x2
+    discontinuities of f(.|x1) at each x1; ``x1_split_points(x2s)`` an
+    (n, k) array of the x1 at which one of them lands on each x2.
+    ``quad_range(x1s)`` gives the low and high ends of a finite x2 window
+    at each x1, as arrays or values broadcasting to them; without it the
+    x2 integrals run over the process's ``quad_support``.
+    """
+
     cond_pdf: callable  # (x2, x1) -> density; numpy-broadcasting
     sample_step: callable  # (x1, rng) -> x2, generic scalar fallback
-    split_points: callable = None  # x -> discontinuity locations
-    quad_range: callable = None  # x1 -> finite window for the x2 integral
+    split_points: callable = _no_points
+    quad_range: callable = None
+    x1_split_points: callable = _no_points
 
 
 @dataclass(frozen=True)
@@ -101,8 +117,7 @@ def make_ar1(a, sigma):
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=lambda x1, rng: a * x1 + rng.normal(0.0, sigma),
-        split_points=None,
-        quad_range=lambda x1: (a * x1 - 10.0 * sigma, a * x1 + 10.0 * sigma),
+        quad_range=lambda x1s: (a * x1s - 10.0 * sigma, a * x1s + 10.0 * sigma),
     )
     return StationaryProcess(
         name="ar1",
@@ -155,16 +170,17 @@ def make_cyclic_walk(M, a):
         steps = rng.uniform(-a, a, n - 1)
         return _kernels.cyclic_path(x0, steps, M)
 
+    def split_points(xs):
+        # f(x2|x1) jumps where x2 = x1 -+ a on the circle, so the same
+        # points are where x1 puts a jump onto a given x2
+        return np.column_stack([wrap_interval(xs - a, M), wrap_interval(xs + a, M)])
+
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=lambda x1, rng: float(
             wrap_interval(x1 + rng.uniform(-a, a), M)
         ),
-        split_points=lambda x: (
-            float(wrap_interval(x - a, M)),
-            float(wrap_interval(x + a, M)),
-        ),
-        quad_range=lambda x1: (-M, M),
+        split_points=split_points,
     )
     return StationaryProcess(
         name="cyclic_walk",
@@ -223,8 +239,7 @@ def make_tightness_example():
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=sample_step,
-        split_points=lambda x: (1.0, 2.0, 3.0),
-        quad_range=lambda x1: (0.0, 4.0),
+        split_points=lambda xs: np.tile([1.0, 2.0, 3.0], (np.size(xs), 1)),
     )
     return StationaryProcess(
         name="tightness",
@@ -354,7 +369,7 @@ def _draw_path(process, rng, n):
 
 def stationarity_residual(process, n_grid=64):
     """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid."""
-    from .estimate import DEFAULT_QUAD, _kernel_splits, quad_batch
+    from .estimate import DEFAULT_QUAD, quad_batch
 
     if process.kernel is None:
         return 0.0
@@ -368,7 +383,7 @@ def stationarity_residual(process, n_grid=64):
         np.full(n_grid, lo),
         hi,
         DEFAULT_QUAD,
-        _kernel_splits(process, xs2),
+        process.kernel.split_points(xs2),
     )
     return float(np.max(np.abs(got - f(xs2))))
 
@@ -403,16 +418,27 @@ def pushforward_process(f, process):
 
     # finite output window from the truncated input window
     qlo, qhi = process.quad_support
-    window = f.image_window(qlo, qhi)
-    if window is None:
+    y_lo, y_hi, edges = f.image_window(qlo, qhi)
+    if y_lo > y_hi:
         raise BadParameterError("function does not cover the process support")
-    y_lo, y_hi, splits = window
-    splits += f.image_points(process.marginal_split_points)
+    y_lo, y_hi = float(y_lo), float(y_hi)
+    splits = np.concatenate([edges, f.image_points(process.marginal_split_points)])
+
+    def mapped(lookup, ys):
+        """``lookup`` at every preimage of each y, mapped through g: one
+        NaN-padded row per y."""
+        return f.image_points(
+            np.column_stack(
+                [
+                    np.where(valid[:, None], lookup(np.where(valid, xs, 0.0)), np.nan)
+                    for _, xs, _, valid in f.preimage_terms(ys)
+                ]
+            )
+        )
 
     kernel = None
     if process.kernel is not None:
-        base_cond = process.kernel.cond_pdf
-        base_splits = process.kernel.split_points
+        base = process.kernel
 
         def cond_pdf(y2, y1):
             y1 = np.asarray(y1, dtype=float)
@@ -434,22 +460,23 @@ def pushforward_process(f, process):
             num = np.where(num > 0.0, num, 1.0)
             out = np.zeros(y2.shape)
             for x1, w in terms:
-                out += (w / num) * output_cond_pdf(f, base_cond, x1, y2)
+                out += (w / num) * output_cond_pdf(f, base.cond_pdf, x1, y2)
             return out
 
-        def split_points(y):
-            pts = []
-            if base_splits is not None:
-                for _, x1, _, valid in f.preimage_terms(float(y)):
-                    if valid:
-                        pts += f.image_points(base_splits(float(x1)))
-            return tuple(pts + splits)
+        def split_points(y1s):
+            # the base kernel's jumps at the preimages of y1, mapped through
+            # g, and the images of the input window's split points
+            return np.column_stack(
+                [
+                    mapped(base.split_points, y1s),
+                    np.broadcast_to(splits, (len(y1s), splits.size)),
+                ]
+            )
 
         kernel = MarkovKernel(
             cond_pdf=cond_pdf,
             sample_step=None,
             split_points=split_points,
-            quad_range=lambda y1: (y_lo, y_hi),
         )
 
     from .pbf import has_identical_ranges, is_odd_map, is_unit_slope
@@ -461,7 +488,7 @@ def pushforward_process(f, process):
         and is_unit_slope(f, qlo, qhi)
         and (len(f.branches) == 1 or has_identical_ranges(f))
     )
-    interior = sorted({s for s in splits if y_lo < s < y_hi})
+    interior = sorted({float(s) for s in splits if y_lo < s < y_hi})
     return StationaryProcess(
         name=f"pushforward({process.name})",
         params=dict(process.params),

@@ -111,7 +111,7 @@ class TestQuadBatch:
             lambda x, col: np.where(x < 0.3, 1.0, 2.0) * (col + 1),
             [0.0, 0.0, 0.5, 1.0],
             [1.0, 1.0, 2.0, 1.0],
-            points=[(0.3,), (0.3, 5.0), (), ()],
+            points=[(0.3, np.nan), (0.3, 5.0), (np.nan, np.nan), (np.nan, np.nan)],
         )
         np.testing.assert_allclose(got, [1.7, 3.4, 9.0, 0.0], atol=1e-12)
 
@@ -351,11 +351,13 @@ def _scalar_outer(process, value, f=None):
 
 
 def _scalar_kernel(process, x1):
-    """x2 -> f(x2|x1), the x2 window and the kernel's split points at x1."""
+    """x2 -> f(x2|x1), the x2 window and the kernel's split points at x1,
+    from the kernel's lookups on a one-element array."""
     kern = process.kernel
-    window = kern.quad_range(x1) if kern.quad_range else process.quad_support
-    splits = kern.split_points(x1) if kern.split_points else ()
-    return (lambda x2: kern.cond_pdf(x2, x1)), window, splits
+    x1s = np.array([x1])
+    window = kern.quad_range(x1s) if kern.quad_range else process.quad_support
+    window = tuple(float(np.ravel(end)[0]) for end in window)
+    return (lambda x2: kern.cond_pdf(x2, x1)), window, kern.split_points(x1s)[0]
 
 
 def scalar_h_x2_given_x1(process):
@@ -375,15 +377,14 @@ def scalar_h_y2_given_x1(f, process):
 
     def value(x1):
         cond, (wlo, whi), splits = _scalar_kernel(process, x1)
-        window = f.image_window(max(wlo, lo), min(whi, hi))
-        if window is None or window[1] <= window[0]:
+        ylo, yhi, edges = f.image_window(np.array([max(wlo, lo)]), min(whi, hi))
+        if not yhi[0] > ylo[0]:
             return 0.0
-        ylo, yhi, edges = window
         return -quad(
             lambda ys: xlog2x(f.preimage_sum(cond, ys)),
-            ylo,
-            yhi,
-            points=edges + f.image_points(splits),
+            ylo[0],
+            yhi[0],
+            points=np.concatenate([edges[0], f.image_points(splits)]),
         )
 
     return _scalar_outer(process, value, f)

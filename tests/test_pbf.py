@@ -165,23 +165,35 @@ class TestImageWindow:
         ids=_FOLDED_IDS + ["scale", "magnitude-finite", "square-finite"],
     )
     def test_full_domain_gives_the_range_hull(self, f):
-        y_lo, y_hi, edges = f.image_window(f.domain_lo, f.domain_hi)
-        assert (y_lo, y_hi) == f.range_hull()
-        assert edges == [v for b in f.branches for v in (b.range_lo, b.range_hi)]
+        y_lo, y_hi, edges = f.image_window([f.domain_lo], [f.domain_hi])
+        assert (y_lo[0], y_hi[0]) == f.range_hull()
+        assert edges[0].tolist() == [
+            v for b in f.branches for v in (b.range_lo, b.range_hi)
+        ]
 
     def test_partial_and_empty_windows(self):
         f = shift_mod(2.0, lo=0.0, hi=4.0)
-        assert f.image_window(1.0, 2.5) == (0.0, 2.0, [1.0, 2.0, 0.0, 0.5])
-        assert f.image_window(5.0, 6.0) is None
+        y_lo, y_hi, edges = f.image_window([1.0, 5.0, 2.5], [2.5, 6.0, 4.0])
+        assert (y_lo[0], y_hi[0]) == (0.0, 2.0)
+        assert (y_lo[2], y_hi[2]) == (0.5, 2.0)
+        # a window that misses every branch: low end above the high end
+        assert y_lo[1] > y_hi[1]
+        # one (low, high) pair per branch, NaN where the branch misses
+        np.testing.assert_array_equal(
+            edges,
+            [[1.0, 2.0, 0.0, 0.5], [np.nan] * 4, [np.nan, np.nan, 0.5, 2.0]],
+        )
 
     def test_window_ends_carry_no_negative_zero(self):
         # the fold's left tile ends at -(0.0); a report would print "-0"
-        y_lo, _, edges = magnitude(-1.0, 1.0).image_window(-1.0, 1.0)
-        assert np.copysign(1.0, [y_lo] + edges).tolist() == [1.0] * 5
+        y_lo, _, edges = magnitude(-1.0, 1.0).image_window([-1.0], [1.0])
+        assert np.copysign(1.0, np.r_[y_lo, edges[0]]).tolist() == [1.0] * 5
 
     def test_image_points_keep_the_domain_only(self):
         f = shift_mod(2.0, lo=0.0, hi=4.0)
-        assert f.image_points([-1.0, 1.0, 3.0, 4.0]) == [1.0, 1.0]
+        np.testing.assert_array_equal(
+            f.image_points([[-1.0, 1.0], [3.0, 4.0]]), [[np.nan, 1.0], [1.0, np.nan]]
+        )
 
 
 class TestTileEdges:

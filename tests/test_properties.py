@@ -107,7 +107,9 @@ def column_integrand(fns):
 @given(batches())
 def test_quad_batch_agrees_with_scipy_and_with_one_column_calls(columns):
     fns, los, his, points = zip(*columns)
-    got = quad_batch(column_integrand(fns), los, his, points=points)
+    width = max(map(len, points))
+    padded = [list(p) + [np.nan] * (width - len(p)) for p in points]
+    got = quad_batch(column_integrand(fns), los, his, points=padded)
     assert got.shape == (len(columns),)
     for j, (fn, lo, hi, jumps) in enumerate(columns):
         ref, ref_err = integrate.quad(
