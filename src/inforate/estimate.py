@@ -312,16 +312,26 @@ def _cond_windows(process, x1s):
 def _x1_integral(process, value, cfg, f=None):
     """int f_X(x1) value(x1) dx1 over the truncated support.
 
-    ``value`` maps an array of x1 nodes to one value each.  Split at the
-    marginal's split points and, when a function is given, at its finite
-    tile edges, where value(x1) may kink.
+    ``value`` maps an array of x1 nodes to one value each.  Split where
+    value(x1) may kink: at the marginal's split points, at the finite tile
+    edges of a given function, and at the x1 where a kernel
+    discontinuity lands on a tile edge or an end of the support.  No
+    rule finds such kinks by itself (Lyness, 1983), so they are declared
+    as in QUADPACK's QAGP.
     """
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
-    points = list(process.marginal_split_points)
-    if f is not None:
-        points += f.tile_edges
-    return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
+    edges = np.array([lo, hi, *(f.tile_edges if f is not None else ())])
+    points = [process.marginal_split_points, edges]
+    if process.kernel is not None:
+        points.append(process.kernel.x1_split_points(edges).ravel())
+    return quad(
+        lambda x1s: f_marg(x1s) * value(x1s),
+        lo,
+        hi,
+        cfg,
+        points=np.concatenate(points),
+    )
 
 
 def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=(), kind=None):

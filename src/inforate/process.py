@@ -181,6 +181,7 @@ def make_cyclic_walk(M, a):
             wrap_interval(x1 + rng.uniform(-a, a), M)
         ),
         split_points=split_points,
+        x1_split_points=split_points,
     )
     return StationaryProcess(
         name="cyclic_walk",
@@ -371,19 +372,24 @@ def stationarity_residual(process, n_grid=64):
     """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid."""
     from .estimate import DEFAULT_QUAD, quad_batch
 
-    if process.kernel is None:
+    kern = process.kernel
+    if kern is None:
         return 0.0
     lo, hi = process.quad_support
     eps = 1e-6 * (hi - lo)
     xs2 = np.linspace(lo + eps, hi - eps, n_grid) + 1e-9
-    cond = process.kernel.cond_pdf
     f = process.marginal_pdf
+    # the integrand jumps in x1 where the marginal does and where a
+    # kernel discontinuity lands on x2
+    marginal_points = np.broadcast_to(
+        process.marginal_split_points, (n_grid, len(process.marginal_split_points))
+    )
     got = quad_batch(
-        lambda x1, col: cond(xs2[col], x1) * f(x1),
+        lambda x1, col: kern.cond_pdf(xs2[col], x1) * f(x1),
         np.full(n_grid, lo),
         hi,
         DEFAULT_QUAD,
-        process.kernel.split_points(xs2),
+        np.column_stack([marginal_points, kern.x1_split_points(xs2)]),
     )
     return float(np.max(np.abs(got - f(xs2))))
 
@@ -424,21 +430,18 @@ def pushforward_process(f, process):
     y_lo, y_hi = float(y_lo), float(y_hi)
     splits = np.concatenate([edges, f.image_points(process.marginal_split_points)])
 
-    def mapped(lookup, ys):
-        """``lookup`` at every preimage of each y, mapped through g: one
-        NaN-padded row per y."""
-        return f.image_points(
-            np.column_stack(
-                [
-                    np.where(valid[:, None], lookup(np.where(valid, xs, 0.0)), np.nan)
-                    for _, xs, _, valid in f.preimage_terms(ys)
-                ]
-            )
-        )
-
     kernel = None
     if process.kernel is not None:
         base = process.kernel
+
+        def mapped(lookup, ys):
+            """A base-kernel lookup at every preimage of each y, mapped
+            through g: one NaN-padded row per y."""
+            rows = [
+                np.where(valid[:, None], lookup(np.where(valid, xs, 0.0)), np.nan)
+                for _, xs, _, valid in f.preimage_terms(ys)
+            ]
+            return f.image_points(np.column_stack(rows))
 
         def cond_pdf(y2, y1):
             y1 = np.asarray(y1, dtype=float)
@@ -477,6 +480,8 @@ def pushforward_process(f, process):
             cond_pdf=cond_pdf,
             sample_step=None,
             split_points=split_points,
+            # y1 whose preimages put a base-kernel jump onto a preimage of y2
+            x1_split_points=lambda y2s: mapped(base.x1_split_points, y2s),
         )
 
     from .pbf import has_identical_ranges, is_odd_map, is_unit_slope

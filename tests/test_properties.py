@@ -1,17 +1,28 @@
 """Properties on generated inputs: quadrature against scipy, batches
-against their columns, the depth budget, and preimage round trips of
-every built-in branch."""
+against their columns, the depth budget, preimage round trips of every
+built-in branch, the wrapped walk's closed forms at every step, and the
+bound chain on random lumpable systems."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from inforate import (
     QuadratureConfig,
+    cascade_loss_rate,
     compose,
+    cond_entropy_W_given_X,
     identity,
+    loss_rate_analytic,
+    loss_rv,
     magnitude,
+    make_ar1,
+    make_cyclic_walk,
+    make_iid_gaussian,
+    make_iid_uniform,
+    make_tightness_example,
+    markov_block_entropy_W,
     quad,
     quad_batch,
     scale,
@@ -20,6 +31,7 @@ from inforate import (
 )
 from inforate.errors import NoConvergenceError
 from inforate.estimate import DEFAULT_QUAD
+from test_acceptance import hw2x1_closed
 
 # derandomized so the suite is repeatable; no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -180,3 +192,80 @@ def test_every_branch_inverts_what_it_maps(name, t):
             found = True
             assert abs(xs[0] - x) <= 1e-9 * max(1.0, abs(x))
     assert found
+
+
+# ---------------------------------------------------------------------------
+# the wrapped walk with |.|: closed forms a/M and H(W2|X1) at every step
+
+# exact quantities by nested quadrature, each integral to DEFAULT_QUAD.abs_tol
+EXACT_TOL = 10 * DEFAULT_QUAD.abs_tol
+# Monte Carlo estimates at 10^6 samples, as in the acceptance criteria
+MC_TOL = 0.03
+
+# Steps below 1e-3 are left out: at a/M = 1e-8 the inner h(Y2|X1) batch
+# grows past 2e7 nodes before it converges.
+walk_ratios = reals(1e-3, 1.0)
+
+
+@PROPERTY
+@given(walk_ratios)
+@example(0.997349)
+@example(0.937341)
+@example(0.511544)
+def test_walk_rate_and_index_bound_match_their_closed_forms(ratio):
+    walk, f = make_cyclic_walk(1.0, ratio), magnitude(-1.0, 1.0)
+    assert abs(loss_rate_analytic(f, walk) - ratio) <= EXACT_TOL
+    assert abs(cond_entropy_W_given_X(f, walk) - hw2x1_closed(1.0, ratio)) <= EXACT_TOL
+
+
+@settings(PROPERTY, max_examples=30)
+@given(walk_ratios)
+@example(0.997349)
+def test_walk_cascade_total_is_its_stage_sum_and_its_closed_form(ratio):
+    stages = [scale(1.5, -1.0, 1.0), magnitude(-1.5, 1.5)]
+    res = cascade_loss_rate(stages, make_cyclic_walk(1.0, ratio), method="analytic")
+    assert abs(res.total - sum(res.stages)) <= EXACT_TOL
+    assert abs(res.total - ratio) <= EXACT_TOL
+
+
+# ---------------------------------------------------------------------------
+# the bound chain 0 <= rate <= H(W2|X1) <= Hbar(W) and rate <= L(X -> Y)
+
+
+@st.composite
+def lumpable_systems(draw):
+    """A built-in process and a chain of built-in functions whose output
+    process is Markov: scales with at most one effective fold at zero on
+    the symmetric processes and the uniform one, and the block shift on
+    the tightness chain."""
+    kind = draw(st.sampled_from(["ar1", "walk", "iid_gaussian", "iid_uniform", "tight"]))
+    if kind == "tight":
+        return shift_mod(2.0, lo=0.0, hi=4.0), make_tightness_example()
+    if kind == "ar1":
+        process = make_ar1(draw(reals(0.1, 0.9)), 1.0)
+    elif kind == "walk":
+        process = make_cyclic_walk(1.0, draw(reals(0.05, 1.0)))
+    elif kind == "iid_gaussian":
+        process = make_iid_gaussian(draw(reals(0.5, 2.0)))
+    else:
+        process = make_iid_uniform(-1.0, 3.0)
+    lo, hi = process.support
+    f = None
+    for stage in draw(st.lists(st.sampled_from([-2.0, -0.5, 1.5, 0.0]), max_size=3)):
+        # 0.0 marks a fold; once folded the range stays on one side of 0
+        g = magnitude(lo, hi) if stage == 0.0 else scale(stage, lo, hi)
+        f = g if f is None else compose(g, f)
+        lo, hi = g.range_hull()
+    return (magnitude(lo, hi) if f is None else f), process
+
+
+@settings(PROPERTY, max_examples=25)
+@given(lumpable_systems(), st.integers(0, 2**31 - 1))
+def test_random_lumpable_systems_obey_the_bound_chain(system, seed):
+    f, process = system
+    rate = loss_rate_analytic(f, process)
+    hw2x1 = cond_entropy_W_given_X(f, process)
+    assert -EXACT_TOL <= rate <= hw2x1 + EXACT_TOL
+    hbar = markov_block_entropy_W(f, process, n_samples=10**6, seed=seed).value
+    assert hw2x1 <= hbar + MC_TOL
+    assert rate <= loss_rv(f, process, n_samples=10**6, seed=seed) + MC_TOL
