@@ -20,6 +20,7 @@ from .estimate import (
     cond_entropy_W_given_X,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
+    default_bins,
     diff_entropy_hist,
     expected_log_abs_derivative,
     markov_block_entropy_W,
@@ -169,11 +170,14 @@ def loss_rate_bounds_mc(f, process, n_samples=10**6, seed=42, bins=None):
     previous input.  They are returned ordered numerically; for lumpable
     systems they agree up to estimator noise.
     """
-    if bins is None:
-        from .estimate import default_bins
+    loss, _ = _loss_rv_detail(f, process, n_samples, seed, bins)
+    return _sandwich(f, process, loss, n_samples, seed, bins)
 
+
+def _sandwich(f, process, loss, n_samples, seed, bins):
+    """The sandwich bracket around the marginal loss ``loss``."""
+    if bins is None:
         bins = default_bins(n_samples)
-    loss, _ = _loss_rv_detail(f, process, n_samples, seed)
     path = sample_path(process, n_samples, seed)
     xs = path.values
     ys = f.eval_array(xs)
@@ -230,7 +234,7 @@ def analyze_loss_rate(
     hw2x1 = bound_index_given_input(f, process, cfg)
     method["bound_HW2X1"] = "quadrature"
 
-    sandwich = loss_rate_bounds_mc(f, process, n_samples=n_samples, seed=seed, bins=bins)
+    sandwich = _sandwich(f, process, loss, n_samples, seed, bins)
     method["sandwich"] = f"histogram MI, N={sandwich.n_samples}, bins={sandwich.bins}"
 
     try:

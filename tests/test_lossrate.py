@@ -122,6 +122,13 @@ class TestSandwich:
             sw = loss_rate_bounds_mc(f, proc, n_samples=10**6, seed=8)
             assert sw.endpoint_y1 <= sw.endpoint_x1 + 0.02
 
+    def test_marginal_loss_uses_the_given_bins(self):
+        # the histogram route for h(Y), so the bin count moves L
+        f, p = magnitude(), shifted_kernel_process()
+        sw = loss_rate_bounds_mc(f, p, 10**5, 1, bins=20)
+        assert sw.loss_rv_value == loss_rv(f, p, 10**5, 1, bins=20)
+        assert sw.loss_rv_value != loss_rv(f, p, 10**5, 1)
+
     def test_brackets_analytic_value(self):
         p = make_cyclic_walk(1.0, 0.5)
         f = magnitude(-1.0, 1.0)

@@ -24,6 +24,8 @@ from inforate.errors import BadParameterError, NotNormalizedError
 from inforate.estimate import cond_entropy_rate_quad, marginal_entropy_quad
 from inforate.process import circular_distance, wrap_interval
 
+from conftest import shifted_kernel_process
+
 
 class TestAR1:
     def test_marginal_variance(self):
@@ -293,3 +295,47 @@ class TestPushforward:
         assert push.uniform_marginal
         ys = np.linspace(0.01, 1.99, 11)
         np.testing.assert_allclose(push.marginal_pdf(ys), 0.5, rtol=1e-12)
+
+
+KERNELS = {
+    "ar1": lambda: make_ar1(0.5, 1.0),
+    "walk": lambda: make_cyclic_walk(1.0, 0.35),
+    "tightness": make_tightness_example,
+    "pushforward-ar1": lambda: pushforward_process(scale(2.0), make_ar1(0.5, 1.0)),
+    "pushforward-walk": lambda: pushforward_process(
+        scale(1.5, -1.0, 1.0), make_cyclic_walk(1.0, 0.35)
+    ),
+    "shifted": shifted_kernel_process,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+class TestKernelContract:
+    """The kernel lookups take arrays and answer one row per entry."""
+
+    def test_split_points_give_one_row_per_x1(self, name):
+        kern = KERNELS[name]().kernel
+        x1s = np.linspace(-13.0, 13.0, 13) + 1e-7
+        rows = kern.split_points(x1s)
+        assert rows.ndim == 2 and rows.shape[0] == x1s.size
+        for j in range(x1s.size):
+            np.testing.assert_array_equal(rows[j], kern.split_points(x1s[j : j + 1])[0])
+
+    def test_x2_window_broadcasts_to_the_x1s(self, name):
+        proc = KERNELS[name]()
+        x1s = np.linspace(-2.0, 2.0, 7)
+        if proc.kernel.quad_range is None:
+            ends = proc.quad_support
+        else:
+            ends = proc.kernel.quad_range(x1s)
+        assert np.broadcast_shapes(*map(np.shape, ends), x1s.shape) == x1s.shape
+
+    def test_x1_split_points_put_a_jump_on_the_given_x2(self, name):
+        proc = KERNELS[name]()
+        lo, hi = proc.quad_support
+        for e in np.linspace(lo, hi, 23)[1:-1] + 1e-7:
+            for x1 in proc.kernel.x1_split_points(np.array([e]))[0]:
+                if np.isnan(x1):
+                    continue
+                jumps = proc.kernel.split_points(np.array([x1]))[0]
+                assert np.nanmin(np.abs(jumps - e)) <= 1e-12

@@ -238,14 +238,14 @@ def lumpable_systems(draw):
     process is Markov: scales with at most one effective fold at zero on
     the symmetric processes and the uniform one, and the block shift on
     the tightness chain."""
-    kind = draw(st.sampled_from(["ar1", "walk", "iid_gaussian", "iid_uniform", "tight"]))
+    kind = draw(st.sampled_from(["ar1", "walk", "iid_gauss", "iid_uniform", "tight"]))
     if kind == "tight":
         return shift_mod(2.0, lo=0.0, hi=4.0), make_tightness_example()
     if kind == "ar1":
         process = make_ar1(draw(reals(0.1, 0.9)), 1.0)
     elif kind == "walk":
         process = make_cyclic_walk(1.0, draw(reals(0.05, 1.0)))
-    elif kind == "iid_gaussian":
+    elif kind == "iid_gauss":
         process = make_iid_gaussian(draw(reals(0.5, 2.0)))
     else:
         process = make_iid_uniform(-1.0, 3.0)
