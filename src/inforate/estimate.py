@@ -322,16 +322,10 @@ def _x1_integral(process, value, cfg, f=None):
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
     edges = np.array([lo, hi, *(f.tile_edges if f is not None else ())])
-    points = [process.marginal_split_points, edges]
+    points = np.concatenate([process.marginal_split_points, edges])
     if process.kernel is not None:
-        points.append(process.kernel.x1_split_points(edges).ravel())
-    return quad(
-        lambda x1s: f_marg(x1s) * value(x1s),
-        lo,
-        hi,
-        cfg,
-        points=np.concatenate(points),
-    )
+        points = np.append(points, process.kernel.x1_split_points(edges))
+    return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
 
 
 def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=(), kind=None):

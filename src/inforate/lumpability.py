@@ -53,6 +53,11 @@ def _relative_deviation(s, s_prime):
     return np.abs(s - s_prime) / scale
 
 
+def _spread(v):
+    """Relative gap between the largest and smallest non-NaN entry per row."""
+    return _relative_deviation(np.nanmax(v, axis=-1), np.nanmin(v, axis=-1))
+
+
 def _nudged_grid(lo, hi, n, avoid=()):
     """Interior grid avoiding a 1e-9 neighborhood of the given points."""
     span = hi - lo
@@ -139,10 +144,10 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     xs = _nudged_grid(qlo, qhi, grid, avoid=f.tile_edges)
     y_lo, y_hi = _output_range(f, process)
     y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
-    # preimages of the y2 grid and their |g'|, one row per branch (every
-    # branch is injective)
+    # preimages of the y2 grid and their |g'|, one column per branch
+    # (every branch is injective)
     pre = [(x2, dabs, valid) for _, x2, dabs, valid in f.preimage_terms(y2s)]
-    x2, dabs, valid = (np.array(v) for v in zip(*pre))
+    x2, dabs, valid = (np.array(v).T for v in zip(*pre))
 
     prob_cfg = QuadratureConfig(abs_tol=1e-12)
     xs = xs[process.marginal_pdf(xs) > 0.0]
@@ -155,22 +160,14 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     rows = live.sum(axis=1) >= 2
     xs, probs, live = xs[rows], probs[rows], live[rows]
     # (b): equal branch probabilities
-    p = np.where(live, probs, np.nan)
-    worst_b = float(
-        _relative_deviation(np.nanmax(p, axis=1), np.nanmin(p, axis=1)).max(initial=0.0)
-    )
+    worst_b = float(_spread(np.where(live, probs, np.nan)).max(initial=0.0))
     # (a): equal weighted kernel terms of the live branches wherever the
-    # inverse exists, on an (x, branch, y2) array
+    # inverse exists, on an (x, y2, branch) array
     with np.errstate(all="ignore"):
         val = cond(np.where(valid, x2, 0.0), xs[:, None, None]) / dabs
-    terms = np.where(live[:, :, None] & valid & np.isfinite(val), val, np.nan)
-    cols = (~np.isnan(terms)).sum(axis=1) >= 2
-    terms = np.moveaxis(terms, 1, 2)[cols]
-    worst_a = float(
-        _relative_deviation(
-            np.nanmax(terms, axis=1), np.nanmin(terms, axis=1)
-        ).max(initial=0.0)
-    )
+    terms = np.where(live[:, None, :] & valid & np.isfinite(val), val, np.nan)
+    pairs = (~np.isnan(terms)).sum(axis=-1) >= 2
+    worst_a = float(_spread(terms[pairs]).max(initial=0.0))
     return TightnessResult(
         a_holds=worst_a <= tol,
         b_holds=worst_b <= tol,

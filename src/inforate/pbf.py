@@ -293,20 +293,18 @@ class PiecewiseFunction:
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
         edges = np.full(lo.shape + (2 * len(self.branches),), np.nan)
         for i, b in enumerate(self.branches):
-            if b.kind != "injective":
-                continue
             a = np.maximum(b.domain_lo, lo)
             c = np.minimum(b.domain_hi, hi)
+            meets = (c > a) & (b.kind == "injective")
             with np.errstate(all="ignore"):
                 # + 0.0 turns a -0.0 end (the fold's left tile) into 0.0
                 ya = np.asarray(b.forward(a), dtype=float) + 0.0
                 yc = np.asarray(b.forward(c), dtype=float) + 0.0
-            meets = c > a
             edges[..., 2 * i] = np.where(meets, np.minimum(ya, yc), np.nan)
             edges[..., 2 * i + 1] = np.where(meets, np.maximum(ya, yc), np.nan)
-        missed = np.isnan(edges)
-        y_lo = np.min(np.where(missed, np.inf, edges), axis=-1)
-        y_hi = np.max(np.where(missed, -np.inf, edges), axis=-1)
+        # fmin and fmax skip NaN; a row of NaN keeps the initial values
+        y_lo = np.fmin.reduce(edges, axis=-1, initial=np.inf)
+        y_hi = np.fmax.reduce(edges, axis=-1, initial=-np.inf)
         return y_lo, y_hi, edges
 
     def image_points(self, points):

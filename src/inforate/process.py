@@ -31,21 +31,13 @@ def _no_points(xs):
 
 @dataclass(frozen=True)
 class MarkovKernel:
-    """Transition density with its lookups, all taking arrays.
-
-    ``split_points(x1s)`` is an (n, k) array, padded with NaN, of the x2
-    discontinuities of f(.|x1) at each x1; ``x1_split_points(x2s)`` an
-    (n, k) array of the x1 at which one of them lands on each x2.
-    ``quad_range(x1s)`` gives the low and high ends of a finite x2 window
-    at each x1, as arrays or values broadcasting to them; without it the
-    x2 integrals run over the process's ``quad_support``.
-    """
+    """Transition density; the lookups take arrays, one row per entry."""
 
     cond_pdf: callable  # (x2, x1) -> density; numpy-broadcasting
     sample_step: callable  # (x1, rng) -> x2, generic scalar fallback
-    split_points: callable = _no_points
-    quad_range: callable = None
-    x1_split_points: callable = _no_points
+    split_points: callable = _no_points  # x1s -> (n, k) x2 jumps, NaN-padded
+    quad_range: callable = None  # x1s -> (lo, hi) x2 window; None: quad_support
+    x1_split_points: callable = _no_points  # x2s -> (n, k) x1 putting a jump on x2
 
 
 @dataclass(frozen=True)
@@ -381,9 +373,7 @@ def stationarity_residual(process, n_grid=64):
     f = process.marginal_pdf
     # the integrand jumps in x1 where the marginal does and where a
     # kernel discontinuity lands on x2
-    marginal_points = np.broadcast_to(
-        process.marginal_split_points, (n_grid, len(process.marginal_split_points))
-    )
+    marginal_points = np.tile(process.marginal_split_points, (n_grid, 1))
     got = quad_batch(
         lambda x1, col: kern.cond_pdf(xs2[col], x1) * f(x1),
         np.full(n_grid, lo),
@@ -469,12 +459,8 @@ def pushforward_process(f, process):
         def split_points(y1s):
             # the base kernel's jumps at the preimages of y1, mapped through
             # g, and the images of the input window's split points
-            return np.column_stack(
-                [
-                    mapped(base.split_points, y1s),
-                    np.broadcast_to(splits, (len(y1s), splits.size)),
-                ]
-            )
+            rows = mapped(base.split_points, y1s)
+            return np.column_stack([rows, np.tile(splits, (len(rows), 1))])
 
         kernel = MarkovKernel(
             cond_pdf=cond_pdf,

@@ -27,12 +27,14 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
         return norm_z * np.exp(-d * d / (2 * sigma**2))
 
     sd_x = math.sqrt(var_x)
+    # the lookups take arrays of x1; a smooth kernel has no split points,
+    # so split_points and x1_split_points keep their empty defaults
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
         sample_step=lambda x1, rng: a * x1 + shift + rng.normal(0.0, sigma),
-        quad_range=lambda x1: (
-            a * x1 + shift - 10 * sigma,
-            a * x1 + shift + 10 * sigma,
+        quad_range=lambda x1s: (
+            a * x1s + shift - 10 * sigma,
+            a * x1s + shift + 10 * sigma,
         ),
     )
     return StationaryProcess(
