@@ -23,7 +23,8 @@ from .estimate import (
 )
 
 _EDGE_EPS = 1e-9
-# points per preimage-sum call in check_lumpable
+# points per preimage-sum call in check_lumpable and per kernel call in
+# check_tightness
 _BLOCK_POINTS = 1 << 14
 
 
@@ -162,12 +163,17 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     # (b): equal branch probabilities
     worst_b = float(_spread(np.where(live, probs, np.nan)).max(initial=0.0))
     # (a): equal weighted kernel terms of the live branches wherever the
-    # inverse exists, on an (x, y2, branch) array
-    with np.errstate(all="ignore"):
-        val = cond(np.where(valid, x2, 0.0), xs[:, None, None]) / dabs
-    terms = np.where(live[:, None, :] & valid & np.isfinite(val), val, np.nan)
-    pairs = (~np.isnan(terms)).sum(axis=-1) >= 2
-    worst_a = float(_spread(terms[pairs]).max(initial=0.0))
+    # inverse exists, on (x, y2, branch) arrays over blocks of x that
+    # bound the temporaries
+    worst_a = 0.0
+    step = max(1, _BLOCK_POINTS // valid.size)
+    for start in range(0, xs.size, step):
+        blk = slice(start, start + step)
+        with np.errstate(all="ignore"):
+            val = cond(np.where(valid, x2, 0.0), xs[blk, None, None]) / dabs
+        terms = np.where(live[blk, None, :] & valid & np.isfinite(val), val, np.nan)
+        pairs = (~np.isnan(terms)).sum(axis=-1) >= 2
+        worst_a = max(worst_a, float(_spread(terms[pairs]).max(initial=0.0)))
     return TightnessResult(
         a_holds=worst_a <= tol,
         b_holds=worst_b <= tol,
