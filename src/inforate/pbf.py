@@ -293,9 +293,11 @@ class PiecewiseFunction:
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
         edges = np.full(lo.shape + (2 * len(self.branches),), np.nan)
         for i, b in enumerate(self.branches):
+            if b.kind != "injective":
+                continue
             a = np.maximum(b.domain_lo, lo)
             c = np.minimum(b.domain_hi, hi)
-            meets = (c > a) & (b.kind == "injective")
+            meets = c > a
             with np.errstate(all="ignore"):
                 # + 0.0 turns a -0.0 end (the fold's left tile) into 0.0
                 ya = np.asarray(b.forward(a), dtype=float) + 0.0
