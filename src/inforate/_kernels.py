@@ -43,6 +43,10 @@ def alternating_blocks_path(x0, blocks, offsets):
 
 
 def pair_counts(ix, iy, nbins):
-    """nbins x nbins joint counts of paired bin indices."""
-    flat = np.bincount(ix * nbins + iy, minlength=nbins * nbins)
-    return flat.reshape(nbins, nbins)
+    """nbins x nbins joint counts of paired bin indices, of any integer
+    dtype; they are combined in a widened copy, so narrow labels cannot
+    overflow."""
+    codes = ix.astype(np.intp)
+    codes *= nbins
+    codes += iy
+    return np.bincount(codes, minlength=nbins * nbins).reshape(nbins, nbins)

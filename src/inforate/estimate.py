@@ -140,10 +140,13 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     bisected until the rest sum to at most ``cfg.abs_tol / 2``.  One
     refinement step evaluates the new panels of every integral in one
     integrand call.  Raises NoConvergenceError when a panel to bisect
-    already sits at ``cfg.max_depth`` halvings, or an integral passes
-    ``cfg.max_intervals`` panels.  The depth limit only decides when to
-    give up: an integral that converges under a smaller limit returns
-    the same bits under a larger one.
+    already sits at ``cfg.max_depth`` halvings, or when one integrand
+    call would evaluate more than ``cfg.max_intervals`` panels over the
+    whole batch (its initial panels, or the new panels of one step): that
+    budget bounds the memory of a step however many integrals it holds.
+    The depth limit only decides when to give up: an integral that
+    converges under a smaller limit returns the same bits under a larger
+    one.
     """
     lo, hi = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     n = lo.size
@@ -161,6 +164,10 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     keep = b > a  # drops NaN padding, repeated points and empty windows
     col = np.nonzero(keep)[0]
     a, b = a[keep], b[keep]
+    if a.size > cfg.max_intervals:
+        raise NoConvergenceError(
+            f"quadrature batch starts with {a.size} panels, over {cfg.max_intervals}"
+        )
     depth = np.zeros(a.size, dtype=int)
     val, err = _gk15(f, a, b, col)
 
@@ -182,13 +189,14 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
         before = np.cumsum(err) - err
         before -= before[np.searchsorted(col, col)]
         split = first | (err_sum[col] - before > 0.5 * cfg.abs_tol)
-        count = np.bincount(col, minlength=n) + np.bincount(col, split, minlength=n)
         stuck = split & (depth >= cfg.max_depth)
-        stuck |= first & (count[col] > cfg.max_intervals)
-        if stuck.any():
-            i = int(np.argmax(stuck))
+        grown = 2 * np.count_nonzero(split) > cfg.max_intervals
+        if stuck.any() or grown:
+            # name a panel at the depth limit, else the batch's worst one
+            i = int(np.argmax(stuck if stuck.any() else err))
+            why = f"; one step would pass {cfg.max_intervals} panels" if grown else ""
             raise NoConvergenceError(
-                f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e})",
+                f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e}){why}",
                 partial=val[col == col[i]].sum(),
             )
         mid = 0.5 * (a[split] + b[split])
@@ -237,16 +245,61 @@ def default_bins(n):
     return int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
 
 
-def histogram2d_quantile(xs, ys, bins):
-    """Joint counts on a bins x bins grid with marginal-quantile edges."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    qs = np.linspace(0.0, 1.0, bins + 1)
-    ex = np.quantile(xs, qs)
-    ey = np.quantile(ys, qs)
-    ix = np.clip(np.searchsorted(ex[1:-1], xs, side="right"), 0, bins - 1)
-    iy = np.clip(np.searchsorted(ey[1:-1], ys, side="right"), 0, bins - 1)
-    return _kernels.pair_counts(ix, iy, bins)
+def _check_finite(lo, hi):
+    """Refuse samples whose extremes ``lo`` and ``hi`` are not finite."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise BadParameterError("samples must be finite (found NaN or inf)")
+
+
+def _sorted_finite(v):
+    """``v`` sorted; BadParameterError if it holds NaN or inf."""
+    s = np.sort(v)
+    _check_finite(s[0], s[-1])  # -inf sorts first, +inf and NaN last
+    return s
+
+
+def _quantile_edges(values, bins):
+    """Edges of ``bins`` quantile bins of ``values``, which it reorders.
+    They depend only on the multiset of values, so any copy in any order
+    gives them the same bits."""
+    return np.quantile(values, np.linspace(0.0, 1.0, bins + 1), overwrite_input=True)
+
+
+_LABEL_BLOCK = 1 << 16
+
+
+def _bin_labels(edges, part):
+    """Bin of each sample of ``part`` under ``edges``, in the smallest
+    unsigned dtype that holds the last bin; binned in blocks, since a
+    full-length intp array on the way raised the sandwich's peak memory."""
+    inner = edges[1:-1]
+    labels = np.empty(part.size, np.min_scalar_type(edges.size - 2))
+    for i in range(0, part.size, _LABEL_BLOCK):
+        block = part[i : i + _LABEL_BLOCK]
+        labels[i : i + _LABEL_BLOCK] = np.searchsorted(inner, block, side="right")
+    return labels
+
+
+def _lagged_labels(v, bins):
+    """Quantile-bin labels of ``v[:-1]`` and of ``v[1:]``, each half under
+    its own edges, from one sort of ``v``: the sorted values of a half
+    are those of ``v`` less one copy of the sample the half drops.
+    Raises BadParameterError on NaN or inf."""
+    s = _sorted_finite(v)
+    head, tail = (
+        _quantile_edges(np.delete(s, np.searchsorted(s, dropped)), bins)
+        for dropped in (v[-1], v[0])
+    )
+    del s  # bin with only the series and its labels alive: less peak memory
+    return _bin_labels(head, v[:-1]), _bin_labels(tail, v[1:])
+
+
+def _mi_from_labels(ix, iy, bins):
+    """Plug-in mutual information, in bits, of paired bin labels."""
+    pij = _kernels.pair_counts(ix, iy, bins) / ix.size
+    h_x = entropy_bits(pij.sum(axis=1))
+    h_y = entropy_bits(pij.sum(axis=0))
+    return h_x + h_y - entropy_bits(pij.ravel())
 
 
 def diff_entropy_hist(samples, bins=None):
@@ -254,6 +307,7 @@ def diff_entropy_hist(samples, bins=None):
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1000:
         raise TooFewSamplesError("need at least 1e3 samples")
+    _check_finite(samples.min(), samples.max())
     if bins is None:
         bins = default_bins(samples.size)
     counts, edges = np.histogram(samples, bins=bins)
@@ -266,7 +320,10 @@ def diff_entropy_hist(samples, bins=None):
 
 
 def mutual_information_hist(xs, ys, bins=None):
-    """Plug-in mutual information on a quantile-edged 2D histogram, in bits."""
+    """Plug-in mutual information on a quantile-edged 2D histogram, in bits.
+
+    Raises BadParameterError on NaN or inf samples.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size != ys.size:
@@ -275,13 +332,10 @@ def mutual_information_hist(xs, ys, bins=None):
         raise TooFewSamplesError("need at least 1e3 sample pairs")
     if bins is None:
         bins = default_bins(xs.size)
-    pij = histogram2d_quantile(xs, ys, bins) / xs.size
-    pi = pij.sum(axis=1)
-    pj = pij.sum(axis=0)
-    h_x = entropy_bits(pi)
-    h_y = entropy_bits(pj)
-    h_xy = entropy_bits(pij.ravel())
-    return h_x + h_y - h_xy
+    ix, iy = (
+        _bin_labels(_quantile_edges(_sorted_finite(v), bins), v) for v in (xs, ys)
+    )
+    return _mi_from_labels(ix, iy, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +539,7 @@ def _plugin_entropy(counts):
     return entropy_bits(p)
 
 
-def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
-    """Plug-in conditional entropies H(W_{j+1} | W_1^j) for j = 0..k.
-
-    Returns the estimate at the largest order whose successive difference
-    dropped below 0.01 bit; the full level sequence rides along.
-    """
-    from .process import sample_path
-
+def _check_block_order(f, k, n_samples):
     n_branches = len(f.branches)
     if k > 6:
         raise BadParameterError("block order capped at 6")
@@ -500,16 +547,22 @@ def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
         raise TooFewSamplesError(
             f"need >= {n_branches ** (k + 1) * 30} samples for order {k}"
         )
-    path = sample_path(process, n_samples, seed, stream=stream)
-    w = f.branch_index_array(path.values) - 1
+
+
+def _block_entropy(f, values, k):
+    """``markov_block_entropy_W`` on the sampled path ``values``."""
+    n_branches = len(f.branches)
+    w = f.branch_index_array(values) - 1
 
     levels = []
     prev_joint = 0.0
+    codes = w.astype(np.int64)
     for order in range(k + 1):
-        width = order + 1
-        codes = np.zeros(w.size - width + 1, dtype=np.int64)
-        for t in range(width):
-            codes = codes * n_branches + w[t : w.size - width + 1 + t]
+        if order:
+            # blocks of order + 1 indices: each block of the previous
+            # order followed by the next index
+            codes = codes[:-1] * n_branches
+            codes += w[order:]
         h_joint = _plugin_entropy(np.bincount(codes))
         levels.append(h_joint - prev_joint)
         prev_joint = h_joint
@@ -528,3 +581,15 @@ def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
         converged=converged,
         order=order,
     )
+
+
+def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
+    """Plug-in conditional entropies H(W_{j+1} | W_1^j) for j = 0..k.
+
+    Returns the estimate at the largest order whose successive difference
+    dropped below 0.01 bit; the full level sequence rides along.
+    """
+    from .process import sample_path
+
+    _check_block_order(f, k, n_samples)
+    return _block_entropy(f, sample_path(process, n_samples, seed, stream).values, k)

@@ -14,17 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import make_rng
-from .errors import ConstantBranchError, NoConvergenceError, NotLumpableError
+from .errors import (
+    ConstantBranchError,
+    NoConvergenceError,
+    NotLumpableError,
+    TooFewSamplesError,
+)
 from .estimate import (
     DEFAULT_QUAD,
+    _block_entropy,
+    _check_block_order,
+    _lagged_labels,
+    _mi_from_labels,
     cond_entropy_W_given_X,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
     default_bins,
     diff_entropy_hist,
     expected_log_abs_derivative,
-    markov_block_entropy_W,
-    mutual_information_hist,
 )
 from .lumpability import check_lumpable
 from .process import pushforward_process, sample_path
@@ -171,19 +178,24 @@ def loss_rate_bounds_mc(f, process, n_samples=10**6, seed=42, bins=None):
     systems they agree up to estimator noise.
     """
     loss, _ = _loss_rv_detail(f, process, n_samples, seed, bins)
-    return _sandwich(f, process, loss, n_samples, seed, bins)
+    xs = sample_path(process, n_samples, seed).values
+    return _sandwich(f, xs, loss, bins, seed)
 
 
-def _sandwich(f, process, loss, n_samples, seed, bins):
-    """The sandwich bracket around the marginal loss ``loss``."""
+def _sandwich(f, xs, loss, bins, seed):
+    """The sandwich bracket around the marginal loss ``loss``, from the
+    path ``xs`` drawn with ``seed``; one sort per series bins both its
+    lagged halves for the three mutual informations."""
+    n_samples = xs.size
+    if n_samples - 1 < 1000:
+        raise TooFewSamplesError("need at least 1e3 sample pairs")
     if bins is None:
         bins = default_bins(n_samples)
-    path = sample_path(process, n_samples, seed)
-    xs = path.values
-    ys = f.eval_array(xs)
-    mi_xx = mutual_information_hist(xs[:-1], xs[1:], bins)
-    mi_xy = mutual_information_hist(xs[:-1], ys[1:], bins)
-    mi_yy = mutual_information_hist(ys[:-1], ys[1:], bins)
+    x_head, x_tail = _lagged_labels(xs, bins)
+    y_head, y_tail = _lagged_labels(f.eval_array(xs), bins)
+    mi_xx = _mi_from_labels(x_head, x_tail, bins)
+    mi_xy = _mi_from_labels(x_head, y_tail, bins)
+    mi_yy = _mi_from_labels(y_head, y_tail, bins)
     end_y1 = loss - mi_xx + mi_yy
     end_x1 = loss - mi_xx + mi_xy
     return SandwichBounds(
@@ -228,13 +240,16 @@ def analyze_loss_rate(
     loss, loss_tag = _loss_rv_detail(f, process, n_samples, seed, bins, cfg)
     method["bound_L"] = loss_tag
 
-    hw = markov_block_entropy_W(f, process, k=k, n_samples=n_samples, seed=seed)
+    # one stream-0 path serves the block entropies and the sandwich
+    _check_block_order(f, k, n_samples)
+    xs = sample_path(process, n_samples, seed).values
+    hw = _block_entropy(f, xs, k)
     method["bound_HW"] = f"plug-in order {hw.order} (converged={hw.converged})"
 
     hw2x1 = bound_index_given_input(f, process, cfg)
     method["bound_HW2X1"] = "quadrature"
 
-    sandwich = _sandwich(f, process, loss, n_samples, seed, bins)
+    sandwich = _sandwich(f, xs, loss, bins, seed)
     method["sandwich"] = f"histogram MI, N={sandwich.n_samples}, bins={sandwich.bins}"
 
     try:

@@ -128,6 +128,29 @@ class TestQuadBatch:
         assert 2.0 <= a < b <= 3.0
         assert 0.0 < info.value.partial < 1.0
 
+    def test_panel_budget_covers_the_whole_batch(self):
+        # one |x - c| bisects one panel a step; thirty of them in one
+        # batch evaluate 60 new panels a step, over a budget of 40
+        centres = np.linspace(0.1, 0.9, 30)
+        cfg = QuadratureConfig(abs_tol=1e-12, max_intervals=40)
+        alone = quad_batch(lambda x, col: np.abs(x - 0.3), 0.0, 1.0, cfg)
+        assert alone[0] == pytest.approx(0.29, abs=1e-12)
+        with pytest.raises(NoConvergenceError, match="would pass 40 panels"):
+            quad_batch(lambda x, col: np.abs(x - centres[col]), 0.0, np.ones(30), cfg)
+        with pytest.raises(NoConvergenceError, match="starts with 120 panels"):
+            quad_batch(
+                lambda x, col: x, np.zeros(30), np.ones(30), cfg,
+                np.tile([0.25, 0.5, 0.75], (30, 1)),
+            )
+
+    def test_walk_spike_is_refused_before_it_outgrows_memory(self):
+        # at a/M = 1e-8 the inner y-integrals are 2e-8-wide spikes: each
+        # outer step hands hundreds of thousands of panels to one batch
+        with pytest.raises(NoConvergenceError, match="panels"):
+            cond_entropy_output_given_input(
+                magnitude(-1.0, 1.0), make_cyclic_walk(1.0, 1e-8)
+            )
+
     def test_one_row_of_split_points_per_integral(self):
         with pytest.raises(BadParameterError):
             quad_batch(lambda x, col: x, [0.0, 0.0], [1.0, 1.0], points=[(0.5,)])
@@ -175,6 +198,13 @@ class TestDiffEntropyHist:
         with pytest.raises(TooFewSamplesError):
             diff_entropy_hist(np.zeros(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_samples(self, bad):
+        x = make_rng(24).normal(0.0, 1.0, 5000)
+        x[1234] = bad
+        with pytest.raises(BadParameterError, match="finite"):
+            diff_entropy_hist(x)
+
 
 class TestMutualInformationHist:
     def test_independent_pairs(self):
@@ -218,6 +248,17 @@ class TestMutualInformationHist:
     def test_too_few(self):
         with pytest.raises(TooFewSamplesError):
             mutual_information_hist(np.zeros(10), np.zeros(10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_samples(self, bad):
+        # one bad sample used to give a small, plausible MI with no warning
+        x = make_rng(35).normal(0.0, 1.0, 5000)
+        y = np.abs(x)
+        x_bad, y_bad = x.copy(), y.copy()
+        x_bad[2500], y_bad[0] = bad, bad
+        for xs, ys in ((x_bad, y), (x, y_bad)):
+            with pytest.raises(BadParameterError, match="finite"):
+                mutual_information_hist(xs, ys)
 
 
 class TestCondEntropyWGivenX:
@@ -313,6 +354,19 @@ class TestBlockEntropy:
         est = markov_block_entropy_W(magnitude(), p, k=5, n_samples=500_000, seed=54)
         for lo_k, hi_k in zip(est.levels[:-1], est.levels[1:]):
             assert hi_k <= lo_k + 0.01
+
+    def test_levels_match_blocks_coded_from_scratch(self):
+        f, p = magnitude(), make_ar1(0.7, 1.0)
+        est = markov_block_entropy_W(f, p, k=4, n_samples=100_000, seed=55)
+        w = f.branch_index_array(sample_path(p, 100_000, seed=55).values) - 1
+        joint = [0.0]
+        for width in range(1, 6):
+            codes = np.zeros(w.size - width + 1, dtype=np.int64)
+            for t in range(width):
+                codes = codes * 2 + w[t : w.size - width + 1 + t]
+            counts = np.bincount(codes)
+            joint.append(entropy_bits(counts[counts > 0] / counts.sum()))
+        assert est.levels == tuple(hi - lo for lo, hi in zip(joint, joint[1:]))
 
     def test_preconditions(self):
         p = make_iid_uniform(-1.0, 1.0)

@@ -21,12 +21,19 @@ from inforate import (
     make_tightness_example,
     markov_block_entropy_W,
     quantizer,
+    sample_path,
     scale,
     shift_mod,
     square,
 )
-from inforate.errors import ConstantBranchError, NotLumpableError
+from inforate.errors import (
+    BadParameterError,
+    ConstantBranchError,
+    NotLumpableError,
+    TooFewSamplesError,
+)
 from inforate._rng import make_rng
+from inforate.lossrate import _sandwich
 
 from conftest import shifted_kernel_process
 
@@ -128,6 +135,19 @@ class TestSandwich:
         sw = loss_rate_bounds_mc(f, p, 10**5, 1, bins=20)
         assert sw.loss_rv_value == loss_rv(f, p, 10**5, 1, bins=20)
         assert sw.loss_rv_value != loss_rv(f, p, 10**5, 1)
+
+    def test_too_few_samples(self):
+        with pytest.raises(TooFewSamplesError):
+            loss_rate_bounds_mc(magnitude(), make_ar1(0.5, 1.0), 1000, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_paths(self, bad):
+        xs = make_rng(7).normal(0.0, 1.0, 5000)
+        for i in (0, 2500, 4999):
+            path = xs.copy()
+            path[i] = bad
+            with pytest.raises(BadParameterError, match="finite"):
+                _sandwich(magnitude(), path, 1.0, None, 7)
 
     def test_brackets_analytic_value(self):
         p = make_cyclic_walk(1.0, 0.5)
@@ -252,6 +272,27 @@ class TestReport:
         assert rep.value <= rep.bound_HW2X1 + 1e-6
         assert rep.bound_HW2X1 <= rep.bound_HW + 0.02
         assert "closed-form" in rep.method["bound_L"]
+
+    def test_one_path_serves_the_index_entropy_and_the_sandwich(self, monkeypatch):
+        import inforate.lossrate
+        import inforate.process
+
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return sample_path(*args, **kwargs)
+
+        # wherever the path is looked up: the importing module or its home
+        for module in (inforate.lossrate, inforate.process):
+            monkeypatch.setattr(module, "sample_path", counted)
+        rep = analyze_loss_rate(f, p, n_samples=10**5, seed=3, grid=101)
+        assert len(draws) == 1
+        sw = loss_rate_bounds_mc(f, p, n_samples=10**5, seed=3)
+        hw = markov_block_entropy_W(f, p, n_samples=10**5, seed=3)
+        assert (rep.lower_bound, rep.upper_bound_sandwich) == (sw.lower, sw.upper)
+        assert rep.bound_HW == hw.value
 
     def test_vanishing_derivative_at_a_tile_edge_needs_no_retry(self):
         # g'(0) = 0 where the branches of x**2 meet; one pass of the depth

@@ -1,7 +1,8 @@
 """Properties on generated inputs: quadrature against scipy, batches
 against their columns, the depth budget, preimage round trips of every
-built-in branch, the wrapped walk's closed forms at every step, and the
-bound chain on random lumpable systems."""
+built-in branch, the wrapped walk's closed forms at every step, the
+bound chain on random lumpable systems, and the one-sort binning of the
+mutual-information estimators against the estimator as first written."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from inforate import (
     make_iid_uniform,
     make_tightness_example,
     markov_block_entropy_W,
+    mutual_information_hist,
     quad,
     quad_batch,
     scale,
@@ -30,7 +32,8 @@ from inforate import (
     square,
 )
 from inforate.errors import NoConvergenceError
-from inforate.estimate import DEFAULT_QUAD
+from inforate.estimate import DEFAULT_QUAD, _lagged_labels, entropy_bits
+from inforate.lossrate import _sandwich
 from test_acceptance import hw2x1_closed
 
 # derandomized so the suite is repeatable; no example database on disk
@@ -269,3 +272,66 @@ def test_random_lumpable_systems_obey_the_bound_chain(system, seed):
     hbar = markov_block_entropy_W(f, process, n_samples=10**6, seed=seed).value
     assert hw2x1 <= hbar + MC_TOL
     assert rate <= loss_rv(f, process, n_samples=10**6, seed=seed) + MC_TOL
+
+
+# ---------------------------------------------------------------------------
+# quantile binning: one sort per series gives the reference's bits
+
+
+def reference_mi(xs, ys, bins):
+    """The plug-in MI as first written: np.quantile edges of each series,
+    labels by searchsorted on the unsorted samples, joint counts."""
+    qs = np.linspace(0.0, 1.0, bins + 1)
+    ix, iy = (
+        np.clip(np.searchsorted(np.quantile(v, qs)[1:-1], v, side="right"), 0, bins - 1)
+        for v in (xs, ys)
+    )
+    pij = np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins)
+    pij = pij / xs.size
+    h_x = entropy_bits(pij.sum(axis=1))
+    h_y = entropy_bits(pij.sum(axis=0))
+    return h_x + h_y - entropy_bits(pij.ravel())
+
+
+def series(kind, seed, n):
+    """Untied draws, or draws with ties of several kinds."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "integers":
+        return rng.integers(-3, 4, n).astype(float)
+    if kind == "runs":  # long constant runs
+        return np.repeat(rng.normal(size=n // 40 + 1), 40)[:n]
+    if kind == "fine_steps":  # 1e8 + k * 1e-8: neighbours one or two ulps apart
+        return 1e8 + rng.integers(0, 500, n) * 1e-8
+    x = rng.normal(size=n)  # zeros of both signs among untied draws
+    x[rng.random(n) < 0.3] = 0.0
+    x[rng.random(n) < 0.3] = -0.0
+    return x
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["normal", "integers", "runs", "fine_steps", "signed_zeros"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1001, 4000),
+    bins=st.integers(1, 300),
+)
+# 256 bins is the last with one-byte labels
+@example(kind="integers", seed=1, n=1500, bins=1)
+@example(kind="runs", seed=2, n=3000, bins=255)
+@example(kind="normal", seed=3, n=3000, bins=256)
+@example(kind="fine_steps", seed=4, n=3000, bins=257)
+def test_one_sort_binning_gives_the_reference_mutual_information(kind, seed, n, bins):
+    xs = series(kind, seed, n)
+    ys = np.abs(xs)
+    sw = _sandwich(magnitude(), xs, 0.0, bins, seed)
+    assert (sw.mi_xx, sw.mi_xy, sw.mi_yy) == (
+        reference_mi(xs[:-1], xs[1:], bins),
+        reference_mi(xs[:-1], ys[1:], bins),
+        reference_mi(ys[:-1], ys[1:], bins),
+    )
+    assert mutual_information_hist(xs, ys[::-1], bins) == reference_mi(
+        xs, ys[::-1], bins
+    )
+    assert _lagged_labels(xs, bins)[0].itemsize == (1 if bins <= 256 else 2)
