@@ -355,7 +355,7 @@ class TestBlockEntropy:
         for lo_k, hi_k in zip(est.levels[:-1], est.levels[1:]):
             assert hi_k <= lo_k + 0.01
 
-    def test_levels_match_blocks_coded_from_scratch(self):
+    def test_levels_match_blocks_rebuilt_per_order(self):
         f, p = magnitude(), make_ar1(0.7, 1.0)
         est = markov_block_entropy_W(f, p, k=4, n_samples=100_000, seed=55)
         w = f.branch_index_array(sample_path(p, 100_000, seed=55).values) - 1
