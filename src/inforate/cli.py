@@ -98,15 +98,23 @@ class _Given(argparse.Action):
         namespace.given = namespace.given | {self.dest}
 
 
-def _common_options(sub):
+# estimation flags: type, default and help
+_FLAGS = {
+    "seed": (int, 42, None),
+    "samples": (int, 10**6, None),
+    "bins": (int, None, "default: ceil(N^(1/3))"),
+    "quad_tol": (float, 1e-9, None),
+    "grid": (int, 201, None),
+}
+
+
+def _options(sub, *keys):
+    """The estimation flags ``keys`` that the command reads, and --out."""
     sub.set_defaults(given=frozenset())
-    sub.add_argument("--seed", type=int, default=42, action=_Given)
-    sub.add_argument("--samples", type=int, default=10**6, action=_Given)
-    sub.add_argument(
-        "--bins", type=int, default=None, action=_Given, help="default: ceil(N^(1/3))"
-    )
-    sub.add_argument("--quad-tol", type=float, default=1e-9, action=_Given)
-    sub.add_argument("--grid", type=int, default=201, action=_Given)
+    for key in keys:
+        kind, default, text = _FLAGS[key]
+        flag = "--" + key.replace("_", "-")
+        sub.add_argument(flag, type=kind, default=default, action=_Given, help=text)
     sub.add_argument("--out", type=str, default=None, help="write here (+ .meta.json)")
 
 
@@ -211,7 +219,7 @@ def cmd_tightness(args):
     f = shift_mod(period=2.0, offset=0.0, lo=0.0, hi=4.0)
     h_x = marginal_entropy_quad(proc, cfg)
     h_rate = cond_entropy_rate_quad(proc, cfg)
-    loss = loss_rv(f, proc, n_samples=args.samples, seed=args.seed)
+    loss = loss_rv(f, proc, cfg)
     lbar = loss_rate_analytic(f, proc, cfg, grid=args.grid)
     hw2x1 = cond_entropy_W_given_X(f, proc, cfg)
     rep = full_report(f, proc, grid=args.grid)
@@ -233,7 +241,7 @@ def cmd_tightness(args):
     _write_output(
         args,
         json.dumps(report, indent=2, sort_keys=True) + "\n",
-        {"quad_tol": args.quad_tol, "grid": args.grid, "seed": args.seed},
+        {"quad_tol": args.quad_tol, "grid": args.grid},
     )
     ok = all(v <= 1e-6 for v in report["residuals"].values())
     ok = ok and rep.condition_holds and rep.tightness_a_holds and rep.tightness_b_holds
@@ -374,41 +382,41 @@ def build_parser():
     p = subs.add_parser("ar1-sweep", help="sandwich bounds for AR(1) + magnitude")
     p.add_argument("--a-values", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--sigma", type=float, default=1.0)
-    _common_options(p)
+    _options(p, *_FLAGS)
     p.set_defaults(func=cmd_ar1_sweep)
 
     p = subs.add_parser("cyclic-sweep", help="wrapped walk + magnitude closed forms")
     p.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p.add_argument("--M", type=float, default=1.0)
-    _common_options(p)
+    _options(p, "quad_tol", "grid")
     p.set_defaults(func=cmd_cyclic_sweep)
 
     p = subs.add_parser("tightness", help="worst-case chain where all bounds meet")
-    _common_options(p)
+    _options(p, "quad_tol", "grid")
     p.set_defaults(func=cmd_tightness)
 
     p = subs.add_parser("downsample", help="relative loss of an M-fold downsampler")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--blocks", default="", help="comma list of block lengths n")
-    _common_options(p)
+    _options(p)
     p.set_defaults(func=cmd_downsample)
 
     p = subs.add_parser("rel-loss", help="relative information loss rate")
     p.add_argument("--downsample", type=int, default=None, metavar="M")
     p.add_argument("--block", type=int, default=None, metavar="N")
     p.add_argument("--config", type=str, default=None)
-    _common_options(p)
+    _options(p, "seed", "samples", "quad_tol")
     p.set_defaults(func=cmd_rel_loss)
 
     p = subs.add_parser("lump-check", help="grid check that the output is Markov")
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    _common_options(p)
+    _options(p, "grid")
     p.set_defaults(func=cmd_lump_check)
 
     p = subs.add_parser("analyze", help="full report for a config file")
     p.add_argument("--config", type=str, required=True)
-    _common_options(p)
+    _options(p, *_FLAGS)
     p.set_defaults(func=cmd_analyze)
 
     return parser
@@ -420,8 +428,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.argv = argv
     try:
-        for key in ("samples", "bins", "grid", "seed", "quad_tol"):
-            check_estimation(key, getattr(args, key), "--" + key.replace("_", "-"))
+        for key in _FLAGS:
+            if key in vars(args):
+                check_estimation(key, getattr(args, key), "--" + key.replace("_", "-"))
         return args.func(args)
     except (ParseError, IncompatibleSpecError, TooFewSamplesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

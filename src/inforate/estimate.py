@@ -507,6 +507,49 @@ def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):
     return float(total)
 
 
+def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
+    """H(X|Y) for Y = g(X): the loss L(X -> Y) of the marginal variable.
+
+    For piecewise bijective g it is -E[log2 Pr(X | g(X))], where the
+    conditional law of X given g(X) = y puts mass proportional to
+    f_X(x)/|g'(x)| on each preimage x of y (Geiger, Feldbauer and Kubin,
+    2011), so it is one bounded quadrature per branch.  It is divided by
+    the mass of f_X on the window, integrated alongside: the value is that
+    of the law restricted to the window, and a fold whose preimages always
+    weigh the same gives log2 of their count to the last bit.  The
+    integrand jumps where a preimage enters or leaves the window: at the
+    preimages of the images of the window ends, the tile edges and the
+    marginal's split points.
+    """
+    f_marg = process.marginal_pdf
+    lo, hi = process.quad_support
+    split_points = process.marginal_split_points
+    _, _, edges = f.image_window(lo, hi)
+    ys = np.concatenate([edges, f.image_points(split_points)])
+    points = np.concatenate(
+        [split_points, *(xs[valid] for _, xs, _, valid in f.preimage_terms(ys))]
+    )
+
+    def integrand(x, col, b):
+        """-f_X log2 Pr(x | g(x)) in column 0, f_X in column 1."""
+        px = f_marg(x)
+        own = px / np.abs(b.derivative(x))
+        # the sum holds the own term, unless the inverse rounds x across
+        # a tile edge; then the own term alone stands for it
+        total = np.maximum(f.preimage_sum(f_marg, b.forward(x)), own)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss = np.where(own > 0, -px * np.log2(own / total), 0.0)
+        return np.where(col == 0, loss, px)
+
+    # running sums in branch order; np.sum would regroup the terms
+    loss = mass = 0.0
+    terms = branch_integrals(f, integrand, [lo, lo], [hi, hi], cfg, [points] * 2)
+    for term, part in zip(*terms):
+        loss += term
+        mass += part
+    return float(loss / mass)
+
+
 def expected_log_abs_derivative_mc(f, samples):
     """Monte Carlo version of the derivative term, for cross-checking."""
     samples = np.asarray(samples, dtype=float)

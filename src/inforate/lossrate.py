@@ -1,19 +1,15 @@
 """Information loss rate of a piecewise-bijective system and its bounds.
 
-The per-sample loss of the marginal variable, L = h(X) - h(Y) +
-E[log2|g'(X)|], upper-bounds the per-sample loss rate of the process.
+The per-sample loss of the marginal variable, L = H(X|Y) = h(X) - h(Y)
++ E[log2|g'(X)|], upper-bounds the per-sample loss rate of the process.
 Sharper bounds come from the branch-index process W (its entropy rate,
 and H(W2|X1) for Markov inputs), and a two-sided bracket follows from
 conditioning the output entropy rate on X1 versus Y1.  When the output
 process is verifiably Markov the rate itself is a quadrature.
 """
 
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ._rng import make_rng
 from .errors import (
     ConstantBranchError,
     NoConvergenceError,
@@ -27,10 +23,10 @@ from .estimate import (
     _lagged_labels,
     _mi_from_labels,
     cond_entropy_W_given_X,
+    cond_entropy_input_given_output,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
     default_bins,
-    diff_entropy_hist,
     expected_log_abs_derivative,
 )
 from .lumpability import check_lumpable
@@ -71,75 +67,27 @@ class CascadeResult:
     method: str
 
 
-# ---------------------------------------------------------------------------
-# closed forms for the marginal loss
-
-
-def _closed_form_loss_rv(f, process):
-    from .pbf import has_identical_ranges, is_even_pair, is_unit_slope
-
-    if len(f.branches) == 1 and f.all_injective:
-        return 0.0, "closed-form:bijective"
-    qlo, qhi = process.quad_support
-    if process.symmetric and is_even_pair(f, min(abs(qlo), abs(qhi))):
-        return 1.0, "closed-form:even-pair"
-    if (
-        process.uniform_marginal
-        and f.all_injective
-        and len(f.branches) >= 2
-        and is_unit_slope(f, qlo, qhi)
-        and has_identical_ranges(f)
-        and np.allclose(
-            [b.domain_hi - b.domain_lo for b in f.branches],
-            f.branches[0].domain_hi - f.branches[0].domain_lo,
-            rtol=1e-12,
-        )
-    ):
-        return float(math.log2(len(f.branches))), "closed-form:uniform-shift"
-    return None
-
-
-def _loss_rv_detail(f, process, n_samples, seed, bins=None, cfg=DEFAULT_QUAD):
+def _loss_rv_detail(f, process, cfg=DEFAULT_QUAD):
+    """L(X -> Y) and the tag of the method that gave it."""
     if f.has_constant:
         raise ConstantBranchError(
             "loss is infinite for functions with constant pieces; "
             "use the relative loss rate instead"
         )
-    closed = _closed_form_loss_rv(f, process)
-    if closed is not None:
-        return closed
-    if process.analytic is not None:
-        h_x = process.analytic.h_marginal
-        tag = "analytic-hX+hist-hY"
-    else:
-        from .estimate import marginal_entropy_quad
-
-        h_x = marginal_entropy_quad(process, cfg)
-        tag = "quad-hX+hist-hY"
-    rng = make_rng(seed, stream=7)
-    xs = np.asarray(process.marginal_sampler(rng, n_samples), dtype=float)
-    h_y = diff_entropy_hist(f.eval_array(xs), bins)
-    term = expected_log_abs_derivative(f, process, cfg)
-    return h_x - h_y + term, tag
+    if len(f.branches) == 1:
+        # a bijection loses nothing; through a composed inverse the
+        # quadrature would leave round-off
+        return 0.0, "bijective"
+    return cond_entropy_input_given_output(f, process, cfg), "quadrature H(X|Y)"
 
 
-def loss_rv(f, process, n_samples=10**6, seed=42, bins=None, cfg=DEFAULT_QUAD):
-    """L(X -> Y) = h(X) - h(Y) + E[log2 |g'(X)|] for the marginal variable.
-
-    Registered closed forms (bijections, even two-branch folds on
-    symmetric inputs, uniform shifts) take precedence over estimation.
-    """
-    return _loss_rv_detail(f, process, n_samples, seed, bins, cfg)[0]
+def loss_rv(f, process, cfg=DEFAULT_QUAD):
+    """L(X -> Y) = H(X|Y) = h(X) - h(Y) + E[log2 |g'(X)|], the loss of the
+    marginal variable in bits, by quadrature; zero for a bijection."""
+    return _loss_rv_detail(f, process, cfg)[0]
 
 
-def loss_rate_analytic(
-    f,
-    process,
-    cfg=DEFAULT_QUAD,
-    grid=201,
-    lump_tol=1e-6,
-    skip_lumpability_check=False,
-):
+def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201, lump_tol=1e-6):
     """Exact loss rate h(X2|X1) - h(Y2|X1) + E[log2|g'(X)|], in bits.
 
     h(X2|X1) is the process's closed form when it carries one, otherwise
@@ -153,7 +101,7 @@ def loss_rate_analytic(
     """
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
-    if process.is_markov and not skip_lumpability_check:
+    if process.is_markov:
         rep = check_lumpable(f, process, grid=grid, tol=lump_tol)
         if not rep.condition_holds:
             raise NotLumpableError(
@@ -177,7 +125,7 @@ def loss_rate_bounds_mc(f, process, n_samples=10**6, seed=42, bins=None):
     previous input.  They are returned ordered numerically; for lumpable
     systems they agree up to estimator noise.
     """
-    loss, _ = _loss_rv_detail(f, process, n_samples, seed, bins)
+    loss, _ = _loss_rv_detail(f, process)
     xs = sample_path(process, n_samples, seed).values
     return _sandwich(f, xs, loss, bins, seed)
 
@@ -237,7 +185,7 @@ def analyze_loss_rate(
     method = {}
     value = None
 
-    loss, loss_tag = _loss_rv_detail(f, process, n_samples, seed, bins, cfg)
+    loss, loss_tag = _loss_rv_detail(f, process, cfg)
     method["bound_L"] = loss_tag
 
     # one stream-0 path serves the block entropies and the sandwich
@@ -275,16 +223,7 @@ def analyze_loss_rate(
 # cascades
 
 
-def cascade_loss_rate(
-    f_list,
-    process,
-    method="auto",
-    n_samples=10**6,
-    seed=42,
-    bins=None,
-    cfg=DEFAULT_QUAD,
-    grid=201,
-):
+def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201):
     """Total and per-stage loss rates of a chain of systems.
 
     Stage i is evaluated against the pushforward of the input through
@@ -302,18 +241,18 @@ def cascade_loss_rate(
     for nxt in f_list[1:]:
         composed = compose(nxt, composed)
 
-    def loss(g, proc, seed):
+    def loss(g, proc):
         if method == "rv":
-            return float(loss_rv(g, proc, n_samples=n_samples, seed=seed, bins=bins))
+            return float(loss_rv(g, proc, cfg))
         return float(loss_rate_analytic(g, proc, cfg, grid=grid))
 
     stages = []
     current = process
     for i, g in enumerate(f_list):
-        stages.append(loss(g, current, seed + i))
+        stages.append(loss(g, current))
         if i + 1 < len(f_list):
             current = pushforward_process(g, current)
-    total = loss(composed, process, seed)
+    total = loss(composed, process)
     return CascadeResult(
         total=total,
         stages=tuple(stages),

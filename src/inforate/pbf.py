@@ -459,75 +459,6 @@ def compose(outer, inner):
 
 
 # ---------------------------------------------------------------------------
-# structural predicates (sampled, used by closed forms and pushforwards)
-
-
-def is_unit_slope(f, lo, hi, n=64):
-    """Every injective branch has |g'| = 1 on the sampled window."""
-    if not f.all_injective:
-        return False
-    for b in f.branches:
-        a, c = max(b.domain_lo, lo), min(b.domain_hi, hi)
-        if c <= a:
-            continue
-        ts = np.linspace(a + 1e-6 * (c - a), c - 1e-6 * (c - a), n)
-        if not np.allclose(
-            np.abs(np.asarray(b.derivative(ts), dtype=float)), 1.0, atol=1e-12
-        ):
-            return False
-    return True
-
-
-def has_identical_ranges(f, tol=1e-9):
-    r0 = (f.branches[0].range_lo, f.branches[0].range_hi)
-    return all(
-        abs(b.range_lo - r0[0]) <= tol and abs(b.range_hi - r0[1]) <= tol
-        for b in f.branches
-    )
-
-
-def is_even_pair(f, half_width, n=64):
-    """Two injective branches split at 0 with g(-t) = g(t) and |g'| even."""
-    if len(f.branches) != 2 or not f.all_injective:
-        return False
-    b1, b2 = f.branches
-    if abs(b2.domain_lo) > 1e-12:
-        return False
-    width = min(half_width, -b1.domain_lo, b2.domain_hi)
-    if not width > 0:
-        return False
-    ts = np.linspace(width * 1e-3, width * (1.0 - 1e-6), n)
-    left = np.asarray(b1.forward(-ts), dtype=float)
-    right = np.asarray(b2.forward(ts), dtype=float)
-    if not np.allclose(left, right, rtol=1e-10, atol=1e-12):
-        return False
-    dl = np.abs(np.asarray(b1.derivative(-ts), dtype=float))
-    dr = np.abs(np.asarray(b2.derivative(ts), dtype=float))
-    return bool(np.allclose(dl, dr, rtol=1e-10, atol=1e-12))
-
-
-def is_odd_map(f, half_width, n=64):
-    """Bijective with f(-t) = -f(t) on a domain symmetric around 0."""
-    if len(f.branches) != 1 or not f.all_injective:
-        return False
-    b = f.branches[0]
-    if not (-b.domain_lo == b.domain_hi or (b.domain_lo < 0 < b.domain_hi)):
-        return False
-    width = min(half_width, -b.domain_lo, b.domain_hi)
-    if not width > 0:
-        return False
-    ts = np.linspace(width * 1e-3, width * (1.0 - 1e-6), n)
-    return bool(
-        np.allclose(
-            np.asarray(b.forward(-ts), dtype=float),
-            -np.asarray(b.forward(ts), dtype=float),
-            rtol=1e-10,
-            atol=1e-12,
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
 # constant-piece mass
 
 

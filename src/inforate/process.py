@@ -51,8 +51,6 @@ class StationaryProcess:
     quad_support: tuple
     marginal_split_points: tuple = ()
     analytic: AnalyticEntropies = None
-    symmetric: bool = False  # even marginal and point-symmetric kernel
-    uniform_marginal: bool = False
     path_sampler: callable = None  # (rng, n) -> path; None: scalar kernel loop
 
     @property
@@ -124,7 +122,6 @@ def make_ar1(a, sigma):
             h_rate=0.5 * math.log2(sigma**2) + 0.5 * _LOG2_2PIE,
             mi_lag1=-0.5 * math.log2(1.0 - a**2),
         ),
-        symmetric=True,
         path_sampler=path_sampler,
     )
 
@@ -189,8 +186,6 @@ def make_cyclic_walk(M, a):
             h_rate=math.log2(2.0 * a),
             mi_lag1=math.log2(M / a),
         ),
-        symmetric=True,
-        uniform_marginal=True,
         path_sampler=path_sampler,
     )
 
@@ -244,7 +239,6 @@ def make_tightness_example():
         quad_support=(0.0, 4.0),
         marginal_split_points=(1.0, 2.0, 3.0),
         analytic=AnalyticEntropies(h_marginal=2.0, h_rate=1.0, mi_lag1=1.0),
-        uniform_marginal=True,
         path_sampler=path_sampler,
     )
 
@@ -256,8 +250,6 @@ def make_iid(
     quad_support=None,
     split_points=(),
     analytic=None,
-    symmetric=False,
-    uniform_marginal=False,
     name="iid",
     params=None,
     check_normalization=True,
@@ -284,8 +276,6 @@ def make_iid(
         quad_support=quad_support,
         marginal_split_points=tuple(split_points),
         analytic=analytic,
-        symmetric=symmetric,
-        uniform_marginal=uniform_marginal,
     )
 
 
@@ -303,7 +293,6 @@ def make_iid_gaussian(sigma=1.0):
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sigma, 10.0 * sigma),
         analytic=AnalyticEntropies(h_marginal=h, h_rate=h, mi_lag1=0.0),
-        symmetric=True,
         name="iid_gaussian",
         params={"sigma": sigma},
         check_normalization=False,
@@ -326,8 +315,6 @@ def make_iid_uniform(lo=0.0, hi=1.0):
         marginal_sampler=lambda rng, n: rng.uniform(lo, hi, n),
         support=(lo, hi),
         analytic=AnalyticEntropies(h_marginal=h, h_rate=h, mi_lag1=0.0),
-        symmetric=(lo == -hi),
-        uniform_marginal=True,
         name="iid_uniform",
         params={"lo": lo, "hi": hi},
         check_normalization=False,
@@ -470,15 +457,6 @@ def pushforward_process(f, process):
             x1_split_points=lambda y2s: mapped(base.x1_split_points, y2s),
         )
 
-    from .pbf import has_identical_ranges, is_odd_map, is_unit_slope
-
-    half = min(abs(qlo), abs(qhi))
-    symmetric = process.symmetric and is_odd_map(f, half)
-    uniform = (
-        process.uniform_marginal
-        and is_unit_slope(f, qlo, qhi)
-        and (len(f.branches) == 1 or has_identical_ranges(f))
-    )
     interior = sorted({float(s) for s in splits if y_lo < s < y_hi})
     return StationaryProcess(
         name=f"pushforward({process.name})",
@@ -490,7 +468,5 @@ def pushforward_process(f, process):
         quad_support=(y_lo, y_hi),
         marginal_split_points=tuple(interior),
         analytic=None,
-        symmetric=symmetric,
-        uniform_marginal=uniform,
         path_sampler=path_sampler,
     )

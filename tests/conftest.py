@@ -45,5 +45,4 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
         kernel=kernel,
         support=(-np.inf, np.inf),
         quad_support=(-10 * sd_x, 10 * sd_x),
-        symmetric=False,
     )

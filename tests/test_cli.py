@@ -60,7 +60,7 @@ class TestCyclicSweep:
 
 class TestTightness:
     def test_all_residuals_small(self, capsys):
-        code, out, _ = run_cli(capsys, "tightness", "--samples", "100000")
+        code, out, _ = run_cli(capsys, "tightness")
         assert code == 0
         report = json.loads(out)
         assert all(v <= 1e-6 for v in report["residuals"].values())
@@ -326,6 +326,43 @@ class TestConfigUsageErrors:
         assert out == ""
         assert err.startswith(f"error: {flag} must be")
         assert len(err.strip().splitlines()) == 1
+
+    UNREAD = {
+        "cyclic-sweep": ("--seed", "--samples", "--bins"),
+        "tightness": ("--seed", "--samples", "--bins"),
+        "downsample": ("--seed", "--samples", "--bins", "--quad-tol", "--grid"),
+        "rel-loss": ("--bins", "--grid"),
+        "lump-check": ("--seed", "--samples", "--bins", "--quad-tol"),
+    }
+    VALID = {
+        "--seed": "1",
+        "--samples": "2000",
+        "--bins": "10",
+        "--quad-tol": "1e-9",
+        "--grid": "101",
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in UNREAD.items() for flag in flags],
+    )
+    def test_flag_the_command_does_not_read_exits_2(
+        self, capsys, tmp_path, command, flag
+    ):
+        cfg = tmp_path / "c.json"
+        spec = {"process": self.AR1, "function": {"kind": "magnitude"}}
+        cfg.write_text(json.dumps(spec))
+        args = {
+            "cyclic-sweep": ["--ratios", "0.5"],
+            "tightness": [],
+            "downsample": ["--M", "2", "--blocks", "2"],
+            "rel-loss": ["--downsample", "2"],
+            "lump-check": ["--config", str(cfg), "--grid", "101"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, flag, self.VALID[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
     def test_too_few_samples_for_the_block_order_exits_2(self, capsys, tmp_path):
         # 2 branches at order 5 need 2**6 * 30 = 1920 samples

@@ -1,7 +1,8 @@
 """Properties on generated inputs: quadrature against scipy, batches
 against their columns, the depth budget, preimage round trips of every
 built-in branch, the wrapped walk's closed forms at every step, the
-bound chain on random lumpable systems, and the one-sort binning of the
+bound chain on random lumpable systems, the marginal loss against
+h(X) - h(Y) + E log2|g'(X)|, and the one-sort binning of the
 mutual-information estimators against the estimator as first written."""
 
 import numpy as np
@@ -20,11 +21,13 @@ from inforate import (
     magnitude,
     make_ar1,
     make_cyclic_walk,
+    make_iid,
     make_iid_gaussian,
     make_iid_uniform,
     make_tightness_example,
     markov_block_entropy_W,
     mutual_information_hist,
+    pushforward_process,
     quad,
     quad_batch,
     scale,
@@ -32,7 +35,13 @@ from inforate import (
     square,
 )
 from inforate.errors import NoConvergenceError
-from inforate.estimate import DEFAULT_QUAD, _lagged_labels, entropy_bits
+from inforate.estimate import (
+    DEFAULT_QUAD,
+    _lagged_labels,
+    entropy_bits,
+    expected_log_abs_derivative,
+    marginal_entropy_quad,
+)
 from inforate.lossrate import _sandwich
 from test_acceptance import hw2x1_closed
 
@@ -271,7 +280,44 @@ def test_random_lumpable_systems_obey_the_bound_chain(system, seed):
     assert -EXACT_TOL <= rate <= hw2x1 + EXACT_TOL
     hbar = markov_block_entropy_W(f, process, n_samples=10**6, seed=seed).value
     assert hw2x1 <= hbar + MC_TOL
-    assert rate <= loss_rv(f, process, n_samples=10**6, seed=seed) + MC_TOL
+    assert rate <= loss_rv(f, process) + EXACT_TOL
+
+
+# ---------------------------------------------------------------------------
+# the marginal loss L(X -> Y) = H(X|Y) against h(X) - h(Y) + E log2|g'(X)|
+
+
+@st.composite
+def off_centre_gaussians(draw):
+    """|.| on an iid Gaussian whose mean is off zero, so the fold's two
+    preimages carry unequal weights."""
+    mean, sigma = draw(reals(-2.0, 2.0)), draw(reals(0.5, 2.0))
+    norm = 1.0 / np.sqrt(2.0 * np.pi) / sigma
+
+    def pdf(x):
+        return norm * np.exp(-0.5 * ((np.asarray(x, dtype=float) - mean) / sigma) ** 2)
+
+    process = make_iid(
+        pdf,
+        lambda rng, n: rng.normal(mean, sigma, n),
+        support=(-np.inf, np.inf),
+        quad_support=(mean - 10.0 * sigma, mean + 10.0 * sigma),
+    )
+    return magnitude(), process
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.one_of(lumpable_systems(), off_centre_gaussians()))
+# a preimage of y in [0, 1] leaves the window at x = 1: a split point
+@example((magnitude(-1.0, 3.0), make_iid_uniform(-1.0, 3.0)))
+def test_marginal_loss_matches_the_entropy_difference(system):
+    f, process = system
+    oracle = (
+        marginal_entropy_quad(process)
+        - marginal_entropy_quad(pushforward_process(f, process))
+        + expected_log_abs_derivative(f, process)
+    )
+    assert abs(loss_rv(f, process) - oracle) <= EXACT_TOL
 
 
 # ---------------------------------------------------------------------------
