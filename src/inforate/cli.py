@@ -154,7 +154,7 @@ def cmd_ar1_sweep(args):
         proc = make_ar1(a, args.sigma)
         f = magnitude()
         sw = loss_rate_bounds_mc(
-            f, proc, n_samples=args.samples, seed=args.seed + i, bins=args.bins
+            f, proc, args.samples, args.seed + i, args.bins, cfg
         )
         hwx = bound_index_given_input(f, proc, cfg)
         rep = check_lumpable(f, proc, grid=args.grid)

@@ -461,31 +461,52 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     return _x1_integral(process, point_entropy, cfg, f)
 
 
-def output_cond_pdf(f, cond_pdf, x1, ys):
-    """Density of Y2 = g(X2) given X1 = x1, evaluated on an array of y;
-    x1 is a scalar or an array broadcasting against ys."""
-    return f.preimage_sum(lambda xs: cond_pdf(xs, x1), ys)
+def _output_integral(f, process, node_value, cfg):
+    """int f_X(x1) int node_value(t) dy dx1 for Y = g(X), where t holds
+    the terms f(x_b | x1) / |g'(x_b)| at the preimages x_b of y, one row
+    per branch.  The y window is the image of the x2 window, split at the
+    images of its tile edges and of the kernel's discontinuities."""
+    lo, hi = process.quad_support
+    cond = _cond_pdf_fn(process)
+
+    def point_value(x1s):
+        wlo, whi, kinks = _cond_windows(process, x1s)
+        ylo, yhi, edges = f.image_window(np.maximum(wlo, lo), np.minimum(whi, hi))
+        empty = ~(yhi > ylo)  # ylo = yhi = 0 there: the integral is 0
+        return quad_batch(
+            lambda ys, col: node_value(
+                f.preimage_weights(lambda x2: cond(x2, x1s[col]), ys)
+            ),
+            np.where(empty, 0.0, ylo),
+            np.where(empty, 0.0, yhi),
+            cfg,
+            np.column_stack([edges, f.image_points(kinks)]),
+        )
+
+    return _x1_integral(process, point_value, cfg, f)
 
 
 def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):
     """h(Y2|X1) for Y = g(X), by nested quadrature over x1 and y."""
-    lo, hi = process.quad_support
-    cond = _cond_pdf_fn(process)
+    return _output_integral(f, process, lambda t: -xlog2x(t.sum(axis=0)), cfg)
 
-    def point_entropy(x1s):
-        wlo, whi, kinks = _cond_windows(process, x1s)
-        ylo, yhi, edges = f.image_window(np.maximum(wlo, lo), np.minimum(whi, hi))
-        empty = ~(yhi > ylo)  # ylo = yhi = 0 there: the integral is 0
-        return -quad_batch(
-            lambda ys, col: xlog2x(output_cond_pdf(f, cond, x1s[col], ys)),
-            np.where(empty, 0.0, ylo),
-            np.where(empty, 0.0, yhi),
-            cfg,
-            # images of kernel discontinuities under g are further split points
-            np.column_stack([edges, f.image_points(kinks)]),
-        )
 
-    return _x1_integral(process, point_entropy, cfg, f)
+def cond_entropy_X2_given_Y2_X1(f, process, cfg=DEFAULT_QUAD):
+    """H(X2 | Y2, X1) for Y = g(X), by nested quadrature over x1 and y.
+
+    Given X1 = x1 and Y2 = y, X2 is the preimage x_b of y with probability
+    t_b / T, t_b = f(x_b | x1) / |g'(x_b)|, T = sum_b t_b (Geiger,
+    Feldbauer and Kubin, 2011).  Each term of -sum_b t_b log2(t_b / T) is
+    at least 0, and exactly 0 where one preimage carries all the weight.
+    """
+
+    def entropy(t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = t / t.sum(axis=0)
+            terms = np.where((share > 0) & (share < 1), -t * np.log2(share), 0.0)
+        return terms.sum(axis=0)
+
+    return _output_integral(f, process, entropy, cfg)
 
 
 def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):

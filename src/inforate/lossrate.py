@@ -5,7 +5,9 @@ The per-sample loss of the marginal variable, L = H(X|Y) = h(X) - h(Y)
 Sharper bounds come from the branch-index process W (its entropy rate,
 and H(W2|X1) for Markov inputs), and a two-sided bracket follows from
 conditioning the output entropy rate on X1 versus Y1.  When the output
-process is verifiably Markov the rate itself is a quadrature.
+process is verifiably Markov the rate itself is the entropy H(X2|Y2,X1)
+of the current input's preimage given the current output and the
+previous input, one nested quadrature.
 """
 
 from dataclasses import dataclass, field
@@ -23,11 +25,9 @@ from .estimate import (
     _lagged_labels,
     _mi_from_labels,
     cond_entropy_W_given_X,
+    cond_entropy_X2_given_Y2_X1,
     cond_entropy_input_given_output,
-    cond_entropy_output_given_input,
-    cond_entropy_rate_quad,
     default_bins,
-    expected_log_abs_derivative,
 )
 from .lumpability import check_lumpable
 from .process import pushforward_process, sample_path
@@ -90,42 +90,39 @@ def loss_rv(f, process, cfg=DEFAULT_QUAD):
 def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201, lump_tol=1e-6):
     """Exact loss rate h(X2|X1) - h(Y2|X1) + E[log2|g'(X)|], in bits.
 
-    h(X2|X1) is the process's closed form when it carries one, otherwise
-    a nested quadrature like h(Y2|X1); the derivative term is a
-    quadrature per branch.  The identity is exact when the output
-    process is Markov, so for Markov inputs the grid check of
-    ``check_lumpable`` runs first and NotLumpableError refuses the value
-    when it fails; for iid inputs the identity holds unconditionally.
-    NoConvergenceError means some integral missed ``cfg.abs_tol``
-    within the depth budget of ``cfg``; there is no retry.
+    When the output process is Markov this is H(X2 | Y2, X1), which of
+    its preimages the input is given the output and the previous input:
+    one nested quadrature, never negative, and 0 for a bijection.  For
+    Markov inputs the grid check of ``check_lumpable`` runs first and
+    NotLumpableError refuses the value when it fails; for iid inputs the
+    rate is the marginal loss ``loss_rv``.  NoConvergenceError means some
+    integral missed ``cfg.abs_tol`` within the depth budget of ``cfg``;
+    there is no retry.
     """
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
-    if process.is_markov:
-        rep = check_lumpable(f, process, grid=grid, tol=lump_tol)
-        if not rep.condition_holds:
-            raise NotLumpableError(
-                f"lumpability deviation {rep.max_deviation:.3e} exceeds {lump_tol}"
-            )
-    if process.analytic is not None:
-        h_rate = process.analytic.h_rate
-    else:
-        h_rate = cond_entropy_rate_quad(process, cfg)
-    h_out = cond_entropy_output_given_input(f, process, cfg)
-    term = expected_log_abs_derivative(f, process, cfg)
-    return h_rate - h_out + term
+    if not process.is_markov:
+        return loss_rv(f, process, cfg)
+    rep = check_lumpable(f, process, grid=grid, tol=lump_tol)
+    if not rep.condition_holds:
+        raise NotLumpableError(
+            f"lumpability deviation {rep.max_deviation:.3e} exceeds {lump_tol}"
+        )
+    return cond_entropy_X2_given_Y2_X1(f, process, cfg)
 
 
-def loss_rate_bounds_mc(f, process, n_samples=10**6, seed=42, bins=None):
+def loss_rate_bounds_mc(
+    f, process, n_samples=10**6, seed=42, bins=None, cfg=DEFAULT_QUAD
+):
     """Sandwich bracket on the loss rate from one simulated path.
 
     Both endpoints rewrite the conditional-entropy bounds on the output
     entropy rate through mutual informations: L - I(X1;X2) + I(Y1;Y2)
     conditions on the previous output, L - I(X1;X2) + I(X1;Y2) on the
     previous input.  They are returned ordered numerically; for lumpable
-    systems they agree up to estimator noise.
+    systems they agree up to estimator noise.  L is computed to ``cfg``.
     """
-    loss, _ = _loss_rv_detail(f, process)
+    loss, _ = _loss_rv_detail(f, process, cfg)
     xs = sample_path(process, n_samples, seed).values
     return _sandwich(f, xs, loss, bins, seed)
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParameterError
-from .estimate import (
-    QuadratureConfig,
-    _branch_probabilities,
-    _cond_pdf_fn,
-    output_cond_pdf,
-)
+from .estimate import QuadratureConfig, _branch_probabilities, _cond_pdf_fn
 
 _EDGE_EPS = 1e-9
 # points per preimage-sum call in check_lumpable and per kernel call in
@@ -110,8 +105,9 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
             continue
         i, j = bi[pair], bj[pair]
         row = np.cumsum(lv).reshape(lv.shape) - 1
-        sums = output_cond_pdf(
-            f, cond, xs[lv][:, None], np.broadcast_to(y2s, (lv.sum(), y2s.size))
+        x1 = xs[lv][:, None]
+        sums = f.preimage_sum(
+            lambda x2: cond(x2, x1), np.broadcast_to(y2s, (lv.sum(), y2s.size))
         )
         dev = _relative_deviation(sums[row[i, cols]], sums[row[j, cols]])
         k = np.argmax(dev, axis=1)

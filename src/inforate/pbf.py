@@ -248,20 +248,25 @@ class PiecewiseFunction:
                 out.append(PreimagePoint(branch=b.index, x=np.nan, pointwise=False))
         return tuple(out)
 
+    def preimage_weights(self, density, ys):
+        """density(x) / |g'(x)| at the preimage x of each y, one row per
+        injective branch, 0 where the branch has none.  A row over the
+        column sums is the probability that the preimage is on its branch."""
+        ys = np.asarray(ys, dtype=float)
+        rows = []
+        for _, xs, dabs, valid in self.preimage_terms(ys):
+            vals = density(np.where(valid, xs, 0.0)) / np.where(valid, dabs, 1.0)
+            rows.append(np.where(valid, vals, 0.0))
+        return np.array(rows).reshape((len(rows),) + ys.shape)
+
     def preimage_sum(self, density, ys):
         """sum over x in preimage(y) of density(x) / |g'(x)|, for an array of y.
 
         With the marginal as density this is the output density; with a
         kernel slice x2 -> f(x2|x1) it is the output density given x1.
         """
-        ys = np.asarray(ys, dtype=float)
-        out = np.zeros_like(ys)
-        for _, xs, dabs, valid in self.preimage_terms(ys):
-            if not np.any(valid):
-                continue
-            vals = np.where(valid, density(np.where(valid, xs, 0.0)), 0.0)
-            out += np.where(valid, vals / np.where(valid, dabs, 1.0), 0.0)
-        return out
+        # summed row by row in branch order
+        return self.preimage_weights(density, ys).sum(axis=0)
 
     # -- structure ------------------------------------------------------
 

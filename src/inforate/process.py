@@ -1,28 +1,18 @@
 """Stationary first-order Markov and iid process models.
 
 Each model carries an analytic marginal density, a conditional kernel
-(or none for iid), an exact sampler, and closed-form entropies where
-known.  Everything is immutable; samplers take explicit RNG state.
+(or none for iid) and an exact sampler.  Everything is immutable;
+samplers take explicit RNG state.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from ._rng import make_rng
 from .errors import BadParameterError, NotNormalizedError
-
-_LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
-
-
-@dataclass(frozen=True)
-class AnalyticEntropies:
-    h_marginal: float
-    h_rate: float
-    mi_lag1: float
-
 
 def _no_points(xs):
     """No split points at any of xs: an (n, 0) array."""
@@ -50,7 +40,6 @@ class StationaryProcess:
     support: tuple
     quad_support: tuple
     marginal_split_points: tuple = ()
-    analytic: AnalyticEntropies = None
     path_sampler: callable = None  # (rng, n) -> path; None: scalar kernel loop
 
     @property
@@ -117,11 +106,6 @@ def make_ar1(a, sigma):
         kernel=kernel,
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sd_x, 10.0 * sd_x),
-        analytic=AnalyticEntropies(
-            h_marginal=0.5 * math.log2(var_x) + 0.5 * _LOG2_2PIE,
-            h_rate=0.5 * math.log2(sigma**2) + 0.5 * _LOG2_2PIE,
-            mi_lag1=-0.5 * math.log2(1.0 - a**2),
-        ),
         path_sampler=path_sampler,
     )
 
@@ -181,11 +165,6 @@ def make_cyclic_walk(M, a):
         support=(-M, M),
         quad_support=(-M, M),
         marginal_split_points=(),
-        analytic=AnalyticEntropies(
-            h_marginal=math.log2(2.0 * M),
-            h_rate=math.log2(2.0 * a),
-            mi_lag1=math.log2(M / a),
-        ),
         path_sampler=path_sampler,
     )
 
@@ -238,7 +217,6 @@ def make_tightness_example():
         support=(0.0, 4.0),
         quad_support=(0.0, 4.0),
         marginal_split_points=(1.0, 2.0, 3.0),
-        analytic=AnalyticEntropies(h_marginal=2.0, h_rate=1.0, mi_lag1=1.0),
         path_sampler=path_sampler,
     )
 
@@ -249,7 +227,6 @@ def make_iid(
     support,
     quad_support=None,
     split_points=(),
-    analytic=None,
     name="iid",
     params=None,
     check_normalization=True,
@@ -275,7 +252,6 @@ def make_iid(
         support=support,
         quad_support=quad_support,
         marginal_split_points=tuple(split_points),
-        analytic=analytic,
     )
 
 
@@ -285,14 +261,12 @@ def make_iid_gaussian(sigma=1.0):
     sigma = float(sigma)
     norm = 1.0 / math.sqrt(2.0 * math.pi) / sigma
     inv_2var = 0.5 / sigma**2
-    h = 0.5 * math.log2(sigma**2) + 0.5 * _LOG2_2PIE
     return make_iid(
         marginal_pdf=lambda x: norm
         * np.exp(-inv_2var * np.asarray(x, dtype=float) ** 2),
         marginal_sampler=lambda rng, n: rng.normal(0.0, sigma, n),
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sigma, 10.0 * sigma),
-        analytic=AnalyticEntropies(h_marginal=h, h_rate=h, mi_lag1=0.0),
         name="iid_gaussian",
         params={"sigma": sigma},
         check_normalization=False,
@@ -305,7 +279,6 @@ def make_iid_uniform(lo=0.0, hi=1.0):
     lo = float(lo)
     hi = float(hi)
     dens = 1.0 / (hi - lo)
-    h = math.log2(hi - lo)
     return make_iid(
         marginal_pdf=lambda x: np.where(
             (np.asarray(x, dtype=float) >= lo) & (np.asarray(x, dtype=float) < hi),
@@ -314,7 +287,6 @@ def make_iid_uniform(lo=0.0, hi=1.0):
         ),
         marginal_sampler=lambda rng, n: rng.uniform(lo, hi, n),
         support=(lo, hi),
-        analytic=AnalyticEntropies(h_marginal=h, h_rate=h, mi_lag1=0.0),
         name="iid_uniform",
         params={"lo": lo, "hi": hi},
         check_normalization=False,
@@ -384,8 +356,6 @@ def pushforward_process(f, process):
     conditional law whether or not the output process is Markov; treating
     it as a first-order kernel is exact precisely in the lumpable case.
     """
-    from .estimate import output_cond_pdf
-
     if not f.all_injective:
         raise BadParameterError("pushforward needs an all-injective function")
 
@@ -440,7 +410,8 @@ def pushforward_process(f, process):
             num = np.where(num > 0.0, num, 1.0)
             out = np.zeros(y2.shape)
             for x1, w in terms:
-                out += (w / num) * output_cond_pdf(f, base.cond_pdf, x1, y2)
+                given_x1 = f.preimage_sum(lambda x2: base.cond_pdf(x2, x1), y2)
+                out += (w / num) * given_x1
             return out
 
         def split_points(y1s):
@@ -467,6 +438,5 @@ def pushforward_process(f, process):
         support=(y_lo, y_hi),
         quad_support=(y_lo, y_hi),
         marginal_split_points=tuple(interior),
-        analytic=None,
         path_sampler=path_sampler,
     )

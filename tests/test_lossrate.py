@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from inforate import (
+    QuadratureConfig,
     analyze_loss_rate,
     bound_index_given_input,
     cascade_loss_rate,
@@ -16,6 +17,7 @@ from inforate import (
     magnitude,
     make_ar1,
     make_cyclic_walk,
+    make_iid,
     make_iid_gaussian,
     make_iid_uniform,
     make_tightness_example,
@@ -94,8 +96,7 @@ class TestLossRateAnalytic:
         assert loss_rate_analytic(f, p) == pytest.approx(0.0, abs=1e-9)
 
     def test_bijective_zero(self):
-        got = loss_rate_analytic(scale(3.0), make_ar1(0.5, 1.0))
-        assert abs(got) <= 1e-9
+        assert loss_rate_analytic(scale(3.0), make_ar1(0.5, 1.0)) == 0.0
 
     def test_constant_refused(self):
         with pytest.raises(ConstantBranchError):
@@ -132,6 +133,20 @@ class TestSandwich:
         f, p = magnitude(), shifted_kernel_process()
         sw = loss_rate_bounds_mc(f, p, 10**5, 1, bins=20)
         assert sw.loss_rv_value == loss_rv(f, p)
+
+    def test_marginal_loss_uses_the_given_quadrature_config(self):
+        # off-centre, so the fold's preimages weigh differently and L
+        # depends on the tolerance
+        norm = 1.0 / math.sqrt(2.0 * math.pi)
+        p = make_iid(
+            lambda x: norm * np.exp(-0.5 * (np.asarray(x, dtype=float) - 0.5) ** 2),
+            lambda rng, n: rng.normal(0.5, 1.0, n),
+            support=(-np.inf, np.inf),
+            quad_support=(-9.5, 10.5),
+        )
+        f, coarse = magnitude(), QuadratureConfig(abs_tol=1e-2)
+        sw = loss_rate_bounds_mc(f, p, 10**4, 1, cfg=coarse)
+        assert sw.loss_rv_value == loss_rv(f, p, coarse) != loss_rv(f, p)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):

@@ -1,4 +1,4 @@
-"""Process models: analytics, samplers, stationarity."""
+"""Process models: entropies against closed forms, samplers, stationarity."""
 
 import math
 
@@ -31,21 +31,26 @@ class TestAR1:
     def test_marginal_variance(self):
         p = make_ar1(0.5, 1.0)
         assert p.params["a"] == 0.5
-        # sigma_X^2 = sigma^2 / (1 - a^2)
+        # sigma_X^2 = sigma^2 / (1 - a^2), and the innovation has sigma^2 = 1
         var = 1.0 / (1.0 - 0.25)
-        assert p.analytic.h_marginal == pytest.approx(
-            0.5 * math.log2(2 * math.pi * math.e * var)
+        assert marginal_entropy_quad(p) == pytest.approx(
+            0.5 * math.log2(2 * math.pi * math.e * var), abs=1e-9
+        )
+        assert cond_entropy_rate_quad(p) == pytest.approx(
+            0.5 * math.log2(2 * math.pi * math.e), abs=1e-9
         )
 
     def test_small_pole_mi_vanishes(self):
+        # I(X1;X2) = h(X) - h(X2|X1), each to the default abs_tol 1e-9
         p = make_ar1(1e-6, 1.0)
-        assert abs(p.analytic.mi_lag1) < 1e-9
+        assert abs(marginal_entropy_quad(p) - cond_entropy_rate_quad(p)) < 2e-9
 
     def test_mi_formula_and_histogram_cross_check(self):
         a = 0.9
         p = make_ar1(a, 1.0)
         expected = -0.5 * math.log2(1.0 - a * a)
-        assert p.analytic.mi_lag1 == pytest.approx(expected, abs=1e-12)
+        mi = marginal_entropy_quad(p) - cond_entropy_rate_quad(p)
+        assert mi == pytest.approx(expected, abs=2e-9)
         path = sample_path(p, 10**6, seed=101)
         est = mutual_information_hist(path.values[:-1], path.values[1:], 100)
         assert est == pytest.approx(expected, abs=0.03)
@@ -99,8 +104,6 @@ class TestCyclicWalk:
 class TestTightnessExample:
     def test_analytic_entropies(self):
         p = make_tightness_example()
-        assert p.analytic.h_marginal == 2.0
-        assert p.analytic.h_rate == 1.0
         assert marginal_entropy_quad(p) == pytest.approx(2.0, abs=1e-9)
         assert cond_entropy_rate_quad(p) == pytest.approx(1.0, abs=1e-9)
 
@@ -119,12 +122,14 @@ class TestTightnessExample:
 class TestIid:
     def test_gaussian_mi_zero(self):
         p = make_iid_gaussian(1.0)
-        assert p.analytic.mi_lag1 == 0.0
         assert p.kernel is None
+        h = marginal_entropy_quad(p)
+        assert h == pytest.approx(0.5 * math.log2(2 * math.pi * math.e), abs=1e-9)
+        assert cond_entropy_rate_quad(p) == h
 
     def test_uniform_unit_entropy(self):
         p = make_iid_uniform(0.0, 1.0)
-        assert p.analytic.h_marginal == 0.0
+        assert marginal_entropy_quad(p) == pytest.approx(0.0, abs=1e-9)
 
     def test_stationarity_trivially_exact(self):
         assert stationarity_residual(make_iid_uniform(0.0, 1.0)) == 0.0

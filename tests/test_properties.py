@@ -1,7 +1,8 @@
 """Properties on generated inputs: quadrature against scipy, batches
 against their columns, the depth budget, preimage round trips of every
 built-in branch, the wrapped walk's closed forms at every step, the
-bound chain on random lumpable systems, the marginal loss against
+bound chain on random lumpable systems, their exact rate against
+h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
 h(X) - h(Y) + E log2|g'(X)|, and the one-sort binning of the
 mutual-information estimators against the estimator as first written."""
 
@@ -38,6 +39,8 @@ from inforate.errors import NoConvergenceError
 from inforate.estimate import (
     DEFAULT_QUAD,
     _lagged_labels,
+    cond_entropy_output_given_input,
+    cond_entropy_rate_quad,
     entropy_bits,
     expected_log_abs_derivative,
     marginal_entropy_quad,
@@ -277,10 +280,23 @@ def test_random_lumpable_systems_obey_the_bound_chain(system, seed):
     f, process = system
     rate = loss_rate_analytic(f, process)
     hw2x1 = cond_entropy_W_given_X(f, process)
-    assert -EXACT_TOL <= rate <= hw2x1 + EXACT_TOL
+    assert 0.0 <= rate <= hw2x1 + EXACT_TOL
     hbar = markov_block_entropy_W(f, process, n_samples=10**6, seed=seed).value
     assert hw2x1 <= hbar + MC_TOL
     assert rate <= loss_rv(f, process) + EXACT_TOL
+
+
+@settings(PROPERTY, max_examples=40)
+@given(lumpable_systems())
+def test_rate_matches_the_entropy_difference(system):
+    # H(X2 | Y2, X1) against h(X2|X1) - h(Y2|X1) + E log2|g'(X)|
+    f, process = system
+    oracle = (
+        cond_entropy_rate_quad(process)
+        - cond_entropy_output_given_input(f, process)
+        + expected_log_abs_derivative(f, process)
+    )
+    assert abs(loss_rate_analytic(f, process) - oracle) <= EXACT_TOL
 
 
 # ---------------------------------------------------------------------------
