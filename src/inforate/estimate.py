@@ -240,9 +240,15 @@ def entropy_bits(probs):
 # histograms
 
 
-def default_bins(n):
-    """Cube-root rule used throughout: ceil(N**(1/3)) bins per axis."""
-    return int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
+def resolve_bins(bins, n):
+    """Bins per axis for ``n`` samples: ``bins``, or if it is None the
+    cube-root rule used throughout, ceil(n**(1/3)).  Raises
+    BadParameterError unless ``bins`` is an int >= 1."""
+    if bins is None:
+        return int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise BadParameterError(f"bins must be an integer >= 1, got {bins!r}")
+    return int(bins)
 
 
 def _check_finite(lo, hi):
@@ -261,8 +267,19 @@ def _sorted_finite(v):
 def _quantile_edges(values, bins):
     """Edges of ``bins`` quantile bins of ``values``, which it reorders.
     They depend only on the multiset of values, so any copy in any order
-    gives them the same bits."""
-    return np.quantile(values, np.linspace(0.0, 1.0, bins + 1), overwrite_input=True)
+    gives them the same bits.  Raises BadParameterError where two
+    neighbouring values lie further apart than the largest float: the
+    edge between them is then not finite, and the edges not sorted."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.quantile(
+            values, np.linspace(0.0, 1.0, bins + 1), overwrite_input=True
+        )
+    if not np.all(np.isfinite(edges)):
+        raise BadParameterError(
+            "quantile edges overflow: neighbouring samples lie further apart"
+            " than the largest float"
+        )
+    return edges
 
 
 _LABEL_BLOCK = 1 << 16
@@ -270,13 +287,13 @@ _LABEL_BLOCK = 1 << 16
 
 def _bin_labels(edges, part):
     """Bin of each sample of ``part`` under ``edges``, in the smallest
-    unsigned dtype that holds the last bin; binned in blocks, since a
-    full-length intp array on the way raised the sandwich's peak memory."""
-    inner = edges[1:-1]
+    unsigned dtype that holds the last bin: exactly
+    ``np.searchsorted(edges[1:-1], part, side="right")``, read off a table
+    of the edges block by block, so no temporary outgrows a block."""
     labels = np.empty(part.size, np.min_scalar_type(edges.size - 2))
+    count = _kernels.edge_counter(edges[1:-1], labels.dtype)
     for i in range(0, part.size, _LABEL_BLOCK):
-        block = part[i : i + _LABEL_BLOCK]
-        labels[i : i + _LABEL_BLOCK] = np.searchsorted(inner, block, side="right")
+        count(part[i : i + _LABEL_BLOCK], labels[i : i + _LABEL_BLOCK])
     return labels
 
 
@@ -308,8 +325,7 @@ def diff_entropy_hist(samples, bins=None):
     if samples.size < 1000:
         raise TooFewSamplesError("need at least 1e3 samples")
     _check_finite(samples.min(), samples.max())
-    if bins is None:
-        bins = default_bins(samples.size)
+    bins = resolve_bins(bins, samples.size)
     counts, edges = np.histogram(samples, bins=bins)
     widths = np.diff(edges)
     p = counts / samples.size
@@ -330,8 +346,7 @@ def mutual_information_hist(xs, ys, bins=None):
         raise BadParameterError("paired samples must have equal length")
     if xs.size < 1000:
         raise TooFewSamplesError("need at least 1e3 sample pairs")
-    if bins is None:
-        bins = default_bins(xs.size)
+    bins = resolve_bins(bins, xs.size)
     ix, iy = (
         _bin_labels(_quantile_edges(_sorted_finite(v), bins), v) for v in (xs, ys)
     )

@@ -27,7 +27,7 @@ from .estimate import (
     cond_entropy_W_given_X,
     cond_entropy_X2_given_Y2_X1,
     cond_entropy_input_given_output,
-    default_bins,
+    resolve_bins,
 )
 from .lumpability import check_lumpable
 from .process import pushforward_process, sample_path
@@ -121,7 +121,9 @@ def loss_rate_bounds_mc(
     conditions on the previous output, L - I(X1;X2) + I(X1;Y2) on the
     previous input.  They are returned ordered numerically; for lumpable
     systems they agree up to estimator noise.  L is computed to ``cfg``.
+    Raises BadParameterError unless ``bins`` is None or an int >= 1.
     """
+    bins = resolve_bins(bins, n_samples)
     loss, _ = _loss_rv_detail(f, process, cfg)
     xs = sample_path(process, n_samples, seed).values
     return _sandwich(f, xs, loss, bins, seed)
@@ -129,13 +131,12 @@ def loss_rate_bounds_mc(
 
 def _sandwich(f, xs, loss, bins, seed):
     """The sandwich bracket around the marginal loss ``loss``, from the
-    path ``xs`` drawn with ``seed``; one sort per series bins both its
-    lagged halves for the three mutual informations."""
+    path ``xs`` drawn with ``seed``, in ``bins`` bins per axis; one sort
+    per series bins both its lagged halves for the three mutual
+    informations."""
     n_samples = xs.size
     if n_samples - 1 < 1000:
         raise TooFewSamplesError("need at least 1e3 sample pairs")
-    if bins is None:
-        bins = default_bins(n_samples)
     x_head, x_tail = _lagged_labels(xs, bins)
     y_head, y_tail = _lagged_labels(f.eval_array(xs), bins)
     mi_xx = _mi_from_labels(x_head, x_tail, bins)
@@ -181,6 +182,7 @@ def analyze_loss_rate(
     """Assemble every applicable value and bound into one report."""
     method = {}
     value = None
+    bins = resolve_bins(bins, n_samples)
 
     loss, loss_tag = _loss_rv_detail(f, process, cfg)
     method["bound_L"] = loss_tag

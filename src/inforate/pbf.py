@@ -169,7 +169,8 @@ class PiecewiseFunction:
 
     def branch_index_array(self, xs):
         xs = np.asarray(xs, dtype=float)
-        if np.any(xs < self.domain_lo) or np.any(xs >= self.domain_hi):
+        # written so that NaN, which compares false, fails it
+        if not (np.all(xs >= self.domain_lo) and np.all(xs < self.domain_hi)):
             raise OutOfDomainError("samples outside the function domain")
         idx = np.searchsorted(self._edges, xs, side="right") - 1
         return np.clip(idx, 0, len(self.branches) - 1) + 1

@@ -260,6 +260,27 @@ class TestMutualInformationHist:
             with pytest.raises(BadParameterError, match="finite"):
                 mutual_information_hist(xs, ys)
 
+    @pytest.mark.parametrize("bins", [0, -2, 2.5, True, "10"])
+    def test_refuses_bins_that_are_not_a_positive_int(self, bins):
+        x = make_rng(36).normal(0.0, 1.0, 5000)
+        with pytest.raises(BadParameterError, match="bins"):
+            mutual_information_hist(x, np.abs(x), bins)
+        with pytest.raises(BadParameterError, match="bins"):
+            diff_entropy_hist(x, bins)
+
+    def test_takes_numpy_integer_bins(self):
+        x = make_rng(37).normal(0.0, 1.0, 5000)
+        y = np.abs(x)
+        assert mutual_information_hist(x, y, np.int64(20)) == (
+            mutual_information_hist(x, y, 20)
+        )
+
+    def test_refuses_samples_whose_quantile_edges_overflow(self):
+        # np.quantile between -1e308 and 1e308 gives NaN and inf edges
+        x = np.repeat([-1e308, 1e308], 1000)
+        with pytest.raises(BadParameterError, match="overflow"):
+            mutual_information_hist(x, x, 10)
+
 
 class TestCondEntropyWGivenX:
     def test_cyclic_narrow_regime(self):

@@ -134,6 +134,14 @@ class TestSandwich:
         sw = loss_rate_bounds_mc(f, p, 10**5, 1, bins=20)
         assert sw.loss_rv_value == loss_rv(f, p)
 
+    @pytest.mark.parametrize("bins", [0, -2, 2.5, False])
+    def test_refuses_bins_that_are_not_a_positive_int(self, bins):
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        with pytest.raises(BadParameterError, match="bins"):
+            loss_rate_bounds_mc(f, p, 10**4, 1, bins=bins)
+        with pytest.raises(BadParameterError, match="bins"):
+            analyze_loss_rate(f, p, 10**4, 1, bins=bins)
+
     def test_marginal_loss_uses_the_given_quadrature_config(self):
         # off-centre, so the fold's preimages weigh differently and L
         # depends on the tolerance

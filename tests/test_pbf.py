@@ -99,6 +99,15 @@ class TestBranchIndex:
         with pytest.raises(OutOfDomainError):
             f.branch_index_array([0.5, 3.0])
 
+    def test_nan_is_outside_the_domain_as_for_the_scalar(self):
+        f = magnitude()
+        with pytest.raises(OutOfDomainError):
+            f.branch_index(np.nan)
+        with pytest.raises(OutOfDomainError):
+            f.branch_index_array([0.5, np.nan])
+        with pytest.raises(OutOfDomainError):
+            f.eval_array([np.nan])
+
 
 class TestPreimage:
     def test_magnitude(self):

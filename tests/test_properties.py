@@ -3,8 +3,9 @@ against their columns, the depth budget, preimage round trips of every
 built-in branch, the wrapped walk's closed forms at every step, the
 bound chain on random lumpable systems, their exact rate against
 h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
-h(X) - h(Y) + E log2|g'(X)|, and the one-sort binning of the
-mutual-information estimators against the estimator as first written."""
+h(X) - h(Y) + E log2|g'(X)|, the one-sort binning of the
+mutual-information estimators against the estimator as first written,
+and the labeller's edge table against a binary search."""
 
 import numpy as np
 import pytest
@@ -38,7 +39,9 @@ from inforate import (
 from inforate.errors import NoConvergenceError
 from inforate.estimate import (
     DEFAULT_QUAD,
+    _bin_labels,
     _lagged_labels,
+    _quantile_edges,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
     entropy_bits,
@@ -356,10 +359,17 @@ def reference_mi(xs, ys, bins):
 
 
 def series(kind, seed, n):
-    """Untied draws, or draws with ties of several kinds."""
+    """Untied draws, draws with ties of several kinds, or draws whose span
+    the edge table cannot lay a grid over."""
     rng = np.random.default_rng(seed)
     if kind == "normal":
         return rng.normal(size=n)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "huge":  # the span, about 3.4e308, overflows
+        return 1.7e308 * rng.uniform(-1.0, 1.0, n)
+    if kind == "subnormal":  # k * 5e-324: the grid's scale overflows
+        return rng.integers(0, 8, n) * 5e-324
     if kind == "integers":
         return rng.integers(-3, 4, n).astype(float)
     if kind == "runs":  # long constant runs
@@ -397,3 +407,37 @@ def test_one_sort_binning_gives_the_reference_mutual_information(kind, seed, n, 
         xs, ys[::-1], bins
     )
     assert _lagged_labels(xs, bins)[0].itemsize == (1 if bins <= 256 else 2)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(
+        ["normal", "integers", "runs", "fine_steps", "signed_zeros"]
+        + ["constant", "huge", "subnormal"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4000),
+    bins=st.one_of(st.integers(1, 20), st.integers(1, 300)),
+)
+# one, just under, at and past a block of the labeller (2^16 samples)
+@example(kind="normal", seed=5, n=2**16 - 1, bins=100)
+@example(kind="signed_zeros", seed=6, n=2**16, bins=41)
+@example(kind="normal", seed=7, n=2**16 + 7, bins=300)
+@example(kind="huge", seed=8, n=2**16 + 7, bins=17)
+@example(kind="subnormal", seed=9, n=2**16 + 7, bins=5)
+@example(kind="constant", seed=10, n=2**16 + 7, bins=3)
+def test_table_labels_are_the_binary_search(kind, seed, n, bins):
+    v = series(kind, seed, n)
+    edges = _quantile_edges(np.sort(v), bins)
+    inner = edges[1:-1]
+    # the edges themselves and their float neighbours, where a cell's
+    # compares decide
+    near = np.concatenate(
+        [np.nextafter(inner, -np.inf), inner, np.nextafter(inner, np.inf)]
+    )
+    for values in (v, near):
+        labels = _bin_labels(edges, values)
+        assert labels.dtype == np.min_scalar_type(bins - 1)
+        np.testing.assert_array_equal(
+            labels, np.searchsorted(inner, values, side="right")
+        )
