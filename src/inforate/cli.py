@@ -37,7 +37,6 @@ from .lumpability import check_lumpable, full_report
 from .pbf import magnitude
 from .process import make_ar1, make_cyclic_walk, make_tightness_example
 from .relloss import (
-    downsampler_profile,
     downsampler_relative_loss,
     empirical_constant_frequency,
     relative_loss_rate_constant_pieces,
@@ -249,22 +248,16 @@ def cmd_tightness(args):
 
 
 def cmd_downsample(args):
-    if args.M < 1:
-        raise ParseError("M must be >= 1")
-    ns = [int(v) for v in _parse_values(args.blocks)] if args.blocks else []
+    m = _count(args.M, "--M")
     table = SweepTable(
         columns=["n", "dim_out", "rel_loss", "rel_loss_float"],
-        metadata={"M": args.M},
+        metadata={"M": m},
     )
-    for n in ns:
-        prof = downsampler_profile(args.M, n)
-        table.add(
-            n=n,
-            dim_out=prof.dim_out,
-            rel_loss=str(prof.rel_loss_n),
-            rel_loss_float=float(prof.rel_loss_n),
-        )
-    limit = downsampler_relative_loss(args.M)
+    for v in filter(str.strip, args.blocks.split(",")):
+        n = _count(v, "--blocks entry")
+        rel = downsampler_relative_loss(m, n)
+        table.add(n=n, dim_out=n // m, rel_loss=str(rel), rel_loss_float=float(rel))
+    limit = downsampler_relative_loss(m)
     table.add(n="limit", dim_out="", rel_loss=str(limit), rel_loss_float=float(limit))
     _write_output(args, table.to_csv(), table.metadata)
     return 0
@@ -273,10 +266,11 @@ def cmd_downsample(args):
 def cmd_rel_loss(args):
     meta = {}
     if args.downsample is not None:
+        m = _count(args.downsample, "--downsample")
         if args.block is not None:
-            value = downsampler_relative_loss(args.downsample, args.block)
+            value = downsampler_relative_loss(m, _count(args.block, "--block"))
         else:
-            value = downsampler_relative_loss(args.downsample)
+            value = downsampler_relative_loss(m)
         report = {
             "kind": "downsampler",
             "M": args.downsample,
@@ -361,6 +355,17 @@ def cmd_analyze(args):
     }
     _write_output(args, json.dumps(out, indent=2, sort_keys=True) + "\n", meta)
     return 0
+
+
+def _count(value, name):
+    """``value``, an int or the text of one, as an int >= 1."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ParseError(f"{name} must be >= 1, got {n}")
+    return n
 
 
 def _parse_values(text):

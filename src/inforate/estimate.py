@@ -320,11 +320,19 @@ def _mi_from_labels(ix, iy, bins):
 
 
 def diff_entropy_hist(samples, bins=None):
-    """Plug-in differential entropy from an equal-width histogram, in bits."""
+    """Plug-in differential entropy from an equal-width histogram, in bits.
+
+    Raises BadParameterError on NaN or inf samples, and where max - min
+    exceeds the largest float, so that no bin width is finite.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1000:
         raise TooFewSamplesError("need at least 1e3 samples")
-    _check_finite(samples.min(), samples.max())
+    lo, hi = samples.min(), samples.max()
+    _check_finite(lo, hi)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(hi - lo):
+            raise BadParameterError("sample range overflows: max - min is not finite")
     bins = resolve_bins(bins, samples.size)
     counts, edges = np.histogram(samples, bins=bins)
     widths = np.diff(edges)

@@ -87,26 +87,26 @@ def loss_rv(f, process, cfg=DEFAULT_QUAD):
     return _loss_rv_detail(f, process, cfg)[0]
 
 
-def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201, lump_tol=1e-6):
+def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201):
     """Exact loss rate h(X2|X1) - h(Y2|X1) + E[log2|g'(X)|], in bits.
 
     When the output process is Markov this is H(X2 | Y2, X1), which of
     its preimages the input is given the output and the previous input:
     one nested quadrature, never negative, and 0 for a bijection.  For
-    Markov inputs the grid check of ``check_lumpable`` runs first and
-    NotLumpableError refuses the value when it fails; for iid inputs the
-    rate is the marginal loss ``loss_rv``.  NoConvergenceError means some
-    integral missed ``cfg.abs_tol`` within the depth budget of ``cfg``;
-    there is no retry.
+    Markov inputs the grid check of ``check_lumpable`` runs first, at its
+    default tol, and NotLumpableError refuses the value when it fails; for
+    iid inputs the rate is the marginal loss ``loss_rv``.  NoConvergenceError
+    means some integral missed ``cfg.abs_tol`` within the depth budget of
+    ``cfg``; there is no retry.
     """
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
     if not process.is_markov:
         return loss_rv(f, process, cfg)
-    rep = check_lumpable(f, process, grid=grid, tol=lump_tol)
+    rep = check_lumpable(f, process, grid=grid)
     if not rep.condition_holds:
         raise NotLumpableError(
-            f"lumpability deviation {rep.max_deviation:.3e} exceeds {lump_tol}"
+            f"lumpability deviation {rep.max_deviation:.3e} exceeds {rep.tol}"
         )
     return cond_entropy_X2_given_Y2_X1(f, process, cfg)
 
@@ -177,7 +177,6 @@ def analyze_loss_rate(
     k=4,
     cfg=DEFAULT_QUAD,
     grid=201,
-    lump_tol=1e-6,
 ):
     """Assemble every applicable value and bound into one report."""
     method = {}
@@ -200,9 +199,7 @@ def analyze_loss_rate(
     method["sandwich"] = f"histogram MI, N={sandwich.n_samples}, bins={sandwich.bins}"
 
     try:
-        value = loss_rate_analytic(
-            f, process, cfg, grid=grid, lump_tol=lump_tol
-        )
+        value = loss_rate_analytic(f, process, cfg, grid=grid)
         method["value"] = "quadrature (lumpable)"
     except (NotLumpableError, NoConvergenceError) as exc:
         method["value"] = f"unavailable: {exc}"

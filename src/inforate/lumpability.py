@@ -18,8 +18,7 @@ from .errors import BadParameterError
 from .estimate import QuadratureConfig, _branch_probabilities, _cond_pdf_fn
 
 _EDGE_EPS = 1e-9
-# points per preimage-sum call in check_lumpable and per kernel call in
-# check_tightness
+# points per kernel call in both checks
 _BLOCK_POINTS = 1 << 14
 
 
@@ -64,11 +63,33 @@ def _nudged_grid(lo, hi, n, avoid=()):
     return pts
 
 
-def _output_range(f, process):
+def _preimage_table(f, process, grid):
+    """The output grid over the image of the process support, its label
+    and its preimage table: x2_b(y), |g'(x2_b(y))| and whether x2_b(y)
+    exists, as (grid, branch) arrays; 0 and 1 where it does not."""
     y_lo, y_hi, _ = f.image_window(*process.quad_support)
     if y_lo > y_hi:
         raise BadParameterError("function range is empty on the process support")
-    return float(y_lo), float(y_hi)
+    ys = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
+    terms = [t[1:] for t in f.preimage_terms(ys)]
+    x2, dabs, valid = (np.stack(v, axis=-1) for v in zip(*terms))
+    table = (np.where(valid, x2, 0.0), np.where(valid, dabs, 1.0), valid)
+    return ys, table, f"{grid}x{grid} on [{y_lo:.6g}, {y_hi:.6g}]^2"
+
+
+def _kernel_terms(cond, table, x1s):
+    """f(x2_b(y) | x1) / |g'(x2_b(y))| over the table at each x1, on
+    x1s.shape + (grid, branch) arrays; 0 where x2_b(y) does not exist."""
+    x2, dabs, valid = table
+    with np.errstate(all="ignore"):
+        val = cond(x2, x1s[..., None, None]) / dabs
+    return np.where(np.broadcast_to(valid, x1s.shape + valid.shape), val, 0.0)
+
+
+def _blocks(n, points):
+    """Slices of n rows, ``points`` kernel points a row, <= _BLOCK_POINTS each."""
+    step = max(1, _BLOCK_POINTS // points)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def check_lumpable(f, process, grid=201, tol=1e-6):
@@ -79,49 +100,36 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
         raise BadParameterError("lumpability check needs an all-injective function")
     # iid: both sums equal the output marginal density by construction
     cond = _cond_pdf_fn(process)
+    # the y1 grid is the y2 grid, so the table also holds the preimages
+    # x1 of each y1; they count where the input density is positive
+    ys, table, label = _preimage_table(f, process, grid)
+    x1, _, valid = table
+    live = valid & (process.marginal_pdf(x1) > 0.0)
 
-    y_lo, y_hi = _output_range(f, process)
-    y1s = y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
-
-    # preimages of the y1 grid, one row per branch, and where the input
-    # density is positive there
-    terms = list(f.preimage_terms(y1s))
-    pre = np.array([np.where(valid, x, 0.0) for _, x, _, valid in terms])
-    live = np.array([valid for *_, valid in terms]) & (process.marginal_pdf(pre) > 0.0)
-
-    # per block of y1 values: the preimage sums over the y2 grid of every
-    # live preimage, one row each, then every pair of live preimages of
-    # one y1, ordered by y1, then by branches; the blocks bound the
-    # temporaries
-    bi, bj = np.triu_indices(len(terms), 1)
-    step = max(1, _BLOCK_POINTS // (len(terms) * y2s.size))
+    # per block of y1 values: every pair of live preimages of one y1, by
+    # y1, then by branches, and the preimage sums in preimage_sum's order
+    bi, bj = np.triu_indices(live.shape[1], 1)
     worst = 0.0
     witnesses = []
-    for start in range(0, y1s.size, step):
-        blk = slice(start, start + step)
-        xs, lv = pre[:, blk], live[:, blk]
-        cols, pair = np.nonzero((lv[bi] & lv[bj]).T)
+    for blk in _blocks(grid, live.shape[1] * valid.size):
+        cols, pair = np.nonzero(live[blk, bi] & live[blk, bj])
         if not cols.size:
             continue
-        i, j = bi[pair], bj[pair]
-        row = np.cumsum(lv).reshape(lv.shape) - 1
-        x1 = xs[lv][:, None]
-        sums = f.preimage_sum(
-            lambda x2: cond(x2, x1), np.broadcast_to(y2s, (lv.sum(), y2s.size))
-        )
-        dev = _relative_deviation(sums[row[i, cols]], sums[row[j, cols]])
+        i, j, xs = bi[pair], bj[pair], x1[blk]
+        sums = sum(np.moveaxis(_kernel_terms(cond, table, xs), -1, 0))
+        dev = _relative_deviation(sums[cols, i], sums[cols, j])
         k = np.argmax(dev, axis=1)
         peak = dev[np.arange(k.size), k]
         worst = max(worst, float(np.nanmax(peak, initial=0.0)))
         hit = np.nonzero(peak > tol)[0][: 10 - len(witnesses)]
         witnesses += [
-            (float(y1s[blk][c]), float(y2s[kk]), float(xs[a, c]), float(xs[b, c]))
+            (float(ys[blk][c]), float(ys[kk]), float(xs[c, a]), float(xs[c, b]))
             for c, kk, a, b in zip(cols[hit], k[hit], i[hit], j[hit])
         ]
     return LumpabilityReport(
         condition_holds=worst <= tol,
         max_deviation=worst,
-        grid=f"{grid}x{grid} on [{y_lo:.6g}, {y_hi:.6g}]^2",
+        grid=label,
         tol=tol,
         witnesses=tuple(witnesses),
     )
@@ -136,15 +144,9 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     if not f.all_injective:
         raise BadParameterError("tightness check needs an all-injective function")
     cond = _cond_pdf_fn(process)
-
-    qlo, qhi = process.quad_support
-    xs = _nudged_grid(qlo, qhi, grid, avoid=f.tile_edges)
-    y_lo, y_hi = _output_range(f, process)
-    y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
-    # preimages of the y2 grid and their |g'|, one column per branch
-    # (every branch is injective)
-    pre = [(x2, dabs, valid) for _, x2, dabs, valid in f.preimage_terms(y2s)]
-    x2, dabs, valid = (np.array(v).T for v in zip(*pre))
+    xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
+    _, table, _ = _preimage_table(f, process, grid)
+    valid = table[2]
 
     prob_cfg = QuadratureConfig(abs_tol=1e-12)
     xs = xs[process.marginal_pdf(xs) > 0.0]
@@ -158,15 +160,11 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     xs, probs, live = xs[rows], probs[rows], live[rows]
     # (b): equal branch probabilities
     worst_b = float(_spread(np.where(live, probs, np.nan)).max(initial=0.0))
-    # (a): equal weighted kernel terms of the live branches wherever the
-    # inverse exists, on (x, y2, branch) arrays over blocks of x that
-    # bound the temporaries
+    # (a): equal kernel terms of the live branches wherever the preimage
+    # exists, on (x, y2, branch) arrays
     worst_a = 0.0
-    step = max(1, _BLOCK_POINTS // valid.size)
-    for start in range(0, xs.size, step):
-        blk = slice(start, start + step)
-        with np.errstate(all="ignore"):
-            val = cond(np.where(valid, x2, 0.0), xs[blk, None, None]) / dabs
+    for blk in _blocks(xs.size, valid.size):
+        val = _kernel_terms(cond, table, xs[blk])
         terms = np.where(live[blk, None, :] & valid & np.isfinite(val), val, np.nan)
         pairs = (~np.isnan(terms)).sum(axis=-1) >= 2
         worst_a = max(worst_a, float(_spread(terms[pairs]).max(initial=0.0)))

@@ -9,7 +9,6 @@ limit; both are exact rationals computed from the projection pattern,
 never estimated from data.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +16,6 @@ import numpy as np
 from .errors import BadParameterError, TooFewSamplesError
 from .pbf import constant_mass
 from .process import sample_path
-
-
-@dataclass(frozen=True)
-class DimensionProfile:
-    n: int
-    dim_in: int
-    dim_out: int
-    rel_loss_n: Fraction
-
-    def __post_init__(self):
-        assert 0 <= self.dim_out <= self.dim_in
 
 
 def relative_loss_rate_constant_pieces(f, process, cfg=None):
@@ -51,12 +39,6 @@ def downsampler_relative_loss(M, n=None):
     if not isinstance(n, int) or n < 1:
         raise BadParameterError("block length must be a positive integer")
     return 1 - Fraction(n // M, n)
-
-
-def downsampler_profile(M, n):
-    return DimensionProfile(
-        n=n, dim_in=n, dim_out=n // M, rel_loss_n=downsampler_relative_loss(M, n)
-    )
 
 
 def empirical_constant_frequency(f, process, n_samples=10**6, seed=42, stream=0):

@@ -30,13 +30,21 @@ class TestDownsample:
         header, rows = parse_csv(out)
         assert header == ["n", "dim_out", "rel_loss", "rel_loss_float"]
         by_n = {r[0]: r for r in rows}
-        assert by_n["7"][2] == "5/7"
+        assert by_n["7"][1:3] == ["2", "5/7"]
         assert by_n["limit"][2] == "2/3"
 
     def test_m_one_lossless(self, capsys):
         code, out, _ = run_cli(capsys, "downsample", "--M", "1", "--blocks", "5")
         _, rows = parse_csv(out)
         assert all(r[2] == "0" for r in rows)
+
+
+    @pytest.mark.parametrize("blocks", ["0", "-4", "2.5"])
+    def test_bad_block_length_exits_2(self, capsys, blocks):
+        code, out, err = run_cli(capsys, "downsample", "--M", "3", "--blocks", blocks)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --blocks")
 
 
 class TestCyclicSweep:
@@ -156,6 +164,17 @@ class TestRelLoss:
     def test_needs_a_mode(self, capsys):
         code, _, err = run_cli(capsys, "rel-loss")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--downsample", "0"], ["--downsample", "3", "--block", "0"]],
+        ids=["downsample-0", "block-0"],
+    )
+    def test_bad_downsampler_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "rel-loss", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[-2]} must be >= 1")
 
 
 class TestAnalyze:

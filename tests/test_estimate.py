@@ -205,6 +205,12 @@ class TestDiffEntropyHist:
         with pytest.raises(BadParameterError, match="finite"):
             diff_entropy_hist(x)
 
+    def test_refuses_overflowing_range(self):
+        # finite samples whose max - min exceeds the largest float
+        x = 1.7e308 * make_rng(25).uniform(-1.0, 1.0, 5000)
+        with pytest.raises(BadParameterError, match="overflows"):
+            diff_entropy_hist(x)
+
 
 class TestMutualInformationHist:
     def test_independent_pairs(self):

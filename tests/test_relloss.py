@@ -17,7 +17,6 @@ from inforate import (
 )
 from inforate.errors import BadParameterError, ConstantBranchError, TooFewSamplesError
 from inforate.pbf import PiecewiseFunction, constant_branch, injective_branch
-from inforate.relloss import downsampler_profile
 
 
 def half_constant():
@@ -81,11 +80,6 @@ class TestDownsampler:
             for n in range(1, 300):
                 gap = abs(downsampler_relative_loss(m, n) - limit)
                 assert gap <= Fraction(1, n)
-
-    def test_profile_fields(self):
-        prof = downsampler_profile(4, 10)
-        assert prof.dim_in == 10 and prof.dim_out == 2
-        assert prof.rel_loss_n == Fraction(4, 5)
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameterError):
