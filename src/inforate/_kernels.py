@@ -72,18 +72,25 @@ def edge_counter(edges, dtype):
     the value and one in a later cell above it: only the cell's own edges
     need comparing, and the count is exact.  Where no grid can be laid
     (fewer than two distinct edges, or a span or scale that overflows)
-    all values share one cell; where a cell holds too many edges the
-    count is the binary search itself.
+    all values share one cell, and each is compared against every edge;
+    where a cell holds too many edges the count is the binary search
+    itself.
     """
     n_cells = _CELLS_PER_EDGE * edges.size
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = n_cells / (edges[-1] - edges[0]) if edges.size else 0.0
     if not (np.isfinite(scale) and scale > 0.0):
-        n_cells = 1
+        if edges.size > _MAX_CELL_EDGES:
+            return _binary_search(edges)
+
+        def count_one_cell(values, out):
+            out[...] = 0
+            for edge in edges:
+                out += values >= edge
+
+        return count_one_cell
 
     def cells(values):
-        if n_cells == 1:
-            return np.zeros(values.size, np.intp)
         with np.errstate(over="ignore"):
             t = values - edges[0]
             t *= scale
@@ -92,13 +99,9 @@ def edge_counter(edges, dtype):
 
     edge_cells = cells(edges)
     per_cell = np.bincount(edge_cells, minlength=n_cells)
-    width = per_cell.max(initial=0)
+    width = per_cell.max()
     if width > _MAX_CELL_EDGES:
-
-        def search(values, out):
-            out[...] = np.searchsorted(edges, values, side="right")
-
-        return search
+        return _binary_search(edges)
     base = np.zeros(n_cells, dtype)
     np.cumsum(per_cell[:-1], out=base[1:])
     # own[j, c]: the j-th edge of cell c, padded with inf (reached by none)
@@ -112,3 +115,12 @@ def edge_counter(edges, dtype):
             out += values >= row.take(c)
 
     return count
+
+
+def _binary_search(edges):
+    """``edge_counter``'s ``count`` as one binary search per value."""
+
+    def search(values, out):
+        out[...] = np.searchsorted(edges, values, side="right")
+
+    return search

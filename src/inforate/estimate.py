@@ -264,22 +264,43 @@ def _sorted_finite(v):
     return s
 
 
-def _quantile_edges(values, bins):
-    """Edges of ``bins`` quantile bins of ``values``, which it reorders.
-    They depend only on the multiset of values, so any copy in any order
-    gives them the same bits.  Raises BadParameterError where two
-    neighbouring values lie further apart than the largest float: the
-    edge between them is then not finite, and the edges not sorted."""
+def _quantile_edges(s, bins, drop=None):
+    """Edges of ``bins`` quantile bins of the sorted ``s`` less its sample
+    at index ``drop`` (None: all of ``s``): the values of
+    ``np.quantile(np.delete(s, drop), np.linspace(0, 1, bins + 1))``,
+    read off the sort with numpy's linear-method formula, so no copy is
+    made or partitioned.  A zero edge may differ from numpy's in its sign
+    (numpy's partition reorders equal zeros); no label sees the sign.
+    Raises BadParameterError where two neighbouring values lie further
+    apart than the largest float: the edge between them is then not
+    finite, and the edges not sorted."""
+    n = s.size - (drop is not None)
+    virtual = (n - 1) * np.linspace(0.0, 1.0, bins + 1)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= n - 1
+    prev[top] = nxt[top] = -1  # numpy's marker for the last value ...
+    gamma = virtual - prev  # ... which its weight is taken against
+    a, b = (s[_full_index(i, n, drop)] for i in (prev, nxt))
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = np.quantile(
-            values, np.linspace(0.0, 1.0, bins + 1), overwrite_input=True
-        )
+        diff = b - a
+        edges = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=edges, where=gamma >= 0.5)
     if not np.all(np.isfinite(edges)):
         raise BadParameterError(
             "quantile edges overflow: neighbouring samples lie further apart"
             " than the largest float"
         )
     return edges
+
+
+def _full_index(i, n, drop):
+    """Index into the full sorted array of index ``i`` (-1: the last) of
+    its ``n`` values less the one at ``drop``."""
+    i = np.where(i < 0, n - 1, i).astype(np.intp)
+    if drop is not None:
+        i += i >= drop
+    return i
 
 
 _LABEL_BLOCK = 1 << 16
@@ -304,7 +325,7 @@ def _lagged_labels(v, bins):
     Raises BadParameterError on NaN or inf."""
     s = _sorted_finite(v)
     head, tail = (
-        _quantile_edges(np.delete(s, np.searchsorted(s, dropped)), bins)
+        _quantile_edges(s, bins, drop=np.searchsorted(s, dropped))
         for dropped in (v[-1], v[0])
     )
     del s  # bin with only the series and its labels alive: less peak memory
@@ -322,18 +343,27 @@ def _mi_from_labels(ix, iy, bins):
 def diff_entropy_hist(samples, bins=None):
     """Plug-in differential entropy from an equal-width histogram, in bits.
 
-    Raises BadParameterError on NaN or inf samples, and where max - min
-    exceeds the largest float, so that no bin width is finite.
+    Raises BadParameterError on NaN or inf samples, and where the
+    equal-width edges are not strictly increasing: max - min exceeds the
+    largest float, so that no bin width is finite, or the range holds too
+    few floats for the bins.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1000:
         raise TooFewSamplesError("need at least 1e3 samples")
     lo, hi = samples.min(), samples.max()
     _check_finite(lo, hi)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(hi - lo):
-            raise BadParameterError("sample range overflows: max - min is not finite")
     bins = resolve_bins(bins, samples.size)
+    # np.histogram's edges: equal widths, over a unit span where lo == hi
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(edges[:-1] < edges[1:]):  # NaN, from an overflow, fails too
+        raise BadParameterError(
+            f"cannot split the sample range into {bins} equal bins: its width"
+            " overflows, or it holds too few floats"
+        )
     counts, edges = np.histogram(samples, bins=bins)
     widths = np.diff(edges)
     p = counts / samples.size

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, InitVar
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     BadParameterError,
     ConstantBranchError,
@@ -146,6 +147,10 @@ class PiecewiseFunction:
                     )
         edges = [b.domain_lo for b in branches] + [branches[-1].domain_hi]
         object.__setattr__(self, "_edges", np.array(edges))
+        # the tile of x is 1 + the inner edges at or below it
+        object.__setattr__(
+            self, "_count_edges", _kernels.edge_counter(self._edges[1:-1], np.intp)
+        )
         # finite tile boundaries, where integrands change branch
         object.__setattr__(self, "tile_edges", tuple(filter(np.isfinite, edges)))
 
@@ -172,8 +177,10 @@ class PiecewiseFunction:
         # written so that NaN, which compares false, fails it
         if not (np.all(xs >= self.domain_lo) and np.all(xs < self.domain_hi)):
             raise OutOfDomainError("samples outside the function domain")
-        idx = np.searchsorted(self._edges, xs, side="right") - 1
-        return np.clip(idx, 0, len(self.branches) - 1) + 1
+        idx = np.empty(xs.shape, np.intp)
+        self._count_edges(xs.reshape(-1), idx.reshape(-1))
+        idx += 1
+        return idx
 
     # -- evaluation -----------------------------------------------------
 

@@ -49,12 +49,12 @@ def empirical_constant_frequency(f, process, n_samples=10**6, seed=42, stream=0)
     """
     if n_samples < 10**4:
         raise TooFewSamplesError("need at least 1e4 samples")
-    constant_idx = {b.index for b in f.branches if b.kind == "constant"}
-    if not constant_idx:
+    constant = [b.kind == "constant" for b in f.branches]
+    if not any(constant):
         return 0.0
-    if len(constant_idx) == len(f.branches):
+    if all(constant):
         return 1.0
     path = sample_path(process, n_samples, seed, stream=stream)
-    idx = f.branch_index_array(path.values)
-    mask = np.isin(idx, sorted(constant_idx))
-    return float(np.mean(mask))
+    # indexed by the 1-based branch index
+    is_constant = np.array([False] + constant)
+    return float(np.mean(is_constant[f.branch_index_array(path.values)]))

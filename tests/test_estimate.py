@@ -211,6 +211,18 @@ class TestDiffEntropyHist:
         with pytest.raises(BadParameterError, match="overflows"):
             diff_entropy_hist(x)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e300])
+    def test_refuses_a_range_too_narrow_for_the_bins(self, offset):
+        # three subnormal steps, or one value whose unit span rounds away,
+        # cannot hold 18 equal-width bins
+        x = offset + 5e-324 * make_rng(26).integers(0, 4, 5000)
+        with pytest.raises(BadParameterError, match="equal bins"):
+            diff_entropy_hist(x)
+
+    def test_takes_a_constant_sample_on_a_unit_span(self):
+        # as np.histogram does: 18 bins of width 1/18, all mass in one
+        assert diff_entropy_hist(np.full(5000, 2.0)) == pytest.approx(math.log2(1 / 18))
+
 
 class TestMutualInformationHist:
     def test_independent_pairs(self):

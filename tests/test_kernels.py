@@ -1,4 +1,5 @@
-"""Numpy path kernels agree with the scalar recurrences they implement."""
+"""Numpy path kernels agree with the scalar recurrences they implement, and
+the edge counter without a grid with the binary search."""
 
 import numpy as np
 import pytest
@@ -78,3 +79,27 @@ def test_kernels_run_on_short_inputs():
     assert _kernels.ar1_path(1.0, 0.5, empty).tolist() == [1.0]
     assert _kernels.cyclic_path(0.5, empty, 1.0).tolist() == [0.5]
     assert _kernels.alternating_blocks_path(0.5, empty, empty).tolist() == [0.5]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[], [0.25], [0.25, 0.25, 0.25]],
+    ids=["none", "one", "repeated"],
+)
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+def test_one_cell_edge_counter_is_the_binary_search(rng, edges, dtype):
+    # no grid fits fewer than two distinct edges: every value meets every edge
+    edges = np.array(edges, dtype=float)
+    values = np.concatenate(
+        [
+            rng.normal(0.0, 2.0, 5000),
+            np.nextafter(edges, -np.inf),
+            edges,
+            np.nextafter(edges, np.inf),
+            [0.0, -0.0, -1e308, 1e308],
+        ]
+    )
+    ref = np.searchsorted(edges, values, side="right")
+    out = np.full(values.size, 99, dtype)  # every entry is written
+    _kernels.edge_counter(edges, dtype)(values, out)
+    np.testing.assert_array_equal(out, ref)

@@ -108,6 +108,39 @@ class TestBranchIndex:
         with pytest.raises(OutOfDomainError):
             f.eval_array([np.nan])
 
+    @pytest.mark.parametrize(
+        "f",
+        [magnitude(), shift_mod(0.3, lo=-1.5, hi=1.5), half_constant(), identity()],
+        ids=["magnitude", "shift_mod", "half_constant", "identity"],
+    )
+    def test_array_version_is_the_binary_search(self, f):
+        edges = f._edges
+        inner = edges[1:-1]
+        lo, hi = f.domain_lo, f.domain_hi
+        draws = make_rng(47).uniform(-1.0, 1.0, 2000)
+        spread = draws * 4.0 if np.isinf(lo) else lo + (hi - lo) * (draws + 1.0) / 2
+        # the tile edges and their float neighbours, where the compares decide
+        xs = np.concatenate(
+            [
+                spread,
+                np.nextafter(inner, -np.inf),
+                inner,
+                np.nextafter(inner, np.inf),
+                [lo, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)],
+            ]
+        )
+        xs = xs[(xs >= lo) & (xs < hi)]
+        xs = np.resize(xs, (4, xs.size))  # a 2-D input keeps its shape
+        ref = np.clip(np.searchsorted(edges, xs, "right") - 1, 0, len(f.branches) - 1)
+        got = f.branch_index_array(xs)
+        assert got.shape == xs.shape and got.dtype == np.intp
+        np.testing.assert_array_equal(got, ref + 1)
+        np.testing.assert_array_equal(f.branch_index_array(xs[0, 0]), ref[0, 0] + 1)
+        below = [np.nextafter(lo, -np.inf)] if np.isfinite(lo) else []
+        for bad in [np.nan, hi] + below:
+            with pytest.raises(OutOfDomainError):
+                f.branch_index_array(np.append(xs[0], bad))
+
 
 class TestPreimage:
     def test_magnitude(self):

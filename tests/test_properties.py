@@ -5,7 +5,8 @@ bound chain on random lumpable systems, their exact rate against
 h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
 h(X) - h(Y) + E log2|g'(X)|, the one-sort binning of the
 mutual-information estimators against the estimator as first written,
-and the labeller's edge table against a binary search."""
+the quantile edges read off the sort against np.quantile, and the
+labeller's edge table against a binary search."""
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from inforate import (
     shift_mod,
     square,
 )
-from inforate.errors import NoConvergenceError
+from inforate.errors import BadParameterError, NoConvergenceError
 from inforate.estimate import (
     DEFAULT_QUAD,
     _bin_labels,
@@ -441,3 +442,47 @@ def test_table_labels_are_the_binary_search(kind, seed, n, bins):
         np.testing.assert_array_equal(
             labels, np.searchsorted(inner, values, side="right")
         )
+
+
+def drops(n):
+    """No drop, then the first, a middle and the last sorted sample."""
+    return (None, 0, n // 2, n - 1)
+
+
+def numpy_edges(s, bins, drop):
+    reduced = s if drop is None else np.delete(s, drop)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.quantile(reduced, np.linspace(0.0, 1.0, bins + 1))
+
+
+# pins numpy's linear-method formula: a numpy whose np.quantile computes
+# its edges differently fails here
+@PROPERTY
+@given(
+    kind=st.sampled_from(["normal", "integers", "fine_steps", "signed_zeros"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4000),
+    bins=st.integers(1, 300),
+)
+@example(kind="normal", seed=11, n=2, bins=1)
+@example(kind="signed_zeros", seed=12, n=3, bins=300)
+def test_edges_read_off_the_sort_are_numpys_quantiles(kind, seed, n, bins):
+    s = np.sort(series(kind, seed, n))
+    for drop in drops(n):
+        # == on values: a zero edge may differ from numpy's in its sign
+        got = _quantile_edges(s, bins, drop)
+        assert np.array_equal(got, numpy_edges(s, bins, drop))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), bins=st.integers(1, 300))
+@example(seed=8, n=2, bins=2)  # two samples 2.2e308 apart: numpy's middle edge is inf
+def test_edges_are_refused_where_numpys_overflow(seed, n, bins):
+    s = np.sort(series("huge", seed, n))
+    for drop in drops(n):
+        ref = numpy_edges(s, bins, drop)
+        if np.all(np.isfinite(ref)):
+            assert np.array_equal(_quantile_edges(s, bins, drop), ref)
+        else:
+            with pytest.raises(BadParameterError, match="overflow"):
+                _quantile_edges(s, bins, drop)
