@@ -52,6 +52,7 @@ def pair_counts(ix, iy, nbins):
     return np.bincount(codes, minlength=nbins * nbins).reshape(nbins, nbins)
 
 
+_COUNT_BLOCK = 1 << 16
 # cells of the edge table per edge: a cell then rarely holds more than one
 _CELLS_PER_EDGE = 8
 # each edge of the fullest cell costs one compare pass, about 2.5 ms per
@@ -63,7 +64,8 @@ _MAX_CELL_EDGES = 16
 def edge_counter(edges, dtype):
     """A function ``count(values, out)`` that writes into ``out`` (of
     ``dtype``) ``np.searchsorted(edges, values, side="right")``, the
-    number of the sorted finite ``edges`` at or below each finite value.
+    number of the sorted finite ``edges`` at or below each finite value of
+    the 1-D ``values``, counted block by block.
 
     A uniform grid over the edges puts each value in a cell; the count is
     the edges in earlier cells plus those of its own cell that it
@@ -76,6 +78,16 @@ def edge_counter(edges, dtype):
     where a cell holds too many edges the count is the binary search
     itself.
     """
+    count = _unblocked_counter(edges, dtype)
+
+    def blocked(values, out):
+        for i in range(0, values.size, _COUNT_BLOCK):
+            count(values[i : i + _COUNT_BLOCK], out[i : i + _COUNT_BLOCK])
+
+    return blocked
+
+
+def _unblocked_counter(edges, dtype):
     n_cells = _CELLS_PER_EDGE * edges.size
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = n_cells / (edges[-1] - edges[0]) if edges.size else 0.0

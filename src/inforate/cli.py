@@ -33,7 +33,7 @@ from .lossrate import (
     loss_rate_bounds_mc,
     loss_rv,
 )
-from .lumpability import check_lumpable, full_report
+from .lumpability import check_grid_params, check_lumpable, full_report
 from .pbf import magnitude
 from .process import make_ar1, make_cyclic_walk, make_tightness_example
 from .relloss import (
@@ -306,6 +306,10 @@ def cmd_rel_loss(args):
 def cmd_lump_check(args):
     spec = load_config(args.config)
     grid = _estimation(args, spec).grid
+    try:
+        check_grid_params(grid, args.tol)
+    except InforateError as exc:
+        raise ParseError(str(exc)) from None
     rep = full_report(spec.function, spec.process, grid=grid, tol=args.tol)
     _write_output(
         args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", {"grid": grid}

@@ -303,18 +303,13 @@ def _full_index(i, n, drop):
     return i
 
 
-_LABEL_BLOCK = 1 << 16
-
-
 def _bin_labels(edges, part):
     """Bin of each sample of ``part`` under ``edges``, in the smallest
     unsigned dtype that holds the last bin: exactly
     ``np.searchsorted(edges[1:-1], part, side="right")``, read off a table
-    of the edges block by block, so no temporary outgrows a block."""
+    of the edges."""
     labels = np.empty(part.size, np.min_scalar_type(edges.size - 2))
-    count = _kernels.edge_counter(edges[1:-1], labels.dtype)
-    for i in range(0, part.size, _LABEL_BLOCK):
-        count(part[i : i + _LABEL_BLOCK], labels[i : i + _LABEL_BLOCK])
+    _kernels.edge_counter(edges[1:-1], labels.dtype)(part, labels)
     return labels
 
 
@@ -599,10 +594,8 @@ def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
     lo, hi = process.quad_support
     split_points = process.marginal_split_points
     _, _, edges = f.image_window(lo, hi)
-    ys = np.concatenate([edges, f.image_points(split_points)])
-    points = np.concatenate(
-        [split_points, *(xs[valid] for _, xs, _, valid in f.preimage_terms(ys))]
-    )
+    table = f.preimage_table(np.concatenate([edges, f.image_points(split_points)]))
+    points = np.concatenate([split_points, table.x[table.valid]])
 
     def integrand(x, col, b):
         """-f_X log2 Pr(x | g(x)) in column 0, f_X in column 1."""

@@ -10,6 +10,7 @@ certifies that the branch-index bound H(W2|X1) is attained.  All checks
 are grid-sampled: a pass means "holds on this grid", never a proof.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,27 +64,35 @@ def _nudged_grid(lo, hi, n, avoid=()):
     return pts
 
 
-def _preimage_table(f, process, grid):
+def _preimage_table(f, process, grid, tol):
     """The output grid over the image of the process support, its label
-    and its preimage table: x2_b(y), |g'(x2_b(y))| and whether x2_b(y)
-    exists, as (grid, branch) arrays; 0 and 1 where it does not."""
+    and its preimage table, after refusing what neither check accepts."""
+    check_grid_params(grid, tol)
+    if not f.all_injective:
+        raise BadParameterError("the grid checks need an all-injective function")
     y_lo, y_hi, _ = f.image_window(*process.quad_support)
     if y_lo > y_hi:
         raise BadParameterError("function range is empty on the process support")
     ys = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
-    terms = [t[1:] for t in f.preimage_terms(ys)]
-    x2, dabs, valid = (np.stack(v, axis=-1) for v in zip(*terms))
-    table = (np.where(valid, x2, 0.0), np.where(valid, dabs, 1.0), valid)
-    return ys, table, f"{grid}x{grid} on [{y_lo:.6g}, {y_hi:.6g}]^2"
+    return ys, f.preimage_table(ys), f"{grid}x{grid} on [{y_lo:.6g}, {y_hi:.6g}]^2"
 
 
 def _kernel_terms(cond, table, x1s):
     """f(x2_b(y) | x1) / |g'(x2_b(y))| over the table at each x1, on
-    x1s.shape + (grid, branch) arrays; 0 where x2_b(y) does not exist."""
-    x2, dabs, valid = table
+    x1s.shape + (branch, grid) arrays, also where an iid kernel ignores
+    x1; 0 where x2_b(y) does not exist."""
     with np.errstate(all="ignore"):
-        val = cond(x2, x1s[..., None, None]) / dabs
-    return np.where(np.broadcast_to(valid, x1s.shape + valid.shape), val, 0.0)
+        val = table.weights(lambda x2: cond(x2, x1s[..., None, None]))
+    return np.broadcast_to(val, x1s.shape + table.valid.shape)
+
+
+def check_grid_params(grid, tol):
+    """Refuse a grid that is not an integer >= 101 and a tol that is not
+    a finite number >= 0."""
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 101:
+        raise BadParameterError(f"grid must be an integer >= 101, got {grid!r}")
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+        raise BadParameterError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _blocks(n, points):
@@ -94,29 +103,25 @@ def _blocks(n, points):
 
 def check_lumpable(f, process, grid=201, tol=1e-6):
     """Compare preimage sums across inputs sharing an output, on a grid."""
-    if grid < 101:
-        raise BadParameterError("need at least 101 grid points per axis")
-    if not f.all_injective:
-        raise BadParameterError("lumpability check needs an all-injective function")
-    # iid: both sums equal the output marginal density by construction
-    cond = _cond_pdf_fn(process)
     # the y1 grid is the y2 grid, so the table also holds the preimages
     # x1 of each y1; they count where the input density is positive
-    ys, table, label = _preimage_table(f, process, grid)
-    x1, _, valid = table
-    live = valid & (process.marginal_pdf(x1) > 0.0)
+    ys, table, label = _preimage_table(f, process, grid, tol)
+    # iid: both sums equal the output marginal density by construction
+    cond = _cond_pdf_fn(process)
+    x1 = table.x.T
+    live = (table.valid & (process.marginal_pdf(table.x) > 0.0)).T
 
     # per block of y1 values: every pair of live preimages of one y1, by
     # y1, then by branches, and the preimage sums in preimage_sum's order
     bi, bj = np.triu_indices(live.shape[1], 1)
     worst = 0.0
     witnesses = []
-    for blk in _blocks(grid, live.shape[1] * valid.size):
+    for blk in _blocks(grid, live.shape[1] * table.valid.size):
         cols, pair = np.nonzero(live[blk, bi] & live[blk, bj])
         if not cols.size:
             continue
         i, j, xs = bi[pair], bj[pair], x1[blk]
-        sums = sum(np.moveaxis(_kernel_terms(cond, table, xs), -1, 0))
+        sums = sum(np.moveaxis(_kernel_terms(cond, table, xs), -2, 0))
         dev = _relative_deviation(sums[cols, i], sums[cols, j])
         k = np.argmax(dev, axis=1)
         peak = dev[np.arange(k.size), k]
@@ -141,12 +146,10 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     (a) the weighted kernel values agree across branches at each output
         value; (b) the branch probabilities given X1 = x are all equal.
     """
-    if not f.all_injective:
-        raise BadParameterError("tightness check needs an all-injective function")
+    _, table, _ = _preimage_table(f, process, grid, tol)
+    valid = table.valid.T
     cond = _cond_pdf_fn(process)
     xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
-    _, table, _ = _preimage_table(f, process, grid)
-    valid = table[2]
 
     prob_cfg = QuadratureConfig(abs_tol=1e-12)
     xs = xs[process.marginal_pdf(xs) > 0.0]
@@ -164,7 +167,7 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     # exists, on (x, y2, branch) arrays
     worst_a = 0.0
     for blk in _blocks(xs.size, valid.size):
-        val = _kernel_terms(cond, table, xs[blk])
+        val = np.swapaxes(_kernel_terms(cond, table, xs[blk]), 1, 2)
         terms = np.where(live[blk, None, :] & valid & np.isfinite(val), val, np.nan)
         pairs = (~np.isnan(terms)).sum(axis=-1) >= 2
         worst_a = max(worst_a, float(_spread(terms[pairs]).max(initial=0.0)))

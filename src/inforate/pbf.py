@@ -119,6 +119,22 @@ class PreimagePoint:
 
 
 @dataclass(frozen=True)
+class PreimageTable:
+    """Preimages x of an array of y, one row per injective branch, with
+    ``dabs`` = |g'(x)| and ``valid``; x is 0 and dabs 1 where the branch
+    has none."""
+
+    x: np.ndarray
+    dabs: np.ndarray
+    valid: np.ndarray
+
+    def weights(self, density):
+        """density(x) / |g'(x)| from one call of density on the table,
+        broadcast with its output; 0 where no preimage exists."""
+        return np.where(self.valid, density(self.x) / self.dabs, 0.0)
+
+
+@dataclass(frozen=True)
 class PiecewiseFunction:
     branches: tuple
     validate_tiling: InitVar[bool] = True
@@ -220,7 +236,8 @@ class PiecewiseFunction:
         """Per-branch candidate preimages of an array of y values.
 
         Yields (branch, xs, |g'(xs)|, valid) where valid marks entries
-        that land in the branch domain and pass the round-trip check.
+        that land in the branch domain and pass the round-trip check; xs
+        is 0 and |g'(xs)| is 1 where it is False.
         """
         ys = np.asarray(ys, dtype=float)
         for b in self.branches:
@@ -240,7 +257,7 @@ class PiecewiseFunction:
                     1.0, np.abs(ys)
                 )
                 dabs = np.abs(np.asarray(b.derivative(safe), dtype=float))
-            yield b, xs, dabs, valid
+            yield b, np.where(valid, xs, 0.0), np.where(valid, dabs, 1.0), valid
 
     def preimage(self, y):
         """All preimages of y: points on injective branches, interval
@@ -256,16 +273,20 @@ class PiecewiseFunction:
                 out.append(PreimagePoint(branch=b.index, x=np.nan, pointwise=False))
         return tuple(out)
 
+    def preimage_table(self, ys):
+        """The PreimageTable of an array of y: (branch,) + ys.shape arrays."""
+        ys = np.asarray(ys, dtype=float)
+        rows = [t[1:] for t in self.preimage_terms(ys)]
+        # np.reshape, not np.stack: a function with no injective branch has no rows
+        shape = (len(rows),) + ys.shape
+        x, dabs, valid = (np.reshape([r[k] for r in rows], shape) for k in range(3))
+        return PreimageTable(x, dabs, valid.astype(bool))
+
     def preimage_weights(self, density, ys):
         """density(x) / |g'(x)| at the preimage x of each y, one row per
         injective branch, 0 where the branch has none.  A row over the
         column sums is the probability that the preimage is on its branch."""
-        ys = np.asarray(ys, dtype=float)
-        rows = []
-        for _, xs, dabs, valid in self.preimage_terms(ys):
-            vals = density(np.where(valid, xs, 0.0)) / np.where(valid, dabs, 1.0)
-            rows.append(np.where(valid, vals, 0.0))
-        return np.array(rows).reshape((len(rows),) + ys.shape)
+        return self.preimage_table(ys).weights(density)
 
     def preimage_sum(self, density, ys):
         """sum over x in preimage(y) of density(x) / |g'(x)|, for an array of y.
@@ -389,19 +410,15 @@ def validate(f, grid=10_000):
         max_rt = max(max_rt, float(rt))
 
     # surjectivity onto the range hull, on a coarse sample grid
-    range_gaps = []
     hull_lo, hull_hi = f.range_hull()
     wlo, whi = _finite_window(hull_lo, hull_hi)
     span = whi - wlo
     ys = np.linspace(wlo + 1e-6 * span, whi - 1e-6 * span, 512)
-    covered = np.zeros(ys.shape, dtype=bool)
-    for b, xs_pre, _, valid in f.preimage_terms(ys):
-        covered |= valid
+    covered = f.preimage_table(ys).valid.any(axis=0)
     for b in f.branches:
         if b.kind == "constant":
             covered |= np.isclose(ys, b.constant_value, atol=1e-9)
-    for y in ys[~covered][:5]:
-        range_gaps.append(float(y))
+    range_gaps = [float(y) for y in ys[~covered][:5]]
     return ValidationReport(
         gaps=tuple(gaps),
         overlaps=tuple(overlaps),

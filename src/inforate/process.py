@@ -384,35 +384,23 @@ def pushforward_process(f, process):
         def mapped(lookup, ys):
             """A base-kernel lookup at every preimage of each y, mapped
             through g: one NaN-padded row per y."""
-            rows = [
-                np.where(valid[:, None], lookup(np.where(valid, xs, 0.0)), np.nan)
-                for _, xs, _, valid in f.preimage_terms(ys)
-            ]
-            return f.image_points(np.column_stack(rows))
+            t = f.preimage_table(ys)
+            rows = zip(t.x, t.valid)
+            pts = [np.where(ok[:, None], lookup(x), np.nan) for x, ok in rows]
+            return f.image_points(np.column_stack(pts))
 
         def cond_pdf(y2, y1):
-            y1 = np.asarray(y1, dtype=float)
-            y2 = np.asarray(y2, dtype=float)
-            if y1.ndim:
-                y2 = np.broadcast_to(y2, np.broadcast_shapes(y2.shape, y1.shape))
-            # mixture weights f_X(x1)/|g'(x1)| over the preimages x1 of y1
-            terms = []
-            num = np.zeros_like(y1)
-            for _, x1, dabs, valid in f.preimage_terms(y1):
-                if not valid.any():
-                    continue
-                x1 = np.where(valid, x1, 0.0)
-                w = np.where(
-                    valid, process.marginal_pdf(x1) / np.where(valid, dabs, 1.0), 0.0
-                )
-                num = num + w
-                terms.append((x1, w))
-            num = np.where(num > 0.0, num, 1.0)
-            out = np.zeros(y2.shape)
-            for x1, w in terms:
-                given_x1 = f.preimage_sum(lambda x2: base.cond_pdf(x2, x1), y2)
-                out += (w / num) * given_x1
-            return out
+            # y1 and y2 padded to one ndim, so that their tables broadcast
+            y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+            n = max(y1.ndim, y2.ndim)
+            t1, t2 = (f.preimage_table(y[(None,) * (n - y.ndim)]) for y in (y1, y2))
+            # mixture weights f_X(x1)/|g'(x1)| over the preimages x1 of y1,
+            # normalised, times the output density given each x1
+            w = t1.weights(process.marginal_pdf)
+            total = w.sum(axis=0)
+            w = w / np.where(total > 0.0, total, 1.0)
+            given_x1 = t2.weights(lambda x2: base.cond_pdf(x2, t1.x[:, None]))
+            return (w * given_x1.sum(axis=1)).sum(axis=0)
 
         def split_points(y1s):
             # the base kernel's jumps at the preimages of y1, mapped through

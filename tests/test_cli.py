@@ -120,6 +120,24 @@ class TestLumpCheck:
         assert report["witnesses"]
 
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, capsys, tmp_path, tol):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "process": {"kind": "ar1", "a": 0.5, "sigma": 1.0},
+                    "function": {"kind": "magnitude"},
+                }
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "lump-check", "--config", str(cfg), f"--tol={tol}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tol") and len(err.splitlines()) == 1
+
     def test_grid_flag_overrides_the_config(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(

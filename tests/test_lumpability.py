@@ -72,6 +72,30 @@ class TestCheckLumpable:
             check_lumpable(magnitude(), make_ar1(0.5, 1.0), grid=50)
 
 
+@pytest.mark.parametrize(
+    "check, grid, tol",
+    [
+        # a grid of 0 divided by zero, and one of 1 or 2 passed both
+        # conditions that grid 201 finds false
+        (check_tightness, 0, 1e-6),
+        (check_tightness, 1, 1e-6),
+        (check_tightness, 2, 1e-6),
+        (check_tightness, True, 1e-6),
+        (check_tightness, 101.5, 1e-6),
+        (check_lumpable, 101.5, 1e-6),
+        (check_lumpable, 201, -1.0),
+        (check_lumpable, 201, math.nan),
+        (check_lumpable, 201, math.inf),
+        (check_tightness, 201, -1.0),
+        (check_tightness, 201, math.nan),
+        (check_tightness, 201, math.inf),
+    ],
+)
+def test_bad_grid_or_tol_is_refused(check, grid, tol):
+    with pytest.raises(BadParameterError):
+        check(magnitude(), make_ar1(0.5, 1.0), grid=grid, tol=tol)
+
+
 class TestCheckTightness:
     def test_tightness_example_both_hold(self):
         proc = make_tightness_example()

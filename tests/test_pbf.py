@@ -1,6 +1,7 @@
 """Branch-wise evaluation, inversion, differentiation, composition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ class TestBranchIndex:
                 f.branch_index_array(np.append(xs[0], bad))
 
 
+    def test_temporaries_stay_block_sized(self):
+        # ten branches, so the edge table is read; only the output may
+        # grow with the samples
+        f = shift_mod(0.3, lo=-1.5, hi=1.5)
+        xs = make_rng(5).uniform(-1.5, 1.5, 10**6)
+        tracemalloc.start()
+        try:
+            idx = f.branch_index_array(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= idx.nbytes + 2 * 2**20
+
+
 class TestPreimage:
     def test_magnitude(self):
         pts = magnitude().preimage(2.0)
@@ -198,6 +213,35 @@ class TestPreimageSum:
     def test_outside_the_range_is_zero(self):
         got = magnitude().preimage_sum(lambda x: np.ones_like(x), [-2.0, -0.5])
         assert got.tolist() == [0.0, 0.0]
+
+
+class TestPreimageTable:
+    def test_no_injective_branch_gives_no_rows(self):
+        f = quantizer([0.0, 1.0, 2.0])
+        table = f.preimage_table(np.linspace(0.0, 2.0, 12).reshape(3, 4))
+        for part in (table.x, table.dabs, table.valid):
+            assert part.shape == (0, 3, 4)
+        assert table.valid.dtype == bool
+        assert validate(f).ok
+
+    @pytest.mark.parametrize(
+        "f",
+        [magnitude(), square(), shift_mod(4 / 3, lo=0.0, hi=4.0), half_constant()],
+        ids=["magnitude", "square", "shift_mod", "half_constant"],
+    )
+    def test_weights_are_a_loop_over_preimage_terms(self, f):
+        def density(x):
+            return np.exp(-((np.asarray(x, dtype=float) - 0.3) ** 2))
+
+        # 2-D, and clear of 0, where the square's weight is infinite
+        ys = np.linspace(-1.5, 4.5, 60).reshape(6, 10) + 1e-7
+        rows = list(f.preimage_terms(ys))
+        want = np.zeros((len(rows),) + ys.shape)
+        for row, (_, xs, dabs, valid) in zip(want, rows):
+            row[valid] = density(xs[valid]) / dabs[valid]
+        got = f.preimage_weights(density, ys)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class TestImageWindow:

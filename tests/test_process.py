@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from inforate import (
+    PiecewiseFunction,
     magnitude,
     scale,
     shift_mod,
@@ -22,6 +23,7 @@ from inforate import (
 )
 from inforate.errors import BadParameterError, NotNormalizedError
 from inforate.estimate import cond_entropy_rate_quad, marginal_entropy_quad
+from inforate._rng import make_rng
 from inforate.process import circular_distance, wrap_interval
 
 from conftest import shifted_kernel_process
@@ -284,6 +286,57 @@ class TestPushforward:
             want = np.stack([kern.cond_pdf(y2, v) for v in y1], axis=1)
             assert np.any(want > 0.0)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "proc, f",
+        [
+            (make_ar1(0.5, 1.0), magnitude()),
+            (make_ar1(0.5, 1.0), scale(-2.0)),
+            (make_cyclic_walk(1.0, 0.4), magnitude(-1.0, 1.0)),
+            (make_cyclic_walk(1.0, 0.4), scale(-2.0, -1.0, 1.0)),
+            (make_tightness_example(), shift_mod(4 / 3, lo=0.0, hi=4.0)),
+        ],
+        ids=["ar1-abs", "ar1-scale", "cyc-abs", "cyc-scale", "tight-mod"],
+    )
+    def test_kernel_is_the_mixture_over_the_preimages_of_y1(self, proc, f):
+        push = pushforward_process(f, proc)
+        lo, hi = push.quad_support
+        rng = make_rng(17)
+
+        def mixture(y2, y1):
+            # one output density given x1 per preimage x1 of y1, weighed
+            # by f_X(x1)/|g'(x1)| normalised first
+            y2 = np.broadcast_to(y2, np.broadcast_shapes(y2.shape, y1.shape))
+            t1 = f.preimage_table(y1)
+            w = t1.weights(proc.marginal_pdf)
+            total = w.sum(axis=0)
+            out = np.zeros(y2.shape)
+            for x1, wa in zip(t1.x, w / np.where(total > 0.0, total, 1.0)):
+                out += wa * f.preimage_sum(lambda x2: proc.kernel.cond_pdf(x2, x1), y2)
+            return out
+
+        for y2, y1 in [
+            (rng.uniform(lo, hi, (6, 2)), rng.uniform(lo, hi, (5, 1, 1))),
+            (rng.uniform(lo, hi, 40), rng.uniform(lo, hi, 40)),
+        ]:
+            want = mixture(y2, y1)
+            assert np.any(want > 0.0)
+            np.testing.assert_array_equal(push.kernel.cond_pdf(y2, y1), want)
+
+    def test_kernel_inverts_each_output_array_once(self, monkeypatch):
+        push = pushforward_process(magnitude(), make_ar1(0.5, 1.0))
+        inverted = []
+        terms = PiecewiseFunction.preimage_terms
+
+        def counted(f, ys):
+            inverted.append(np.size(ys))
+            return terms(f, ys)
+
+        monkeypatch.setattr(PiecewiseFunction, "preimage_terms", counted)
+        k, m = 7, 11
+        y2, y1 = np.linspace(0.1, 3.0, m), np.linspace(0.2, 2.0, k)[:, None]
+        push.kernel.cond_pdf(y2, y1)
+        assert sum(inverted) <= k + m
 
     def test_uniform_inherited_through_shifts(self):
         from inforate import shift_mod
