@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of integer
+parameters that raises one of them."""
+
+import numbers
 
 
 class InforateError(Exception):
@@ -47,3 +50,12 @@ class ParseError(InforateError, ValueError):
 
 class IncompatibleSpecError(InforateError, ValueError):
     """Function and process specs cannot be analyzed together."""
+
+
+def check_int(name, value, lo, hi=None):
+    """Raise BadParameterError unless ``value`` is an integer (a numpy one
+    counts, a bool does not) in lo..hi, or >= lo when hi is None."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < lo or (hi is not None and value > hi):
+        wanted = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise BadParameterError(f"{name} must be an integer {wanted}, got {value!r}")

@@ -17,6 +17,7 @@ from .errors import (
     ConstantBranchError,
     NoConvergenceError,
     TooFewSamplesError,
+    check_int,
 )
 
 LOG2E = 1.0 / math.log(2.0)
@@ -246,8 +247,7 @@ def resolve_bins(bins, n):
     BadParameterError unless ``bins`` is an int >= 1."""
     if bins is None:
         return int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise BadParameterError(f"bins must be an integer >= 1, got {bins!r}")
+    check_int("bins", bins, 1)
     return int(bins)
 
 
@@ -650,9 +650,10 @@ def _plugin_entropy(counts):
 
 
 def _check_block_order(f, k, n_samples):
+    """Refuse a block order ``k`` that is not an int in 0..6, or too few
+    samples to count the blocks of k + 1 indices."""
     n_branches = len(f.branches)
-    if k > 6:
-        raise BadParameterError("block order capped at 6")
+    check_int("block order", k, 0, 6)
     if n_branches ** (k + 1) * 30 > n_samples:
         raise TooFewSamplesError(
             f"need >= {n_branches ** (k + 1) * 30} samples for order {k}"
@@ -660,22 +661,32 @@ def _check_block_order(f, k, n_samples):
 
 
 def _block_entropy(f, values, k):
-    """``markov_block_entropy_W`` on the sampled path ``values``."""
-    n_branches = len(f.branches)
-    w = f.branch_index_array(values) - 1
+    """``markov_block_entropy_W`` on the sampled path ``values``.
 
-    levels = []
-    prev_joint = 0.0
-    codes = w.astype(np.int64)
+    One count of the blocks of k + 1 indices gives every lower order: the
+    blocks of order j are those counts summed over their last k - j
+    indices, plus the k - j blocks that start too late to extend to
+    k + 1 indices."""
+    n_branches = len(f.branches)
+    w = f.branch_index_array(values)
+    w -= 1
+    n = w.size
+    codes = w[: n - k].astype(np.int64)
+    for i in range(1, k + 1):
+        codes *= n_branches
+        codes += w[i : n - k + i]
+    counts = np.bincount(codes, minlength=n_branches ** (k + 1))
+    counts = counts.reshape((n_branches,) * (k + 1))
+
+    joint = []
     for order in range(k + 1):
-        if order:
-            # blocks of order + 1 indices: each block of the previous
-            # order followed by the next index
-            codes = codes[:-1] * n_branches
-            codes += w[order:]
-        h_joint = _plugin_entropy(np.bincount(codes))
-        levels.append(h_joint - prev_joint)
-        prev_joint = h_joint
+        blocks = counts.sum(axis=tuple(range(order + 1, k + 1)))
+        for start in range(n - k, n - order):
+            blocks[tuple(w[start : start + order + 1])] += 1
+        # C order is code order, so the plug-in sees the counts in the
+        # order a bincount of the codes of this order lists them
+        joint.append(_plugin_entropy(blocks.ravel()))
+    levels = [hi - lo for lo, hi in zip([0.0] + joint, joint)]
 
     order = 0
     converged = False
@@ -699,7 +710,8 @@ def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
     Returns the estimate at the largest order whose successive difference
     dropped below 0.01 bit; the full level sequence rides along.
     """
-    from .process import sample_path
+    from .process import check_sample_count, sample_path
 
+    check_sample_count(n_samples)
     _check_block_order(f, k, n_samples)
     return _block_entropy(f, sample_path(process, n_samples, seed, stream).values, k)

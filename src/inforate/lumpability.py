@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadParameterError
+from .errors import BadParameterError, check_int
 from .estimate import QuadratureConfig, _branch_probabilities, _cond_pdf_fn
 
 _EDGE_EPS = 1e-9
@@ -89,8 +89,7 @@ def _kernel_terms(cond, table, x1s):
 def check_grid_params(grid, tol):
     """Refuse a grid that is not an integer >= 101 and a tol that is not
     a finite number >= 0."""
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < 101:
-        raise BadParameterError(f"grid must be an integer >= 101, got {grid!r}")
+    check_int("grid", grid, 101)
     if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
         raise BadParameterError(f"tol must be a finite number >= 0, got {tol!r}")
 

@@ -21,6 +21,8 @@ from .errors import (
 
 _ROUNDTRIP_TOL = 1e-9
 _TILE_TOL = 1e-12
+# points per block of eval_array: its (branch, block) table stays in cache
+_EVAL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,14 @@ class PiecewiseFunction:
         """1-based index of the tile containing x (the variable W)."""
         return self._locate(x) + 1
 
-    def branch_index_array(self, xs):
-        xs = np.asarray(xs, dtype=float)
+    def _check_domain(self, xs):
         # written so that NaN, which compares false, fails it
         if not (np.all(xs >= self.domain_lo) and np.all(xs < self.domain_hi)):
             raise OutOfDomainError("samples outside the function domain")
+
+    def branch_index_array(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        self._check_domain(xs)
         idx = np.empty(xs.shape, np.intp)
         self._count_edges(xs.reshape(-1), idx.reshape(-1))
         idx += 1
@@ -210,17 +215,32 @@ class PiecewiseFunction:
         return self.eval(x)
 
     def eval_array(self, xs):
+        """g at every point of xs, block by block: each branch fills its
+        row of a (branch, block) table from the block clipped into its
+        own tile, and each point takes the entry of its branch."""
         xs = np.asarray(xs, dtype=float)
-        idx = self.branch_index_array(xs) - 1
-        out = np.empty_like(xs)
-        for i, b in enumerate(self.branches):
-            mask = idx == i
-            if not np.any(mask):
-                continue
-            if b.kind == "constant":
-                out[mask] = b.constant_value
-            else:
-                out[mask] = b.forward(xs[mask])
+        self._check_domain(xs)
+        flat = xs.reshape(-1)
+        out = np.empty(xs.shape)
+        flat_out = out.reshape(-1)
+        block = max(min(_EVAL_BLOCK, flat.size), 1)
+        table = np.empty((len(self.branches), block))
+        idx = np.empty(block, np.intp)
+        offsets = np.arange(block)
+        for start in range(0, flat.size, block):
+            x = flat[start : start + block]
+            n = x.size
+            for row, b in zip(table, self.branches):
+                if b.kind == "constant":
+                    row[:n] = b.constant_value
+                else:
+                    top = np.nextafter(b.domain_hi, -np.inf)
+                    row[:n] = b.forward(np.clip(x, b.domain_lo, top))
+            self._count_edges(x, idx[:n])
+            idx[:n] *= block
+            idx[:n] += offsets[:n]
+            # every index is in range; "clip" spares take a buffered copy
+            table.take(idx[:n], out=flat_out[start : start + n], mode="clip")
         return out
 
     def log_abs_derivative(self, x):

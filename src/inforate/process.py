@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels
 from ._rng import make_rng
-from .errors import BadParameterError, NotNormalizedError
+from .errors import BadParameterError, NotNormalizedError, check_int
 
 def _no_points(xs):
     """No split points at any of xs: an (n, 0) array."""
@@ -297,10 +297,14 @@ def make_iid_uniform(lo=0.0, hi=1.0):
 # path sampling
 
 
+def check_sample_count(n):
+    """Raise BadParameterError unless the sample count ``n`` is an int >= 1."""
+    check_int("sample count", n, 1)
+
+
 def sample_path(process, n, seed, stream=0):
     """Length-n realization; deterministic in (seed, stream)."""
-    if n < 1:
-        raise BadParameterError("need n >= 1")
+    check_sample_count(n)
     values = _draw_path(process, make_rng(seed, stream), n)
     return PathSample(values=values, seed=seed, length=n, stream=stream)
 

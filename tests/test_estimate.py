@@ -363,6 +363,34 @@ class TestExpectedLogAbsDerivative:
             )
 
 
+def per_order_block_entropy(f, values, k):
+    """markov_block_entropy_W's levels, order and convergence as first
+    written: the codes of each order extend those of the order below by
+    one index, and each order has its own count."""
+    n_branches = len(f.branches)
+    w = f.branch_index_array(values) - 1
+    levels = []
+    prev_joint = 0.0
+    codes = w.astype(np.int64)
+    for order in range(k + 1):
+        if order:
+            codes = codes[:-1] * n_branches
+            codes += w[order:]
+        counts = np.bincount(codes)
+        h_joint = entropy_bits(counts[counts > 0] / counts.sum())
+        levels.append(h_joint - prev_joint)
+        prev_joint = h_joint
+    order = 0
+    converged = False
+    for j in range(1, len(levels)):
+        if abs(levels[j] - levels[j - 1]) < 0.01:
+            order = j
+            converged = True
+    if not converged:
+        order = len(levels) - 1
+    return tuple(levels), order, converged
+
+
 class TestBlockEntropy:
     def test_iid_two_branches_one_bit(self):
         p = make_iid_uniform(-1.0, 1.0)
@@ -415,6 +443,44 @@ class TestBlockEntropy:
             markov_block_entropy_W(
                 magnitude(-1.0, 1.0), p, k=5, n_samples=1000, seed=0
             )
+
+    @pytest.mark.parametrize("k", [-1, 2.5, True, "4", None])
+    def test_refuses_an_order_that_is_not_an_int_in_0_to_6(self, k):
+        p = make_iid_uniform(-1.0, 1.0)
+        with pytest.raises(BadParameterError, match="block order"):
+            markov_block_entropy_W(magnitude(-1.0, 1.0), p, k=k, n_samples=10**4)
+
+    def test_takes_a_numpy_int_order(self):
+        f, p = magnitude(-1.0, 1.0), make_iid_uniform(-1.0, 1.0)
+        est = markov_block_entropy_W(f, p, k=np.int64(2), n_samples=10**4, seed=3)
+        assert est == markov_block_entropy_W(f, p, k=2, n_samples=10**4, seed=3)
+
+    # 2, 3 and 4 branches on a Markov path, and 4 on the block-alternating
+    # chain, whose index never repeats its parity: half the codes of every
+    # order >= 1 never occur
+    @pytest.mark.parametrize(
+        "f, p",
+        [
+            (magnitude(-1.0, 1.0), make_cyclic_walk(1.0, 0.4)),
+            (shift_mod(2.0 / 3.0, lo=-1.0, hi=1.0), make_cyclic_walk(1.0, 0.4)),
+            (shift_mod(0.5, lo=-1.0, hi=1.0), make_cyclic_walk(1.0, 0.4)),
+            (shift_mod(1.0, lo=0.0, hi=4.0), make_tightness_example()),
+        ],
+        ids=["two", "three", "four", "four-alternating"],
+    )
+    @pytest.mark.parametrize("k", range(7))
+    def test_one_count_of_the_top_order_is_the_per_order_counts(self, f, p, k):
+        shortest = len(f.branches) ** (k + 1) * 30
+        # at the shortest allowed path the k - j late blocks of order j
+        # are a larger share of its counts
+        for n in (shortest, shortest + 3, 2 * shortest + 1):
+            est = markov_block_entropy_W(f, p, k=k, n_samples=n, seed=k + n)
+            levels, order, converged = per_order_block_entropy(
+                f, sample_path(p, n, seed=k + n).values, k
+            )
+            assert est.levels == levels
+            assert (est.order, est.converged) == (order, converged)
+            assert est.value == levels[order]
 
 
 class TestMarginalEntropyQuad:

@@ -10,6 +10,7 @@ from inforate import (
     analyze_loss_rate,
     bound_index_given_input,
     cascade_loss_rate,
+    empirical_constant_frequency,
     identity,
     loss_rate_analytic,
     loss_rate_bounds_mc,
@@ -270,6 +271,28 @@ class TestCascade:
     def test_ar1_scale_then_fold_additivity(self):
         res = cascade_loss_rate([scale(-1.5), magnitude()], make_ar1(0.6, 1.0))
         assert res.additivity_gap <= 2e-3
+
+
+class TestSampleCount:
+    # a float count, a negative one, zero, a bool and a string
+    @pytest.mark.parametrize("n", [2.5e4, -5, 0, True, "1000"])
+    def test_every_monte_carlo_entry_point_refuses_it(self, n):
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        calls = [
+            lambda: sample_path(p, n, 1),
+            lambda: loss_rate_bounds_mc(f, p, n, 1),
+            lambda: analyze_loss_rate(f, p, n, 1),
+            lambda: markov_block_entropy_W(f, p, n_samples=n),
+            lambda: empirical_constant_frequency(f, p, n_samples=n),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameterError, match="sample count"):
+                call()
+
+    def test_takes_a_numpy_int_count(self):
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        got = loss_rate_bounds_mc(f, p, np.int64(10**4), 1)
+        assert got == loss_rate_bounds_mc(f, p, 10**4, 1)
 
 
 class TestReport:

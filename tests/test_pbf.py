@@ -77,6 +77,19 @@ class TestEval:
         xs = np.linspace(-2.0, 2.0, 101, endpoint=False)
         np.testing.assert_allclose(f.eval_array(xs), [f.eval(x) for x in xs])
 
+    def test_eval_array_temporaries_stay_block_sized(self):
+        # no mask, gather or index array of the input's size: only the
+        # output grows with the samples
+        f = magnitude()
+        xs = make_rng(6).normal(0.0, 1.0, 10**6)
+        tracemalloc.start()
+        try:
+            out = f.eval_array(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2**20
+
 
 class TestBranchIndex:
     def test_magnitude_left_of_zero(self):

@@ -5,8 +5,9 @@ bound chain on random lumpable systems, their exact rate against
 h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
 h(X) - h(Y) + E log2|g'(X)|, the one-sort binning of the
 mutual-information estimators against the estimator as first written,
-the quantile edges read off the sort against np.quantile, and the
-labeller's edge table against a binary search."""
+the quantile edges read off the sort against np.quantile, the
+labeller's edge table against a binary search, and eval_array's value
+table against the masked loop it replaced."""
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from inforate import (
     shift_mod,
     square,
 )
-from inforate.errors import BadParameterError, NoConvergenceError
+from inforate.errors import BadParameterError, NoConvergenceError, OutOfDomainError
 from inforate.estimate import (
     DEFAULT_QUAD,
     _bin_labels,
@@ -51,6 +52,7 @@ from inforate.estimate import (
 )
 from inforate.lossrate import _sandwich
 from test_acceptance import hw2x1_closed
+from test_pbf import half_constant
 
 # derandomized so the suite is repeatable; no example database on disk
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -486,3 +488,90 @@ def test_edges_are_refused_where_numpys_overflow(seed, n, bins):
         else:
             with pytest.raises(BadParameterError, match="overflow"):
                 _quantile_edges(s, bins, drop)
+
+
+# ---------------------------------------------------------------------------
+# eval_array: the value table gives the masked loop's bits
+
+
+def masked_eval(f, xs):
+    """eval_array as first written: a boolean mask, a gather and a
+    scatter per branch."""
+    xs = np.asarray(xs, dtype=float)
+    idx = f.branch_index_array(xs) - 1
+    out = np.empty_like(xs)
+    for i, b in enumerate(f.branches):
+        mask = idx == i
+        if not np.any(mask):
+            continue
+        if b.kind == "constant":
+            out[mask] = b.constant_value
+        else:
+            out[mask] = b.forward(xs[mask])
+    return out
+
+
+EVAL_FUNCTIONS = {
+    "magnitude": magnitude(),
+    "magnitude_unit": magnitude(-1.0, 1.0),
+    "scale_negative": scale(-2.0, lo=0.0),
+    "square": square(),
+    "shift_mod_ten": shift_mod(0.3, lo=-1.5, hi=1.5),
+    "half_constant": half_constant(),
+    "square_after_magnitude": compose(square(0.0, np.inf), magnitude()),
+}
+# empty, one point, and one under, at and past a block of eval_array
+# (2^14 points), and past three
+EVAL_SIZES = (0, 1, 2**14 - 1, 2**14, 2**14 + 7, 3 * 2**14 + 1)
+
+
+def domain_points(f, seed, size):
+    """``size`` points of f's domain: random ones, with the tile edges,
+    their float neighbours, the domain's finite ends and zeros of both
+    signs spread among them."""
+    lo, hi = f.domain_lo, f.domain_hi
+    inner = f._edges[1:-1]
+    special = np.concatenate(
+        [
+            np.nextafter(inner, -np.inf),
+            inner,
+            np.nextafter(inner, np.inf),
+            [0.0, -0.0, lo, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)],
+        ]
+    )
+    a, b = max(lo, -4.0), min(hi, 4.0)
+    special = special[(special >= a) & (special <= b) & (special < hi)]
+    rng = np.random.default_rng(seed)
+    xs = a + (b - a) * rng.random(size)
+    xs[rng.integers(0, size, min(size, 2 * special.size))] = np.resize(
+        special, min(size, 2 * special.size)
+    )
+    return xs
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(sorted(EVAL_FUNCTIONS)),
+    size=st.sampled_from(EVAL_SIZES),
+    ndim=st.sampled_from((0, 1, 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="shift_mod_ten", size=3 * 2**14 + 1, ndim=2, seed=1)
+@example(name="scale_negative", size=2**14 + 7, ndim=1, seed=2)
+@example(name="half_constant", size=0, ndim=2, seed=3)
+def test_eval_array_is_the_masked_loop_bit_for_bit(name, size, ndim, seed):
+    f = EVAL_FUNCTIONS[name]
+    if ndim == 0:
+        xs = domain_points(f, seed, 1).reshape(())
+    elif ndim == 1:
+        xs = domain_points(f, seed, size)
+    else:
+        xs = domain_points(f, seed, 3 * size).reshape(3, size)
+    got, want = f.eval_array(xs), masked_eval(f, xs)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # as integers, so that the sign of a zero counts
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    below = [np.nextafter(f.domain_lo, -np.inf)] if np.isfinite(f.domain_lo) else []
+    for bad in [np.nan, f.domain_hi] + below:
+        with pytest.raises(OutOfDomainError):
+            f.eval_array(np.append(xs, bad))
