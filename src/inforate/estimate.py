@@ -644,6 +644,10 @@ class BlockEntropyEstimate:
         return self.value
 
 
+# starting points per block of the block-entropy count
+_COUNT_BLOCK = 1 << 16
+
+
 def _plugin_entropy(counts):
     p = counts[counts > 0] / counts.sum()
     return entropy_bits(p)
@@ -666,23 +670,31 @@ def _block_entropy(f, values, k):
     One count of the blocks of k + 1 indices gives every lower order: the
     blocks of order j are those counts summed over their last k - j
     indices, plus the k - j blocks that start too late to extend to
-    k + 1 indices."""
+    k + 1 indices.  The path is indexed and counted _COUNT_BLOCK starting
+    points at a time, so no path-sized array is built."""
     n_branches = len(f.branches)
-    w = f.branch_index_array(values)
-    w -= 1
-    n = w.size
-    codes = w[: n - k].astype(np.int64)
-    for i in range(1, k + 1):
-        codes *= n_branches
-        codes += w[i : n - k + i]
-    counts = np.bincount(codes, minlength=n_branches ** (k + 1))
+    n_codes = n_branches ** (k + 1)
+    n = values.size
+    counts = np.zeros(n_codes, np.int64)
+    for start in range(0, n - k, _COUNT_BLOCK):
+        stop = min(start + _COUNT_BLOCK, n - k)
+        # the block's indices and the k after its last starting point
+        w = f.branch_index_array(values[start : stop + k])
+        w -= 1
+        m = stop - start
+        codes = w[:m].astype(np.int64)
+        for i in range(1, k + 1):
+            codes *= n_branches
+            codes += w[i : m + i]
+        counts += np.bincount(codes, minlength=n_codes)
     counts = counts.reshape((n_branches,) * (k + 1))
+    tail = w[w.size - k :]
 
     joint = []
     for order in range(k + 1):
         blocks = counts.sum(axis=tuple(range(order + 1, k + 1)))
-        for start in range(n - k, n - order):
-            blocks[tuple(w[start : start + order + 1])] += 1
+        for start in range(k - order):
+            blocks[tuple(tail[start : start + order + 1])] += 1
         # C order is code order, so the plug-in sees the counts in the
         # order a bincount of the codes of this order lists them
         joint.append(_plugin_entropy(blocks.ravel()))
@@ -710,8 +722,8 @@ def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
     Returns the estimate at the largest order whose successive difference
     dropped below 0.01 bit; the full level sequence rides along.
     """
-    from .process import check_sample_count, sample_path
+    from .process import check_path_args, sample_path
 
-    check_sample_count(n_samples)
+    check_path_args(n_samples, seed, stream)
     _check_block_order(f, k, n_samples)
     return _block_entropy(f, sample_path(process, n_samples, seed, stream).values, k)

@@ -30,7 +30,7 @@ from .estimate import (
     resolve_bins,
 )
 from .lumpability import check_lumpable
-from .process import check_sample_count, pushforward_process, sample_path
+from .process import check_path_args, pushforward_process, sample_path
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,10 @@ def loss_rate_bounds_mc(
     conditions on the previous output, L - I(X1;X2) + I(X1;Y2) on the
     previous input.  They are returned ordered numerically; for lumpable
     systems they agree up to estimator noise.  L is computed to ``cfg``.
-    Raises BadParameterError unless ``n_samples`` is an int >= 1 and
-    ``bins`` None or an int >= 1.
+    Raises BadParameterError unless ``n_samples`` is an int >= 1,
+    ``seed`` an int >= 0 and ``bins`` None or an int >= 1.
     """
-    check_sample_count(n_samples)
+    check_path_args(n_samples, seed)
     bins = resolve_bins(bins, n_samples)
     loss, _ = _loss_rv_detail(f, process, cfg)
     xs = sample_path(process, n_samples, seed).values
@@ -183,7 +183,7 @@ def analyze_loss_rate(
     """Assemble every applicable value and bound into one report."""
     method = {}
     value = None
-    check_sample_count(n_samples)
+    check_path_args(n_samples, seed)
     bins = resolve_bins(bins, n_samples)
 
     loss, loss_tag = _loss_rv_detail(f, process, cfg)

@@ -297,16 +297,41 @@ def make_iid_uniform(lo=0.0, hi=1.0):
 # path sampling
 
 
-def check_sample_count(n):
-    """Raise BadParameterError unless the sample count ``n`` is an int >= 1."""
+def check_path_args(n, seed, stream=0):
+    """Raise BadParameterError unless the sample count ``n`` is an int
+    >= 1 and ``seed`` and ``stream`` are ints >= 0."""
     check_int("sample count", n, 1)
+    check_int("seed", seed, 0)
+    check_int("stream", stream, 0)
+
+
+# (process, (n, seed, stream), PathSample) of the last path drawn, or None
+_last_path = None
 
 
 def sample_path(process, n, seed, stream=0):
-    """Length-n realization; deterministic in (seed, stream)."""
-    check_sample_count(n)
+    """Length-n realization; deterministic in (seed, stream).
+
+    The last path drawn is kept: a call with the same process object
+    (compared with ``is``) and the same n, seed and stream returns that
+    same PathSample, whose values are read-only.  Any other call drops it
+    before drawing, so at most one path is held.  Raises
+    BadParameterError unless n is an int >= 1 and seed and stream are
+    ints >= 0.
+    """
+    global _last_path
+    check_path_args(n, seed, stream)
+    key = (n, seed, stream)
+    # the slot is read once and replaced whole, so a caller on another
+    # thread sees a complete entry or None
+    last = _last_path
+    if last is not None and last[0] is process and last[1] == key:
+        return last[2]
+    _last_path = last = None
     values = _draw_path(process, make_rng(seed, stream), n)
-    return PathSample(values=values, seed=seed, length=n, stream=stream)
+    path = PathSample(values=values, seed=seed, length=n, stream=stream)
+    _last_path = (process, key, path)
+    return path
 
 
 def _draw_path(process, rng, n):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadParameterError, TooFewSamplesError
 from .pbf import constant_mass
-from .process import check_sample_count, sample_path
+from .process import check_path_args, sample_path
 
 
 def relative_loss_rate_constant_pieces(f, process, cfg=None):
@@ -47,7 +47,7 @@ def empirical_constant_frequency(f, process, n_samples=10**6, seed=42, stream=0)
     Monte Carlo cross-check for the quadrature mass: by stationarity the
     time average of the constant-region indicator converges to it.
     """
-    check_sample_count(n_samples)
+    check_path_args(n_samples, seed, stream)
     if n_samples < 10**4:
         raise TooFewSamplesError("need at least 1e4 samples")
     constant = [b.kind == "constant" for b in f.branches]

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from inforate.estimate import (
     entropy_bits,
     expected_log_abs_derivative,
     expected_log_abs_derivative_mc,
+    _block_entropy,
     marginal_entropy_quad,
     xlog2x,
 )
@@ -481,6 +483,19 @@ class TestBlockEntropy:
             assert est.levels == levels
             assert (est.order, est.converged) == (order, converged)
             assert est.value == levels[order]
+
+    def test_the_count_holds_no_path_sized_array(self):
+        # the path is indexed and coded block by block: an intp index and
+        # int64 codes of its size would take 15.3 MiB at 10^6 samples
+        f = magnitude()
+        x = sample_path(make_ar1(0.6, 1.0), 10**6, seed=3).values
+        tracemalloc.start()
+        try:
+            _block_entropy(f, x, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestMarginalEntropyQuad:

@@ -295,6 +295,43 @@ class TestSampleCount:
         assert got == loss_rate_bounds_mc(f, p, 10**4, 1)
 
 
+class TestSeedAndStream:
+    # negative, a float, None, a bool and a string
+    @pytest.mark.parametrize("seed", [-1, 2.5, None, True, "7"])
+    def test_every_monte_carlo_entry_point_refuses_a_bad_seed(self, seed):
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        calls = [
+            lambda: sample_path(p, 10**4, seed),
+            lambda: loss_rate_bounds_mc(f, p, 10**4, seed),
+            lambda: analyze_loss_rate(f, p, 10**4, seed),
+            lambda: markov_block_entropy_W(f, p, n_samples=10**4, seed=seed),
+            lambda: empirical_constant_frequency(f, p, n_samples=10**4, seed=seed),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameterError, match="seed"):
+                call()
+
+    # the sandwich and the report always draw stream 0
+    @pytest.mark.parametrize("stream", [-1, 2.5, None, True])
+    def test_every_entry_point_with_a_stream_refuses_a_bad_one(self, stream):
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        calls = [
+            lambda: sample_path(p, 10**4, 1, stream),
+            lambda: markov_block_entropy_W(f, p, n_samples=10**4, stream=stream),
+            lambda: empirical_constant_frequency(
+                f, p, n_samples=10**4, stream=stream
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameterError, match="stream"):
+                call()
+
+    def test_takes_a_numpy_int_seed(self):
+        f = magnitude()
+        got = loss_rate_bounds_mc(f, make_ar1(0.5, 1.0), 10**4, np.int64(1))
+        assert got == loss_rate_bounds_mc(f, make_ar1(0.5, 1.0), 10**4, 1)
+
+
 class TestReport:
     def test_assembles_all_fields(self):
         rep = analyze_loss_rate(
@@ -331,6 +368,28 @@ class TestReport:
         hw = markov_block_entropy_W(f, p, n_samples=10**5, seed=3)
         assert (rep.lower_bound, rep.upper_bound_sandwich) == (sw.lower, sw.upper)
         assert rep.bound_HW == hw.value
+
+    def test_the_sandwich_then_the_index_entropy_draw_one_path(self, monkeypatch):
+        import inforate.process
+
+        f = magnitude()
+        draws = []
+        draw = inforate.process._draw_path
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(inforate.process, "_draw_path", counted)
+        p = make_ar1(0.5, 1.0)
+        sw = loss_rate_bounds_mc(f, p, n_samples=10**5, seed=3)
+        hw = markov_block_entropy_W(f, p, n_samples=10**5, seed=3)
+        assert len(draws) == 1
+        # the same calls on fresh equal processes draw their own paths
+        fresh = [make_ar1(0.5, 1.0), make_ar1(0.5, 1.0)]
+        assert sw == loss_rate_bounds_mc(f, fresh[0], n_samples=10**5, seed=3)
+        assert hw == markov_block_entropy_W(f, fresh[1], n_samples=10**5, seed=3)
+        assert len(draws) == 3
 
     def test_vanishing_derivative_at_a_tile_edge_needs_no_retry(self):
         # g'(0) = 0 where the branches of x**2 meet; one pass of the depth

@@ -1,6 +1,9 @@
 """Process models: entropies against closed forms, samplers, stationarity."""
 
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from inforate import (
 from inforate.errors import BadParameterError, NotNormalizedError
 from inforate.estimate import cond_entropy_rate_quad, marginal_entropy_quad
 from inforate._rng import make_rng
+from inforate import process
 from inforate.process import circular_distance, wrap_interval
 
 from conftest import shifted_kernel_process
@@ -206,6 +210,78 @@ class TestSamplePath:
         x = sample_path(p, 2000, seed=3).values
         assert x.shape == (2000,)
         assert abs(np.corrcoef(x[:-1], x[1:])[0, 1] - 0.6) < 0.1
+
+
+class TestPathMemo:
+    # each test starts from a process object of its own, so that what an
+    # earlier test left in the slot cannot be a hit
+
+    def test_a_repeated_call_returns_the_same_path(self):
+        p = make_ar1(0.5, 1.0)
+        path = sample_path(p, 5000, seed=7, stream=2)
+        assert sample_path(p, 5000, seed=7, stream=2) is path
+
+    def test_another_process_count_seed_or_stream_misses(self):
+        p = make_ar1(0.5, 1.0)
+        path = sample_path(p, 5000, seed=7)
+        # an equal process that is another object misses too
+        assert sample_path(make_ar1(0.5, 1.0), 5000, seed=7) is not path
+        for args in [(p, 5001, 7, 0), (p, 5000, 8, 0), (p, 5000, 7, 1)]:
+            got = sample_path(*args)
+            assert got is not path
+            assert (got.length, got.seed, got.stream) == args[1:]
+
+    def test_a_fresh_equal_process_draws_equal_values(self):
+        a = sample_path(make_cyclic_walk(1.0, 0.4), 5000, seed=7)
+        b = sample_path(make_cyclic_walk(1.0, 0.4), 5000, seed=7)
+        assert a is not b
+        assert np.array_equal(a.values, b.values)
+
+    def test_takes_numpy_int_seeds_and_streams(self):
+        a = sample_path(make_iid_gaussian(1.0), 100, np.int64(7), np.uint8(1))
+        b = sample_path(make_iid_gaussian(1.0), 100, 7, 1)
+        assert np.array_equal(a.values, b.values)
+
+    def test_the_old_path_is_gone_before_the_next_draw(self, monkeypatch):
+        p = make_ar1(0.5, 1.0)
+        old = weakref.ref(sample_path(p, 1000, seed=1).values)
+        # the slot holds it until another path is asked for
+        assert old() is not None
+        draw = process._draw_path
+        alive = []
+
+        def checked(*args):
+            alive.append(old() is not None)
+            return draw(*args)
+
+        monkeypatch.setattr(process, "_draw_path", checked)
+        sample_path(p, 1000, seed=2)
+        assert alive == [False]
+
+    def test_threads_sharing_the_slot_get_their_own_paths(self):
+        # eight threads on two keys, switching often: a hit must never
+        # return the other key's path
+        p = make_iid_gaussian(1.0)
+        want = {s: sample_path(make_iid_gaussian(1.0), 500, s).values for s in (1, 2)}
+        wrong = []
+
+        def work(seed):
+            for _ in range(200):
+                if not np.array_equal(sample_path(p, 500, seed).values, want[seed]):
+                    wrong.append(seed)
+
+        threads = [threading.Thread(target=work, args=(1 + i % 2,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestStationarityResidualAll:
