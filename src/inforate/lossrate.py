@@ -13,6 +13,7 @@ previous input, one nested quadrature.
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadParameterError,
     ConstantBranchError,
     NoConvergenceError,
     NotLumpableError,
@@ -29,8 +30,11 @@ from .estimate import (
     cond_entropy_input_given_output,
     resolve_bins,
 )
-from .lumpability import check_lumpable
+from .lumpability import check_grid_params, check_lumpable
 from .process import check_path_args, pushforward_process, sample_path
+
+# the tol of the lumpability gate in front of the exact rate
+_GATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,27 +92,33 @@ def loss_rv(f, process, cfg=DEFAULT_QUAD):
 
 
 def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201):
-    """Exact loss rate h(X2|X1) - h(Y2|X1) + E[log2|g'(X)|], in bits.
+    """Exact loss rate H(X2 | Y2, X1) in bits; 0.0 for one branch.
 
-    When the output process is Markov this is H(X2 | Y2, X1), which of
-    its preimages the input is given the output and the previous input:
-    one nested quadrature, never negative, and 0 for a bijection.  For
-    Markov inputs the grid check of ``check_lumpable`` runs first, at its
+    When the output process is Markov the rate is H(X2 | Y2, X1), which
+    of its preimages the input is given the output and the previous
+    input: one nested quadrature, never negative.  A function with one
+    injective branch loses nothing and gives 0.0 through ``loss_rv``
+    without either check or quadrature; no output value has two
+    preimages, so the grid check could not fail.  For Markov inputs with
+    more branches the grid check of ``check_lumpable`` runs first, at its
     default tol, and NotLumpableError refuses the value when it fails; for
-    iid inputs the rate is the marginal loss ``loss_rv``.  NoConvergenceError
+    iid inputs the rate is the marginal loss ``loss_rv``.  A bad ``grid``
+    raises BadParameterError for every Markov input.  NoConvergenceError
     means some integral missed ``cfg.abs_tol`` within the depth budget of
     ``cfg``; there is no retry.
     """
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
-    if not process.is_markov:
-        return loss_rv(f, process, cfg)
-    rep = check_lumpable(f, process, grid=grid)
-    if not rep.condition_holds:
-        raise NotLumpableError(
-            f"lumpability deviation {rep.max_deviation:.3e} exceeds {rep.tol}"
-        )
-    return cond_entropy_X2_given_Y2_X1(f, process, cfg)
+    if process.is_markov:
+        check_grid_params(grid, _GATE_TOL)
+        if len(f.branches) > 1:
+            rep = check_lumpable(f, process, grid=grid, tol=_GATE_TOL)
+            if not rep.condition_holds:
+                raise NotLumpableError(
+                    f"lumpability deviation {rep.max_deviation:.3e} exceeds {rep.tol}"
+                )
+            return cond_entropy_X2_given_Y2_X1(f, process, cfg)
+    return loss_rv(f, process, cfg)
 
 
 def loss_rate_bounds_mc(
@@ -225,33 +235,52 @@ def analyze_loss_rate(
 def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201):
     """Total and per-stage loss rates of a chain of systems.
 
-    Stage i is evaluated against the pushforward of the input through
-    the earlier stages.  iid inputs use per-stage marginal losses (the
-    rate equals the marginal loss there); Markov inputs use the exact
-    quadrature, which requires every stage to pass the lumpability
-    check.
+    A bijection loses nothing, so the one-branch stages in front of the
+    first lossy stage each give 0.0, and that stage is evaluated as the
+    composition of the chain up to it on ``process`` itself.  Every later
+    stage is evaluated on the pushforward of the input through the stages
+    before it.  The total is the rate of the full composition on
+    ``process``, computed apart from the stages, so ``additivity_gap``
+    stays an independent check.  iid inputs use marginal losses
+    (``method="rv"``, the rate equals the marginal loss there); Markov
+    inputs use the exact rate (``"analytic"``), which requires every
+    lossy stage to pass the lumpability check.  BadParameterError refuses
+    an empty chain and a ``method`` other than "auto", "rv" or "analytic".
     """
     from .pbf import compose
 
+    if not f_list:
+        raise BadParameterError("a cascade needs at least one stage")
+    if method not in ("auto", "rv", "analytic"):
+        raise BadParameterError(
+            f'method must be "auto", "rv" or "analytic", got {method!r}'
+        )
     if method == "auto":
         method = "rv" if process.kernel is None else "analytic"
 
-    composed = f_list[0]
+    # prefixes[i] is the chain up to stage i; the last one is the total's
+    prefixes = [f_list[0]]
     for nxt in f_list[1:]:
-        composed = compose(nxt, composed)
+        prefixes.append(compose(nxt, prefixes[-1]))
 
     def loss(g, proc):
         if method == "rv":
             return float(loss_rv(g, proc, cfg))
         return float(loss_rate_analytic(g, proc, cfg, grid=grid))
 
-    stages = []
-    current = process
-    for i, g in enumerate(f_list):
-        stages.append(loss(g, current))
-        if i + 1 < len(f_list):
-            current = pushforward_process(g, current)
-    total = loss(composed, process)
+    # the one-branch stages before the first lossy one lose nothing, and
+    # that stage runs as the chain up to it, on the input itself
+    first = next(
+        (i for i, g in enumerate(f_list) if len(g.branches) > 1), len(f_list) - 1
+    )
+    stages = [loss(g, process) for g in f_list[:first]]
+    stages.append(loss(prefixes[first], process))
+    current, g = process, prefixes[first]
+    for nxt in f_list[first + 1 :]:
+        current = pushforward_process(g, current)
+        stages.append(loss(nxt, current))
+        g = nxt
+    total = loss(prefixes[-1], process)
     return CascadeResult(
         total=total,
         stages=tuple(stages),

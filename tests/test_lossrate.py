@@ -1,5 +1,6 @@
 """Loss-rate values, bound chain, sandwich bracket, cascades."""
 
+import collections
 import math
 
 import numpy as np
@@ -35,10 +36,31 @@ from inforate.errors import (
     NotLumpableError,
     TooFewSamplesError,
 )
+import inforate.lossrate
 from inforate._rng import make_rng
 from inforate.lossrate import _sandwich
 
 from conftest import shifted_kernel_process
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of the exact rate's gate, the two loss quadratures and the
+    pushforward, counted where the loss-rate module looks them up."""
+    counts = collections.Counter()
+    for name in (
+        "check_lumpable",
+        "cond_entropy_X2_given_Y2_X1",
+        "cond_entropy_input_given_output",
+        "pushforward_process",
+    ):
+
+        def counted(*args, _real=getattr(inforate.lossrate, name), _name=name, **kw):
+            counts[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(inforate.lossrate, name, counted)
+    return counts
 
 
 class TestLossRV:
@@ -99,6 +121,14 @@ class TestLossRateAnalytic:
 
     def test_bijective_zero(self):
         assert loss_rate_analytic(scale(3.0), make_ar1(0.5, 1.0)) == 0.0
+
+    def test_one_branch_needs_no_gate_and_no_quadrature(self, calls):
+        p = make_ar1(0.5, 1.0)
+        assert loss_rate_analytic(scale(2.0), p) == 0.0
+        assert sum(calls.values()) == 0
+        # the grid is still refused where the gate would refuse it
+        with pytest.raises(BadParameterError, match="grid"):
+            loss_rate_analytic(scale(2.0), p, grid=50)
 
     def test_constant_refused(self):
         with pytest.raises(ConstantBranchError):
@@ -271,6 +301,30 @@ class TestCascade:
     def test_ar1_scale_then_fold_additivity(self):
         res = cascade_loss_rate([scale(-1.5), magnitude()], make_ar1(0.6, 1.0))
         assert res.additivity_gap <= 2e-3
+
+    def test_bijections_run_neither_gate_nor_quadrature(self, calls):
+        # the leading scale is composed into the fold, which runs on AR(1)
+        # itself; only the trailing scale sees a pushforward
+        res = cascade_loss_rate(
+            [scale(0.5), magnitude(), scale(2.0)], make_ar1(0.5, 1.0)
+        )
+        assert res.stages[0] == res.stages[2] == 0.0
+        # once for the fold stage and once for the total
+        assert calls["check_lumpable"] == 2
+        assert calls["cond_entropy_X2_given_Y2_X1"] == 2
+        assert calls["pushforward_process"] == 1
+
+    @pytest.mark.parametrize(
+        "stages, method",
+        [([], "auto"), ([magnitude()], "exact"), ([magnitude()], "RV")],
+        ids=["empty chain", "unknown method", "method in capitals"],
+    )
+    def test_bad_chain_or_method_refused_before_any_quadrature(
+        self, calls, stages, method
+    ):
+        with pytest.raises(BadParameterError):
+            cascade_loss_rate(stages, make_ar1(0.5, 1.0), method=method)
+        assert sum(calls.values()) == 0
 
 
 class TestSampleCount:

@@ -7,7 +7,9 @@ h(X) - h(Y) + E log2|g'(X)|, the one-sort binning of the
 mutual-information estimators against the estimator as first written,
 the quantile edges read off the sort against np.quantile, the
 labeller's edge table against a binary search, and eval_array's value
-table against the masked loop it replaced."""
+table against the masked loop it replaced, and the stages of random
+cascades against their evaluation on the explicit chain of
+pushforwards."""
 
 import numpy as np
 import pytest
@@ -247,6 +249,64 @@ def test_walk_cascade_total_is_its_stage_sum_and_its_closed_form(ratio):
     res = cascade_loss_rate(stages, make_cyclic_walk(1.0, ratio), method="analytic")
     assert abs(res.total - sum(res.stages)) <= EXACT_TOL
     assert abs(res.total - ratio) <= EXACT_TOL
+
+
+@st.composite
+def cascades(draw):
+    """A chain on a built-in process as in criterion 7: scales from
+    (-2, 0.5, 1.5) before a fold and (0.5, 2) after it, around at most
+    one fold."""
+    kind = draw(st.sampled_from(["ar1", "walk", "iid_gauss", "iid_uniform"]))
+    if kind == "ar1":
+        process = make_ar1(draw(reals(0.1, 0.9)), 1.0)
+    elif kind == "walk":
+        process = make_cyclic_walk(1.0, draw(reals(0.05, 1.0)))
+    elif kind == "iid_gauss":
+        process = make_iid_gaussian(draw(reals(0.5, 2.0)))
+    else:
+        process = make_iid_uniform(-1.0, 3.0)
+    n_stages = draw(st.integers(2, 3))
+    fold_at = draw(st.sampled_from([None, *range(n_stages)]))
+    lo, hi = process.support
+    stages = []
+    for i in range(n_stages):
+        if i == fold_at:
+            g = magnitude(lo, hi)
+        else:
+            folded = fold_at is not None and i > fold_at
+            ks = [0.5, 2.0] if folded else [-2.0, 0.5, 1.5]
+            g = scale(draw(st.sampled_from(ks)), lo, hi)
+        stages.append(g)
+        lo, hi = g.range_hull()
+    return stages, process
+
+
+def pushforward_route(stages, process):
+    """Every stage on the explicit chain of pushforwards of the input,
+    and the rate of the full composition."""
+    loss = loss_rate_analytic if process.is_markov else loss_rv
+    values, current = [], process
+    for i, g in enumerate(stages):
+        values.append(loss(g, current))
+        if i + 1 < len(stages):
+            current = pushforward_process(g, current)
+    composed = stages[0]
+    for g in stages[1:]:
+        composed = compose(g, composed)
+    return values, loss(composed, process)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(cascades())
+def test_cascade_stages_agree_with_the_pushforward_route(chain):
+    stages, process = chain
+    res = cascade_loss_rate(stages, process)
+    values, total = pushforward_route(stages, process)
+    for g, got, want in zip(stages, res.stages, values):
+        assert abs(got - want) <= EXACT_TOL
+        if len(g.branches) == 1:
+            assert got == 0.0
+    assert res.total == total
 
 
 # ---------------------------------------------------------------------------
