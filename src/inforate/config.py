@@ -14,10 +14,13 @@ Process kinds: ar1{a, sigma}, cyclic_walk{M, a}, tightness{},
 iid_gaussian{sigma}, iid_uniform{lo, hi}.  Function kinds: identity,
 magnitude, scale{k}, square, shift_mod{period, offset}, quantizer{edges};
 a compose list applies entries first-to-last.  Function domains default
-to the process support.
+to the process support; every function kind but quantizer also takes lo
+and hi.  Unknown fields and non-numeric or bool values are refused with
+ParseError.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import pbf
@@ -37,6 +40,17 @@ _PROCESS_KINDS = {
     "tightness": (make_tightness_example, ()),
     "iid_gaussian": (make_iid_gaussian, ("sigma",)),
     "iid_uniform": (make_iid_uniform, ("lo", "hi")),
+}
+
+# function kinds: builder, required and optional numeric fields; lo and
+# hi bound the domain, which defaults to the process support
+_FUNCTION_KINDS = {
+    "identity": (pbf.identity, (), ("lo", "hi")),
+    "magnitude": (pbf.magnitude, (), ("lo", "hi")),
+    "scale": (pbf.scale, ("k",), ("lo", "hi")),
+    "square": (pbf.square, (), ("lo", "hi")),
+    "shift_mod": (pbf.shift_mod, ("period",), ("offset", "lo", "hi")),
+    "quantizer": (pbf.quantizer, ("edges",), ()),
 }
 
 
@@ -76,14 +90,18 @@ def _is_number(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _build_process(spec):
+def _kind(spec, kinds, where):
+    """The ``kind`` field of ``spec``, one of the keys of ``kinds``."""
     if not isinstance(spec, dict):
-        raise ParseError("field 'process' must be an object")
-    kind = _require(spec, "kind", "process")
-    if kind not in _PROCESS_KINDS:
-        raise ParseError(
-            f"unknown process kind {kind!r}; choose from {sorted(_PROCESS_KINDS)}"
-        )
+        raise ParseError(f"a {where} spec must be an object")
+    kind = _require(spec, "kind", where)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ParseError(f"unknown {where} kind {kind!r}; choose from {sorted(kinds)}")
+    return kind
+
+
+def _build_process(spec):
+    kind = _kind(spec, _PROCESS_KINDS, "process")
     builder, names = _PROCESS_KINDS[kind]
     kwargs = {}
     for name in names:
@@ -101,30 +119,27 @@ def _build_process(spec):
 
 
 def _build_single_function(spec, lo, hi):
-    kind = _require(spec, "kind", "function")
-    lo = spec.get("lo", lo)
-    hi = spec.get("hi", hi)
+    kind = _kind(spec, _FUNCTION_KINDS, "function")
+    builder, required, optional = _FUNCTION_KINDS[kind]
+    kwargs = {"lo": lo, "hi": hi} if "lo" in optional else {}
+    for name in required:
+        _require(spec, name, f"function {kind!r}")
+    extra = set(spec) - {"kind", *required, *optional}
+    if extra:
+        raise ParseError(f"unexpected fields {sorted(extra)} for function {kind!r}")
+    for name, val in spec.items():
+        if name == "kind":
+            continue
+        if name == "edges":
+            if not (isinstance(val, list) and all(map(_is_number, val))):
+                raise ParseError("function field 'edges' must be a list of numbers")
+        elif not _is_number(val):
+            raise ParseError(f"function field {name!r} must be numeric")
+        kwargs[name] = val
     try:
-        if kind == "identity":
-            return pbf.identity(lo, hi)
-        if kind == "magnitude":
-            return pbf.magnitude(lo, hi)
-        if kind == "scale":
-            return pbf.scale(_require(spec, "k", "scale"), lo, hi)
-        if kind == "square":
-            return pbf.square(lo, hi)
-        if kind == "shift_mod":
-            return pbf.shift_mod(
-                _require(spec, "period", "shift_mod"),
-                spec.get("offset", 0.0),
-                lo,
-                hi,
-            )
-        if kind == "quantizer":
-            return pbf.quantizer(_require(spec, "edges", "quantizer"))
+        return builder(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad parameters for function {kind!r}: {exc}") from exc
-    raise ParseError(f"unknown function kind {kind!r}")
 
 
 def _build_function(spec, process):
@@ -132,6 +147,8 @@ def _build_function(spec, process):
         raise ParseError("field 'function' must be an object")
     lo, hi = process.support
     if "compose" in spec:
+        if set(spec) != {"compose"}:
+            raise ParseError("a 'compose' function takes no other fields")
         parts = spec["compose"]
         if not isinstance(parts, list) or not parts:
             raise ParseError("'compose' must be a non-empty list")
@@ -162,8 +179,8 @@ def check_estimation(key, value, label=None):
     """
     label = label or f"estimation field {key!r}"
     if key == "quad_tol":
-        if not (_is_number(value) and value > 0):
-            raise ParseError(f"{label} must be a positive number")
+        if not (_is_number(value) and 0 < value < math.inf):
+            raise ParseError(f"{label} must be a finite positive number")
         return
     if key == "bins" and value is None:
         return

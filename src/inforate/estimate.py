@@ -7,6 +7,7 @@ entropies are in bits.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     TooFewSamplesError,
     check_int,
 )
+from .pbf import identity
 
 LOG2E = 1.0 / math.log(2.0)
 
@@ -83,8 +85,12 @@ class QuadratureConfig:
     max_intervals: int = 200_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise BadParameterError("abs_tol must be positive")
+        tol = self.abs_tol
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and 0 < tol < math.inf):  # NaN fails the comparison
+            raise BadParameterError(f"abs_tol must be a finite number > 0, got {tol!r}")
+        check_int("max_depth", self.max_depth, 0)
+        check_int("max_intervals", self.max_intervals, 1)
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -411,19 +417,18 @@ def _cond_windows(process, x1s):
     return lo, hi, points
 
 
-def _x1_integral(process, value, cfg, f=None):
+def _x1_integral(process, value, cfg, f):
     """int f_X(x1) value(x1) dx1 over the truncated support.
 
     ``value`` maps an array of x1 nodes to one value each.  Split where
     value(x1) may kink: at the marginal's split points, at the finite tile
-    edges of a given function, and at the x1 where a kernel
-    discontinuity lands on a tile edge or an end of the support.  No
-    rule finds such kinks by itself (Lyness, 1983), so they are declared
-    as in QUADPACK's QAGP.
+    edges of f, and at the x1 where a kernel discontinuity lands on a
+    tile edge or an end of the support.  No rule finds such kinks by
+    itself (Lyness, 1983), so they are declared as in QUADPACK's QAGP.
     """
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
-    edges = np.array([lo, hi, *(f.tile_edges if f is not None else ())])
+    edges = np.array([lo, hi, *f.tile_edges])
     points = np.concatenate([process.marginal_split_points, edges])
     if process.kernel is not None:
         points = np.append(points, process.kernel.x1_split_points(edges))
@@ -460,26 +465,15 @@ def marginal_entropy_quad(process, cfg=DEFAULT_QUAD):
 
 
 def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
-    """h(X2|X1) for a Markov process by nested quadrature (bits).
+    """h(X2|X1) for a Markov process by nested quadrature (bits): h(Y2|X1)
+    at g = identity, whose y windows, split points and integrand values
+    are those of x2.
 
     For an iid process this reduces to the marginal entropy.
     """
     if process.kernel is None:
         return marginal_entropy_quad(process, cfg)
-    cond = process.kernel.cond_pdf
-    lo, hi = process.quad_support
-
-    def point_entropy(x1s):
-        wlo, whi, kinks = _cond_windows(process, x1s)
-        return -quad_batch(
-            lambda x2, col: xlog2x(cond(x2, x1s[col])),
-            np.maximum(wlo, lo),
-            np.minimum(whi, hi),
-            cfg,
-            kinks,
-        )
-
-    return _x1_integral(process, point_entropy, cfg)
+    return cond_entropy_output_given_input(identity(), process, cfg)
 
 
 def _branch_probabilities(f, process, x1s, cfg):

@@ -98,26 +98,25 @@ def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201):
     of its preimages the input is given the output and the previous
     input: one nested quadrature, never negative.  A function with one
     injective branch loses nothing and gives 0.0 through ``loss_rv``
-    without either check or quadrature; no output value has two
+    without the lumpability check or quadrature; no output value has two
     preimages, so the grid check could not fail.  For Markov inputs with
     more branches the grid check of ``check_lumpable`` runs first, at its
     default tol, and NotLumpableError refuses the value when it fails; for
     iid inputs the rate is the marginal loss ``loss_rv``.  A bad ``grid``
-    raises BadParameterError for every Markov input.  NoConvergenceError
-    means some integral missed ``cfg.abs_tol`` within the depth budget of
-    ``cfg``; there is no retry.
+    raises BadParameterError for every input, before any other work.
+    NoConvergenceError means some integral missed ``cfg.abs_tol`` within
+    the depth budget of ``cfg``; there is no retry.
     """
+    check_grid_params(grid, _GATE_TOL)
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
-    if process.is_markov:
-        check_grid_params(grid, _GATE_TOL)
-        if len(f.branches) > 1:
-            rep = check_lumpable(f, process, grid=grid, tol=_GATE_TOL)
-            if not rep.condition_holds:
-                raise NotLumpableError(
-                    f"lumpability deviation {rep.max_deviation:.3e} exceeds {rep.tol}"
-                )
-            return cond_entropy_X2_given_Y2_X1(f, process, cfg)
+    if process.is_markov and len(f.branches) > 1:
+        rep = check_lumpable(f, process, grid=grid, tol=_GATE_TOL)
+        if not rep.condition_holds:
+            raise NotLumpableError(
+                f"lumpability deviation {rep.max_deviation:.3e} exceeds {rep.tol}"
+            )
+        return cond_entropy_X2_given_Y2_X1(f, process, cfg)
     return loss_rv(f, process, cfg)
 
 
@@ -190,7 +189,11 @@ def analyze_loss_rate(
     cfg=DEFAULT_QUAD,
     grid=201,
 ):
-    """Assemble every applicable value and bound into one report."""
+    """Assemble every applicable value and bound into one report.
+
+    A bad ``grid`` raises BadParameterError for every input, before any
+    other work."""
+    check_grid_params(grid, _GATE_TOL)
     method = {}
     value = None
     check_path_args(n_samples, seed)
@@ -244,11 +247,13 @@ def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201
     stays an independent check.  iid inputs use marginal losses
     (``method="rv"``, the rate equals the marginal loss there); Markov
     inputs use the exact rate (``"analytic"``), which requires every
-    lossy stage to pass the lumpability check.  BadParameterError refuses
-    an empty chain and a ``method`` other than "auto", "rv" or "analytic".
+    lossy stage to pass the lumpability check.  BadParameterError refuses,
+    before any other work, a bad ``grid`` for every input, an empty chain
+    and a ``method`` other than "auto", "rv" or "analytic".
     """
     from .pbf import compose
 
+    check_grid_params(grid, _GATE_TOL)
     if not f_list:
         raise BadParameterError("a cascade needs at least one stage")
     if method not in ("auto", "rv", "analytic"):

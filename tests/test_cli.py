@@ -332,6 +332,8 @@ class TestConfigUsageErrors:
             ("quad_tol", -1e-9),
             ("quad_tol", "1e-9"),
             ("quad_tol", False),
+            ("quad_tol", math.inf),
+            ("quad_tol", math.nan),
             ("bins", 0),
             ("seed", -1),
             ("grid", 50),
@@ -355,6 +357,8 @@ class TestConfigUsageErrors:
             ("--samples", "500"),
             ("--grid", "50"),
             ("--quad-tol", "0"),
+            ("--quad-tol", "inf"),
+            ("--quad-tol", "nan"),
         ],
     )
     def test_out_of_range_flag_exits_2(self, capsys, flag, value):
@@ -363,6 +367,82 @@ class TestConfigUsageErrors:
         assert out == ""
         assert err.startswith(f"error: {flag} must be")
         assert len(err.strip().splitlines()) == 1
+
+    def test_quad_tol_that_overflows_to_inf_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        spec = {"process": self.AR1, "function": {"kind": "magnitude"}}
+        cfg.write_text(json.dumps(spec)[:-1] + ', "estimation": {"quad_tol": 1e400}}')
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "quad_tol" in err
+
+    def test_cyclic_sweep_refuses_an_infinite_quad_tol(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cyclic-sweep", "--ratios", "0.35", "--quad-tol", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --quad-tol must be")
+
+    WALK = {"kind": "cyclic_walk", "M": 1.0, "a": 0.35}
+
+    @pytest.mark.parametrize(
+        "function, word",
+        [
+            ({"kind": "shift_mod", "period": 1.0, "ofset": 0.5}, "ofset"),
+            ({"kind": "scale", "k": True}, "'k'"),
+            ({"kind": "scale", "k": "2"}, "'k'"),
+            ({"kind": "magnitude", "foo": 1}, "foo"),
+            (
+                {"compose": [{"kind": "magnitude"}, {"kind": "scale", "k": 2, "x": 1}]},
+                "'x'",
+            ),
+            ({"compose": [{"kind": "magnitude"}], "kind": "scale"}, "compose"),
+            ({"compose": [3]}, "object"),
+            ({"kind": ["magnitude"]}, "kind"),
+            ({"kind": "identity", "lo": "-1"}, "'lo'"),
+            ({"kind": "quantizer", "edges": [-1.0, "0", 1.0]}, "edges"),
+            ({"kind": "quantizer", "edges": 2.0}, "edges"),
+            ({"kind": "quantizer", "edges": [-1.0, 1.0], "lo": -1.0}, "lo"),
+            ({"kind": "shift_mod", "period": 1e-320}, "shift_mod"),
+        ],
+        ids=[
+            "misspelt offset",
+            "bool factor",
+            "string factor",
+            "magnitude with a field",
+            "compose entry with a field",
+            "compose beside a kind",
+            "compose entry not an object",
+            "kind not a string",
+            "string domain end",
+            "string edge",
+            "edges not a list",
+            "quantizer with a domain",
+            "period too small to count",
+        ],
+    )
+    def test_bad_function_spec_exits_2(self, capsys, tmp_path, function, word):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"process": self.WALK, "function": function}))
+        code, out, err = run_cli(capsys, "lump-check", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and word in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_well_typed_function_specs_parse(self):
+        from inforate.config import parse_config
+
+        for function in (
+            {"kind": "shift_mod", "period": 0.5, "offset": 0.25, "lo": -1, "hi": 1},
+            {"kind": "scale", "k": 2, "lo": -1.0, "hi": 1.0},
+            {"kind": "quantizer", "edges": [-1, 0.0, 1]},
+            {"compose": [{"kind": "magnitude"}, {"kind": "square"}]},
+        ):
+            text = json.dumps({"process": self.WALK, "function": function})
+            assert parse_config(text).function.domain_lo == -1.0
 
     UNREAD = {
         "cyclic-sweep": ("--seed", "--samples", "--bins"),
@@ -434,6 +514,13 @@ class TestConfigUsageErrors:
         assert out == ""
         assert err.startswith("error:") and "pole" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_process_kind_that_is_not_a_string_exits_2(self, capsys, tmp_path):
+        process = {"kind": ["ar1"], "a": 0.5, "sigma": 1.0}
+        code, out, err = self.analyze(capsys, tmp_path, process=process)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown process kind")
 
     def test_boolean_process_parameter_exits_2(self, capsys, tmp_path):
         process = {"kind": "ar1", "a": True, "sigma": 1.0}

@@ -107,6 +107,31 @@ class TestQuad:
             assert abs(total - 1.0) <= 1e-6
 
 
+class TestQuadratureConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("abs_tol", math.inf),
+            ("abs_tol", math.nan),
+            ("abs_tol", "x"),
+            ("abs_tol", True),
+            ("max_depth", -1),
+            ("max_depth", 3.0),
+            ("max_depth", None),
+            ("max_intervals", 0),
+            ("max_intervals", 1.5),
+            ("max_intervals", False),
+        ],
+    )
+    def test_refuses_a_bad_value(self, field, value):
+        with pytest.raises(BadParameterError, match=field):
+            QuadratureConfig(**{field: value})
+
+    def test_takes_numpy_values(self):
+        cfg = QuadratureConfig(np.float64(1e-6), np.int64(0), np.int32(1))
+        assert (cfg.abs_tol, cfg.max_depth, cfg.max_intervals) == (1e-6, 0, 1)
+
+
 class TestQuadBatch:
     def test_columns_keep_their_own_windows_and_split_points(self):
         got = quad_batch(

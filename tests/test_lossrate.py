@@ -327,6 +327,40 @@ class TestCascade:
         assert sum(calls.values()) == 0
 
 
+class TestGridRefusedFirst:
+    ENTRY_POINTS = {
+        "loss_rate_analytic": lambda p: loss_rate_analytic(magnitude(), p, grid=50),
+        "cascade_loss_rate": lambda p: cascade_loss_rate([magnitude()], p, grid=50),
+        "analyze_loss_rate": lambda p: analyze_loss_rate(
+            magnitude(), p, n_samples=10**5, grid=50
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "process",
+        [make_ar1(0.5, 1.0), make_iid_gaussian(1.0)],
+        ids=["ar1", "iid gaussian"],
+    )
+    def test_before_any_sampling_or_quadrature(
+        self, calls, monkeypatch, entry, process
+    ):
+        import inforate.process
+
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return sample_path(*args, **kwargs)
+
+        for module in (inforate.lossrate, inforate.process):
+            monkeypatch.setattr(module, "sample_path", counted)
+        with pytest.raises(BadParameterError, match="grid"):
+            self.ENTRY_POINTS[entry](process)
+        assert draws == []
+        assert sum(calls.values()) == 0
+
+
 class TestSampleCount:
     # a float count, a negative one, zero, a bool and a string
     @pytest.mark.parametrize("n", [2.5e4, -5, 0, True, "1000"])

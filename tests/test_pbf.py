@@ -90,6 +90,24 @@ class TestEval:
             tracemalloc.stop()
         assert peak <= out.nbytes + 2 * 2**20
 
+    def test_eval_array_feeds_no_subnormals_to_a_tile_ending_at_zero(self):
+        # the points right of (-inf, 0) are clipped to 0, not to -5e-324,
+        # on which -1.0 * x is tens of times slower
+        seen = []
+
+        def forward(x):
+            seen.append(np.array(x, dtype=float))
+            return -1.0 * np.asarray(x, dtype=float)
+
+        neg = injective_branch(
+            1, -np.inf, 0.0, forward, lambda y: -y, lambda x: np.full_like(x, -1.0)
+        )
+        f = PiecewiseFunction((neg, _identity_branch(2, 0.0, np.inf)))
+        xs = np.linspace(-1.0, 1.0, 101)
+        np.testing.assert_array_equal(f.eval_array(xs), np.abs(xs))
+        seen = np.concatenate([np.ravel(x) for x in seen])
+        assert not np.any((seen != 0.0) & (np.abs(seen) < np.finfo(float).tiny))
+
 
 class TestBranchIndex:
     def test_magnitude_left_of_zero(self):
@@ -489,6 +507,11 @@ class TestBuilders:
         with pytest.raises(BadParameterError):
             shift_mod(3.0, lo=0.0, hi=4.0)
 
+    def test_shift_mod_period_too_small_to_count(self):
+        # (hi - lo) / period overflows to inf
+        with pytest.raises(BadParameterError, match="periods"):
+            shift_mod(1e-320, lo=-1.0, hi=1.0)
+
     def test_quantizer_bad_edges(self):
         with pytest.raises(BadParameterError):
             quantizer([1.0, 1.0])
@@ -505,3 +528,39 @@ class TestBuilders:
 
     def test_magnitude_positive_domain_single_branch(self):
         assert len(magnitude(0.0, 5.0).branches) == 1
+
+    def test_magnitude_keeps_the_bits_of_its_own_closures(self):
+        # the branches magnitude wrote out before it took them from
+        # scale(-1.0) and identity(): -x on the left, x + 0.0 on the right
+        def neg(x):
+            return -x, -x, np.full_like(x, -1.0)
+
+        def pos(x):
+            return x + 0.0, x + 0.0, np.ones_like(x)
+
+        inf = np.inf
+        cases = {
+            (-inf, inf): [(1, -inf, 0.0, -0.0, inf, neg), (2, 0.0, inf, 0.0, inf, pos)],
+            (-3.0, 0.0): [(1, -3.0, 0.0, -0.0, 3.0, neg)],
+            (0.0, 2.0): [(1, 0.0, 2.0, 0.0, 2.0, pos)],
+        }
+        tiny = np.nextafter(0.0, 1.0)
+        xs = np.array(
+            [-inf, -1e308, -2.5, -1e-310, -tiny, -0.0, 0.0, tiny, 1e-310, 7.0, inf]
+        )
+        for (lo, hi), want in cases.items():
+            f = magnitude(lo, hi)
+            assert len(f.branches) == len(want)
+            for b, (index, d_lo, d_hi, r_lo, r_hi, closures) in zip(f.branches, want):
+                assert b.index == index
+                ends = np.array([b.domain_lo, b.domain_hi, b.range_lo, b.range_hi])
+                # as integers, so that the sign of a zero counts
+                want_ends = np.array([d_lo, d_hi, r_lo, r_hi])
+                np.testing.assert_array_equal(
+                    ends.view(np.int64), want_ends.view(np.int64)
+                )
+                for got, ref in zip((b.forward, b.inverse, b.derivative), closures(xs)):
+                    np.testing.assert_array_equal(
+                        np.asarray(got(xs), dtype=float).view(np.int64),
+                        ref.view(np.int64),
+                    )

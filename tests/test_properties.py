@@ -6,10 +6,10 @@ h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
 h(X) - h(Y) + E log2|g'(X)|, the one-sort binning of the
 mutual-information estimators against the estimator as first written,
 the quantile edges read off the sort against np.quantile, the
-labeller's edge table against a binary search, and eval_array's value
-table against the masked loop it replaced, and the stages of random
-cascades against their evaluation on the explicit chain of
-pushforwards."""
+labeller's edge table against a binary search, eval_array's value
+table against the masked loop it replaced, the scalar lookups against
+the array forms, and the stages of random cascades against their
+evaluation on the explicit chain of pushforwards."""
 
 import numpy as np
 import pytest
@@ -635,3 +635,66 @@ def test_eval_array_is_the_masked_loop_bit_for_bit(name, size, ndim, seed):
     for bad in [np.nan, f.domain_hi] + below:
         with pytest.raises(OutOfDomainError):
             f.eval_array(np.append(xs, bad))
+
+
+# ---------------------------------------------------------------------------
+# scalar lookups: branch_index, branch_at and eval give the array forms' bits
+
+
+@st.composite
+def lookup_cases(draw):
+    """A function with points of its domain, off it, and NaN: the tile
+    edges and their float neighbours, zeros of both signs, and random
+    points, in the domain and anywhere on the line."""
+    f = draw(
+        st.one_of(
+            lumpable_systems().map(lambda system: system[0]),
+            st.sampled_from(
+                [
+                    magnitude(),
+                    magnitude(-3.0, 0.0),
+                    magnitude(0.0, 2.0),
+                    magnitude(-1.0, 1.0),
+                    magnitude(-np.inf, 1.5),
+                    magnitude(-0.5, np.inf),
+                    shift_mod(0.3, lo=-1.5, hi=1.5),
+                ]
+            ),
+        )
+    )
+    edges = f._edges
+    lo, hi = max(f.domain_lo, -1e300), min(f.domain_hi, 1e300)
+    points = np.concatenate(
+        [
+            np.nextafter(edges, -np.inf),
+            edges,
+            np.nextafter(edges, np.inf),
+            [0.0, -0.0, np.nan],
+            draw(st.lists(st.floats(lo, hi), max_size=8)),
+            draw(st.lists(st.floats(allow_nan=False), max_size=4)),
+        ]
+    )
+    return f, points
+
+
+@PROPERTY
+@given(lookup_cases())
+def test_scalar_lookups_are_the_array_forms_bit_for_bit(case):
+    f, points = case
+    for x in points:
+        if f.domain_lo <= x < f.domain_hi:
+            index = int(f.branch_index_array(np.array([x]))[0])
+            assert f.branch_index(x) == index
+            assert f.branch_at(x) is f.branches[index - 1]
+            # a scale of a huge point overflows to inf in both forms
+            with np.errstate(over="ignore"):
+                got, want = np.array([f.eval(x), f.eval_array(np.array([x]))[0]])
+            # as integers, so that the sign of a zero counts
+            assert got.view(np.int64) == want.view(np.int64)
+            continue
+        for lookup in (f.branch_index, f.branch_at, f.eval):
+            with pytest.raises(OutOfDomainError):
+                lookup(x)
+        for lookup in (f.branch_index_array, f.eval_array):
+            with pytest.raises(OutOfDomainError):
+                lookup(np.array([x]))
