@@ -18,10 +18,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .config import check_estimation, load_config
+from .config import EstimationParams, check_estimation, load_config
 from .errors import IncompatibleSpecError, InforateError, ParseError, TooFewSamplesError
 from .estimate import (
-    QuadratureConfig,
     cond_entropy_W_given_X,
     cond_entropy_rate_quad,
     marginal_entropy_quad,
@@ -89,37 +88,32 @@ def _write_output(args, text, metadata):
         print(json.dumps(meta, sort_keys=True), file=sys.stderr)
 
 
-class _Given(argparse.Action):
-    """Store the value and record that the flag was given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {self.dest}
-
-
-# estimation flags: type, default and help
+# estimation flags: type and help; the defaults are EstimationParams'
 _FLAGS = {
-    "seed": (int, 42, None),
-    "samples": (int, 10**6, None),
-    "bins": (int, None, "default: ceil(N^(1/3))"),
-    "quad_tol": (float, 1e-9, None),
-    "grid": (int, 201, None),
+    "seed": (int, None),
+    "samples": (int, None),
+    "bins": (int, "default: ceil(N^(1/3))"),
+    "quad_tol": (float, None),
+    "grid": (int, None),
 }
 
 
 def _options(sub, *keys):
-    """The estimation flags ``keys`` that the command reads, and --out."""
-    sub.set_defaults(given=frozenset())
+    """The estimation flags ``keys`` that the command reads, and --out.
+    A flag not given is absent from the parsed arguments."""
     for key in keys:
-        kind, default, text = _FLAGS[key]
+        kind, text = _FLAGS[key]
         flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, type=kind, default=default, action=_Given, help=text)
+        sub.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=text)
     sub.add_argument("--out", type=str, default=None, help="write here (+ .meta.json)")
 
 
-def _estimation(args, spec):
-    """The config's estimation values, overridden by the flags given."""
-    return replace(spec.estimation, **{key: getattr(args, key) for key in args.given})
+def _estimation(args, spec=None):
+    """The config's estimation values, or the defaults without a config,
+    overridden by the flags given."""
+    est = EstimationParams() if spec is None else spec.estimation
+    given = {key: val for key, val in vars(args).items() if key in _FLAGS}
+    return replace(est, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +124,8 @@ def cmd_ar1_sweep(args):
     a_values = _parse_values(args.a_values)
     if any(not 0.0 < a < 1.0 for a in a_values):
         raise ParseError("pole values must lie in (0, 1)")
-    cfg = QuadratureConfig(abs_tol=args.quad_tol)
+    est = _estimation(args)
+    cfg = est.quad_cfg
     table = SweepTable(
         columns=[
             "a",
@@ -142,21 +137,19 @@ def cmd_ar1_sweep(args):
         ],
         metadata={
             "sigma": args.sigma,
-            "seed": args.seed,
-            "samples": args.samples,
-            "bins": args.bins,
-            "quad_tol": args.quad_tol,
-            "grid": args.grid,
+            "seed": est.seed,
+            "samples": est.samples,
+            "bins": est.bins,
+            "quad_tol": est.quad_tol,
+            "grid": est.grid,
         },
     )
     for i, a in enumerate(a_values):
         proc = make_ar1(a, args.sigma)
         f = magnitude()
-        sw = loss_rate_bounds_mc(
-            f, proc, args.samples, args.seed + i, args.bins, cfg
-        )
+        sw = loss_rate_bounds_mc(f, proc, est.samples, est.seed + i, est.bins, cfg)
         hwx = bound_index_given_input(f, proc, cfg)
-        rep = check_lumpable(f, proc, grid=args.grid)
+        rep = check_lumpable(f, proc, grid=est.grid)
         table.add(
             a=a,
             loss_rv=sw.loss_rv_value,
@@ -173,7 +166,8 @@ def cmd_cyclic_sweep(args):
     ratios = _parse_values(args.ratios)
     if any(not 0.0 < r <= 1.0 for r in ratios):
         raise ParseError("ratios a/M must lie in (0, 1]")
-    cfg = QuadratureConfig(abs_tol=args.quad_tol)
+    est = _estimation(args)
+    cfg = est.quad_cfg
     table = SweepTable(
         columns=[
             "ratio",
@@ -182,13 +176,13 @@ def cmd_cyclic_sweep(args):
             "hw2x1_closed",
             "hw2x1_quad",
         ],
-        metadata={"M": args.M, "quad_tol": args.quad_tol, "grid": args.grid},
+        metadata={"M": args.M, "quad_tol": est.quad_tol, "grid": est.grid},
     )
     for r in ratios:
         a = r * args.M
         proc = make_cyclic_walk(args.M, a)
         f = magnitude(-args.M, args.M)
-        lbar = loss_rate_analytic(f, proc, cfg, grid=args.grid)
+        lbar = loss_rate_analytic(f, proc, cfg, grid=est.grid)
         hwx = cond_entropy_W_given_X(f, proc, cfg)
         table.add(
             ratio=r,
@@ -211,7 +205,8 @@ def cyclic_hw2x1_closed_form(M, a):
 
 
 def cmd_tightness(args):
-    cfg = QuadratureConfig(abs_tol=args.quad_tol)
+    est = _estimation(args)
+    cfg = est.quad_cfg
     proc = make_tightness_example()
     from .pbf import shift_mod
 
@@ -219,9 +214,9 @@ def cmd_tightness(args):
     h_x = marginal_entropy_quad(proc, cfg)
     h_rate = cond_entropy_rate_quad(proc, cfg)
     loss = loss_rv(f, proc, cfg)
-    lbar = loss_rate_analytic(f, proc, cfg, grid=args.grid)
+    lbar = loss_rate_analytic(f, proc, cfg, grid=est.grid)
     hw2x1 = cond_entropy_W_given_X(f, proc, cfg)
-    rep = full_report(f, proc, grid=args.grid)
+    rep = full_report(f, proc, grid=est.grid)
     report = {
         "h_marginal": h_x,
         "h_rate": h_rate,
@@ -240,7 +235,7 @@ def cmd_tightness(args):
     _write_output(
         args,
         json.dumps(report, indent=2, sort_keys=True) + "\n",
-        {"quad_tol": args.quad_tol, "grid": args.grid},
+        {"quad_tol": est.quad_tol, "grid": est.grid},
     )
     ok = all(v <= 1e-6 for v in report["residuals"].values())
     ok = ok and rep.condition_holds and rep.tightness_a_holds and rep.tightness_b_holds

@@ -15,8 +15,8 @@ iid_gaussian{sigma}, iid_uniform{lo, hi}.  Function kinds: identity,
 magnitude, scale{k}, square, shift_mod{period, offset}, quantizer{edges};
 a compose list applies entries first-to-last.  Function domains default
 to the process support; every function kind but quantizer also takes lo
-and hi.  Unknown fields and non-numeric or bool values are refused with
-ParseError.
+and hi.  Unknown fields and non-numeric, non-finite (NaN, Infinity) or
+bool values are refused with ParseError.
 """
 
 import json
@@ -87,7 +87,14 @@ def _is_int(val):
 
 
 def _is_number(val):
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """An int or float that is finite as a float; json reads NaN,
+    Infinity and 1e999 as non-finite floats."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _kind(spec, kinds, where):
@@ -107,7 +114,7 @@ def _build_process(spec):
     for name in names:
         val = _require(spec, name, f"process {kind!r}")
         if not _is_number(val):
-            raise ParseError(f"process field {name!r} must be numeric")
+            raise ParseError(f"process field {name!r} must be numeric, a finite number")
         kwargs[name] = val
     extra = set(spec) - {"kind", *names}
     if extra:
@@ -132,9 +139,13 @@ def _build_single_function(spec, lo, hi):
             continue
         if name == "edges":
             if not (isinstance(val, list) and all(map(_is_number, val))):
-                raise ParseError("function field 'edges' must be a list of numbers")
+                raise ParseError(
+                    "function field 'edges' must be a list of finite numbers"
+                )
         elif not _is_number(val):
-            raise ParseError(f"function field {name!r} must be numeric")
+            raise ParseError(
+                f"function field {name!r} must be numeric, a finite number"
+            )
         kwargs[name] = val
     try:
         return builder(**kwargs)
@@ -179,7 +190,7 @@ def check_estimation(key, value, label=None):
     """
     label = label or f"estimation field {key!r}"
     if key == "quad_tol":
-        if not (_is_number(value) and 0 < value < math.inf):
+        if not (_is_number(value) and value > 0):
             raise ParseError(f"{label} must be a finite positive number")
         return
     if key == "bins" and value is None:

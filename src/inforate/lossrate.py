@@ -110,7 +110,7 @@ def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201):
     check_grid_params(grid, _GATE_TOL)
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
-    if process.is_markov and len(f.branches) > 1:
+    if process.kernel is not None and len(f.branches) > 1:
         rep = check_lumpable(f, process, grid=grid, tol=_GATE_TOL)
         if not rep.condition_holds:
             raise NotLumpableError(

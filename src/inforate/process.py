@@ -1,7 +1,7 @@
 """Stationary first-order Markov and iid process models.
 
 Each model carries an analytic marginal density, a conditional kernel
-(or none for iid) and an exact sampler.  Everything is immutable;
+(or none for iid) and an exact path sampler.  Everything is immutable;
 samplers take explicit RNG state.
 """
 
@@ -24,7 +24,6 @@ class MarkovKernel:
     """Transition density; the lookups take arrays, one row per entry."""
 
     cond_pdf: callable  # (x2, x1) -> density; numpy-broadcasting
-    sample_step: callable  # (x1, rng) -> x2, generic scalar fallback
     split_points: callable = _no_points  # x1s -> (n, k) x2 jumps, NaN-padded
     quad_range: callable = None  # x1s -> (lo, hi) x2 window; None: quad_support
     x1_split_points: callable = _no_points  # x2s -> (n, k) x1 putting a jump on x2
@@ -32,19 +31,12 @@ class MarkovKernel:
 
 @dataclass(frozen=True)
 class StationaryProcess:
-    name: str
-    params: dict
     marginal_pdf: callable
-    marginal_sampler: callable  # (rng, n) -> ndarray
+    path_sampler: callable  # (rng, n) -> length-n path, x0 from the marginal
     kernel: object  # MarkovKernel or None for iid
     support: tuple
     quad_support: tuple
     marginal_split_points: tuple = ()
-    path_sampler: callable = None  # (rng, n) -> path; None: scalar kernel loop
-
-    @property
-    def is_markov(self):
-        return self.kernel is not None
 
 
 @dataclass(frozen=True)
@@ -66,8 +58,8 @@ def make_ar1(a, sigma):
     """Zero-mean Gaussian AR(1): X_n = a X_{n-1} + Z_n, Z ~ N(0, sigma^2)."""
     if not 0.0 < a < 1.0:
         raise BadParameterError("pole a must lie in (0, 1)")
-    if sigma <= 0.0:
-        raise BadParameterError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise BadParameterError("sigma must be finite and positive")
     a = float(a)
     sigma = float(sigma)
     var_x = sigma**2 / (1.0 - a**2)
@@ -85,28 +77,21 @@ def make_ar1(a, sigma):
         d = np.asarray(x2, dtype=float) - a * np.asarray(x1, dtype=float)
         return norm_z * np.exp(-inv_2var_z * d * d)
 
-    def marginal_sampler(rng, n):
-        return rng.normal(0.0, sd_x, n)
-
     def path_sampler(rng, n):
-        x0 = float(marginal_sampler(rng, 1)[0])
+        x0 = float(rng.normal(0.0, sd_x, 1)[0])
         z = rng.normal(0.0, sigma, n - 1)
         return _kernels.ar1_path(x0, a, z)
 
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
-        sample_step=lambda x1, rng: a * x1 + rng.normal(0.0, sigma),
         quad_range=lambda x1s: (a * x1s - 10.0 * sigma, a * x1s + 10.0 * sigma),
     )
     return StationaryProcess(
-        name="ar1",
-        params={"a": a, "sigma": sigma},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=marginal_sampler,
+        path_sampler=path_sampler,
         kernel=kernel,
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sd_x, 10.0 * sd_x),
-        path_sampler=path_sampler,
     )
 
 
@@ -122,8 +107,8 @@ def circular_distance(x, y, m):
 
 def make_cyclic_walk(M, a):
     """Uniform-increment random walk wrapped onto [-M, M)."""
-    if not 0.0 < a <= M:
-        raise BadParameterError("need 0 < a <= M")
+    if not 0.0 < a <= M < math.inf:
+        raise BadParameterError("need 0 < a <= M with M finite")
     M = float(M)
     a = float(a)
     dens = 1.0 / (2.0 * a)
@@ -135,11 +120,8 @@ def make_cyclic_walk(M, a):
     def cond_pdf(x2, x1):
         return np.where(circular_distance(x2, x1, M) <= a, dens, 0.0)
 
-    def marginal_sampler(rng, n):
-        return rng.uniform(-M, M, n)
-
     def path_sampler(rng, n):
-        x0 = float(marginal_sampler(rng, 1)[0])
+        x0 = float(rng.uniform(-M, M, 1)[0])
         steps = rng.uniform(-a, a, n - 1)
         return _kernels.cyclic_path(x0, steps, M)
 
@@ -150,22 +132,15 @@ def make_cyclic_walk(M, a):
 
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
-        sample_step=lambda x1, rng: float(
-            wrap_interval(x1 + rng.uniform(-a, a), M)
-        ),
         split_points=split_points,
         x1_split_points=split_points,
     )
     return StationaryProcess(
-        name="cyclic_walk",
-        params={"M": M, "a": a},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=marginal_sampler,
+        path_sampler=path_sampler,
         kernel=kernel,
         support=(-M, M),
         quad_support=(-M, M),
-        marginal_split_points=(),
-        path_sampler=path_sampler,
     )
 
 
@@ -190,34 +165,23 @@ def make_tightness_example():
         hit = _even(x2) != _even(x1)
         return np.where(in_dom & hit, 0.5, 0.0)
 
-    def sample_step(x1, rng):
-        parity = (int(math.floor(x1)) + 1) % 2
-        return 2.0 * rng.integers(0, 2) + parity + rng.uniform(0.0, 1.0)
-
-    def marginal_sampler(rng, n):
-        return rng.uniform(0.0, 4.0, n)
-
     def path_sampler(rng, n):
-        x0 = float(marginal_sampler(rng, 1)[0])
+        x0 = float(rng.uniform(0.0, 4.0, 1)[0])
         blocks = rng.integers(0, 2, n - 1).astype(np.float64)
         offsets = rng.uniform(0.0, 1.0, n - 1)
         return _kernels.alternating_blocks_path(x0, blocks, offsets)
 
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
-        sample_step=sample_step,
         split_points=lambda xs: np.tile([1.0, 2.0, 3.0], (np.size(xs), 1)),
     )
     return StationaryProcess(
-        name="tightness",
-        params={},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=marginal_sampler,
+        path_sampler=path_sampler,
         kernel=kernel,
         support=(0.0, 4.0),
         quad_support=(0.0, 4.0),
         marginal_split_points=(1.0, 2.0, 3.0),
-        path_sampler=path_sampler,
     )
 
 
@@ -227,11 +191,10 @@ def make_iid(
     support,
     quad_support=None,
     split_points=(),
-    name="iid",
-    params=None,
     check_normalization=True,
 ):
-    """Memoryless process from a marginal density and sampler."""
+    """Memoryless process from a marginal density and a sampler
+    ``marginal_sampler(rng, n)`` of n independent draws, its path sampler."""
     from .estimate import DEFAULT_QUAD, quad
 
     if quad_support is None:
@@ -244,10 +207,8 @@ def make_iid(
         if abs(total - 1.0) > 1e-6:
             raise NotNormalizedError(f"marginal integrates to {total}, not 1")
     return StationaryProcess(
-        name=name,
-        params=params or {},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=marginal_sampler,
+        path_sampler=marginal_sampler,
         kernel=None,
         support=support,
         quad_support=quad_support,
@@ -256,8 +217,8 @@ def make_iid(
 
 
 def make_iid_gaussian(sigma=1.0):
-    if sigma <= 0:
-        raise BadParameterError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise BadParameterError("sigma must be finite and positive")
     sigma = float(sigma)
     norm = 1.0 / math.sqrt(2.0 * math.pi) / sigma
     inv_2var = 0.5 / sigma**2
@@ -267,15 +228,13 @@ def make_iid_gaussian(sigma=1.0):
         marginal_sampler=lambda rng, n: rng.normal(0.0, sigma, n),
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sigma, 10.0 * sigma),
-        name="iid_gaussian",
-        params={"sigma": sigma},
         check_normalization=False,
     )
 
 
 def make_iid_uniform(lo=0.0, hi=1.0):
-    if not hi > lo:
-        raise BadParameterError("need hi > lo")
+    if not (-math.inf < lo < hi < math.inf and hi - lo < math.inf):
+        raise BadParameterError("need finite lo < hi with hi - lo finite")
     lo = float(lo)
     hi = float(hi)
     dens = 1.0 / (hi - lo)
@@ -287,8 +246,6 @@ def make_iid_uniform(lo=0.0, hi=1.0):
         ),
         marginal_sampler=lambda rng, n: rng.uniform(lo, hi, n),
         support=(lo, hi),
-        name="iid_uniform",
-        params={"lo": lo, "hi": hi},
         check_normalization=False,
     )
 
@@ -335,17 +292,7 @@ def sample_path(process, n, seed, stream=0):
 
 
 def _draw_path(process, rng, n):
-    if process.path_sampler is not None:
-        return np.asarray(process.path_sampler(rng, n), dtype=float)
-    if process.kernel is None:
-        return np.asarray(process.marginal_sampler(rng, n), dtype=float)
-    # generic scalar fallback for custom kernels
-    values = np.empty(n)
-    values[0] = float(process.marginal_sampler(rng, 1)[0])
-    step = process.kernel.sample_step
-    for i in range(1, n):
-        values[i] = step(values[i - 1], rng)
-    return values
+    return np.asarray(process.path_sampler(rng, n), dtype=float)
 
 
 def stationarity_residual(process, n_grid=64):
@@ -390,9 +337,6 @@ def pushforward_process(f, process):
 
     def marginal_pdf(ys):
         return f.preimage_sum(process.marginal_pdf, ys)
-
-    def marginal_sampler(rng, n):
-        return f.eval_array(np.asarray(process.marginal_sampler(rng, n), dtype=float))
 
     def path_sampler(rng, n):
         # Y = g(X) sample by sample, so mapping the input path is exact
@@ -439,7 +383,6 @@ def pushforward_process(f, process):
 
         kernel = MarkovKernel(
             cond_pdf=cond_pdf,
-            sample_step=None,
             split_points=split_points,
             # y1 whose preimages put a base-kernel jump onto a preimage of y2
             x1_split_points=lambda y2s: mapped(base.x1_split_points, y2s),
@@ -447,13 +390,10 @@ def pushforward_process(f, process):
 
     interior = sorted({float(s) for s in splits if y_lo < s < y_hi})
     return StationaryProcess(
-        name=f"pushforward({process.name})",
-        params=dict(process.params),
         marginal_pdf=marginal_pdf,
-        marginal_sampler=marginal_sampler,
+        path_sampler=path_sampler,
         kernel=kernel,
         support=(y_lo, y_hi),
         quad_support=(y_lo, y_hi),
         marginal_split_points=tuple(interior),
-        path_sampler=path_sampler,
     )

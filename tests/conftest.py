@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from inforate import _kernels
 from inforate.process import MarkovKernel, StationaryProcess
 
 
@@ -27,21 +28,25 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
         return norm_z * np.exp(-d * d / (2 * sigma**2))
 
     sd_x = math.sqrt(var_x)
+
+    def path_sampler(rng, n):
+        # x0 from the marginal, then the n - 1 innovations shift + z
+        x0 = float(rng.normal(0.0, sd_x, 1)[0])
+        z = rng.normal(0.0, sigma, n - 1)
+        return _kernels.ar1_path(x0, a, shift + z)
+
     # the lookups take arrays of x1; a smooth kernel has no split points,
     # so split_points and x1_split_points keep their empty defaults
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
-        sample_step=lambda x1, rng: a * x1 + shift + rng.normal(0.0, sigma),
         quad_range=lambda x1s: (
             a * x1s + shift - 10 * sigma,
             a * x1s + shift + 10 * sigma,
         ),
     )
     return StationaryProcess(
-        name="shifted",
-        params={"a": a, "sigma": sigma, "shift": shift},
         marginal_pdf=marginal_pdf,
-        marginal_sampler=lambda rng, n: rng.normal(0.0, sd_x, n),
+        path_sampler=path_sampler,
         kernel=kernel,
         support=(-np.inf, np.inf),
         quad_support=(-10 * sd_x, 10 * sd_x),

@@ -432,6 +432,32 @@ class TestConfigUsageErrors:
         assert err.startswith("error:") and word in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "process, function",
+        [
+            ({"kind": "ar1", "a": 0.5, "sigma": math.nan}, None),
+            ({"kind": "iid_gaussian", "sigma": math.nan}, None),
+            ({"kind": "cyclic_walk", "M": math.inf, "a": 0.5}, None),
+            ({"kind": "iid_uniform", "lo": 0.0, "hi": math.inf}, None),
+            ({"kind": "iid_uniform", "lo": -1e308, "hi": 1e308}, None),
+            (None, {"kind": "scale", "k": math.nan}),
+        ],
+    )
+    def test_non_finite_parameter_exits_2(self, capsys, tmp_path, process, function):
+        # json writes and reads NaN and Infinity; the config refuses them
+        spec = {
+            "process": process or self.AR1,
+            "function": function or {"kind": "magnitude"},
+            "estimation": {"samples": 1000},
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_well_typed_function_specs_parse(self):
         from inforate.config import parse_config
 

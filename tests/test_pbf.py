@@ -350,14 +350,6 @@ class TestValidate:
     def test_magnitude_valid(self):
         assert validate(magnitude()).ok
 
-    def test_overlap_reported(self):
-        bad = PiecewiseFunction(
-            (_identity_branch(1, 0.0, 1.0), _identity_branch(2, 0.0, 1.0)),
-            validate_tiling=False,
-        )
-        rep = validate(bad)
-        assert rep.overlaps and not rep.ok
-
     def test_overlap_rejected_at_construction(self):
         with pytest.raises(BadParameterError):
             PiecewiseFunction(
@@ -519,6 +511,11 @@ class TestBuilders:
     def test_scale_zero(self):
         with pytest.raises(BadParameterError):
             scale(0.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_scale_not_finite(self, k):
+        with pytest.raises(BadParameterError):
+            scale(k)
 
     def test_square_splits_at_zero(self):
         f = square(-2.0, 2.0)

@@ -36,7 +36,6 @@ from conftest import shifted_kernel_process
 class TestAR1:
     def test_marginal_variance(self):
         p = make_ar1(0.5, 1.0)
-        assert p.params["a"] == 0.5
         # sigma_X^2 = sigma^2 / (1 - a^2), and the innovation has sigma^2 = 1
         var = 1.0 / (1.0 - 0.25)
         assert marginal_entropy_quad(p) == pytest.approx(
@@ -74,6 +73,29 @@ class TestAR1:
             2 * math.pi * 4.0
         )
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (make_ar1, (0.5, math.nan)),
+        (make_ar1, (0.5, math.inf)),
+        (make_ar1, (math.nan, 1.0)),
+        (make_cyclic_walk, (math.inf, 0.5)),
+        (make_cyclic_walk, (math.nan, 0.5)),
+        (make_cyclic_walk, (1.0, math.nan)),
+        (make_iid_gaussian, (math.nan,)),
+        (make_iid_gaussian, (math.inf,)),
+        (make_iid_uniform, (0.0, math.inf)),
+        (make_iid_uniform, (-math.inf, 0.0)),
+        (make_iid_uniform, (math.nan, 1.0)),
+        (make_iid_uniform, (0.0, math.nan)),
+        (make_iid_uniform, (-1e308, 1e308)),  # hi - lo overflows
+    ],
+)
+def test_builders_refuse_non_finite_parameters(make, args):
+    with pytest.raises(BadParameterError):
+        make(*args)
 
 
 class TestCyclicWalk:
@@ -157,6 +179,67 @@ class TestIid:
         assert p.kernel is None
 
 
+def _iterate(x0, innovations, step):
+    """x[0] = x0 and x[k] = step(x[k-1], innovations[k-1]), as floats."""
+    x = [float(x0)]
+    for d in innovations:
+        x.append(float(step(x[-1], d)))
+    return np.array(x)
+
+
+def _ar1_draws(a, sigma, shift=0.0):
+    def expected(rng, n):
+        x0 = rng.normal(0.0, math.sqrt(sigma**2 / (1.0 - a**2)), 1)[0]
+        z = rng.normal(0.0, sigma, n - 1)
+        return _iterate(x0, z, lambda x, d: a * x + shift + d)
+
+    return expected
+
+
+def _walk_draws(m, a):
+    def expected(rng, n):
+        x0 = rng.uniform(-m, m, 1)[0]
+        steps = rng.uniform(-a, a, n - 1)
+        return _iterate(x0, steps, lambda x, d: (x + d + m) % (2.0 * m) - m)
+
+    return expected
+
+
+def _tightness_draws(rng, n):
+    # the next block is 2 * b plus the parity the last value's block lacks
+    x0 = rng.uniform(0.0, 4.0, 1)[0]
+    blocks = rng.integers(0, 2, n - 1)
+    offsets = rng.uniform(0.0, 1.0, n - 1)
+    step = lambda x, d: 2.0 * d[0] + (math.floor(x) + 1) % 2 + d[1]
+    return _iterate(x0, zip(blocks, offsets), step)
+
+
+# name: (process, the path rebuilt from make_rng draws in their order);
+# an iid path is n draws from the marginal, a pushforward maps its input
+DRAW_ORDER = {
+    "ar1": (lambda: make_ar1(0.5, 1.0), _ar1_draws(0.5, 1.0)),
+    "walk": (lambda: make_cyclic_walk(1.0, 0.35), _walk_draws(1.0, 0.35)),
+    "tightness": (make_tightness_example, _tightness_draws),
+    "iid_gaussian": (
+        lambda: make_iid_gaussian(1.3),
+        lambda rng, n: rng.normal(0.0, 1.3, n),
+    ),
+    "iid_uniform": (
+        lambda: make_iid_uniform(-1.0, 3.0),
+        lambda rng, n: rng.uniform(-1.0, 3.0, n),
+    ),
+    "pushforward-ar1": (
+        lambda: pushforward_process(magnitude(), make_ar1(0.5, 1.0)),
+        lambda rng, n: np.abs(_ar1_draws(0.5, 1.0)(rng, n)),
+    ),
+    "pushforward-walk": (
+        lambda: pushforward_process(scale(1.5, -1.0, 1.0), make_cyclic_walk(1.0, 0.35)),
+        lambda rng, n: 1.5 * _walk_draws(1.0, 0.35)(rng, n),
+    ),
+    "shifted": (shifted_kernel_process, _ar1_draws(0.5, 1.0, shift=0.5)),
+}
+
+
 class TestSamplePath:
     def test_ar1_empirical_variance(self):
         p = make_ar1(0.5, 1.0)
@@ -202,14 +285,17 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             path.values[0] = 0.0
 
-    def test_generic_kernel_fallback(self):
-        # force the scalar loop by removing the path sampler
-        from dataclasses import replace
-
-        p = replace(make_ar1(0.6, 1.0), path_sampler=None)
-        x = sample_path(p, 2000, seed=3).values
-        assert x.shape == (2000,)
-        assert abs(np.corrcoef(x[:-1], x[1:])[0, 1] - 0.6) < 0.1
+    @pytest.mark.parametrize("name", sorted(DRAW_ORDER))
+    @pytest.mark.parametrize("n, seed, stream", [(1, 0, 0), (2, 3, 1), (500, 41, 2)])
+    def test_draw_order(self, name, n, seed, stream):
+        # the path is its recurrence, one step at a time, over draws taken
+        # from make_rng(seed, stream) in the documented order: x0 from the
+        # marginal, then the n - 1 innovations
+        make, expected = DRAW_ORDER[name]
+        got = sample_path(make(), n, seed, stream).values
+        want = expected(make_rng(seed, stream), n)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestPathMemo:

@@ -284,7 +284,7 @@ def cascades(draw):
 def pushforward_route(stages, process):
     """Every stage on the explicit chain of pushforwards of the input,
     and the rate of the full composition."""
-    loss = loss_rate_analytic if process.is_markov else loss_rv
+    loss = loss_rate_analytic if process.kernel is not None else loss_rv
     values, current = [], process
     for i, g in enumerate(stages):
         values.append(loss(g, current))
