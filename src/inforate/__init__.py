@@ -29,7 +29,6 @@ from .pbf import (
     PiecewiseFunction,
     compose,
     constant_branch,
-    constant_mass,
     identity,
     injective_branch,
     magnitude,
@@ -80,7 +79,6 @@ __all__ = [
     "shift_mod",
     "quantizer",
     "compose",
-    "constant_mass",
     "validate",
     "MarkovKernel",
     "StationaryProcess",

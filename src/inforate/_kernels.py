@@ -2,7 +2,7 @@
 
 Each kernel is a numpy expression of a scalar recurrence; given the same
 draws it returns the same path, so sampled paths are reproducible given
-(seed, stream).
+the seed.
 """
 
 import numpy as np

@@ -1,14 +1,13 @@
-"""Counter-based random streams keyed by (seed, stream).
+"""Counter-based random generators keyed by a seed.
 
-Philox is counter-based, so independent streams derived from the same
-seed are reproducible regardless of how work is distributed across
-workers.
+Philox is counter-based, so a seed gives the same draws on any machine.
 """
 
 import numpy as np
 
 
-def make_rng(seed, stream=0):
-    """Return a Generator for the given (seed, stream) pair."""
-    ss = np.random.SeedSequence(seed, spawn_key=(stream,))
+def make_rng(seed):
+    """Return the Generator of ``seed``."""
+    # the spawn key is part of every path's bits: without it they change
+    ss = np.random.SeedSequence(seed, spawn_key=(0,))
     return np.random.Generator(np.random.Philox(ss))

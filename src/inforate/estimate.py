@@ -8,7 +8,7 @@ entropies are in bits.
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,21 +76,19 @@ _WG = np.array(
     ]
 )
 _GAUSS_IDX = np.arange(1, 15, 2)
+_MAX_DEPTH = 120  # halvings of a panel before quad_batch gives up on it
+_MAX_INTERVALS = 200_000  # panels one integrand call of a batch may evaluate
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-9
-    max_depth: int = 120
-    max_intervals: int = 200_000
 
     def __post_init__(self):
         tol = self.abs_tol
         real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
         if not (real and 0 < tol < math.inf):  # NaN fails the comparison
             raise BadParameterError(f"abs_tol must be a finite number > 0, got {tol!r}")
-        check_int("max_depth", self.max_depth, 0)
-        check_int("max_intervals", self.max_intervals, 1)
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -147,9 +145,9 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     bisected until the rest sum to at most ``cfg.abs_tol / 2``.  One
     refinement step evaluates the new panels of every integral in one
     integrand call.  Raises NoConvergenceError when a panel to bisect
-    already sits at ``cfg.max_depth`` halvings, or when one integrand
-    call would evaluate more than ``cfg.max_intervals`` panels over the
-    whole batch (its initial panels, or the new panels of one step): that
+    already sits at ``_MAX_DEPTH`` halvings, or when one integrand call
+    would evaluate more than ``_MAX_INTERVALS`` panels over the whole
+    batch (its initial panels, or the new panels of one step): that
     budget bounds the memory of a step however many integrals it holds.
     The depth limit only decides when to give up: an integral that
     converges under a smaller limit returns the same bits under a larger
@@ -171,9 +169,9 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     keep = b > a  # drops NaN padding, repeated points and empty windows
     col = np.nonzero(keep)[0]
     a, b = a[keep], b[keep]
-    if a.size > cfg.max_intervals:
+    if a.size > _MAX_INTERVALS:
         raise NoConvergenceError(
-            f"quadrature batch starts with {a.size} panels, over {cfg.max_intervals}"
+            f"quadrature batch starts with {a.size} panels, over {_MAX_INTERVALS}"
         )
     depth = np.zeros(a.size, dtype=int)
     val, err = _gk15(f, a, b, col)
@@ -196,12 +194,12 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
         before = np.cumsum(err) - err
         before -= before[np.searchsorted(col, col)]
         split = first | (err_sum[col] - before > 0.5 * cfg.abs_tol)
-        stuck = split & (depth >= cfg.max_depth)
-        grown = 2 * np.count_nonzero(split) > cfg.max_intervals
+        stuck = split & (depth >= _MAX_DEPTH)
+        grown = 2 * np.count_nonzero(split) > _MAX_INTERVALS
         if stuck.any() or grown:
             # name a panel at the depth limit, else the batch's worst one
             i = int(np.argmax(stuck if stuck.any() else err))
-            why = f"; one step would pass {cfg.max_intervals} panels" if grown else ""
+            why = f"; one step would pass {_MAX_INTERVALS} panels" if grown else ""
             raise NoConvergenceError(
                 f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e}){why}",
                 partial=val[col == col[i]].sum(),
@@ -492,7 +490,7 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     W is the discrete process of partition indices; the outer expectation
     over X1 and the per-branch probabilities are both quadratures.
     """
-    inner_cfg = replace(cfg, abs_tol=min(1e-12, cfg.abs_tol))
+    inner_cfg = QuadratureConfig(min(1e-12, cfg.abs_tol))
 
     def point_entropy(x1s):
         probs = _branch_probabilities(f, process, x1s, inner_cfg)
@@ -611,18 +609,6 @@ def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
     return float(loss / mass)
 
 
-def expected_log_abs_derivative_mc(f, samples):
-    """Monte Carlo version of the derivative term, for cross-checking."""
-    samples = np.asarray(samples, dtype=float)
-    idx = f.branch_index_array(samples)
-    out = np.empty_like(samples)
-    for i, b in enumerate(f.branches):
-        mask = idx == i + 1
-        if np.any(mask):
-            out[mask] = np.log2(np.abs(b.derivative(samples[mask])))
-    return float(np.mean(out))
-
-
 # ---------------------------------------------------------------------------
 # plug-in block entropies of the branch-index process
 
@@ -710,7 +696,7 @@ def _block_entropy(f, values, k):
     )
 
 
-def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
+def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42):
     """Plug-in conditional entropies H(W_{j+1} | W_1^j) for j = 0..k.
 
     Returns the estimate at the largest order whose successive difference
@@ -718,6 +704,6 @@ def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42, stream=0):
     """
     from .process import check_path_args, sample_path
 
-    check_path_args(n_samples, seed, stream)
+    check_path_args(n_samples, seed)
     _check_block_order(f, k, n_samples)
-    return _block_entropy(f, sample_path(process, n_samples, seed, stream).values, k)
+    return _block_entropy(f, sample_path(process, n_samples, seed).values, k)

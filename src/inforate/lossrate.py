@@ -202,7 +202,7 @@ def analyze_loss_rate(
     loss, loss_tag = _loss_rv_detail(f, process, cfg)
     method["bound_L"] = loss_tag
 
-    # one stream-0 path serves the block entropies and the sandwich
+    # one path serves the block entropies and the sandwich
     _check_block_order(f, k, n_samples)
     xs = sample_path(process, n_samples, seed).values
     hw = _block_entropy(f, xs, k)

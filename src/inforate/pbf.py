@@ -14,7 +14,6 @@ from . import _kernels
 from .errors import (
     BadParameterError,
     ConstantBranchError,
-    NotNormalizedError,
     OutOfDomainError,
     RangeMismatchError,
 )
@@ -382,10 +381,10 @@ def _finite_window(lo, hi, span=1e3):
     return wlo, whi
 
 
-def validate(f, grid=10_000):
-    """Grid-sampled structural checks; failures are reported, not raised.
-    Gaps and overlaps between tiles need no check: the constructor
-    refuses them."""
+def validate(f):
+    """Structural checks on 10 000 points per branch; failures are
+    reported, not raised.  Gaps and overlaps between tiles need no check:
+    the constructor refuses them."""
     non_monotone = []
     zero_deriv = []
     max_rt = 0.0
@@ -393,7 +392,7 @@ def validate(f, grid=10_000):
         if b.kind != "injective":
             continue
         wlo, whi = _finite_window(b.domain_lo, b.domain_hi)
-        xs = np.linspace(wlo, whi, grid, endpoint=False)
+        xs = np.linspace(wlo, whi, 10_000, endpoint=False)
         fv = np.asarray(b.forward(xs), dtype=float)
         d = np.diff(fv)
         if not (np.all(d > 0) or np.all(d < 0)):
@@ -481,39 +480,6 @@ def compose(outer, inner):
         for i, (lo, hi, fwd, inv, der) in enumerate(pieces)
     ]
     return PiecewiseFunction(tuple(branches))
-
-
-# ---------------------------------------------------------------------------
-# constant-piece mass
-
-
-def constant_mass(f, marginal_pdf, quad_support=None, split_points=(), cfg=None):
-    """P_X of the union of constant pieces, by quadrature.
-
-    The marginal must integrate to one over the (possibly truncated)
-    support; checked to 1e-6.
-    """
-    from .estimate import DEFAULT_QUAD, branch_integrals, quad
-
-    cfg = cfg or DEFAULT_QUAD
-    if quad_support is None:
-        quad_support = (f.domain_lo, f.domain_hi)
-    lo, hi = quad_support
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise BadParameterError("constant_mass needs a finite integration window")
-    norm = quad(marginal_pdf, lo, hi, cfg, points=split_points)
-    if abs(norm - 1.0) > 1e-6:
-        raise NotNormalizedError(f"marginal integrates to {norm}, not 1")
-    if not f.has_constant:
-        return 0.0
-    if all(b.kind == "constant" for b in f.branches):
-        return 1.0
-    mass = 0.0
-    for m in branch_integrals(
-        f, lambda x, col, b: marginal_pdf(x), lo, hi, cfg, [split_points], "constant"
-    )[0]:
-        mass += m
-    return float(min(max(mass, 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------

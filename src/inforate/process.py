@@ -43,8 +43,6 @@ class StationaryProcess:
 class PathSample:
     values: np.ndarray
     seed: int
-    length: int
-    stream: int = 0
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -52,6 +50,18 @@ class PathSample:
 
 # ---------------------------------------------------------------------------
 # built-in processes
+
+
+def _normalizers(compute):
+    """The constants ``compute()`` returns; BadParameterError unless each
+    is finite and > 0.  A builder checks those the rest follow from."""
+    try:
+        values = compute()
+    except (OverflowError, ZeroDivisionError):  # x**2 past the float range, 1 / 0
+        values = (0.0,)
+    if not all(0.0 < v < math.inf for v in values):
+        raise BadParameterError("a normalizing constant overflows or underflows")
+    return values
 
 
 def make_ar1(a, sigma):
@@ -62,11 +72,10 @@ def make_ar1(a, sigma):
         raise BadParameterError("sigma must be finite and positive")
     a = float(a)
     sigma = float(sigma)
-    var_x = sigma**2 / (1.0 - a**2)
+    var_x, inv_2var_z = _normalizers(lambda: (sigma**2 / (1.0 - a**2), 0.5 / sigma**2))
     sd_x = math.sqrt(var_x)
     inv_2var_x = 0.5 / var_x
     norm_x = 1.0 / math.sqrt(2.0 * math.pi * var_x)
-    inv_2var_z = 0.5 / sigma**2
     norm_z = 1.0 / math.sqrt(2.0 * math.pi) / sigma
 
     def marginal_pdf(x):
@@ -111,7 +120,8 @@ def make_cyclic_walk(M, a):
         raise BadParameterError("need 0 < a <= M with M finite")
     M = float(M)
     a = float(a)
-    dens = 1.0 / (2.0 * a)
+    # the sampler draws over [-M, M), so 2M must be finite too
+    _, dens = _normalizers(lambda: (2.0 * M, 1.0 / (2.0 * a)))
 
     def marginal_pdf(x):
         x = np.asarray(x, dtype=float)
@@ -220,8 +230,9 @@ def make_iid_gaussian(sigma=1.0):
     if not 0.0 < sigma < math.inf:
         raise BadParameterError("sigma must be finite and positive")
     sigma = float(sigma)
+    # the density squares x up to the window's edge, 10 sigma
+    inv_2var, _ = _normalizers(lambda: (0.5 / sigma**2, (10.0 * sigma) ** 2))
     norm = 1.0 / math.sqrt(2.0 * math.pi) / sigma
-    inv_2var = 0.5 / sigma**2
     return make_iid(
         marginal_pdf=lambda x: norm
         * np.exp(-inv_2var * np.asarray(x, dtype=float) ** 2),
@@ -237,7 +248,7 @@ def make_iid_uniform(lo=0.0, hi=1.0):
         raise BadParameterError("need finite lo < hi with hi - lo finite")
     lo = float(lo)
     hi = float(hi)
-    dens = 1.0 / (hi - lo)
+    (dens,) = _normalizers(lambda: (1.0 / (hi - lo),))
     return make_iid(
         marginal_pdf=lambda x: np.where(
             (np.asarray(x, dtype=float) >= lo) & (np.asarray(x, dtype=float) < hi),
@@ -254,39 +265,36 @@ def make_iid_uniform(lo=0.0, hi=1.0):
 # path sampling
 
 
-def check_path_args(n, seed, stream=0):
+def check_path_args(n, seed):
     """Raise BadParameterError unless the sample count ``n`` is an int
-    >= 1 and ``seed`` and ``stream`` are ints >= 0."""
+    >= 1 and ``seed`` is an int >= 0."""
     check_int("sample count", n, 1)
     check_int("seed", seed, 0)
-    check_int("stream", stream, 0)
 
 
-# (process, (n, seed, stream), PathSample) of the last path drawn, or None
+# (process, (n, seed), PathSample) of the last path drawn, or None
 _last_path = None
 
 
-def sample_path(process, n, seed, stream=0):
-    """Length-n realization; deterministic in (seed, stream).
+def sample_path(process, n, seed):
+    """Length-n realization, drawn through ``make_rng(seed)``.
 
     The last path drawn is kept: a call with the same process object
-    (compared with ``is``) and the same n, seed and stream returns that
-    same PathSample, whose values are read-only.  Any other call drops it
+    (compared with ``is``) and the same n and seed returns that same
+    PathSample, whose values are read-only.  Any other call drops it
     before drawing, so at most one path is held.  Raises
-    BadParameterError unless n is an int >= 1 and seed and stream are
-    ints >= 0.
+    BadParameterError unless n is an int >= 1 and seed is an int >= 0.
     """
     global _last_path
-    check_path_args(n, seed, stream)
-    key = (n, seed, stream)
+    check_path_args(n, seed)
+    key = (n, seed)
     # the slot is read once and replaced whole, so a caller on another
     # thread sees a complete entry or None
     last = _last_path
     if last is not None and last[0] is process and last[1] == key:
         return last[2]
     _last_path = last = None
-    values = _draw_path(process, make_rng(seed, stream), n)
-    path = PathSample(values=values, seed=seed, length=n, stream=stream)
+    path = PathSample(values=_draw_path(process, make_rng(seed), n), seed=seed)
     _last_path = (process, key, path)
     return path
 
@@ -295,8 +303,9 @@ def _draw_path(process, rng, n):
     return np.asarray(process.path_sampler(rng, n), dtype=float)
 
 
-def stationarity_residual(process, n_grid=64):
-    """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid."""
+def stationarity_residual(process):
+    """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid of
+    64 points."""
     from .estimate import DEFAULT_QUAD, quad_batch
 
     kern = process.kernel
@@ -304,14 +313,14 @@ def stationarity_residual(process, n_grid=64):
         return 0.0
     lo, hi = process.quad_support
     eps = 1e-6 * (hi - lo)
-    xs2 = np.linspace(lo + eps, hi - eps, n_grid) + 1e-9
+    xs2 = np.linspace(lo + eps, hi - eps, 64) + 1e-9
     f = process.marginal_pdf
     # the integrand jumps in x1 where the marginal does and where a
     # kernel discontinuity lands on x2
-    marginal_points = np.tile(process.marginal_split_points, (n_grid, 1))
+    marginal_points = np.tile(process.marginal_split_points, (xs2.size, 1))
     got = quad_batch(
         lambda x1, col: kern.cond_pdf(xs2[col], x1) * f(x1),
-        np.full(n_grid, lo),
+        np.full(xs2.size, lo),
         hi,
         DEFAULT_QUAD,
         np.column_stack([marginal_points, kern.x1_split_points(xs2)]),

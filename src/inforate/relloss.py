@@ -13,41 +13,52 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadParameterError, TooFewSamplesError
-from .pbf import constant_mass
+from .errors import BadParameterError, NotNormalizedError, TooFewSamplesError, check_int
+from .estimate import DEFAULT_QUAD, branch_integrals, quad
 from .process import check_path_args, sample_path
 
 
-def relative_loss_rate_constant_pieces(f, process, cfg=None):
+def relative_loss_rate_constant_pieces(f, process, cfg=DEFAULT_QUAD):
     """Marginal mass of the constant region; equals both the per-variable
-    relative loss and the relative loss rate."""
-    return constant_mass(
-        f,
-        process.marginal_pdf,
-        quad_support=process.quad_support,
-        split_points=process.marginal_split_points,
-        cfg=cfg,
-    )
+    relative loss and the relative loss rate.  The marginal must integrate
+    to one over the process's quadrature window; checked to 1e-6."""
+    lo, hi = process.quad_support
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise BadParameterError("the constant mass needs a finite integration window")
+    marginal_pdf = process.marginal_pdf
+    points = process.marginal_split_points
+    norm = quad(marginal_pdf, lo, hi, cfg, points=points)
+    if abs(norm - 1.0) > 1e-6:
+        raise NotNormalizedError(f"marginal integrates to {norm}, not 1")
+    if not f.has_constant:
+        return 0.0
+    if all(b.kind == "constant" for b in f.branches):
+        return 1.0
+    mass = 0.0
+    for m in branch_integrals(
+        f, lambda x, col, b: marginal_pdf(x), lo, hi, cfg, [points], "constant"
+    )[0]:
+        mass += m
+    return float(min(max(mass, 0.0), 1.0))
 
 
 def downsampler_relative_loss(M, n=None):
-    """Relative loss of keeping every M-th sample: exact rationals."""
-    if not isinstance(M, int) or M < 1:
-        raise BadParameterError("M must be a positive integer")
+    """Relative loss of keeping every M-th sample: exact rationals.
+    Raises BadParameterError unless M and n (when given) are ints >= 1."""
+    check_int("M", M, 1)
     if n is None:
         return Fraction(M - 1, M)
-    if not isinstance(n, int) or n < 1:
-        raise BadParameterError("block length must be a positive integer")
+    check_int("block length", n, 1)
     return 1 - Fraction(n // M, n)
 
 
-def empirical_constant_frequency(f, process, n_samples=10**6, seed=42, stream=0):
+def empirical_constant_frequency(f, process, n_samples=10**6, seed=42):
     """Fraction of path samples landing in constant pieces.
 
     Monte Carlo cross-check for the quadrature mass: by stationarity the
     time average of the constant-region indicator converges to it.
     """
-    check_path_args(n_samples, seed, stream)
+    check_path_args(n_samples, seed)
     if n_samples < 10**4:
         raise TooFewSamplesError("need at least 1e4 samples")
     constant = [b.kind == "constant" for b in f.branches]
@@ -55,7 +66,7 @@ def empirical_constant_frequency(f, process, n_samples=10**6, seed=42, stream=0)
         return 0.0
     if all(constant):
         return 1.0
-    path = sample_path(process, n_samples, seed, stream=stream)
+    path = sample_path(process, n_samples, seed)
     # indexed by the 1-based branch index
     is_constant = np.array([False] + constant)
     return float(np.mean(is_constant[f.branch_index_array(path.values)]))

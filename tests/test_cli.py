@@ -458,6 +458,33 @@ class TestConfigUsageErrors:
         assert err.startswith("error:") and "finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "process",
+        [
+            {"kind": "ar1", "a": 0.5, "sigma": 1e-320},
+            {"kind": "ar1", "a": 0.5, "sigma": 1e200},
+            {"kind": "iid_gaussian", "sigma": 1e-300},
+            {"kind": "iid_gaussian", "sigma": 1e200},
+            {"kind": "cyclic_walk", "M": 1e308, "a": 0.5},
+            {"kind": "cyclic_walk", "M": 1.0, "a": 5e-324},
+            {"kind": "iid_uniform", "lo": 0.0, "hi": 5e-324},
+        ],
+    )
+    def test_constant_past_the_float_range_exits_2(self, capsys, tmp_path, process):
+        # each builds a normalizing constant that is 0 or not finite
+        spec = {
+            "process": process,
+            "function": {"kind": "magnitude"},
+            "estimation": {"samples": 10**4},
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows or underflows" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_well_typed_function_specs_parse(self):
         from inforate.config import parse_config
 

@@ -41,12 +41,12 @@ from inforate.estimate import (
     cond_entropy_rate_quad,
     entropy_bits,
     expected_log_abs_derivative,
-    expected_log_abs_derivative_mc,
     _block_entropy,
     marginal_entropy_quad,
     xlog2x,
 )
 from inforate._rng import make_rng
+from inforate import estimate
 
 
 def gauss_pdf(x):
@@ -82,8 +82,9 @@ class TestQuad:
         got = quad(f, 0.0, 1.0, points=(0.3,))
         assert got == pytest.approx(0.3 + 1.4, abs=1e-12)
 
-    def test_no_convergence(self):
-        cfg = QuadratureConfig(abs_tol=1e-13, max_depth=3)
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_MAX_DEPTH", 3)
+        cfg = QuadratureConfig(abs_tol=1e-13)
         with pytest.raises(NoConvergenceError):
             quad(lambda x: np.abs(np.sin(50.0 / (np.abs(x) + 1e-3))), 0.0, 1.0, cfg)
 
@@ -115,12 +116,6 @@ class TestQuadratureConfig:
             ("abs_tol", math.nan),
             ("abs_tol", "x"),
             ("abs_tol", True),
-            ("max_depth", -1),
-            ("max_depth", 3.0),
-            ("max_depth", None),
-            ("max_intervals", 0),
-            ("max_intervals", 1.5),
-            ("max_intervals", False),
         ],
     )
     def test_refuses_a_bad_value(self, field, value):
@@ -128,8 +123,7 @@ class TestQuadratureConfig:
             QuadratureConfig(**{field: value})
 
     def test_takes_numpy_values(self):
-        cfg = QuadratureConfig(np.float64(1e-6), np.int64(0), np.int32(1))
-        assert (cfg.abs_tol, cfg.max_depth, cfg.max_intervals) == (1e-6, 0, 1)
+        assert QuadratureConfig(np.float64(1e-6)).abs_tol == 1e-6
 
 
 class TestQuadBatch:
@@ -142,24 +136,26 @@ class TestQuadBatch:
         )
         np.testing.assert_allclose(got, [1.7, 3.4, 9.0, 0.0], atol=1e-12)
 
-    def test_stalled_column_names_its_panel(self):
+    def test_stalled_column_names_its_panel(self, monkeypatch):
         # column 0 converges at once; column 1 oscillates without end on [2, 3]
         def f(x, col):
             wild = np.abs(np.sin(50.0 / (np.abs(x - 2.0) + 1e-3)))
             return np.where(col == 0, gauss_pdf(x), wild)
 
-        cfg = QuadratureConfig(abs_tol=1e-13, max_depth=3)
+        monkeypatch.setattr(estimate, "_MAX_DEPTH", 3)
+        cfg = QuadratureConfig(abs_tol=1e-13)
         with pytest.raises(NoConvergenceError) as info:
             quad_batch(f, [-1.0, 2.0], [1.0, 3.0], cfg)
         a, b = map(float, re.search(r"\[(.+), (.+)\]", str(info.value)).groups())
         assert 2.0 <= a < b <= 3.0
         assert 0.0 < info.value.partial < 1.0
 
-    def test_panel_budget_covers_the_whole_batch(self):
+    def test_panel_budget_covers_the_whole_batch(self, monkeypatch):
         # one |x - c| bisects one panel a step; thirty of them in one
         # batch evaluate 60 new panels a step, over a budget of 40
         centres = np.linspace(0.1, 0.9, 30)
-        cfg = QuadratureConfig(abs_tol=1e-12, max_intervals=40)
+        monkeypatch.setattr(estimate, "_MAX_INTERVALS", 40)
+        cfg = QuadratureConfig(abs_tol=1e-12)
         alone = quad_batch(lambda x, col: np.abs(x - 0.3), 0.0, 1.0, cfg)
         assert alone[0] == pytest.approx(0.29, abs=1e-12)
         with pytest.raises(NoConvergenceError, match="would pass 40 panels"):
@@ -376,10 +372,6 @@ class TestExpectedLogAbsDerivative:
         f = square(1.0, 2.0)
         got = expected_log_abs_derivative(f, p)
         assert got == pytest.approx(oracle, abs=1e-9)
-        # independent Monte Carlo oracle at N = 1e7
-        rng = make_rng(44)
-        mc = expected_log_abs_derivative_mc(f, rng.uniform(1.0, 2.0, 10**7))
-        assert got == pytest.approx(mc, abs=4e-4)
 
     def test_constant_branch_refused(self):
         from inforate import quantizer

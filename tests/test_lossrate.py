@@ -399,21 +399,6 @@ class TestSeedAndStream:
             with pytest.raises(BadParameterError, match="seed"):
                 call()
 
-    # the sandwich and the report always draw stream 0
-    @pytest.mark.parametrize("stream", [-1, 2.5, None, True])
-    def test_every_entry_point_with_a_stream_refuses_a_bad_one(self, stream):
-        f, p = magnitude(), make_ar1(0.5, 1.0)
-        calls = [
-            lambda: sample_path(p, 10**4, 1, stream),
-            lambda: markov_block_entropy_W(f, p, n_samples=10**4, stream=stream),
-            lambda: empirical_constant_frequency(
-                f, p, n_samples=10**4, stream=stream
-            ),
-        ]
-        for call in calls:
-            with pytest.raises(BadParameterError, match="stream"):
-                call()
-
     def test_takes_a_numpy_int_seed(self):
         f = magnitude()
         got = loss_rate_bounds_mc(f, make_ar1(0.5, 1.0), 10**4, np.int64(1))

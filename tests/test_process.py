@@ -98,6 +98,25 @@ def test_builders_refuse_non_finite_parameters(make, args):
         make(*args)
 
 
+# each builds a constant that is 0 or past the float range
+OVERFLOWING = {
+    "ar1-sigma-underflows": (make_ar1, (0.5, 1e-320)),
+    "ar1-sigma-overflows": (make_ar1, (0.5, 1e200)),
+    "gaussian-sigma-underflows": (make_iid_gaussian, (1e-300,)),
+    "gaussian-sigma-overflows": (make_iid_gaussian, (1e200,)),
+    "walk-2M-overflows": (make_cyclic_walk, (1e308, 0.5)),
+    "walk-kernel-overflows": (make_cyclic_walk, (1.0, 5e-324)),
+    "uniform-density-overflows": (make_iid_uniform, (0.0, 5e-324)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_builders_refuse_constants_that_overflow_or_underflow(case):
+    make, args = OVERFLOWING[case]
+    with pytest.raises(BadParameterError, match="overflows or underflows"):
+        make(*args)
+
+
 class TestCyclicWalk:
     def test_full_wrap_is_iid_uniform(self):
         p = make_cyclic_walk(1.0, 1.0)
@@ -274,26 +293,24 @@ class TestSamplePath:
         c = sample_path(p, 5000, seed=8)
         assert not np.array_equal(a.values, c.values)
 
-    def test_streams_differ(self):
-        p = make_iid_gaussian(1.0)
-        a = sample_path(p, 1000, seed=7, stream=0)
-        b = sample_path(p, 1000, seed=7, stream=1)
-        assert not np.array_equal(a.values, b.values)
-
     def test_path_immutable(self):
         path = sample_path(make_iid_gaussian(1.0), 100, seed=0)
         with pytest.raises(ValueError):
             path.values[0] = 0.0
 
     @pytest.mark.parametrize("name", sorted(DRAW_ORDER))
-    @pytest.mark.parametrize("n, seed, stream", [(1, 0, 0), (2, 3, 1), (500, 41, 2)])
-    def test_draw_order(self, name, n, seed, stream):
+    @pytest.mark.parametrize("n, seed, earlier", [(1, 0, 0), (2, 3, 1), (500, 41, 2)])
+    def test_draw_order(self, name, n, seed, earlier):
         # the path is its recurrence, one step at a time, over draws taken
-        # from make_rng(seed, stream) in the documented order: x0 from the
-        # marginal, then the n - 1 innovations
+        # from make_rng(seed) in the documented order: x0 from the
+        # marginal, then the n - 1 innovations; the paths drawn earlier,
+        # at other seeds, leave no state behind
         make, expected = DRAW_ORDER[name]
-        got = sample_path(make(), n, seed, stream).values
-        want = expected(make_rng(seed, stream), n)
+        proc = make()
+        for other in range(earlier):
+            sample_path(proc, n + 1, seed + 1 + other)
+        got = sample_path(proc, n, seed).values
+        want = expected(make_rng(seed), n)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -304,18 +321,18 @@ class TestPathMemo:
 
     def test_a_repeated_call_returns_the_same_path(self):
         p = make_ar1(0.5, 1.0)
-        path = sample_path(p, 5000, seed=7, stream=2)
-        assert sample_path(p, 5000, seed=7, stream=2) is path
+        path = sample_path(p, 5000, seed=7)
+        assert sample_path(p, 5000, seed=7) is path
 
-    def test_another_process_count_seed_or_stream_misses(self):
+    def test_another_process_count_or_seed_misses(self):
         p = make_ar1(0.5, 1.0)
         path = sample_path(p, 5000, seed=7)
         # an equal process that is another object misses too
         assert sample_path(make_ar1(0.5, 1.0), 5000, seed=7) is not path
-        for args in [(p, 5001, 7, 0), (p, 5000, 8, 0), (p, 5000, 7, 1)]:
+        for args in [(p, 5001, 7), (p, 5000, 8)]:
             got = sample_path(*args)
             assert got is not path
-            assert (got.length, got.seed, got.stream) == args[1:]
+            assert (got.values.size, got.seed) == args[1:]
 
     def test_a_fresh_equal_process_draws_equal_values(self):
         a = sample_path(make_cyclic_walk(1.0, 0.4), 5000, seed=7)
@@ -323,9 +340,9 @@ class TestPathMemo:
         assert a is not b
         assert np.array_equal(a.values, b.values)
 
-    def test_takes_numpy_int_seeds_and_streams(self):
-        a = sample_path(make_iid_gaussian(1.0), 100, np.int64(7), np.uint8(1))
-        b = sample_path(make_iid_gaussian(1.0), 100, 7, 1)
+    def test_takes_numpy_int_counts_and_seeds(self):
+        a = sample_path(make_iid_gaussian(1.0), np.int32(100), np.uint8(7))
+        b = sample_path(make_iid_gaussian(1.0), 100, 7)
         assert np.array_equal(a.values, b.values)
 
     def test_the_old_path_is_gone_before_the_next_draw(self, monkeypatch):
@@ -409,9 +426,9 @@ class TestPushforward:
     )
     def test_sampled_path_is_the_mapped_input_path(self, proc, f):
         push = pushforward_process(f, proc)
-        for seed, stream in [(1, 0), (42, 3)]:
-            got = sample_path(push, 1000, seed, stream).values
-            want = f.eval_array(sample_path(proc, 1000, seed, stream).values)
+        for seed in (1, 42):
+            got = sample_path(push, 1000, seed).values
+            want = f.eval_array(sample_path(proc, 1000, seed).values)
             np.testing.assert_array_equal(got, want)
         assert sample_path(push, 1, 5).values.shape == (1,)
 

@@ -8,8 +8,13 @@ mutual-information estimators against the estimator as first written,
 the quantile edges read off the sort against np.quantile, the
 labeller's edge table against a binary search, eval_array's value
 table against the masked loop it replaced, the scalar lookups against
-the array forms, and the stages of random cascades against their
-evaluation on the explicit chain of pushforwards."""
+the array forms, the stages of random cascades against their
+evaluation on the explicit chain of pushforwards, and the process
+builders over the whole float range."""
+
+import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +45,14 @@ from inforate import (
     shift_mod,
     square,
 )
-from inforate.errors import BadParameterError, NoConvergenceError, OutOfDomainError
+from inforate import estimate
+from inforate.config import parse_config
+from inforate.errors import (
+    BadParameterError,
+    NoConvergenceError,
+    OutOfDomainError,
+    ParseError,
+)
 from inforate.estimate import (
     DEFAULT_QUAD,
     _bin_labels,
@@ -174,10 +186,12 @@ def test_depth_budget_only_decides_when_to_give_up(cusps, tol, depth):
         return np.abs(x - centre[col]) ** power[col]
 
     try:
-        shallow = quad_batch(cusp, lo, hi, QuadratureConfig(tol, max_depth=depth))
+        with mock.patch.object(estimate, "_MAX_DEPTH", depth):
+            shallow = quad_batch(cusp, lo, hi, QuadratureConfig(tol))
     except NoConvergenceError:
         return
-    deep = quad_batch(cusp, lo, hi, QuadratureConfig(tol, max_depth=120))
+    deep = quad_batch(cusp, lo, hi, QuadratureConfig(tol))
+    assert estimate._MAX_DEPTH == 120
     assert deep.tolist() == shallow.tolist()
 
 
@@ -698,3 +712,47 @@ def test_scalar_lookups_are_the_array_forms_bit_for_bit(case):
         for lookup in (f.branch_index_array, f.eval_array):
             with pytest.raises(OutOfDomainError):
                 lookup(np.array([x]))
+
+
+def log_uniform(signed=False):
+    """Floats spread evenly in log scale from 5e-324 to 1.8e308."""
+    size = st.floats(-1074.0, 1023.99).map(lambda e: 2.0**e)
+    if not signed:
+        return size
+    return st.tuples(size, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+PROCESS_PARAMETERS = {
+    "ar1": {
+        "a": st.floats(-1074.0, -1e-9).map(lambda e: 2.0**e),
+        "sigma": log_uniform(),
+    },
+    "cyclic_walk": {"M": log_uniform(), "a": log_uniform()},
+    "iid_gaussian": {"sigma": log_uniform()},
+    "iid_uniform": {"lo": log_uniform(signed=True), "hi": log_uniform(signed=True)},
+}
+
+
+@settings(PROPERTY, max_examples=400)
+@given(
+    st.sampled_from(sorted(PROCESS_PARAMETERS)).flatmap(
+        lambda kind: st.fixed_dictionaries(
+            {"kind": st.just(kind), **PROCESS_PARAMETERS[kind]}
+        )
+    )
+)
+@example({"kind": "iid_uniform", "lo": 0.0, "hi": 5e-324})
+@example({"kind": "cyclic_walk", "M": 1.0, "a": 5e-324})
+@example({"kind": "iid_gaussian", "sigma": 5e153})  # (10 sigma)^2 overflows
+def test_a_built_process_has_a_finite_window_and_density(process):
+    """A config either is refused with ParseError or builds a process
+    whose window is finite and whose marginal is finite and >= 0 on it."""
+    spec = {"process": process, "function": {"kind": "identity"}}
+    try:
+        built = parse_config(json.dumps(spec)).process
+    except ParseError:
+        return
+    lo, hi = built.quad_support
+    assert math.isfinite(lo) and math.isfinite(hi)
+    density = built.marginal_pdf(np.linspace(lo, hi, 101))
+    assert np.all(np.isfinite(density)) and np.all(density >= 0.0)

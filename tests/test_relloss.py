@@ -11,7 +11,10 @@ from inforate import (
     empirical_constant_frequency,
     loss_rv,
     magnitude,
+    make_ar1,
+    make_cyclic_walk,
     make_iid_uniform,
+    make_tightness_example,
     quantizer,
     relative_loss_rate_constant_pieces,
 )
@@ -19,20 +22,51 @@ from inforate.errors import BadParameterError, ConstantBranchError, TooFewSample
 from inforate.pbf import PiecewiseFunction, constant_branch, injective_branch
 
 
+def _identity_branch(index, lo, hi):
+    return injective_branch(
+        index,
+        lo,
+        hi,
+        lambda x: np.asarray(x, float) + 0.0,
+        lambda y: np.asarray(y, float) + 0.0,
+        lambda x: np.ones_like(np.asarray(x, float)),
+    )
+
+
 def half_constant():
     return PiecewiseFunction(
-        (
-            constant_branch(1, 0.0, 1.0, 0.0),
-            injective_branch(
-                2,
-                1.0,
-                2.0,
-                lambda x: np.asarray(x, float) + 0.0,
-                lambda y: np.asarray(y, float) + 0.0,
-                lambda x: np.ones_like(np.asarray(x, float)),
-            ),
+        (constant_branch(1, 0.0, 1.0, 0.0), _identity_branch(2, 1.0, 2.0))
+    )
+
+
+def constant_on(lo, c_lo, c_hi, hi):
+    """The identity on [lo, hi), but constant on [c_lo, c_hi)."""
+    tiles = [t for t in [(lo, c_lo), (c_lo, c_hi), (c_hi, hi)] if t[0] < t[1]]
+    return PiecewiseFunction(
+        tuple(
+            constant_branch(i, a, b, a) if a == c_lo else _identity_branch(i, a, b)
+            for i, (a, b) in enumerate(tiles, 1)
         )
     )
+
+
+# name: (process, function, the marginal mass of its constant piece)
+MARKOV_INPUTS = {
+    # the truncated window [-10 sd, 10 sd] of a Gaussian; mass 1/2
+    "ar1": (
+        lambda: make_ar1(0.5, 1.0),
+        constant_on(-math.inf, 0.0, math.inf, math.inf),
+        0.5,
+    ),
+    # uniform marginal 1/2 on [-1, 1): [0, 0.5) carries 1/4
+    "walk": (
+        lambda: make_cyclic_walk(1.0, 0.35),
+        constant_on(-1.0, 0.0, 0.5, 1.0),
+        0.25,
+    ),
+    # uniform marginal 1/4 on [0, 4), split at the block edges 1, 2, 3
+    "tightness": (make_tightness_example, constant_on(0.0, 0.0, 1.0, 4.0), 0.25),
+}
 
 
 class TestConstantPieces:
@@ -54,6 +88,16 @@ class TestConstantPieces:
     def test_result_in_unit_interval(self):
         p = make_iid_uniform(0.0, 2.0)
         assert 0.0 <= relative_loss_rate_constant_pieces(half_constant(), p) <= 1.0
+
+    @pytest.mark.parametrize("name", sorted(MARKOV_INPUTS))
+    def test_markov_input_loses_the_constant_mass(self, name):
+        # the claim holds for processes: the quadrature mass and the time
+        # average of the constant-piece indicator along a path agree
+        make, f, mass = MARKOV_INPUTS[name]
+        p = make()
+        assert relative_loss_rate_constant_pieces(f, p) == pytest.approx(mass, abs=1e-9)
+        got = empirical_constant_frequency(f, p, 10**6, seed=17)
+        assert got == pytest.approx(mass, abs=0.01)
 
 
 class TestDownsampler:
@@ -88,6 +132,17 @@ class TestDownsampler:
             downsampler_relative_loss(2, 0)
         with pytest.raises(BadParameterError):
             downsampler_relative_loss(2.5)
+
+    @pytest.mark.parametrize(
+        "args", [(True,), (True, True), (2, False), (np.float64(2),)]
+    )
+    def test_refuses_bools_and_non_integers(self, args):
+        with pytest.raises(BadParameterError, match="integer"):
+            downsampler_relative_loss(*args)
+
+    def test_takes_numpy_ints(self):
+        assert downsampler_relative_loss(np.int64(3)) == Fraction(2, 3)
+        assert downsampler_relative_loss(np.int64(3), np.int32(7)) == Fraction(5, 7)
 
 
 class TestEmpiricalFrequency:
