@@ -3,8 +3,7 @@
 Subcommands regenerate the library's reference numbers as CSV sweeps or
 JSON reports.  Sweep metadata (seed, sample counts, bins, tolerances,
 command line, version) is emitted alongside the table so every cell can
-be re-derived.  Exit codes: 0 success, 1 check failure, 2 usage/parse
-error.
+be re-derived.  Exit codes: 0 success, 1 check failure, 2 bad input.
 """
 
 import argparse
@@ -19,7 +18,13 @@ import numpy as np
 
 from . import __version__
 from .config import EstimationParams, check_estimation, load_config
-from .errors import IncompatibleSpecError, InforateError, ParseError, TooFewSamplesError
+from .errors import (
+    BadParameterError,
+    IncompatibleSpecError,
+    InforateError,
+    ParseError,
+    TooFewSamplesError,
+)
 from .estimate import (
     cond_entropy_W_given_X,
     cond_entropy_rate_quad,
@@ -32,7 +37,7 @@ from .lossrate import (
     loss_rate_bounds_mc,
     loss_rv,
 )
-from .lumpability import check_grid_params, check_lumpable, full_report
+from .lumpability import check_lumpable, full_report
 from .pbf import magnitude
 from .process import make_ar1, make_cyclic_walk, make_tightness_example
 from .relloss import (
@@ -258,53 +263,9 @@ def cmd_downsample(args):
     return 0
 
 
-def cmd_rel_loss(args):
-    meta = {}
-    if args.downsample is not None:
-        m = _count(args.downsample, "--downsample")
-        if args.block is not None:
-            value = downsampler_relative_loss(m, _count(args.block, "--block"))
-        else:
-            value = downsampler_relative_loss(m)
-        report = {
-            "kind": "downsampler",
-            "M": args.downsample,
-            "block": args.block,
-            "relative_loss": str(value),
-            "relative_loss_float": float(value),
-        }
-    elif args.config:
-        spec = load_config(args.config)
-        est = _estimation(args, spec)
-        meta = {"samples": est.samples, "seed": est.seed, "quad_tol": est.quad_tol}
-        analytic = relative_loss_rate_constant_pieces(
-            spec.function, spec.process, cfg=est.quad_cfg
-        )
-        empirical = None
-        if spec.function.has_constant and not all(
-            b.kind == "constant" for b in spec.function.branches
-        ):
-            empirical = empirical_constant_frequency(
-                spec.function, spec.process, n_samples=est.samples, seed=est.seed
-            )
-        report = {
-            "kind": "constant-pieces",
-            "relative_loss": analytic,
-            "empirical_frequency": empirical,
-        }
-    else:
-        raise ParseError("rel-loss needs --downsample M or --config PATH")
-    _write_output(args, json.dumps(report, indent=2, sort_keys=True) + "\n", meta)
-    return 0
-
-
 def cmd_lump_check(args):
     spec = load_config(args.config)
     grid = _estimation(args, spec).grid
-    try:
-        check_grid_params(grid, args.tol)
-    except InforateError as exc:
-        raise ParseError(str(exc)) from None
     rep = full_report(spec.function, spec.process, grid=grid, tol=args.tol)
     _write_output(
         args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", {"grid": grid}
@@ -317,12 +278,6 @@ def cmd_analyze(args):
     est = _estimation(args, spec)
     f, proc = spec.function, spec.process
     out = {"process": spec.raw.get("process"), "function": spec.raw.get("function")}
-    qlo, qhi = proc.quad_support
-    if f.domain_lo > qlo + 1e-9 or f.domain_hi < qhi - 1e-9:
-        raise IncompatibleSpecError(
-            f"function domain [{f.domain_lo}, {f.domain_hi}) does not cover "
-            f"the process support window [{qlo}, {qhi})"
-        )
     if f.has_constant:
         analytic = relative_loss_rate_constant_pieces(f, proc, cfg=est.quad_cfg)
         out["pipeline"] = "relative-loss"
@@ -405,13 +360,6 @@ def build_parser():
     _options(p)
     p.set_defaults(func=cmd_downsample)
 
-    p = subs.add_parser("rel-loss", help="relative information loss rate")
-    p.add_argument("--downsample", type=int, default=None, metavar="M")
-    p.add_argument("--block", type=int, default=None, metavar="N")
-    p.add_argument("--config", type=str, default=None)
-    _options(p, "seed", "samples", "quad_tol")
-    p.set_defaults(func=cmd_rel_loss)
-
     p = subs.add_parser("lump-check", help="grid check that the output is Markov")
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
@@ -436,7 +384,13 @@ def main(argv=None):
             if key in vars(args):
                 check_estimation(key, getattr(args, key), "--" + key.replace("_", "-"))
         return args.func(args)
-    except (ParseError, IncompatibleSpecError, TooFewSamplesError, OSError) as exc:
+    except (
+        BadParameterError,
+        IncompatibleSpecError,
+        ParseError,
+        TooFewSamplesError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InforateError as exc:

@@ -16,7 +16,8 @@ magnitude, scale{k}, square, shift_mod{period, offset}, quantizer{edges};
 a compose list applies entries first-to-last.  Function domains default
 to the process support; every function kind but quantizer also takes lo
 and hi.  Unknown fields and non-numeric, non-finite (NaN, Infinity) or
-bool values are refused with ParseError.
+bool values are refused with ParseError, and a function whose domain
+does not cover the process window with IncompatibleSpecError.
 """
 
 import json
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import pbf
-from .errors import BadParameterError, ParseError
+from .errors import IncompatibleSpecError, ParseError
 from .estimate import QuadratureConfig
 from .process import (
     make_ar1,
@@ -34,16 +35,16 @@ from .process import (
     make_tightness_example,
 )
 
+# kinds: builder, required and optional numeric fields; a function's lo
+# and hi bound its domain, which defaults to the process support
 _PROCESS_KINDS = {
-    "ar1": (make_ar1, ("a", "sigma")),
-    "cyclic_walk": (make_cyclic_walk, ("M", "a")),
-    "tightness": (make_tightness_example, ()),
-    "iid_gaussian": (make_iid_gaussian, ("sigma",)),
-    "iid_uniform": (make_iid_uniform, ("lo", "hi")),
+    "ar1": (make_ar1, ("a", "sigma"), ()),
+    "cyclic_walk": (make_cyclic_walk, ("M", "a"), ()),
+    "tightness": (make_tightness_example, (), ()),
+    "iid_gaussian": (make_iid_gaussian, ("sigma",), ()),
+    "iid_uniform": (make_iid_uniform, ("lo", "hi"), ()),
 }
 
-# function kinds: builder, required and optional numeric fields; lo and
-# hi bound the domain, which defaults to the process support
 _FUNCTION_KINDS = {
     "identity": (pbf.identity, (), ("lo", "hi")),
     "magnitude": (pbf.magnitude, (), ("lo", "hi")),
@@ -107,69 +108,56 @@ def _kind(spec, kinds, where):
     return kind
 
 
-def _build_process(spec):
-    kind = _kind(spec, _PROCESS_KINDS, "process")
-    builder, names = _PROCESS_KINDS[kind]
-    kwargs = {}
-    for name in names:
-        val = _require(spec, name, f"process {kind!r}")
-        if not _is_number(val):
-            raise ParseError(f"process field {name!r} must be numeric, a finite number")
-        kwargs[name] = val
-    extra = set(spec) - {"kind", *names}
-    if extra:
-        raise ParseError(f"unexpected process fields {sorted(extra)}")
-    try:
-        return builder(**kwargs)
-    except BadParameterError as exc:
-        raise ParseError(f"bad parameters for process {kind!r}: {exc}") from exc
-
-
-def _build_single_function(spec, lo, hi):
-    kind = _kind(spec, _FUNCTION_KINDS, "function")
-    builder, required, optional = _FUNCTION_KINDS[kind]
-    kwargs = {"lo": lo, "hi": hi} if "lo" in optional else {}
+def _build(spec, kinds, where, defaults):
+    """Build ``spec`` with the builder of its kind in ``kinds``; the
+    spec's fields override the ``defaults`` that the kind takes."""
+    kind = _kind(spec, kinds, where)
+    builder, required, optional = kinds[kind]
     for name in required:
-        _require(spec, name, f"function {kind!r}")
+        _require(spec, name, f"{where} {kind!r}")
     extra = set(spec) - {"kind", *required, *optional}
     if extra:
-        raise ParseError(f"unexpected fields {sorted(extra)} for function {kind!r}")
+        raise ParseError(f"unexpected fields {sorted(extra)} for {where} {kind!r}")
+    kwargs = {name: val for name, val in defaults.items() if name in optional}
     for name, val in spec.items():
         if name == "kind":
             continue
         if name == "edges":
             if not (isinstance(val, list) and all(map(_is_number, val))):
                 raise ParseError(
-                    "function field 'edges' must be a list of finite numbers"
+                    f"{where} field 'edges' must be a list of finite numbers"
                 )
         elif not _is_number(val):
             raise ParseError(
-                f"function field {name!r} must be numeric, a finite number"
+                f"{where} field {name!r} must be numeric, a finite number"
             )
         kwargs[name] = val
     try:
         return builder(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad parameters for function {kind!r}: {exc}") from exc
+        raise ParseError(f"bad parameters for {where} {kind!r}: {exc}") from exc
 
 
 def _build_function(spec, process):
     if not isinstance(spec, dict):
         raise ParseError("field 'function' must be an object")
     lo, hi = process.support
-    if "compose" in spec:
-        if set(spec) != {"compose"}:
-            raise ParseError("a 'compose' function takes no other fields")
-        parts = spec["compose"]
-        if not isinstance(parts, list) or not parts:
-            raise ParseError("'compose' must be a non-empty list")
-        f = _build_single_function(parts[0], lo, hi)
-        for part in parts[1:]:
-            r_lo, r_hi = f.range_hull()
-            g = _build_single_function(part, r_lo, r_hi)
+    if "compose" not in spec:
+        return _build(spec, _FUNCTION_KINDS, "function", {"lo": lo, "hi": hi})
+    if set(spec) != {"compose"}:
+        raise ParseError("a 'compose' function takes no other fields")
+    parts = spec["compose"]
+    if not isinstance(parts, list) or not parts:
+        raise ParseError("'compose' must be a non-empty list")
+    f = _build(parts[0], _FUNCTION_KINDS, "function", {"lo": lo, "hi": hi})
+    for part in parts[1:]:
+        r_lo, r_hi = f.range_hull()
+        g = _build(part, _FUNCTION_KINDS, "function", {"lo": r_lo, "hi": r_hi})
+        try:
             f = pbf.compose(g, f)
-        return f
-    return _build_single_function(spec, lo, hi)
+        except ValueError as exc:
+            raise ParseError(f"bad 'compose' list: {exc}") from exc
+    return f
 
 
 # admissible (low, high) of the integer estimation values; None is open
@@ -224,10 +212,18 @@ def parse_config(text, source="<config>"):
         ) from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{source}: top level must be an object")
-    process = _build_process(_require(raw, "process", source))
-    function = _build_function(_require(raw, "function", source), process)
+    process = _build(
+        _require(raw, "process", source), _PROCESS_KINDS, "process", {}
+    )
+    f = _build_function(_require(raw, "function", source), process)
+    qlo, qhi = process.quad_support
+    if f.domain_lo > qlo + 1e-9 or f.domain_hi < qhi - 1e-9:
+        raise IncompatibleSpecError(
+            f"function domain [{f.domain_lo}, {f.domain_hi}) does not cover "
+            f"the process support window [{qlo}, {qhi})"
+        )
     estimation = _build_estimation(raw.get("estimation"))
-    return AnalysisSpec(process=process, function=function, estimation=estimation, raw=raw)
+    return AnalysisSpec(process=process, function=f, estimation=estimation, raw=raw)
 
 
 def load_config(path):

@@ -475,10 +475,12 @@ def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
 
 
 def _branch_probabilities(f, process, x1s, cfg):
-    """Pr(W2 = w | X1 = x1) for every x1 (rows) and branch w (columns)."""
+    """Pr(W2 = w | X1 = x1) for every x1 (rows) and branch w (columns),
+    each integrated to min(1e-12, cfg.abs_tol)."""
     x1s = np.asarray(x1s, dtype=float)
     cond = _cond_pdf_fn(process)
     wlo, whi, kinks = _cond_windows(process, x1s)
+    cfg = QuadratureConfig(min(1e-12, cfg.abs_tol))
     return branch_integrals(
         f, lambda x2, col, b: cond(x2, x1s[col]), wlo, whi, cfg, kinks
     )
@@ -490,10 +492,9 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     W is the discrete process of partition indices; the outer expectation
     over X1 and the per-branch probabilities are both quadratures.
     """
-    inner_cfg = QuadratureConfig(min(1e-12, cfg.abs_tol))
 
     def point_entropy(x1s):
-        probs = _branch_probabilities(f, process, x1s, inner_cfg)
+        probs = _branch_probabilities(f, process, x1s, cfg)
         total = probs.sum(axis=1, keepdims=True)
         probs = probs / np.where(total > 0, total, 1.0)
         return np.where(total[:, 0] > 0, -np.sum(xlog2x(probs), axis=1), 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParameterError, check_int
-from .estimate import QuadratureConfig, _branch_probabilities, _cond_pdf_fn
+from .estimate import DEFAULT_QUAD, _branch_probabilities, _cond_pdf_fn
 
 _EDGE_EPS = 1e-9
 # points per kernel call in both checks
@@ -149,10 +149,8 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     valid = table.valid.T
     cond = _cond_pdf_fn(process)
     xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
-
-    prob_cfg = QuadratureConfig(abs_tol=1e-12)
     xs = xs[process.marginal_pdf(xs) > 0.0]
-    probs = _branch_probabilities(f, process, xs, prob_cfg)
+    probs = _branch_probabilities(f, process, xs, DEFAULT_QUAD)
     total = probs.sum(axis=1, keepdims=True)
     probs = probs / np.where(total > 0, total, 1.0)
     # the conditions compare branches, so only x with two or more live

@@ -46,6 +46,12 @@ class TestDownsample:
         assert out == ""
         assert err.startswith("error: --blocks")
 
+    def test_bad_m_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "downsample", "--M", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --M must be >= 1")
+
 
 class TestCyclicSweep:
     def test_closed_forms_in_table(self, capsys):
@@ -155,44 +161,6 @@ class TestLumpCheck:
         assert code == 0
         assert json.loads(out)["grid"] == "151x151 on [0, 1]^2"
         assert json.loads(err.strip().splitlines()[-1])["grid"] == 151
-
-
-class TestRelLoss:
-    def test_downsample_mode(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "rel-loss", "--downsample", "4", "--block", "10"
-        )
-        assert code == 0
-        assert json.loads(out)["relative_loss"] == "4/5"
-
-    def test_quantizer_config(self, capsys, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "process": {"kind": "iid_uniform", "lo": 0.0, "hi": 1.0},
-                    "function": {"kind": "quantizer", "edges": [0.0, 0.5, 1.0]},
-                }
-            )
-        )
-        code, out, _ = run_cli(capsys, "rel-loss", "--config", str(cfg))
-        assert code == 0
-        assert json.loads(out)["relative_loss"] == 1.0
-
-    def test_needs_a_mode(self, capsys):
-        code, _, err = run_cli(capsys, "rel-loss")
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["--downsample", "0"], ["--downsample", "3", "--block", "0"]],
-        ids=["downsample-0", "block-0"],
-    )
-    def test_bad_downsampler_exits_2(self, capsys, argv):
-        code, out, err = run_cli(capsys, "rel-loss", *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {argv[-2]} must be >= 1")
 
 
 class TestAnalyze:
@@ -485,6 +453,76 @@ class TestConfigUsageErrors:
         assert err.startswith("error:") and "overflows or underflows" in err
         assert len(err.strip().splitlines()) == 1
 
+    UNCOVERED = {
+        "square from 0": {"compose": [{"kind": "square", "lo": 0}, {"kind": "square"}]},
+        "quantizer on [0, 2)": {"kind": "quantizer", "edges": [0, 1, 2]},
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "lump-check"])
+    @pytest.mark.parametrize("function", UNCOVERED.values(), ids=UNCOVERED)
+    def test_function_not_covering_the_window_exits_2(
+        self, capsys, tmp_path, command, function
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"process": self.AR1, "function": function}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: function domain [0.0, ")
+        assert "does not cover the process support window" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("function", UNCOVERED.values(), ids=UNCOVERED)
+    def test_parse_config_refuses_a_function_not_covering_the_window(
+        self, function
+    ):
+        from inforate.config import parse_config
+        from inforate.errors import IncompatibleSpecError
+
+        text = json.dumps({"process": self.AR1, "function": function})
+        with pytest.raises(IncompatibleSpecError, match="does not cover"):
+            parse_config(text)
+
+    MAGNITUDE = {"kind": "magnitude"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ar1-sweep", "--a-values", "0.5", "--sigma", "0"], "sigma must be"),
+            (["ar1-sweep", "--a-values", "0.5", "--sigma", "nan"], "sigma must be"),
+            (["cyclic-sweep", "--M", "0"], "need 0 < a <= M"),
+            (["cyclic-sweep", "--M", "inf"], "need 0 < a <= M"),
+            ({"kind": "quantizer", "edges": [-1.0, 0.0, 1.0]}, "all-injective"),
+            (
+                {"compose": [MAGNITUDE, {"kind": "scale", "k": 2, "lo": 0, "hi": 0.5}]},
+                "not inside outer domain",
+            ),
+            (
+                {"compose": [MAGNITUDE, {"kind": "quantizer", "edges": [0, 0.5, 1]}]},
+                "all-injective",
+            ),
+        ],
+        ids=[
+            "sigma 0",
+            "sigma nan",
+            "M 0",
+            "M inf",
+            "lump-check on a quantizer",
+            "compose range outside the outer domain",
+            "compose with a quantizer",
+        ],
+    )
+    def test_bad_parameter_exits_2(self, capsys, tmp_path, argv, message):
+        if isinstance(argv, dict):  # a function to lump-check on the walk
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"process": self.WALK, "function": argv}))
+            argv = ["lump-check", "--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_well_typed_function_specs_parse(self):
         from inforate.config import parse_config
 
@@ -501,7 +539,6 @@ class TestConfigUsageErrors:
         "cyclic-sweep": ("--seed", "--samples", "--bins"),
         "tightness": ("--seed", "--samples", "--bins"),
         "downsample": ("--seed", "--samples", "--bins", "--quad-tol", "--grid"),
-        "rel-loss": ("--bins", "--grid"),
         "lump-check": ("--seed", "--samples", "--bins", "--quad-tol"),
     }
     VALID = {
@@ -526,7 +563,6 @@ class TestConfigUsageErrors:
             "cyclic-sweep": ["--ratios", "0.5"],
             "tightness": [],
             "downsample": ["--M", "2", "--blocks", "2"],
-            "rel-loss": ["--downsample", "2"],
             "lump-check": ["--config", str(cfg), "--grid", "101"],
         }[command]
         with pytest.raises(SystemExit) as exc:
