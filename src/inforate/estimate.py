@@ -78,6 +78,7 @@ _WG = np.array(
 _GAUSS_IDX = np.arange(1, 15, 2)
 _MAX_DEPTH = 120  # halvings of a panel before quad_batch gives up on it
 _MAX_INTERVALS = 200_000  # panels one integrand call of a batch may evaluate
+_GRADE = 4  # power of the substitution at a critical image (_y_integrals)
 
 
 @dataclass(frozen=True)
@@ -502,6 +503,40 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     return _x1_integral(process, point_entropy, cfg, f)
 
 
+def _preimage_entropy(t):
+    """-sum_b t_b log2(t_b / T), T = sum_b t_b: T times the entropy of which
+    preimage x_b of y it was, each with probability t_b / T (Geiger,
+    Feldbauer and Kubin, 2011); 0 where one x_b has all of T."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = t / t.sum(axis=0)
+        terms = np.where((share > 0) & (share < 1), -t * np.log2(share), 0.0)
+    return terms.sum(axis=0)
+
+
+def _y_integrals(f, value, ylo, yhi, points, cfg):
+    """``quad_batch`` of value(y, col) over windows [ylo, yhi] split at
+    ``points``; one that ends at c in ``f.critical_images`` runs in s over
+    [0, 1], y = c + (end - c) s**_GRADE, smooth where g' has a zero of order
+    <= 3 at c.  A critical image inside a window is left to bisection."""
+    at_lo = np.isin(ylo, f.critical_images)
+    graded = (at_lo | np.isin(yhi, f.critical_images)) & (yhi > ylo)
+    if not graded.any():
+        return quad_batch(value, ylo, yhi, cfg, points)
+    c = np.where(at_lo, ylo, yhi)
+    span = np.where(at_lo, yhi, ylo) - c  # < 0 where c is the high end
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN off the window
+        s_points = ((points - c[:, None]) / span[:, None]) ** (1.0 / _GRADE)
+
+    def graded_value(s, col):
+        g, jac = graded[col], _GRADE * np.abs(span[col]) * s ** (_GRADE - 1)
+        y = np.where(g, c[col] + span[col] * s**_GRADE, s)
+        return value(y, col) * np.where(g, jac, 1.0)
+
+    lo, hi = np.where(graded, 0.0, ylo), np.where(graded, 1.0, yhi)
+    s_points = np.where(graded[:, None], s_points, points)
+    return quad_batch(graded_value, lo, hi, cfg, s_points)
+
+
 def _output_integral(f, process, node_value, cfg):
     """int f_X(x1) int node_value(t) dy dx1 for Y = g(X), where t holds
     the terms f(x_b | x1) / |g'(x_b)| at the preimages x_b of y, one row
@@ -514,14 +549,15 @@ def _output_integral(f, process, node_value, cfg):
         wlo, whi, kinks = _cond_windows(process, x1s)
         ylo, yhi, edges = f.image_window(np.maximum(wlo, lo), np.minimum(whi, hi))
         empty = ~(yhi > ylo)  # ylo = yhi = 0 there: the integral is 0
-        return quad_batch(
+        return _y_integrals(
+            f,
             lambda ys, col: node_value(
-                f.preimage_weights(lambda x2: cond(x2, x1s[col]), ys)
+                f.preimage_table(ys).weights(lambda x2: cond(x2, x1s[col]))
             ),
             np.where(empty, 0.0, ylo),
             np.where(empty, 0.0, yhi),
-            cfg,
             np.column_stack([edges, f.image_points(kinks)]),
+            cfg,
         )
 
     return _x1_integral(process, point_value, cfg, f)
@@ -533,21 +569,9 @@ def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):
 
 
 def cond_entropy_X2_given_Y2_X1(f, process, cfg=DEFAULT_QUAD):
-    """H(X2 | Y2, X1) for Y = g(X), by nested quadrature over x1 and y.
-
-    Given X1 = x1 and Y2 = y, X2 is the preimage x_b of y with probability
-    t_b / T, t_b = f(x_b | x1) / |g'(x_b)|, T = sum_b t_b (Geiger,
-    Feldbauer and Kubin, 2011).  Each term of -sum_b t_b log2(t_b / T) is
-    at least 0, and exactly 0 where one preimage carries all the weight.
-    """
-
-    def entropy(t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = t / t.sum(axis=0)
-            terms = np.where((share > 0) & (share < 1), -t * np.log2(share), 0.0)
-        return terms.sum(axis=0)
-
-    return _output_integral(f, process, entropy, cfg)
+    """H(X2 | Y2, X1) for Y = g(X), by nested quadrature over x1 and y: the
+    ``_preimage_entropy`` of y with the kernel slice f(. | x1) as density."""
+    return _output_integral(f, process, _preimage_entropy, cfg)
 
 
 def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):
@@ -569,44 +593,29 @@ def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):
     return float(total)
 
 
+def _support_image(f, process):
+    """``f.image_window`` of the quadrature window; refuses an empty one."""
+    y_lo, y_hi, edges = f.image_window(*process.quad_support)
+    if y_lo > y_hi:
+        raise BadParameterError("function range is empty on the process support")
+    return y_lo, y_hi, edges
+
+
 def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
     """H(X|Y) for Y = g(X): the loss L(X -> Y) of the marginal variable.
 
-    For piecewise bijective g it is -E[log2 Pr(X | g(X))], where the
-    conditional law of X given g(X) = y puts mass proportional to
-    f_X(x)/|g'(x)| on each preimage x of y (Geiger, Feldbauer and Kubin,
-    2011), so it is one bounded quadrature per branch.  It is divided by
-    the mass of f_X on the window, integrated alongside: the value is that
-    of the law restricted to the window, and a fold whose preimages always
-    weigh the same gives log2 of their count to the last bit.  The
-    integrand jumps where a preimage enters or leaves the window: at the
-    preimages of the images of the window ends, the tile edges and the
-    marginal's split points.
-    """
-    f_marg = process.marginal_pdf
-    lo, hi = process.quad_support
-    split_points = process.marginal_split_points
-    _, _, edges = f.image_window(lo, hi)
-    table = f.preimage_table(np.concatenate([edges, f.image_points(split_points)]))
-    points = np.concatenate([split_points, table.x[table.valid]])
+    ``_preimage_entropy`` with f_X as the density, integrated in y as the
+    rate integrates it and divided by the output mass, integrated alongside,
+    so that equally weighted preimages give log2 of their count exactly."""
+    ylo, yhi, edges = _support_image(f, process)
+    points = np.concatenate([edges, f.image_points(process.marginal_split_points)])
 
-    def integrand(x, col, b):
-        """-f_X log2 Pr(x | g(x)) in column 0, f_X in column 1."""
-        px = f_marg(x)
-        own = px / np.abs(b.derivative(x))
-        # the sum holds the own term, unless the inverse rounds x across
-        # a tile edge; then the own term alone stands for it
-        total = np.maximum(f.preimage_sum(f_marg, b.forward(x)), own)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loss = np.where(own > 0, -px * np.log2(own / total), 0.0)
-        return np.where(col == 0, loss, px)
+    def value(ys, col):  # the loss in column 0, the output density in column 1
+        t = f.preimage_table(ys).weights(process.marginal_pdf)
+        return np.where(col == 0, _preimage_entropy(t), t.sum(axis=0))
 
-    # running sums in branch order; np.sum would regroup the terms
-    loss = mass = 0.0
-    terms = branch_integrals(f, integrand, [lo, lo], [hi, hi], cfg, [points] * 2)
-    for term, part in zip(*terms):
-        loss += term
-        mass += part
+    ends = [np.full(2, ylo), np.full(2, yhi)]
+    loss, mass = _y_integrals(f, value, *ends, np.array([points] * 2), cfg)
     return float(loss / mass)
 
 

@@ -25,6 +25,7 @@ from .estimate import (
     _check_block_order,
     _lagged_labels,
     _mi_from_labels,
+    _support_image,
     cond_entropy_W_given_X,
     cond_entropy_X2_given_Y2_X1,
     cond_entropy_input_given_output,
@@ -78,6 +79,7 @@ def _loss_rv_detail(f, process, cfg=DEFAULT_QUAD):
             "loss is infinite for functions with constant pieces; "
             "use the relative loss rate instead"
         )
+    _support_image(f, process)  # refuses a function that misses the window
     if len(f.branches) == 1:
         # a bijection loses nothing; through a composed inverse the
         # quadrature would leave round-off
@@ -130,14 +132,22 @@ def loss_rate_bounds_mc(
     conditions on the previous output, L - I(X1;X2) + I(X1;Y2) on the
     previous input.  They are returned ordered numerically; for lumpable
     systems they agree up to estimator noise.  L is computed to ``cfg``.
-    Raises BadParameterError unless ``n_samples`` is an int >= 1,
-    ``seed`` an int >= 0 and ``bins`` None or an int >= 1.
+    Before any work it refuses, with BadParameterError, an ``n_samples``
+    that is not an int >= 1, a ``seed`` not an int >= 0 and ``bins`` not
+    None or an int >= 1, and with TooFewSamplesError fewer than 1001 samples.
     """
-    check_path_args(n_samples, seed)
-    bins = resolve_bins(bins, n_samples)
+    bins = _path_bins(n_samples, seed, bins)
     loss, _ = _loss_rv_detail(f, process, cfg)
     xs = sample_path(process, n_samples, seed).values
     return _sandwich(f, xs, loss, bins, seed)
+
+
+def _path_bins(n_samples, seed, bins):
+    """The sandwich's bins per axis; refuses bad arguments, < 1e3 pairs."""
+    check_path_args(n_samples, seed)
+    if n_samples - 1 < 1000:
+        raise TooFewSamplesError("need at least 1001 samples: 1e3 sample pairs")
+    return resolve_bins(bins, n_samples)
 
 
 def _sandwich(f, xs, loss, bins, seed):
@@ -146,8 +156,7 @@ def _sandwich(f, xs, loss, bins, seed):
     per series bins both its lagged halves for the three mutual
     informations."""
     n_samples = xs.size
-    if n_samples - 1 < 1000:
-        raise TooFewSamplesError("need at least 1e3 sample pairs")
+    bins = _path_bins(n_samples, seed, bins)
     x_head, x_tail = _lagged_labels(xs, bins)
     y_head, y_tail = _lagged_labels(f.eval_array(xs), bins)
     mi_xx = _mi_from_labels(x_head, x_tail, bins)
@@ -196,8 +205,7 @@ def analyze_loss_rate(
     check_grid_params(grid, _GATE_TOL)
     method = {}
     value = None
-    check_path_args(n_samples, seed)
-    bins = resolve_bins(bins, n_samples)
+    bins = _path_bins(n_samples, seed, bins)
 
     loss, loss_tag = _loss_rv_detail(f, process, cfg)
     method["bound_L"] = loss_tag

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParameterError, check_int
-from .estimate import DEFAULT_QUAD, _branch_probabilities, _cond_pdf_fn
+from .estimate import DEFAULT_QUAD, _branch_probabilities, _cond_pdf_fn, _support_image
 
 _EDGE_EPS = 1e-9
 # points per kernel call in both checks
@@ -70,9 +70,7 @@ def _preimage_table(f, process, grid, tol):
     check_grid_params(grid, tol)
     if not f.all_injective:
         raise BadParameterError("the grid checks need an all-injective function")
-    y_lo, y_hi, _ = f.image_window(*process.quad_support)
-    if y_lo > y_hi:
-        raise BadParameterError("function range is empty on the process support")
+    y_lo, y_hi, _ = _support_image(f, process)
     ys = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
     return ys, f.preimage_table(ys), f"{grid}x{grid} on [{y_lo:.6g}, {y_hi:.6g}]^2"
 
@@ -111,7 +109,7 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
     live = (table.valid & (process.marginal_pdf(table.x) > 0.0)).T
 
     # per block of y1 values: every pair of live preimages of one y1, by
-    # y1, then by branches, and the preimage sums in preimage_sum's order
+    # y1, then by branches, and the preimage sums in branch order
     bi, bj = np.triu_indices(live.shape[1], 1)
     worst = 0.0
     witnesses = []

@@ -7,6 +7,7 @@ puts every tile boundary in the branch to its right.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -291,21 +292,6 @@ class PiecewiseFunction:
         x, dabs, valid = (np.reshape([r[k] for r in rows], shape) for k in range(3))
         return PreimageTable(x, dabs, valid.astype(bool))
 
-    def preimage_weights(self, density, ys):
-        """density(x) / |g'(x)| at the preimage x of each y, one row per
-        injective branch, 0 where the branch has none.  A row over the
-        column sums is the probability that the preimage is on its branch."""
-        return self.preimage_table(ys).weights(density)
-
-    def preimage_sum(self, density, ys):
-        """sum over x in preimage(y) of density(x) / |g'(x)|, for an array of y.
-
-        With the marginal as density this is the output density; with a
-        kernel slice x2 -> f(x2|x1) it is the output density given x1.
-        """
-        # summed row by row in branch order
-        return self.preimage_weights(density, ys).sum(axis=0)
-
     # -- structure ------------------------------------------------------
 
     @property
@@ -348,6 +334,14 @@ class PiecewiseFunction:
         y_lo = np.fmin.reduce(edges, axis=-1, initial=np.inf)
         y_hi = np.fmax.reduce(edges, axis=-1, initial=-np.inf)
         return y_lo, y_hi, edges
+
+    @cached_property
+    def critical_images(self):
+        """Images of the finite tile ends where g' vanishes: the density of
+        the output is singular there."""
+        ends = [(b, x) for b in self.branches for x in (b.domain_lo, b.domain_hi)]
+        ends = [(b, x) for b, x in ends if b.kind == "injective" and np.isfinite(x)]
+        return np.array([float(b.forward(x)) for b, x in ends if b.derivative(x) == 0])
 
     def image_points(self, points):
         """Images of an array of points, e.g. of a density's

@@ -13,6 +13,7 @@ import numpy as np
 from . import _kernels
 from ._rng import make_rng
 from .errors import BadParameterError, NotNormalizedError, check_int
+from .estimate import DEFAULT_QUAD, _support_image, quad_batch
 
 def _no_points(xs):
     """No split points at any of xs: an (n, 0) array."""
@@ -306,8 +307,6 @@ def _draw_path(process, rng, n):
 def stationarity_residual(process):
     """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid of
     64 points."""
-    from .estimate import DEFAULT_QUAD, quad_batch
-
     kern = process.kernel
     if kern is None:
         return 0.0
@@ -345,17 +344,14 @@ def pushforward_process(f, process):
         raise BadParameterError("pushforward needs an all-injective function")
 
     def marginal_pdf(ys):
-        return f.preimage_sum(process.marginal_pdf, ys)
+        return f.preimage_table(ys).weights(process.marginal_pdf).sum(axis=0)
 
     def path_sampler(rng, n):
         # Y = g(X) sample by sample, so mapping the input path is exact
         return f.eval_array(_draw_path(process, rng, n))
 
     # finite output window from the truncated input window
-    qlo, qhi = process.quad_support
-    y_lo, y_hi, edges = f.image_window(qlo, qhi)
-    if y_lo > y_hi:
-        raise BadParameterError("function does not cover the process support")
+    y_lo, y_hi, edges = _support_image(f, process)
     y_lo, y_hi = float(y_lo), float(y_hi)
     splits = np.concatenate([edges, f.image_points(process.marginal_split_points)])
 

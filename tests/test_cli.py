@@ -580,6 +580,28 @@ class TestConfigUsageErrors:
         assert err.startswith("error:") and "samples" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_too_few_sample_pairs_exit_2_before_any_work(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import inforate.lossrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("L computed before the sample count was checked")
+
+        monkeypatch.setattr(inforate.lossrate, "_loss_rv_detail", refuse)
+        code, out, err = self.analyze(capsys, tmp_path, estimation={"samples": 1000})
+        assert (code, out) == (2, "")
+        assert err == "error: need at least 1001 samples: 1e3 sample pairs\n"
+
+    def test_too_few_samples_past_the_pairs_for_the_block_order_exits_2(
+        self, capsys, tmp_path
+    ):
+        code, out, err = self.analyze(
+            capsys, tmp_path, estimation={"samples": 1500, "block_order": 5}
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need >= 1920 samples for order 5\n"
+
     def test_well_typed_estimation_fields_parse(self):
         from inforate.config import parse_config
 

@@ -572,7 +572,7 @@ def scalar_h_y2_given_x1(f, process):
         if not yhi[0] > ylo[0]:
             return 0.0
         return -quad(
-            lambda ys: xlog2x(f.preimage_sum(cond, ys)),
+            lambda ys: xlog2x(f.preimage_table(ys).weights(cond).sum(axis=0)),
             ylo[0],
             yhi[0],
             points=np.concatenate([edges[0], f.image_points(splits)]),

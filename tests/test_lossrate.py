@@ -1,6 +1,7 @@
 """Loss-rate values, bound chain, sandwich bracket, cascades."""
 
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from inforate.errors import (
 import inforate.lossrate
 from inforate._rng import make_rng
 from inforate.lossrate import _sandwich
+from inforate.pbf import compose
 
 from conftest import shifted_kernel_process
 
@@ -133,6 +135,101 @@ class TestLossRateAnalytic:
     def test_constant_refused(self):
         with pytest.raises(ConstantBranchError):
             loss_rate_analytic(quantizer([0.0, 1.0]), make_iid_uniform(0.0, 1.0))
+
+
+# folds whose g' vanishes at the tile edge 0: |x| followed by a bijection
+# on each side, so they lose what |x| loses
+X4 = compose(square(0.0, np.inf), square())
+NEG_SQUARE = compose(scale(-1.0), square())
+
+
+def _counted_kernel(process, points):
+    """``process`` with a kernel density that adds the size of each of
+    its outputs to ``points[0]``."""
+    cond = process.kernel.cond_pdf
+
+    def counted(x2, x1):
+        out = cond(x2, x1)
+        points[0] += np.size(out)
+        return out
+
+    kernel = dataclasses.replace(process.kernel, cond_pdf=counted)
+    return dataclasses.replace(process, kernel=kernel)
+
+
+class TestVanishingDerivative:
+    @pytest.mark.parametrize("a", [0.5, 0.9])
+    @pytest.mark.parametrize(
+        "f", [square(), X4, NEG_SQUARE], ids=["x^2", "x^4", "-x^2"]
+    )
+    def test_rate_is_the_magnitude_rate(self, f, a):
+        p = make_ar1(a, 1.0)
+        want = loss_rate_analytic(magnitude(), p)
+        assert loss_rate_analytic(f, p) == pytest.approx(want, abs=1e-12)
+
+    def test_walk_rate(self):
+        got = loss_rate_analytic(square(-1.0, 1.0), make_cyclic_walk(1.0, 0.35))
+        assert got == pytest.approx(0.35, abs=1e-12)
+
+    def test_square_costs_at_most_twice_the_kernel_points_of_magnitude(self):
+        # the rate's quadrature alone, without the lumpability gate
+        rate = inforate.lossrate.cond_entropy_X2_given_Y2_X1
+        points = {}
+        for name, f in (("magnitude", magnitude()), ("square", square())):
+            count = [0]
+            rate(f, _counted_kernel(make_ar1(0.5, 1.0), count))
+            points[name] = count[0]
+        assert 0 < points["square"] <= 2 * points["magnitude"]
+
+    def test_marginal_losses(self):
+        assert loss_rv(X4, make_iid_gaussian(1.0)) == 1.0
+        got = loss_rv(square(), make_iid_uniform(-1.0, 3.0))
+        assert got == pytest.approx(0.5, abs=1e-15)
+
+    def test_analyze_reports_the_x4_rate(self):
+        p = make_ar1(0.5, 1.0)
+        rep = analyze_loss_rate(X4, p, n_samples=10**4, seed=5, grid=101)
+        assert rep.method["value"] == "quadrature (lumpable)"
+        want = loss_rate_analytic(magnitude(), p, grid=101)
+        assert rep.value == pytest.approx(want, abs=1e-12)
+
+
+class TestRefusedBeforeAnyWork:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        import inforate.process
+
+        draws = []
+        draw = inforate.process._draw_path
+
+        def counted(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(inforate.process, "_draw_path", counted)
+        return draws
+
+    def test_a_function_that_misses_the_window(self, calls, draws):
+        f, p = shift_mod(1.0, lo=20.0, hi=22.0), make_iid_gaussian(1.0)
+        for call in (
+            lambda: loss_rv(f, p),
+            lambda: loss_rate_bounds_mc(f, p, 10**4, 1),
+        ):
+            with pytest.raises(BadParameterError, match="range is empty"):
+                call()
+        assert draws == []
+        assert sum(calls.values()) == 0
+
+    def test_too_few_samples(self, calls, draws):
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        for call in (
+            lambda: analyze_loss_rate(f, p, n_samples=1000),
+            lambda: loss_rate_bounds_mc(f, p, 1000, 1),
+        ):
+            with pytest.raises(TooFewSamplesError, match="1001 samples"):
+                call()
+        assert draws == []
+        assert sum(calls.values()) == 0
 
 
 class TestSandwich:
@@ -465,8 +562,8 @@ class TestReport:
         assert len(draws) == 3
 
     def test_vanishing_derivative_at_a_tile_edge_needs_no_retry(self):
-        # g'(0) = 0 where the branches of x**2 meet; one pass of the depth
-        # budget reaches the endpoint singularity.  x**2 is |x| followed
+        # g'(0) = 0 where the branches of x**2 meet; the windows that end
+        # at the singularity are graded, not retried.  x**2 is |x| followed
         # by a bijection, which loses nothing, so the rates agree.
         p = make_ar1(0.5, 1.0)
         rep = analyze_loss_rate(square(), p, n_samples=10**4, seed=5, grid=101)

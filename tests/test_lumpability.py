@@ -153,16 +153,19 @@ def _rel_dev(s, t):
 
 
 def reference_lumpable(f, proc, grid, tol=1e-6):
-    """check_lumpable as one preimage_sum per live preimage x1 of each y1,
-    and a scalar loop over the y2 grid per pair of them."""
+    """check_lumpable as one sum of preimage weights per live preimage x1
+    of each y1, and a scalar loop over the y2 grid per pair of them."""
     cond = _cond(proc)
     y_lo, y_hi, _ = f.image_window(*proc.quad_support)
     ys = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
+    table = f.preimage_table(ys)
     worst = 0.0
     witnesses = []
     for y1 in ys:
         xs = [p.x for p in f.preimage(y1) if proc.marginal_pdf(p.x) > 0.0]
-        sums = [f.preimage_sum(lambda x2, x1=x1: cond(x2, x1), ys) for x1 in xs]
+        sums = [
+            table.weights(lambda x2, x1=x1: cond(x2, x1)).sum(axis=0) for x1 in xs
+        ]
         for a in range(len(xs)):
             for b in range(a + 1, len(xs)):
                 devs = [_rel_dev(u, v) for u, v in zip(sums[a], sums[b])]
@@ -181,8 +184,8 @@ def reference_lumpable(f, proc, grid, tol=1e-6):
 
 
 def reference_tightness_a(f, proc, grid, tol=1e-6):
-    """Condition (a) of check_tightness as one preimage_weights per x,
-    and a scalar loop over the y2 grid."""
+    """Condition (a) of check_tightness as one table of preimage weights
+    per x, and a scalar loop over the y2 grid."""
     cond = _cond(proc)
     xs = _nudged_grid(*proc.quad_support, grid, avoid=f.tile_edges)
     xs = xs[proc.marginal_pdf(xs) > 0.0]
@@ -196,7 +199,7 @@ def reference_tightness_a(f, proc, grid, tol=1e-6):
         live = [total > 0 and q / total > tol for q in p]
         if sum(live) < 2:
             continue
-        w = f.preimage_weights(lambda x2: cond(x2, x), y2s)
+        w = f.preimage_table(y2s).weights(lambda x2: cond(x2, x))
         for k in range(y2s.size):
             terms = [
                 w[b, k]

@@ -239,11 +239,12 @@ class TestPreimageSum:
                 b = f.branches[p.branch - 1]
                 total += float(density(p.x)) / abs(float(b.derivative(p.x)))
             want.append(total)
-        got = f.preimage_sum(density, ys)
+        got = f.preimage_table(ys).weights(density).sum(axis=0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_outside_the_range_is_zero(self):
-        got = magnitude().preimage_sum(lambda x: np.ones_like(x), [-2.0, -0.5])
+        table = magnitude().preimage_table([-2.0, -0.5])
+        got = table.weights(lambda x: np.ones_like(x)).sum(axis=0)
         assert got.tolist() == [0.0, 0.0]
 
 
@@ -271,7 +272,7 @@ class TestPreimageTable:
         want = np.zeros((len(rows),) + ys.shape)
         for row, (_, xs, dabs, valid) in zip(want, rows):
             row[valid] = density(xs[valid]) / dabs[valid]
-        got = f.preimage_weights(density, ys)
+        got = f.preimage_table(ys).weights(density)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 

@@ -490,8 +490,10 @@ class TestPushforward:
             w = t1.weights(proc.marginal_pdf)
             total = w.sum(axis=0)
             out = np.zeros(y2.shape)
+            t2 = f.preimage_table(y2)
             for x1, wa in zip(t1.x, w / np.where(total > 0.0, total, 1.0)):
-                out += wa * f.preimage_sum(lambda x2: proc.kernel.cond_pdf(x2, x1), y2)
+                given_x1 = t2.weights(lambda x2: proc.kernel.cond_pdf(x2, x1))
+                out += wa * given_x1.sum(axis=0)
             return out
 
         for y2, y1 in [
