@@ -51,7 +51,6 @@ from .relloss import (
 class SweepTable:
     columns: list
     rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, **cells):
         self.rows.append([cells[c] for c in self.columns])
@@ -78,10 +77,12 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def _write_output(args, text, metadata):
-    meta = dict(metadata)
-    meta["command"] = " ".join(args.argv)
-    meta["version"] = __version__
+def _write_output(args, text, est=None, **params):
+    """Write ``text`` with its metadata: the value in ``est`` of each
+    estimation flag the command takes, its own ``params``, the command
+    line and the version."""
+    meta = {key: getattr(est, key) for key in args.flags}
+    meta.update(params, command=" ".join(args.argv), version=__version__)
     if args.out:
         _atomic_write(args.out, text)
         _atomic_write(
@@ -105,12 +106,14 @@ _FLAGS = {
 
 def _options(sub, *keys):
     """The estimation flags ``keys`` that the command reads, and --out.
-    A flag not given is absent from the parsed arguments."""
+    A flag not given is absent from the parsed arguments; ``flags`` holds
+    the keys, whose values the metadata records."""
     for key in keys:
         kind, text = _FLAGS[key]
         flag = "--" + key.replace("_", "-")
         sub.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=text)
     sub.add_argument("--out", type=str, default=None, help="write here (+ .meta.json)")
+    sub.set_defaults(flags=keys)
 
 
 def _estimation(args, spec=None):
@@ -140,14 +143,6 @@ def cmd_ar1_sweep(args):
             "hw2x1",
             "lump_deviation",
         ],
-        metadata={
-            "sigma": args.sigma,
-            "seed": est.seed,
-            "samples": est.samples,
-            "bins": est.bins,
-            "quad_tol": est.quad_tol,
-            "grid": est.grid,
-        },
     )
     for i, a in enumerate(a_values):
         proc = make_ar1(a, args.sigma)
@@ -163,7 +158,7 @@ def cmd_ar1_sweep(args):
             hw2x1=hwx,
             lump_deviation=rep.max_deviation,
         )
-    _write_output(args, table.to_csv(), table.metadata)
+    _write_output(args, table.to_csv(), est, sigma=args.sigma)
     return 0
 
 
@@ -181,7 +176,6 @@ def cmd_cyclic_sweep(args):
             "hw2x1_closed",
             "hw2x1_quad",
         ],
-        metadata={"M": args.M, "quad_tol": est.quad_tol, "grid": est.grid},
     )
     for r in ratios:
         a = r * args.M
@@ -196,7 +190,7 @@ def cmd_cyclic_sweep(args):
             hw2x1_closed=cyclic_hw2x1_closed_form(args.M, a),
             hw2x1_quad=hwx,
         )
-    _write_output(args, table.to_csv(), table.metadata)
+    _write_output(args, table.to_csv(), est, M=args.M)
     return 0
 
 
@@ -237,11 +231,7 @@ def cmd_tightness(args):
         },
         "lumpability": asdict(rep),
     }
-    _write_output(
-        args,
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        {"quad_tol": est.quad_tol, "grid": est.grid},
-    )
+    _write_output(args, json.dumps(report, indent=2, sort_keys=True) + "\n", est)
     ok = all(v <= 1e-6 for v in report["residuals"].values())
     ok = ok and rep.condition_holds and rep.tightness_a_holds and rep.tightness_b_holds
     return 0 if ok else 1
@@ -249,27 +239,22 @@ def cmd_tightness(args):
 
 def cmd_downsample(args):
     m = _count(args.M, "--M")
-    table = SweepTable(
-        columns=["n", "dim_out", "rel_loss", "rel_loss_float"],
-        metadata={"M": m},
-    )
+    table = SweepTable(columns=["n", "dim_out", "rel_loss", "rel_loss_float"])
     for v in filter(str.strip, args.blocks.split(",")):
         n = _count(v, "--blocks entry")
         rel = downsampler_relative_loss(m, n)
         table.add(n=n, dim_out=n // m, rel_loss=str(rel), rel_loss_float=float(rel))
     limit = downsampler_relative_loss(m)
     table.add(n="limit", dim_out="", rel_loss=str(limit), rel_loss_float=float(limit))
-    _write_output(args, table.to_csv(), table.metadata)
+    _write_output(args, table.to_csv(), M=m)
     return 0
 
 
 def cmd_lump_check(args):
     spec = load_config(args.config)
-    grid = _estimation(args, spec).grid
-    rep = full_report(spec.function, spec.process, grid=grid, tol=args.tol)
-    _write_output(
-        args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", {"grid": grid}
-    )
+    est = _estimation(args, spec)
+    rep = full_report(spec.function, spec.process, grid=est.grid, tol=args.tol)
+    _write_output(args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", est)
     return 0 if rep.condition_holds else 1
 
 
@@ -300,14 +285,7 @@ def cmd_analyze(args):
         out["pipeline"] = "loss-rate"
         out["loss_rate"] = asdict(report)
         out["lumpability"] = asdict(full_report(f, proc, grid=est.grid))
-    meta = {
-        "samples": est.samples,
-        "bins": est.bins,
-        "seed": est.seed,
-        "quad_tol": est.quad_tol,
-        "grid": est.grid,
-    }
-    _write_output(args, json.dumps(out, indent=2, sort_keys=True) + "\n", meta)
+    _write_output(args, json.dumps(out, indent=2, sort_keys=True) + "\n", est)
     return 0
 
 

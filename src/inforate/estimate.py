@@ -150,6 +150,7 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     would evaluate more than ``_MAX_INTERVALS`` panels over the whole
     batch (its initial panels, or the new panels of one step): that
     budget bounds the memory of a step however many integrals it holds.
+    Also raises it, naming the window, for an integral that is not finite.
     The depth limit only decides when to give up: an integral that
     converges under a smaller limit returns the same bits under a larger
     one.
@@ -180,11 +181,17 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     total = np.zeros(n)
     while True:
         err_sum = np.bincount(col, weights=err, minlength=n)
-        # NaN sums count as done, so a NaN integrand returns NaN
+        # NaN sums count as done; the total is refused below
         done = ~(err_sum[col] > cfg.abs_tol)
         total += np.bincount(col[done], weights=val[done], minlength=n)
         live = np.nonzero(~done)[0]
         if not live.size:
+            bad = ~np.isfinite(total)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise NoConvergenceError(
+                    f"quadrature over [{lo[j]}, {hi[j]}] gave {total[j]}"
+                )
             return total
         # per integral, largest errors first: bisect each panel while the
         # errors from it on sum to more than half the tolerance, and

@@ -35,8 +35,6 @@ class Branch:
     inverse: callable = None
     derivative: callable = None
     constant_value: float = np.nan
-    range_lo: float = np.nan
-    range_hi: float = np.nan
 
     def __post_init__(self):
         if self.domain_lo >= self.domain_hi:
@@ -65,27 +63,8 @@ def _rep_point(lo, hi):
     return 0.0
 
 
-def _branch_range(lo, hi, forward, derivative):
-    rep = _rep_point(lo, hi)
-    d = float(derivative(rep))
-    if d == 0.0:
-        eps = 1e-6 * max(1.0, abs(rep))
-        d = float(forward(rep + eps)) - float(forward(rep - eps))
-    increasing = d > 0
-    if np.isfinite(lo):
-        y_lo = float(forward(lo))
-    else:
-        y_lo = -np.inf if increasing else np.inf
-    if np.isfinite(hi):
-        y_hi = float(forward(hi))
-    else:
-        y_hi = np.inf if increasing else -np.inf
-    return (y_lo, y_hi) if y_lo <= y_hi else (y_hi, y_lo)
-
-
 def injective_branch(index, lo, hi, forward, inverse, derivative):
-    """Branch with analytic inverse/derivative; range derived from endpoints."""
-    r_lo, r_hi = _branch_range(lo, hi, forward, derivative)
+    """Branch with analytic inverse/derivative."""
     return Branch(
         index=index,
         domain_lo=float(lo),
@@ -94,8 +73,6 @@ def injective_branch(index, lo, hi, forward, inverse, derivative):
         forward=forward,
         inverse=inverse,
         derivative=derivative,
-        range_lo=r_lo,
-        range_hi=r_hi,
     )
 
 
@@ -108,8 +85,6 @@ def constant_branch(index, lo, hi, value):
         kind="constant",
         forward=lambda x, v=value: np.full_like(np.asarray(x, dtype=float), v),
         constant_value=value,
-        range_lo=value,
-        range_hi=value,
     )
 
 
@@ -303,9 +278,18 @@ class PiecewiseFunction:
         return any(b.kind == "constant" for b in self.branches)
 
     def range_hull(self):
-        lo = min(b.range_lo for b in self.branches)
-        hi = max(b.range_hi for b in self.branches)
-        return lo, hi
+        """Hull of the image: image_window of the whole domain, which reads
+        forward at the tile ends, +-inf included, and the constant values.
+        Every injective branch meets its own tile, so a NaN end image is
+        forward's NaN at a tile end: refused, not skipped."""
+        y_lo, y_hi, edges = self.image_window(self.domain_lo, self.domain_hi)
+        for b, ends in zip(self.branches, edges.reshape(-1, 2)):
+            if b.kind == "injective" and np.isnan(ends).any():
+                raise BadParameterError(
+                    f"branch {b.index}: forward is NaN at an end of its tile"
+                )
+        values = [b.constant_value for b in self.branches if b.kind == "constant"]
+        return min([float(y_lo)] + values), max([float(y_hi)] + values)
 
     def image_window(self, lo, hi):
         """Images of windows [lo, hi] under the injective branches.
@@ -424,9 +408,10 @@ def validate(f):
 def compose(outer, inner):
     """Branch structure of outer(inner(x)).
 
-    Inner branches are refined at preimages of outer tile boundaries so
-    every new piece maps into a single outer branch; closures satisfy the
-    chain rule.  Both functions must be all-injective.
+    Each inner tile is cut at the preimages of the outer interior tile
+    edges that preimage_table finds strictly inside it, so every new
+    piece maps into a single outer branch; closures satisfy the chain
+    rule.  Both functions must be all-injective.
     """
     if not (outer.all_injective and inner.all_injective):
         raise ConstantBranchError("compose requires all-injective functions")
@@ -439,19 +424,11 @@ def compose(outer, inner):
         )
 
     pieces = []
-    for ib in inner.branches:
-        cuts = set()
-        for edge in outer._edges[1:-1]:
-            if not (ib.range_lo < edge < ib.range_hi):
-                continue
-            with np.errstate(all="ignore"):
-                x_cut = float(ib.inverse(edge))
-            if np.isfinite(x_cut) and ib.domain_lo < x_cut < ib.domain_hi:
-                cuts.add(x_cut)
-        bounds = [ib.domain_lo] + sorted(cuts) + [ib.domain_hi]
+    table = inner.preimage_table(outer._edges[1:-1])
+    for ib, xs, valid in zip(inner.branches, table.x, table.valid):
+        inside = valid & (xs > ib.domain_lo) & (xs < ib.domain_hi)
+        bounds = [ib.domain_lo] + sorted(set(xs[inside].tolist())) + [ib.domain_hi]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo <= 0:
-                continue
             y_rep = float(ib.forward(_rep_point(lo, hi)))
             y_rep = min(
                 max(y_rep, outer.domain_lo), np.nextafter(outer.domain_hi, -np.inf)

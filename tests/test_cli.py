@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from inforate.cli import main
+from inforate.cli import _FLAGS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -691,3 +691,40 @@ class TestReproducibility:
         assert meta["M"] == 2
         # stdout stays pure CSV
         parse_csv(out)
+
+    @pytest.mark.parametrize(
+        "argv, own",
+        [
+            (["ar1-sweep", "--a-values", "0.5", "--samples", "1001"], {"sigma"}),
+            (["cyclic-sweep", "--ratios", "0.5"], {"M"}),
+            (["tightness"], set()),
+            (["downsample", "--M", "2", "--blocks", "4"], {"M"}),
+            (["lump-check", "--config", "walk.json"], set()),
+            (["analyze", "--config", "walk.json", "--samples", "1001"], set()),
+        ],
+        ids=["ar1-sweep", "cyclic-sweep", "tightness", "downsample", "lump", "analyze"],
+    )
+    def test_metadata_keys_are_the_flags_and_own_parameters(
+        self, capsys, tmp_path, argv, own
+    ):
+        (tmp_path / "walk.json").write_text(
+            json.dumps(
+                {
+                    "process": {"kind": "cyclic_walk", "M": 1.0, "a": 0.35},
+                    "function": {"kind": "magnitude"},
+                    "estimation": {"grid": 101},
+                }
+            )
+        )
+        argv = [str(tmp_path / a) if a == "walk.json" else a for a in argv]
+        parser = build_parser()
+
+        def takes(key):  # the command's parser takes the flag of key
+            flag = ["--" + key.replace("_", "-"), "1"]
+            return not parser.parse_known_args(argv + flag)[1]
+
+        flags = set(filter(takes, _FLAGS))
+        out = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        meta = json.loads((tmp_path / "out.meta.json").read_text())
+        assert set(meta) == flags | own | {"command", "version"}

@@ -10,11 +10,13 @@ import pytest
 from inforate import (
     PiecewiseFunction,
     QuadratureConfig,
+    compose,
     constant_branch,
     diff_entropy_hist,
     magnitude,
     make_ar1,
     make_cyclic_walk,
+    make_iid,
     make_iid_gaussian,
     make_iid_uniform,
     make_tightness_example,
@@ -23,6 +25,8 @@ from inforate import (
     pushforward_process,
     quad,
     quad_batch,
+    quantizer,
+    relative_loss_rate_constant_pieces,
     sample_path,
     scale,
     shift_mod,
@@ -173,6 +177,30 @@ class TestQuadBatch:
             cond_entropy_output_given_input(
                 magnitude(-1.0, 1.0), make_cyclic_walk(1.0, 1e-8)
             )
+
+    def test_a_minus_inf_integral_is_refused(self):
+        # x^2 + 5: where a node's y rounds to the critical image 5, its
+        # preimage is the tile end where g' = 0 and the log term is -inf;
+        # the float warnings on the way are not what this test checks
+        f = compose(shift_mod(4.0, offset=5.0, lo=0.0, hi=4.0), square(-1.0, 1.0))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NoConvergenceError, match=r"\[.+\] gave -inf"):
+                cond_entropy_output_given_input(f, make_cyclic_walk(1.0, 0.35))
+
+    def test_a_nan_integral_is_refused(self):
+        def pdf(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.5) & (x < 1.0), np.nan, 1.0)
+
+        def sampler(rng, n):
+            return rng.uniform(0.0, 1.0, n)
+
+        # abs(nan - 1.0) > 1e-6 is False: the normalization check let it by
+        with pytest.raises(NoConvergenceError, match=r"\[0.0, 1.0\] gave nan"):
+            make_iid(pdf, sampler, (0.0, 1.0))
+        proc = make_iid(pdf, sampler, (0.0, 1.0), check_normalization=False)
+        with pytest.raises(NoConvergenceError, match="gave nan"):
+            relative_loss_rate_constant_pieces(quantizer([0.0, 0.5, 1.0]), proc)
 
     def test_one_row_of_split_points_per_integral(self):
         with pytest.raises(BadParameterError):

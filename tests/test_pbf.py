@@ -30,6 +30,8 @@ from inforate.errors import (
 )
 from inforate._rng import make_rng
 
+inf = np.inf
+
 
 def _identity_branch(index, lo, hi):
     return injective_branch(
@@ -279,16 +281,24 @@ class TestPreimageTable:
 
 class TestImageWindow:
     @pytest.mark.parametrize(
-        "f",
-        _FOLDED + [scale(-2.5), magnitude(-5.0, 5.0), square(-3.0, 3.0)],
+        "f, ends",
+        list(zip(_FOLDED, [[0, inf] * 2, [0, inf] * 2, [-1, 1] * 2, [0, 1] * 4]))
+        + [
+            (scale(-2.5), [-inf, inf]),
+            (magnitude(-5.0, 5.0), [0, 5] * 2),
+            (square(-3.0, 3.0), [0, 9] * 2),
+        ],
         ids=_FOLDED_IDS + ["scale", "magnitude-finite", "square-finite"],
     )
-    def test_full_domain_gives_the_range_hull(self, f):
+    def test_full_domain_gives_the_range_hull(self, f, ends):
+        # the (low, high) image of each tile, written out; as integers,
+        # so that the sign of a zero counts
+        ends = np.array(ends, dtype=float)
         y_lo, y_hi, edges = f.image_window([f.domain_lo], [f.domain_hi])
-        assert (y_lo[0], y_hi[0]) == f.range_hull()
-        assert edges[0].tolist() == [
-            v for b in f.branches for v in (b.range_lo, b.range_hi)
-        ]
+        np.testing.assert_array_equal(edges[0].view(np.int64), ends.view(np.int64))
+        hulls = np.array([y_lo[0], y_hi[0], *f.range_hull()])
+        want = np.array([ends.min(), ends.max()] * 2)
+        np.testing.assert_array_equal(hulls.view(np.int64), want.view(np.int64))
 
     def test_partial_and_empty_windows(self):
         f = shift_mod(2.0, lo=0.0, hi=4.0)
@@ -307,6 +317,32 @@ class TestImageWindow:
         # the fold's left tile ends at -(0.0); a report would print "-0"
         y_lo, _, edges = magnitude(-1.0, 1.0).image_window([-1.0], [1.0])
         assert np.copysign(1.0, np.r_[y_lo, edges[0]]).tolist() == [1.0] * 5
+
+    def test_a_bounded_branch_on_the_line_gives_its_limits(self):
+        def der(x):
+            return 1 / (1 + x * x)
+
+        f = PiecewiseFunction((injective_branch(1, -inf, inf, np.arctan, np.tan, der),))
+        assert f.range_hull() == (-math.pi / 2, math.pi / 2)
+
+    def test_a_nan_end_image_is_refused(self):
+        # x / (1 + |x|) is inf / inf, NaN, at the ends of the line
+        f = PiecewiseFunction(
+            (
+                injective_branch(
+                    1,
+                    -inf,
+                    inf,
+                    lambda x: x / (1 + np.abs(x)),
+                    lambda y: y / (1 - np.abs(y)),
+                    lambda x: 1 / (1 + np.abs(x)) ** 2,
+                ),
+            )
+        )
+        with pytest.raises(BadParameterError, match="NaN"):
+            f.range_hull()
+        with pytest.raises(BadParameterError, match="NaN"):
+            compose(identity(), f)
 
     def test_image_points_keep_the_domain_only(self):
         f = shift_mod(2.0, lo=0.0, hi=4.0)
@@ -423,6 +459,25 @@ class TestCompose:
         comp = compose(shift_mod(2.0, lo=0.0, hi=4.0), identity(0.0, 4.0))
         assert len(comp.branches) == 2
         assert comp.eval(3.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "outer, inner, want",
+        [
+            (
+                shift_mod(0.5, lo=0.0, hi=2.0),
+                magnitude(-2.0, 2.0),
+                [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0],
+            ),
+            # the preimage of the edge 0 under -1.5x is -0.0
+            (magnitude(), scale(-1.5), [-inf, -0.0, inf]),
+        ],
+        ids=["shift_mod-after-magnitude", "magnitude-after-scale"],
+    )
+    def test_cuts_keep_their_bits(self, outer, inner, want):
+        got = compose(outer, inner)._edges
+        np.testing.assert_array_equal(
+            got.view(np.int64), np.array(want).view(np.int64)
+        )
 
     def test_chain_rule_property(self):
         rng = make_rng(5)
@@ -544,11 +599,10 @@ class TestBuilders:
         def pos(x):
             return x + 0.0, x + 0.0, np.ones_like(x)
 
-        inf = np.inf
         cases = {
-            (-inf, inf): [(1, -inf, 0.0, -0.0, inf, neg), (2, 0.0, inf, 0.0, inf, pos)],
-            (-3.0, 0.0): [(1, -3.0, 0.0, -0.0, 3.0, neg)],
-            (0.0, 2.0): [(1, 0.0, 2.0, 0.0, 2.0, pos)],
+            (-inf, inf): [(1, -inf, 0.0, neg), (2, 0.0, inf, pos)],
+            (-3.0, 0.0): [(1, -3.0, 0.0, neg)],
+            (0.0, 2.0): [(1, 0.0, 2.0, pos)],
         }
         tiny = np.nextafter(0.0, 1.0)
         xs = np.array(
@@ -557,11 +611,11 @@ class TestBuilders:
         for (lo, hi), want in cases.items():
             f = magnitude(lo, hi)
             assert len(f.branches) == len(want)
-            for b, (index, d_lo, d_hi, r_lo, r_hi, closures) in zip(f.branches, want):
+            for b, (index, d_lo, d_hi, closures) in zip(f.branches, want):
                 assert b.index == index
-                ends = np.array([b.domain_lo, b.domain_hi, b.range_lo, b.range_hi])
+                ends = np.array([b.domain_lo, b.domain_hi])
                 # as integers, so that the sign of a zero counts
-                want_ends = np.array([d_lo, d_hi, r_lo, r_hi])
+                want_ends = np.array([d_lo, d_hi])
                 np.testing.assert_array_equal(
                     ends.view(np.int64), want_ends.view(np.int64)
                 )
