@@ -17,7 +17,6 @@ from .estimate import (
 from .lossrate import (
     LossRateReport,
     analyze_loss_rate,
-    bound_index_given_input,
     cascade_loss_rate,
     loss_rate_analytic,
     loss_rate_bounds_mc,
@@ -36,7 +35,6 @@ from .pbf import (
     scale,
     shift_mod,
     square,
-    validate,
 )
 from .process import (
     MarkovKernel,
@@ -50,7 +48,6 @@ from .process import (
     make_tightness_example,
     pushforward_process,
     sample_path,
-    stationarity_residual,
 )
 from .relloss import (
     downsampler_relative_loss,
@@ -79,7 +76,6 @@ __all__ = [
     "shift_mod",
     "quantizer",
     "compose",
-    "validate",
     "MarkovKernel",
     "StationaryProcess",
     "PathSample",
@@ -90,13 +86,11 @@ __all__ = [
     "make_iid_gaussian",
     "make_iid_uniform",
     "sample_path",
-    "stationarity_residual",
     "pushforward_process",
     "LossRateReport",
     "loss_rv",
     "loss_rate_analytic",
     "loss_rate_bounds_mc",
-    "bound_index_given_input",
     "cascade_loss_rate",
     "analyze_loss_rate",
     "LumpabilityReport",

@@ -32,7 +32,6 @@ from .estimate import (
 )
 from .lossrate import (
     analyze_loss_rate,
-    bound_index_given_input,
     loss_rate_analytic,
     loss_rate_bounds_mc,
     loss_rv,
@@ -148,7 +147,7 @@ def cmd_ar1_sweep(args):
         proc = make_ar1(a, args.sigma)
         f = magnitude()
         sw = loss_rate_bounds_mc(f, proc, est.samples, est.seed + i, est.bins, cfg)
-        hwx = bound_index_given_input(f, proc, cfg)
+        hwx = cond_entropy_W_given_X(f, proc, cfg)
         rep = check_lumpable(f, proc, grid=est.grid)
         table.add(
             a=a,

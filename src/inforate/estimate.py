@@ -15,7 +15,6 @@ import numpy as np
 from . import _kernels
 from .errors import (
     BadParameterError,
-    ConstantBranchError,
     NoConvergenceError,
     TooFewSamplesError,
     check_int,
@@ -441,20 +440,17 @@ def _x1_integral(process, value, cfg, f):
     return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
 
 
-def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=(), kind=None):
+def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=()):
     """int integrand(x, col, b) dx over each tile b of f cut to the
     windows [lo[col], hi[col]].
 
     ``points`` holds one row of split points per window.  Returns a
-    (windows, branches) array; tiles outside a window, or not of the
-    given ``kind`` when one is given, give 0.  One batched quadrature
-    per branch covers every window.
+    (windows, branches) array; tiles outside a window give 0.  One
+    batched quadrature per branch covers every window.
     """
     lo, hi = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     out = np.zeros((lo.size, len(f.branches)))
     for i, b in enumerate(f.branches):
-        if kind not in (None, b.kind):
-            continue
         a = np.maximum(b.domain_lo, lo)
         c = np.maximum(np.minimum(b.domain_hi, hi), a)
         out[:, i] = quad_batch(lambda x, col: integrand(x, col, b), a, c, cfg, points)
@@ -484,14 +480,17 @@ def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
 
 def _branch_probabilities(f, process, x1s, cfg):
     """Pr(W2 = w | X1 = x1) for every x1 (rows) and branch w (columns),
-    each integrated to min(1e-12, cfg.abs_tol)."""
+    each integrated to min(1e-12, cfg.abs_tol), and the row totals; each
+    row is divided by its total where that is positive."""
     x1s = np.asarray(x1s, dtype=float)
     cond = _cond_pdf_fn(process)
     wlo, whi, kinks = _cond_windows(process, x1s)
     cfg = QuadratureConfig(min(1e-12, cfg.abs_tol))
-    return branch_integrals(
+    probs = branch_integrals(
         f, lambda x2, col, b: cond(x2, x1s[col]), wlo, whi, cfg, kinks
     )
+    total = probs.sum(axis=1)
+    return probs / np.where(total > 0, total, 1.0)[:, None], total
 
 
 def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
@@ -502,10 +501,8 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     """
 
     def point_entropy(x1s):
-        probs = _branch_probabilities(f, process, x1s, cfg)
-        total = probs.sum(axis=1, keepdims=True)
-        probs = probs / np.where(total > 0, total, 1.0)
-        return np.where(total[:, 0] > 0, -np.sum(xlog2x(probs), axis=1), 0.0)
+        probs, total = _branch_probabilities(f, process, x1s, cfg)
+        return np.where(total > 0, -np.sum(xlog2x(probs), axis=1), 0.0)
 
     return _x1_integral(process, point_entropy, cfg, f)
 
@@ -581,31 +578,16 @@ def cond_entropy_X2_given_Y2_X1(f, process, cfg=DEFAULT_QUAD):
     return _output_integral(f, process, _preimage_entropy, cfg)
 
 
-def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):
-    """E[log2 |g'(X)|] by branch-wise quadrature against the marginal."""
-    if f.has_constant:
-        raise ConstantBranchError("derivative term undefined on constant pieces")
-    f_marg = process.marginal_pdf
-    lo, hi = process.quad_support
-    total = 0.0  # a running sum in branch order; np.sum would regroup the terms
-    for term in branch_integrals(
-        f,
-        lambda x, col, b: f_marg(x) * np.log2(np.abs(b.derivative(x))),
-        lo,
-        hi,
-        cfg,
-        [process.marginal_split_points],
-    )[0]:
-        total += term
-    return float(total)
-
-
 def _support_image(f, process):
-    """``f.image_window`` of the quadrature window; refuses an empty one."""
+    """``f.image_window`` of the quadrature window, with the tile image
+    ends and the images of the marginal's split points as its split
+    points; refuses an empty window."""
     y_lo, y_hi, edges = f.image_window(*process.quad_support)
     if y_lo > y_hi:
         raise BadParameterError("function range is empty on the process support")
-    return y_lo, y_hi, edges
+    return y_lo, y_hi, np.concatenate(
+        [edges, f.image_points(process.marginal_split_points)]
+    )
 
 
 def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
@@ -614,8 +596,7 @@ def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
     ``_preimage_entropy`` with f_X as the density, integrated in y as the
     rate integrates it and divided by the output mass, integrated alongside,
     so that equally weighted preimages give log2 of their count exactly."""
-    ylo, yhi, edges = _support_image(f, process)
-    points = np.concatenate([edges, f.image_points(process.marginal_split_points)])
+    ylo, yhi, points = _support_image(f, process)
 
     def value(ys, col):  # the loss in column 0, the output density in column 1
         t = f.preimage_table(ys).weights(process.marginal_pdf)

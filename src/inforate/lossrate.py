@@ -179,15 +179,6 @@ def _sandwich(f, xs, loss, bins, seed):
     )
 
 
-def bound_index_given_input(f, process, cfg=DEFAULT_QUAD):
-    """H(W2|X1), the sharper bound available for Markov inputs."""
-    if f.has_constant:
-        # H(W2|X1) is still finite, but as a bound on an infinite loss
-        # rate it is meaningless; refuse like the rate computations do.
-        raise ConstantBranchError("bound refused: loss rate is infinite")
-    return cond_entropy_W_given_X(f, process, cfg)
-
-
 def analyze_loss_rate(
     f,
     process,
@@ -216,7 +207,7 @@ def analyze_loss_rate(
     hw = _block_entropy(f, xs, k)
     method["bound_HW"] = f"plug-in order {hw.order} (converged={hw.converged})"
 
-    hw2x1 = bound_index_given_input(f, process, cfg)
+    hw2x1 = cond_entropy_W_given_X(f, process, cfg)
     method["bound_HW2X1"] = "quadrature"
 
     sandwich = _sandwich(f, xs, loss, bins, seed)

@@ -88,7 +88,8 @@ def check_grid_params(grid, tol):
     """Refuse a grid that is not an integer >= 101 and a tol that is not
     a finite number >= 0."""
     check_int("grid", grid, 101)
-    if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and 0 <= tol < np.inf):
         raise BadParameterError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
@@ -148,12 +149,10 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     cond = _cond_pdf_fn(process)
     xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
     xs = xs[process.marginal_pdf(xs) > 0.0]
-    probs = _branch_probabilities(f, process, xs, DEFAULT_QUAD)
-    total = probs.sum(axis=1, keepdims=True)
-    probs = probs / np.where(total > 0, total, 1.0)
+    probs, total = _branch_probabilities(f, process, xs, DEFAULT_QUAD)
     # the conditions compare branches, so only x with two or more live
     # branches count
-    live = (probs > tol) & (total > 0)
+    live = (probs > tol) & (total[:, None] > 0)
     rows = live.sum(axis=1) >= 2
     xs, probs, live = xs[rows], probs[rows], live[rows]
     # (b): equal branch probabilities

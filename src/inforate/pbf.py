@@ -208,13 +208,6 @@ class PiecewiseFunction:
             table.take(idx[:n], out=flat_out[start : start + n], mode="clip")
         return out
 
-    def log_abs_derivative(self, x):
-        """log2 |g'(x)|; refuses constant pieces."""
-        b = self.branch_at(x)
-        if b.kind == "constant":
-            raise ConstantBranchError(f"x={x} lies in constant branch {b.index}")
-        return float(np.log2(np.abs(b.derivative(x))))
-
     # -- preimages ------------------------------------------------------
 
     def preimage_terms(self, ys):
@@ -335,70 +328,6 @@ class PiecewiseFunction:
         inside = (points >= self.domain_lo) & (points < self.domain_hi)
         safe = np.where(inside, points, self.branches[0].rep_point())
         return np.where(inside, self.eval_array(safe), np.nan)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    non_monotone: tuple
-    zero_derivative: tuple
-    max_roundtrip_error: float
-    range_gaps: tuple = ()
-
-    @property
-    def ok(self):
-        return not (self.non_monotone or self.zero_derivative)
-
-
-def _finite_window(lo, hi, span=1e3):
-    wlo = lo if np.isfinite(lo) else (hi - span if np.isfinite(hi) else -span)
-    whi = hi if np.isfinite(hi) else (lo + span if np.isfinite(lo) else span)
-    return wlo, whi
-
-
-def validate(f):
-    """Structural checks on 10 000 points per branch; failures are
-    reported, not raised.  Gaps and overlaps between tiles need no check:
-    the constructor refuses them."""
-    non_monotone = []
-    zero_deriv = []
-    max_rt = 0.0
-    for b in f.branches:
-        if b.kind != "injective":
-            continue
-        wlo, whi = _finite_window(b.domain_lo, b.domain_hi)
-        xs = np.linspace(wlo, whi, 10_000, endpoint=False)
-        fv = np.asarray(b.forward(xs), dtype=float)
-        d = np.diff(fv)
-        if not (np.all(d > 0) or np.all(d < 0)):
-            non_monotone.append(b.index)
-        dv = np.abs(np.asarray(b.derivative(xs), dtype=float))
-        small = np.nonzero(dv < 1e-8)[0]
-        for i in small[:5]:
-            zero_deriv.append((b.index, float(xs[i])))
-        back = np.asarray(b.inverse(fv), dtype=float)
-        rt = np.max(np.abs(back - xs) / np.maximum(1.0, np.abs(xs)))
-        max_rt = max(max_rt, float(rt))
-
-    # surjectivity onto the range hull, on a coarse sample grid
-    hull_lo, hull_hi = f.range_hull()
-    wlo, whi = _finite_window(hull_lo, hull_hi)
-    span = whi - wlo
-    ys = np.linspace(wlo + 1e-6 * span, whi - 1e-6 * span, 512)
-    covered = f.preimage_table(ys).valid.any(axis=0)
-    for b in f.branches:
-        if b.kind == "constant":
-            covered |= np.isclose(ys, b.constant_value, atol=1e-9)
-    range_gaps = [float(y) for y in ys[~covered][:5]]
-    return ValidationReport(
-        non_monotone=tuple(non_monotone),
-        zero_derivative=tuple(zero_deriv),
-        max_roundtrip_error=max_rt,
-        range_gaps=tuple(range_gaps),
-    )
 
 
 # ---------------------------------------------------------------------------

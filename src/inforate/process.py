@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from ._rng import make_rng
 from .errors import BadParameterError, NotNormalizedError, check_int
-from .estimate import DEFAULT_QUAD, _support_image, quad_batch
+from .estimate import DEFAULT_QUAD, _support_image, quad
 
 def _no_points(xs):
     """No split points at any of xs: an (n, 0) array."""
@@ -206,8 +206,6 @@ def make_iid(
 ):
     """Memoryless process from a marginal density and a sampler
     ``marginal_sampler(rng, n)`` of n independent draws, its path sampler."""
-    from .estimate import DEFAULT_QUAD, quad
-
     if quad_support is None:
         quad_support = support
     if check_normalization:
@@ -304,29 +302,6 @@ def _draw_path(process, rng, n):
     return np.asarray(process.path_sampler(rng, n), dtype=float)
 
 
-def stationarity_residual(process):
-    """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid of
-    64 points."""
-    kern = process.kernel
-    if kern is None:
-        return 0.0
-    lo, hi = process.quad_support
-    eps = 1e-6 * (hi - lo)
-    xs2 = np.linspace(lo + eps, hi - eps, 64) + 1e-9
-    f = process.marginal_pdf
-    # the integrand jumps in x1 where the marginal does and where a
-    # kernel discontinuity lands on x2
-    marginal_points = np.tile(process.marginal_split_points, (xs2.size, 1))
-    got = quad_batch(
-        lambda x1, col: kern.cond_pdf(xs2[col], x1) * f(x1),
-        np.full(xs2.size, lo),
-        hi,
-        DEFAULT_QUAD,
-        np.column_stack([marginal_points, kern.x1_split_points(xs2)]),
-    )
-    return float(np.max(np.abs(got - f(xs2))))
-
-
 # ---------------------------------------------------------------------------
 # pushforward through a piecewise function
 
@@ -351,9 +326,8 @@ def pushforward_process(f, process):
         return f.eval_array(_draw_path(process, rng, n))
 
     # finite output window from the truncated input window
-    y_lo, y_hi, edges = _support_image(f, process)
+    y_lo, y_hi, splits = _support_image(f, process)
     y_lo, y_hi = float(y_lo), float(y_hi)
-    splits = np.concatenate([edges, f.image_points(process.marginal_split_points)])
 
     kernel = None
     if process.kernel is not None:

@@ -34,11 +34,13 @@ def relative_loss_rate_constant_pieces(f, process, cfg=DEFAULT_QUAD):
         return 0.0
     if all(b.kind == "constant" for b in f.branches):
         return 1.0
-    mass = 0.0
-    for m in branch_integrals(
-        f, lambda x, col, b: marginal_pdf(x), lo, hi, cfg, [points], "constant"
-    )[0]:
-        mass += m
+    (masses,) = branch_integrals(
+        f, lambda x, col, b: marginal_pdf(x), lo, hi, cfg, [points]
+    )
+    mass = 0.0  # a running sum in branch order; np.sum would regroup the terms
+    for b, m in zip(f.branches, masses):
+        if b.kind == "constant":
+            mass += m
     return float(min(max(mass, 0.0), 1.0))
 
 

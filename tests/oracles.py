@@ -1,0 +1,52 @@
+"""Reference implementations that tests compare the library against.
+
+Neither runs on a library path: each computes by a direct route a
+quantity that the library reaches another way or assumes.
+"""
+
+import numpy as np
+
+from inforate.errors import ConstantBranchError
+from inforate.estimate import DEFAULT_QUAD, branch_integrals, quad_batch
+
+
+def stationarity_residual(process):
+    """max_x | int f(x2|x1) f(x1) dx1 - f(x2) | on an interior grid of
+    64 points."""
+    kern = process.kernel
+    if kern is None:
+        return 0.0
+    lo, hi = process.quad_support
+    eps = 1e-6 * (hi - lo)
+    xs2 = np.linspace(lo + eps, hi - eps, 64) + 1e-9
+    f = process.marginal_pdf
+    # the integrand jumps in x1 where the marginal does and where a
+    # kernel discontinuity lands on x2
+    marginal_points = np.tile(process.marginal_split_points, (xs2.size, 1))
+    got = quad_batch(
+        lambda x1, col: kern.cond_pdf(xs2[col], x1) * f(x1),
+        np.full(xs2.size, lo),
+        hi,
+        DEFAULT_QUAD,
+        np.column_stack([marginal_points, kern.x1_split_points(xs2)]),
+    )
+    return float(np.max(np.abs(got - f(xs2))))
+
+
+def expected_log_abs_derivative(f, process, cfg=DEFAULT_QUAD):
+    """E[log2 |g'(X)|] by branch-wise quadrature against the marginal."""
+    if f.has_constant:
+        raise ConstantBranchError("derivative term undefined on constant pieces")
+    f_marg = process.marginal_pdf
+    lo, hi = process.quad_support
+    total = 0.0  # a running sum in branch order; np.sum would regroup the terms
+    for term in branch_integrals(
+        f,
+        lambda x, col, b: f_marg(x) * np.log2(np.abs(b.derivative(x))),
+        lo,
+        hi,
+        cfg,
+        [process.marginal_split_points],
+    )[0]:
+        total += term
+    return float(total)

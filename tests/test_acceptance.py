@@ -31,7 +31,6 @@ from inforate import (
     empirical_constant_frequency,
     scale,
     shift_mod,
-    bound_index_given_input,
     check_lumpable,
 )
 from inforate.estimate import cond_entropy_rate_quad, marginal_entropy_quad
@@ -109,7 +108,7 @@ def test_criterion_4_ar1_magnitude_sweep():
         p = make_ar1(a, 1.0)
         f = magnitude()
         sw = loss_rate_bounds_mc(f, p, n_samples=n, seed=42 + i, bins=bins)
-        hwx = bound_index_given_input(f, p)
+        hwx = cond_entropy_W_given_X(f, p)
         lump = check_lumpable(f, p, grid=201)
         gap = sw.upper - sw.lower
         max_gap = max(max_gap, gap)

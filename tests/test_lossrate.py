@@ -10,8 +10,8 @@ import pytest
 from inforate import (
     QuadratureConfig,
     analyze_loss_rate,
-    bound_index_given_input,
     cascade_loss_rate,
+    cond_entropy_W_given_X,
     empirical_constant_frequency,
     identity,
     loss_rate_analytic,
@@ -312,7 +312,7 @@ class TestBoundChain:
         p = make_cyclic_walk(1.0, ratio)
         f = magnitude(-1.0, 1.0)
         value = loss_rate_analytic(f, p)
-        hwx = bound_index_given_input(f, p)
+        hwx = cond_entropy_W_given_X(f, p)
         hw_rate = markov_block_entropy_W(f, p, k=4, n_samples=300_000, seed=11).value
         marginal = loss_rv(f, p)
         assert value <= hwx + 1e-6
@@ -323,7 +323,7 @@ class TestBoundChain:
         p = make_tightness_example()
         f = shift_mod(2.0, lo=0.0, hi=4.0)
         value = loss_rate_analytic(f, p)
-        hwx = bound_index_given_input(f, p)
+        hwx = cond_entropy_W_given_X(f, p)
         marginal = loss_rv(f, p)
         assert value == pytest.approx(1.0, abs=1e-9)
         assert hwx == pytest.approx(1.0, abs=1e-9)
@@ -332,13 +332,13 @@ class TestBoundChain:
     def test_index_bound_sharper_than_entropy_rate_ar1(self):
         p = make_ar1(0.6, 1.0)
         f = magnitude()
-        hwx = bound_index_given_input(f, p)
+        hwx = cond_entropy_W_given_X(f, p)
         hw_rate = markov_block_entropy_W(f, p, k=4, n_samples=300_000, seed=12).value
         assert hwx <= hw_rate + 0.02
 
     def test_index_bound_below_one_for_large_pole(self):
         # quadrature oracle: H2(Phi(-a x / sigma)) < 1 strictly for x != 0
-        hwx = bound_index_given_input(magnitude(), make_ar1(0.9, 1.0))
+        hwx = cond_entropy_W_given_X(magnitude(), make_ar1(0.9, 1.0))
         assert hwx < 1.0 - 0.3
 
     def test_marginal_loss_bounds_rate_cyclic(self):
@@ -347,15 +347,11 @@ class TestBoundChain:
         assert loss_rv(f, p) == 1.0
         assert loss_rate_analytic(f, p) == pytest.approx(0.5, abs=1e-3)
 
-    def test_index_bound_refused_on_constant(self):
-        with pytest.raises(ConstantBranchError):
-            bound_index_given_input(quantizer([0.0, 1.0]), make_iid_uniform(0.0, 1.0))
-
     def test_bijective_everything_zero(self):
         p = make_ar1(0.5, 1.0)
         f = scale(2.5)
         assert loss_rv(f, p) == 0.0
-        assert abs(bound_index_given_input(f, p)) <= 1e-9
+        assert abs(cond_entropy_W_given_X(f, p)) <= 1e-9
         assert abs(loss_rate_analytic(f, p)) <= 1e-9
         est = markov_block_entropy_W(f, p, k=2, n_samples=100_000, seed=13)
         assert est.value == 0.0

@@ -89,6 +89,9 @@ class TestCheckLumpable:
         (check_tightness, 201, -1.0),
         (check_tightness, 201, math.nan),
         (check_tightness, 201, math.inf),
+        # a bool is no tolerance, though True == 1
+        (check_lumpable, 201, True),
+        (check_tightness, 201, False),
     ],
 )
 def test_bad_grid_or_tol_is_refused(check, grid, tol):
@@ -189,14 +192,13 @@ def reference_tightness_a(f, proc, grid, tol=1e-6):
     cond = _cond(proc)
     xs = _nudged_grid(*proc.quad_support, grid, avoid=f.tile_edges)
     xs = xs[proc.marginal_pdf(xs) > 0.0]
-    probs = _branch_probabilities(f, proc, xs, QuadratureConfig(abs_tol=1e-12))
+    probs, totals = _branch_probabilities(f, proc, xs, QuadratureConfig(abs_tol=1e-12))
     y_lo, y_hi, _ = f.image_window(*proc.quad_support)
     y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
     valid = [v for *_, v in f.preimage_terms(y2s)]
     worst = 0.0
-    for x, p in zip(xs, probs):
-        total = p.sum()
-        live = [total > 0 and q / total > tol for q in p]
+    for x, p, total in zip(xs, probs, totals):
+        live = [total > 0 and q > tol for q in p]
         if sum(live) < 2:
             continue
         w = f.preimage_table(y2s).weights(lambda x2: cond(x2, x))

@@ -22,7 +22,6 @@ from inforate import (
     mutual_information_hist,
     pushforward_process,
     sample_path,
-    stationarity_residual,
 )
 from inforate.errors import BadParameterError, NotNormalizedError
 from inforate.estimate import cond_entropy_rate_quad, marginal_entropy_quad
@@ -31,6 +30,7 @@ from inforate import process
 from inforate.process import circular_distance, wrap_interval
 
 from conftest import shifted_kernel_process
+from oracles import stationarity_residual
 
 
 class TestAR1:

@@ -61,10 +61,10 @@ from inforate.estimate import (
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
     entropy_bits,
-    expected_log_abs_derivative,
     marginal_entropy_quad,
 )
 from inforate.lossrate import _sandwich
+from oracles import expected_log_abs_derivative
 from test_acceptance import hw2x1_closed
 from test_pbf import half_constant
 
