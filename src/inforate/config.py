@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from . import pbf
-from .errors import IncompatibleSpecError, ParseError
-from .estimate import QuadratureConfig
+from .errors import ParseError
+from .estimate import QuadratureConfig, check_cover
 from .process import (
     make_ar1,
     make_cyclic_walk,
@@ -216,12 +216,7 @@ def parse_config(text, source="<config>"):
         _require(raw, "process", source), _PROCESS_KINDS, "process", {}
     )
     f = _build_function(_require(raw, "function", source), process)
-    qlo, qhi = process.quad_support
-    if f.domain_lo > qlo + 1e-9 or f.domain_hi < qhi - 1e-9:
-        raise IncompatibleSpecError(
-            f"function domain [{f.domain_lo}, {f.domain_hi}) does not cover "
-            f"the process support window [{qlo}, {qhi})"
-        )
+    check_cover(f, process)
     estimation = _build_estimation(raw.get("estimation"))
     return AnalysisSpec(process=process, function=f, estimation=estimation, raw=raw)
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     BadParameterError,
+    IncompatibleSpecError,
     NoConvergenceError,
     TooFewSamplesError,
     check_int,
@@ -499,6 +500,7 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     W is the discrete process of partition indices; the outer expectation
     over X1 and the per-branch probabilities are both quadratures.
     """
+    check_cover(f, process)
 
     def point_entropy(x1s):
         probs, total = _branch_probabilities(f, process, x1s, cfg)
@@ -578,10 +580,23 @@ def cond_entropy_X2_given_Y2_X1(f, process, cfg=DEFAULT_QUAD):
     return _output_integral(f, process, _preimage_entropy, cfg)
 
 
+def check_cover(f, process):
+    """Refuse, with IncompatibleSpecError, a function whose domain misses
+    more than 1e-9 of either end of the process's quadrature window."""
+    qlo, qhi = process.quad_support
+    if f.domain_lo > qlo + 1e-9 or f.domain_hi < qhi - 1e-9:
+        raise IncompatibleSpecError(
+            f"function domain [{f.domain_lo}, {f.domain_hi}) does not cover "
+            f"the process support window [{qlo}, {qhi})"
+        )
+
+
 def _support_image(f, process):
     """``f.image_window`` of the quadrature window, with the tile image
     ends and the images of the marginal's split points as its split
-    points; refuses an empty window."""
+    points; refuses a function that misses part of the window, and an
+    empty image."""
+    check_cover(f, process)
     y_lo, y_hi, edges = f.image_window(*process.quad_support)
     if y_lo > y_hi:
         raise BadParameterError("function range is empty on the process support")
@@ -631,27 +646,30 @@ def _plugin_entropy(counts):
     return entropy_bits(p)
 
 
-def _check_block_order(f, k, n_samples):
-    """Refuse a block order ``k`` that is not an int in 0..6, or too few
-    samples to count the blocks of k + 1 indices."""
-    n_branches = len(f.branches)
-    check_int("block order", k, 0, 6)
-    if n_branches ** (k + 1) * 30 > n_samples:
-        raise TooFewSamplesError(
-            f"need >= {n_branches ** (k + 1) * 30} samples for order {k}"
-        )
+def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42):
+    """Plug-in conditional entropies H(W_{j+1} | W_1^j) for j = 0..k.
 
-
-def _block_entropy(f, values, k):
-    """``markov_block_entropy_W`` on the sampled path ``values``.
+    Returns the estimate at the largest order whose successive difference
+    dropped below 0.01 bit; the full level sequence rides along.  Before
+    the path is drawn, refuses bad path arguments, a function that misses
+    part of the window, a block order ``k`` that is not an int in 0..6,
+    and too few samples to count the blocks of k + 1 indices.
 
     One count of the blocks of k + 1 indices gives every lower order: the
     blocks of order j are those counts summed over their last k - j
     indices, plus the k - j blocks that start too late to extend to
     k + 1 indices.  The path is indexed and counted _COUNT_BLOCK starting
     points at a time, so no path-sized array is built."""
+    from .process import check_path_args, sample_path
+
+    check_path_args(n_samples, seed)
+    check_cover(f, process)
     n_branches = len(f.branches)
+    check_int("block order", k, 0, 6)
     n_codes = n_branches ** (k + 1)
+    if n_codes * 30 > n_samples:
+        raise TooFewSamplesError(f"need >= {n_codes * 30} samples for order {k}")
+    values = sample_path(process, n_samples, seed).values
     n = values.size
     counts = np.zeros(n_codes, np.int64)
     for start in range(0, n - k, _COUNT_BLOCK):
@@ -692,16 +710,3 @@ def _block_entropy(f, values, k):
         converged=converged,
         order=order,
     )
-
-
-def markov_block_entropy_W(f, process, k=4, n_samples=10**6, seed=42):
-    """Plug-in conditional entropies H(W_{j+1} | W_1^j) for j = 0..k.
-
-    Returns the estimate at the largest order whose successive difference
-    dropped below 0.01 bit; the full level sequence rides along.
-    """
-    from .process import check_path_args, sample_path
-
-    check_path_args(n_samples, seed)
-    _check_block_order(f, k, n_samples)
-    return _block_entropy(f, sample_path(process, n_samples, seed).values, k)

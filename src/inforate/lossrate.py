@@ -21,14 +21,13 @@ from .errors import (
 )
 from .estimate import (
     DEFAULT_QUAD,
-    _block_entropy,
-    _check_block_order,
     _lagged_labels,
     _mi_from_labels,
     _support_image,
     cond_entropy_W_given_X,
     cond_entropy_X2_given_Y2_X1,
     cond_entropy_input_given_output,
+    markov_block_entropy_W,
     resolve_bins,
 )
 from .lumpability import check_grid_params, check_lumpable
@@ -152,11 +151,9 @@ def _path_bins(n_samples, seed, bins):
 
 def _sandwich(f, xs, loss, bins, seed):
     """The sandwich bracket around the marginal loss ``loss``, from the
-    path ``xs`` drawn with ``seed``, in ``bins`` bins per axis; one sort
-    per series bins both its lagged halves for the three mutual
+    path ``xs`` drawn with ``seed``, in the ``bins`` from ``_path_bins``;
+    one sort per series bins both its lagged halves for the three mutual
     informations."""
-    n_samples = xs.size
-    bins = _path_bins(n_samples, seed, bins)
     x_head, x_tail = _lagged_labels(xs, bins)
     y_head, y_tail = _lagged_labels(f.eval_array(xs), bins)
     mi_xx = _mi_from_labels(x_head, x_tail, bins)
@@ -173,7 +170,7 @@ def _sandwich(f, xs, loss, bins, seed):
         mi_xx=mi_xx,
         mi_xy=mi_xy,
         mi_yy=mi_yy,
-        n_samples=n_samples,
+        n_samples=xs.size,
         bins=bins,
         seed=seed,
     )
@@ -201,15 +198,15 @@ def analyze_loss_rate(
     loss, loss_tag = _loss_rv_detail(f, process, cfg)
     method["bound_L"] = loss_tag
 
-    # one path serves the block entropies and the sandwich
-    _check_block_order(f, k, n_samples)
-    xs = sample_path(process, n_samples, seed).values
-    hw = _block_entropy(f, xs, k)
+    # one path serves the block entropies and the sandwich: the second
+    # call of sample_path returns the path the first one drew
+    hw = markov_block_entropy_W(f, process, k, n_samples, seed)
     method["bound_HW"] = f"plug-in order {hw.order} (converged={hw.converged})"
 
     hw2x1 = cond_entropy_W_given_X(f, process, cfg)
     method["bound_HW2X1"] = "quadrature"
 
+    xs = sample_path(process, n_samples, seed).values
     sandwich = _sandwich(f, xs, loss, bins, seed)
     method["sandwich"] = f"histogram MI, N={sandwich.n_samples}, bins={sandwich.bins}"
 

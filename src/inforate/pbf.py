@@ -37,7 +37,7 @@ class Branch:
     constant_value: float = np.nan
 
     def __post_init__(self):
-        if self.domain_lo >= self.domain_hi:
+        if not self.domain_lo < self.domain_hi:  # NaN fails the comparison
             raise BadParameterError(
                 f"branch {self.index}: empty domain [{self.domain_lo}, {self.domain_hi})"
             )
@@ -470,8 +470,8 @@ def shift_mod(period, offset=0.0, lo=0.0, hi=None):
         raise BadParameterError("period must be positive")
     if hi is None:
         raise BadParameterError("shift_mod needs an explicit finite upper bound")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise BadParameterError("shift_mod needs a finite domain")
+    if not np.all(np.isfinite([lo, hi, offset])):
+        raise BadParameterError("shift_mod needs a finite domain and offset")
     n = (hi - lo) / period
     m = int(round(n)) if np.isfinite(n) else 0
     if m < 1 or abs(n - m) > 1e-9:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadParameterError, NotNormalizedError, TooFewSamplesError, check_int
-from .estimate import DEFAULT_QUAD, branch_integrals, quad
+from .estimate import DEFAULT_QUAD, branch_integrals, check_cover, quad
 from .process import check_path_args, sample_path
 
 
@@ -25,6 +25,7 @@ def relative_loss_rate_constant_pieces(f, process, cfg=DEFAULT_QUAD):
     lo, hi = process.quad_support
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise BadParameterError("the constant mass needs a finite integration window")
+    check_cover(f, process)
     marginal_pdf = process.marginal_pdf
     points = process.marginal_split_points
     norm = quad(marginal_pdf, lo, hi, cfg, points=points)
@@ -63,6 +64,7 @@ def empirical_constant_frequency(f, process, n_samples=10**6, seed=42):
     check_path_args(n_samples, seed)
     if n_samples < 10**4:
         raise TooFewSamplesError("need at least 1e4 samples")
+    check_cover(f, process)
     constant = [b.kind == "constant" for b in f.branches]
     if not any(constant):
         return 0.0

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,6 +26,9 @@ def imported_packages():
 
 
 def declared_dependencies():
+    # in the standard library from Python 3.11: only the checks that read
+    # pyproject.toml skip before it
+    tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     return {re.match(r"[A-Za-z0-9_.\-]+", d).group(0).lower() for d in deps}

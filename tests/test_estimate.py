@@ -44,7 +44,6 @@ from inforate.estimate import (
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
     entropy_bits,
-    _block_entropy,
     marginal_entropy_quad,
     xlog2x,
 )
@@ -529,11 +528,11 @@ class TestBlockEntropy:
     def test_the_count_holds_no_path_sized_array(self):
         # the path is indexed and coded block by block: an intp index and
         # int64 codes of its size would take 15.3 MiB at 10^6 samples
-        f = magnitude()
-        x = sample_path(make_ar1(0.6, 1.0), 10**6, seed=3).values
+        f, p = magnitude(), make_ar1(0.6, 1.0)
+        sample_path(p, 10**6, seed=3)  # in the slot: the count draws no path
         tracemalloc.start()
         try:
-            _block_entropy(f, x, 4)
+            markov_block_entropy_W(f, p, 4, 10**6, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,6 +11,8 @@ from inforate import (
     QuadratureConfig,
     analyze_loss_rate,
     cascade_loss_rate,
+    check_lumpable,
+    check_tightness,
     cond_entropy_W_given_X,
     empirical_constant_frequency,
     identity,
@@ -25,7 +27,9 @@ from inforate import (
     make_iid_uniform,
     make_tightness_example,
     markov_block_entropy_W,
+    pushforward_process,
     quantizer,
+    relative_loss_rate_constant_pieces,
     sample_path,
     scale,
     shift_mod,
@@ -34,6 +38,7 @@ from inforate import (
 from inforate.errors import (
     BadParameterError,
     ConstantBranchError,
+    IncompatibleSpecError,
     NotLumpableError,
     TooFewSamplesError,
 )
@@ -215,10 +220,48 @@ class TestRefusedBeforeAnyWork:
             lambda: loss_rv(f, p),
             lambda: loss_rate_bounds_mc(f, p, 10**4, 1),
         ):
-            with pytest.raises(BadParameterError, match="range is empty"):
+            with pytest.raises(IncompatibleSpecError, match="does not cover"):
                 call()
         assert draws == []
         assert sum(calls.values()) == 0
+
+    def test_a_function_that_covers_part_of_the_window(self, monkeypatch, draws):
+        # AR(1)'s window is +-11.55; each pair misses most of it
+        import inforate.estimate
+
+        quads = []
+        real = inforate.estimate.quad_batch
+
+        def counted(*args, **kwargs):
+            quads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inforate.estimate, "quad_batch", counted)
+        p, fold = make_ar1(0.5, 1.0), magnitude(-1.0, 1.0)
+        cells = quantizer([10.0, 11.0])
+        entry_points = [
+            lambda f: loss_rv(f, p),
+            lambda f: loss_rate_analytic(f, p),
+            lambda f: loss_rate_bounds_mc(f, p, 10**4, 1),
+            lambda f: analyze_loss_rate(f, p, 10**4, 1),
+            lambda f: cascade_loss_rate([f], p),
+            lambda f: cond_entropy_W_given_X(f, p),
+            lambda f: markov_block_entropy_W(f, p, n_samples=10**4),
+            lambda f: check_lumpable(f, p),
+            lambda f: check_tightness(f, p),
+            lambda f: pushforward_process(f, p),
+        ]
+        relloss = [
+            lambda f: relative_loss_rate_constant_pieces(f, p),
+            lambda f: empirical_constant_frequency(f, p, 10**4, 1),
+        ]
+        pairs = [(call, fold) for call in entry_points + relloss]
+        pairs += [(call, cells) for call in relloss]
+        for call, f in pairs:
+            with pytest.raises(IncompatibleSpecError, match="does not cover"):
+                call(f)
+        assert draws == []
+        assert quads == []
 
     def test_too_few_samples(self, calls, draws):
         f, p = magnitude(), make_ar1(0.5, 1.0)
@@ -515,19 +558,17 @@ class TestReport:
         assert rep.method["bound_L"] == "quadrature H(X|Y)"
 
     def test_one_path_serves_the_index_entropy_and_the_sandwich(self, monkeypatch):
-        import inforate.lossrate
         import inforate.process
 
         f, p = magnitude(), make_ar1(0.5, 1.0)
         draws = []
+        draw = inforate.process._draw_path
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             draws.append(args)
-            return sample_path(*args, **kwargs)
+            return draw(*args)
 
-        # wherever the path is looked up: the importing module or its home
-        for module in (inforate.lossrate, inforate.process):
-            monkeypatch.setattr(module, "sample_path", counted)
+        monkeypatch.setattr(inforate.process, "_draw_path", counted)
         rep = analyze_loss_rate(f, p, n_samples=10**5, seed=3, grid=101)
         assert len(draws) == 1
         sw = loss_rate_bounds_mc(f, p, n_samples=10**5, seed=3)

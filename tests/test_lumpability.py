@@ -219,9 +219,9 @@ REFERENCE_SYSTEMS = {
     "shifted x^2": (square(), shifted_kernel_process()),
     "tightness mod 4/3": (shift_mod(4 / 3, lo=0.0, hi=4.0), make_tightness_example()),
     "iid uniform mod 1": (shift_mod(1.0, lo=0.0, hi=4.0), make_iid_uniform(0.0, 4.0)),
-    # ten branches: numpy adds fewer than eight terms in order but more
-    # in pairs, so only here does the order of the preimage sum show
-    "ar1 mod 0.3": (shift_mod(0.3, lo=-1.5, hi=1.5), make_ar1(0.5, 1.0)),
+    # ten branches over AR(1)'s whole window: the longest preimage sums
+    # of these systems
+    "ar1 mod 2.4": (shift_mod(2.4, lo=-12.0, hi=12.0), make_ar1(0.5, 1.0)),
 }
 
 

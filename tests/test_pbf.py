@@ -514,7 +514,7 @@ class TestConstantMass:
             constant_mass(half_constant(), 0.0, 4.0, (0.0, 2.0))
 
     def test_in_unit_interval(self):
-        got = constant_mass(half_constant(), 0.5, 2.5, (0.5, 2.5))
+        got = constant_mass(half_constant(), 0.75, 1.75, (0.75, 1.75))
         assert 0.0 <= got <= 1.0
         assert got == pytest.approx(0.25, abs=1e-9)
 
@@ -545,6 +545,24 @@ class TestBuilders:
     def test_scale_not_finite(self, k):
         with pytest.raises(BadParameterError):
             scale(k)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: identity(lo=math.nan),
+            lambda: magnitude(lo=math.nan),
+            lambda: scale(2.0, math.nan, 1.0),
+            lambda: square(math.nan, 1.0),
+            lambda: quantizer([0.0, math.nan]),
+            lambda: shift_mod(1.0, offset=math.nan, lo=0.0, hi=2.0),
+            lambda: shift_mod(1.0, offset=math.inf, lo=0.0, hi=2.0),
+        ],
+        ids=["identity", "magnitude", "scale", "square", "quantizer"]
+        + ["nan offset", "inf offset"],
+    )
+    def test_refuses_a_nan_tile_end_or_a_non_finite_offset(self, build):
+        with pytest.raises(BadParameterError):
+            build()
 
     def test_square_splits_at_zero(self):
         f = square(-2.0, 2.0)
