@@ -410,17 +410,23 @@ def _cond_pdf_fn(process):
     return kern.cond_pdf
 
 
+def _cond_cdf_fn(process):
+    kern = process.kernel
+    if kern is None:
+        marginal = process.marginal_cdf
+        return lambda x2, x1: marginal(x2)
+    return kern.cond_cdf
+
+
 def _cond_windows(process, x1s):
-    """Low and high ends of the x2 window at each x1, and the kernel's
-    split points there, one row per x1."""
+    """Low and high ends of the x2 window at each x1."""
     kern = process.kernel
     if kern is None or kern.quad_range is None:
         ends = process.quad_support
     else:
         ends = kern.quad_range(x1s)
     lo, hi, _ = np.broadcast_arrays(*ends, x1s)
-    points = np.empty((x1s.size, 0)) if kern is None else kern.split_points(x1s)
-    return lo, hi, points
+    return lo, hi
 
 
 def _x1_integral(process, value, cfg, f):
@@ -439,23 +445,6 @@ def _x1_integral(process, value, cfg, f):
     if process.kernel is not None:
         points = np.append(points, process.kernel.x1_split_points(edges))
     return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
-
-
-def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=()):
-    """int integrand(x, col, b) dx over each tile b of f cut to the
-    windows [lo[col], hi[col]].
-
-    ``points`` holds one row of split points per window.  Returns a
-    (windows, branches) array; tiles outside a window give 0.  One
-    batched quadrature per branch covers every window.
-    """
-    lo, hi = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    out = np.zeros((lo.size, len(f.branches)))
-    for i, b in enumerate(f.branches):
-        a = np.maximum(b.domain_lo, lo)
-        c = np.maximum(np.minimum(b.domain_hi, hi), a)
-        out[:, i] = quad_batch(lambda x, col: integrand(x, col, b), a, c, cfg, points)
-    return out
 
 
 def marginal_entropy_quad(process, cfg=DEFAULT_QUAD):
@@ -479,17 +468,19 @@ def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
     return cond_entropy_output_given_input(identity(), process, cfg)
 
 
-def _branch_probabilities(f, process, x1s, cfg):
-    """Pr(W2 = w | X1 = x1) for every x1 (rows) and branch w (columns),
-    each integrated to min(1e-12, cfg.abs_tol), and the row totals; each
-    row is divided by its total where that is positive."""
+def _branch_probabilities(f, process, x1s):
+    """Pr(W2 = w | X1 = x1) for every x1 (rows) and branch w (columns), and
+    the row totals; each row is divided by its total where that is
+    positive.  A branch's entry is F(end | x1) - F(start | x1) of the
+    kernel's distribution function at its tile's ends, both clipped into
+    the x2 window."""
     x1s = np.asarray(x1s, dtype=float)
-    cond = _cond_pdf_fn(process)
-    wlo, whi, kinks = _cond_windows(process, x1s)
-    cfg = QuadratureConfig(min(1e-12, cfg.abs_tol))
-    probs = branch_integrals(
-        f, lambda x2, col, b: cond(x2, x1s[col]), wlo, whi, cfg, kinks
-    )
+    cdf = _cond_cdf_fn(process)
+    wlo, whi = _cond_windows(process, x1s)
+    ends = np.array([[b.domain_lo, b.domain_hi] for b in f.branches])
+    ends = np.clip(ends, wlo[:, None, None], whi[:, None, None])
+    at = cdf(ends, x1s[:, None, None])
+    probs = at[..., 1] - at[..., 0]
     total = probs.sum(axis=1)
     return probs / np.where(total > 0, total, 1.0)[:, None], total
 
@@ -497,13 +488,14 @@ def _branch_probabilities(f, process, x1s, cfg):
 def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     """H(W2|X1): entropy of the next branch index given the current sample.
 
-    W is the discrete process of partition indices; the outer expectation
-    over X1 and the per-branch probabilities are both quadratures.
+    W is the discrete process of partition indices.  The outer expectation
+    over X1 is a quadrature to ``cfg``; the branch probabilities given
+    each x1 are differences of the kernel's distribution function.
     """
     check_cover(f, process)
 
     def point_entropy(x1s):
-        probs, total = _branch_probabilities(f, process, x1s, cfg)
+        probs, total = _branch_probabilities(f, process, x1s)
         return np.where(total > 0, -np.sum(xlog2x(probs), axis=1), 0.0)
 
     return _x1_integral(process, point_entropy, cfg, f)
@@ -549,10 +541,12 @@ def _output_integral(f, process, node_value, cfg):
     per branch.  The y window is the image of the x2 window, split at the
     images of its tile edges and of the kernel's discontinuities."""
     lo, hi = process.quad_support
+    kern = process.kernel
     cond = _cond_pdf_fn(process)
 
     def point_value(x1s):
-        wlo, whi, kinks = _cond_windows(process, x1s)
+        wlo, whi = _cond_windows(process, x1s)
+        kinks = np.empty((x1s.size, 0)) if kern is None else kern.split_points(x1s)
         ylo, yhi, edges = f.image_window(np.maximum(wlo, lo), np.minimum(whi, hi))
         empty = ~(yhi > ylo)  # ylo = yhi = 0 there: the integral is 0
         return _y_integrals(

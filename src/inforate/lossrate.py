@@ -239,8 +239,11 @@ def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201
     composition of the chain up to it on ``process`` itself.  Every later
     stage is evaluated on the pushforward of the input through the stages
     before it.  The total is the rate of the full composition on
-    ``process``, computed apart from the stages, so ``additivity_gap``
-    stays an independent check.  iid inputs use marginal losses
+    ``process``.  When a stage follows the first lossy one, the total is
+    computed apart from the stages, so ``additivity_gap`` is an
+    independent check; when the first lossy stage is the last, that
+    stage already ran the full composition on ``process``, so its value
+    is the total and the gap is 0.  iid inputs use marginal losses
     (``method="rv"``, the rate equals the marginal loss there); Markov
     inputs use the exact rate (``"analytic"``), which requires every
     lossy stage to pass the lumpability check.  BadParameterError refuses,
@@ -281,7 +284,8 @@ def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201
         current = pushforward_process(g, current)
         stages.append(loss(nxt, current))
         g = nxt
-    total = loss(prefixes[-1], process)
+    # prefixes[first] is prefixes[-1] when the first lossy stage is last
+    total = stages[-1] if first == len(f_list) - 1 else loss(prefixes[-1], process)
     return CascadeResult(
         total=total,
         stages=tuple(stages),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParameterError, check_int
-from .estimate import DEFAULT_QUAD, _branch_probabilities, _cond_pdf_fn, _support_image
+from .estimate import _branch_probabilities, _cond_pdf_fn, _support_image
 
 _EDGE_EPS = 1e-9
 # points per kernel call in both checks
@@ -149,7 +149,7 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     cond = _cond_pdf_fn(process)
     xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
     xs = xs[process.marginal_pdf(xs) > 0.0]
-    probs, total = _branch_probabilities(f, process, xs, DEFAULT_QUAD)
+    probs, total = _branch_probabilities(f, process, xs)
     # the conditions compare branches, so only x with two or more live
     # branches count
     live = (probs > tol) & (total[:, None] > 0)

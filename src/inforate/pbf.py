@@ -37,7 +37,12 @@ class Branch:
     constant_value: float = np.nan
 
     def __post_init__(self):
-        if not self.domain_lo < self.domain_hi:  # NaN fails the comparison
+        if np.isnan(self.domain_lo) or np.isnan(self.domain_hi):
+            raise BadParameterError(
+                f"branch {self.index}: a tile end is NaN in "
+                f"[{self.domain_lo}, {self.domain_hi})"
+            )
+        if not self.domain_lo < self.domain_hi:
             raise BadParameterError(
                 f"branch {self.index}: empty domain [{self.domain_lo}, {self.domain_hi})"
             )
@@ -466,8 +471,8 @@ def shift_mod(period, offset=0.0, lo=0.0, hi=None):
     """Sawtooth of shifts: piece k maps [lo+k*p, lo+(k+1)*p) onto a common
     range of width p starting at lo+offset."""
     period = float(period)
-    if period <= 0:
-        raise BadParameterError("period must be positive")
+    if not period > 0:  # NaN fails the comparison
+        raise BadParameterError(f"period must be positive, got {period}")
     if hi is None:
         raise BadParameterError("shift_mod needs an explicit finite upper bound")
     if not np.all(np.isfinite([lo, hi, offset])):

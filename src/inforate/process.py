@@ -1,8 +1,8 @@
 """Stationary first-order Markov and iid process models.
 
-Each model carries an analytic marginal density, a conditional kernel
-(or none for iid) and an exact path sampler.  Everything is immutable;
-samplers take explicit RNG state.
+Each model carries an analytic marginal density and distribution
+function, a conditional kernel (or none for iid) and an exact path
+sampler.  Everything is immutable; samplers take explicit RNG state.
 """
 
 import math
@@ -22,9 +22,11 @@ def _no_points(xs):
 
 @dataclass(frozen=True)
 class MarkovKernel:
-    """Transition density; the lookups take arrays, one row per entry."""
+    """Transition density and distribution function; the lookups take
+    arrays, one row per entry."""
 
     cond_pdf: callable  # (x2, x1) -> density; numpy-broadcasting
+    cond_cdf: callable  # (x2, x1) -> P(X2 <= x2 | X1 = x1); broadcasts as cond_pdf
     split_points: callable = _no_points  # x1s -> (n, k) x2 jumps, NaN-padded
     quad_range: callable = None  # x1s -> (lo, hi) x2 window; None: quad_support
     x1_split_points: callable = _no_points  # x2s -> (n, k) x1 putting a jump on x2
@@ -33,6 +35,7 @@ class MarkovKernel:
 @dataclass(frozen=True)
 class StationaryProcess:
     marginal_pdf: callable
+    marginal_cdf: callable  # x -> P(X <= x); numpy-broadcasting
     path_sampler: callable  # (rng, n) -> length-n path, x0 from the marginal
     kernel: object  # MarkovKernel or None for iid
     support: tuple
@@ -51,6 +54,19 @@ class PathSample:
 
 # ---------------------------------------------------------------------------
 # built-in processes
+
+
+def _normal_cdf(z):
+    """Standard normal distribution function at every z."""
+    # scipy.special costs 0.1-0.4 s of import time; load it on use
+    from scipy.special import ndtr
+
+    return ndtr(np.asarray(z, dtype=float))
+
+
+def _uniform_cdf(lo, hi):
+    """Distribution function of the uniform law on [lo, hi)."""
+    return lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
 
 def _normalizers(compute):
@@ -87,6 +103,10 @@ def make_ar1(a, sigma):
         d = np.asarray(x2, dtype=float) - a * np.asarray(x1, dtype=float)
         return norm_z * np.exp(-inv_2var_z * d * d)
 
+    def cond_cdf(x2, x1):
+        d = np.asarray(x2, dtype=float) - a * np.asarray(x1, dtype=float)
+        return _normal_cdf(d / sigma)
+
     def path_sampler(rng, n):
         x0 = float(rng.normal(0.0, sd_x, 1)[0])
         z = rng.normal(0.0, sigma, n - 1)
@@ -94,10 +114,12 @@ def make_ar1(a, sigma):
 
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
+        cond_cdf=cond_cdf,
         quad_range=lambda x1s: (a * x1s - 10.0 * sigma, a * x1s + 10.0 * sigma),
     )
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
+        marginal_cdf=lambda x: _normal_cdf(np.asarray(x, dtype=float) / sd_x),
         path_sampler=path_sampler,
         kernel=kernel,
         support=(-np.inf, np.inf),
@@ -131,6 +153,18 @@ def make_cyclic_walk(M, a):
     def cond_pdf(x2, x1):
         return np.where(circular_distance(x2, x1, M) <= a, dens, 0.0)
 
+    def cond_cdf(x2, x1):
+        # the measure of the step's arc [x1 - a, x1 + a] that wraps onto
+        # [-M, x2]: x1 +- a stays within one turn of [-M, M)
+        x2 = np.clip(np.asarray(x2, dtype=float), -M, M)
+        x1 = np.asarray(x1, dtype=float)
+        arc = sum(
+            np.maximum(0.0, np.minimum(x2 + k, x1 + a) - np.maximum(k - M, x1 - a))
+            for k in (-2.0 * M, 0.0, 2.0 * M)
+        )
+        # the pieces' rounding may sum past the step's whole arc
+        return np.minimum(arc / (2.0 * a), 1.0)
+
     def path_sampler(rng, n):
         x0 = float(rng.uniform(-M, M, 1)[0])
         steps = rng.uniform(-a, a, n - 1)
@@ -143,11 +177,13 @@ def make_cyclic_walk(M, a):
 
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
+        cond_cdf=cond_cdf,
         split_points=split_points,
         x1_split_points=split_points,
     )
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
+        marginal_cdf=_uniform_cdf(-M, M),
         path_sampler=path_sampler,
         kernel=kernel,
         support=(-M, M),
@@ -176,6 +212,12 @@ def make_tightness_example():
         hit = _even(x2) != _even(x1)
         return np.where(in_dom & hit, 0.5, 0.0)
 
+    def cond_cdf(x2, x1):
+        # half the length of [0, x2] on the blocks of the other parity
+        first = np.where(_even(x1), 1.0, 0.0)
+        x2 = np.asarray(x2, dtype=float)
+        return 0.5 * sum(np.clip(x2 - (first + k), 0.0, 1.0) for k in (0.0, 2.0))
+
     def path_sampler(rng, n):
         x0 = float(rng.uniform(0.0, 4.0, 1)[0])
         blocks = rng.integers(0, 2, n - 1).astype(np.float64)
@@ -184,10 +226,12 @@ def make_tightness_example():
 
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
+        cond_cdf=cond_cdf,
         split_points=lambda xs: np.tile([1.0, 2.0, 3.0], (np.size(xs), 1)),
     )
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
+        marginal_cdf=_uniform_cdf(0.0, 4.0),
         path_sampler=path_sampler,
         kernel=kernel,
         support=(0.0, 4.0),
@@ -198,14 +242,16 @@ def make_tightness_example():
 
 def make_iid(
     marginal_pdf,
+    marginal_cdf,
     marginal_sampler,
     support,
     quad_support=None,
     split_points=(),
     check_normalization=True,
 ):
-    """Memoryless process from a marginal density and a sampler
-    ``marginal_sampler(rng, n)`` of n independent draws, its path sampler."""
+    """Memoryless process from a marginal density, its distribution
+    function and a sampler ``marginal_sampler(rng, n)`` of n independent
+    draws, its path sampler."""
     if quad_support is None:
         quad_support = support
     if check_normalization:
@@ -217,6 +263,7 @@ def make_iid(
             raise NotNormalizedError(f"marginal integrates to {total}, not 1")
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
+        marginal_cdf=marginal_cdf,
         path_sampler=marginal_sampler,
         kernel=None,
         support=support,
@@ -235,6 +282,7 @@ def make_iid_gaussian(sigma=1.0):
     return make_iid(
         marginal_pdf=lambda x: norm
         * np.exp(-inv_2var * np.asarray(x, dtype=float) ** 2),
+        marginal_cdf=lambda x: _normal_cdf(np.asarray(x, dtype=float) / sigma),
         marginal_sampler=lambda rng, n: rng.normal(0.0, sigma, n),
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sigma, 10.0 * sigma),
@@ -254,6 +302,7 @@ def make_iid_uniform(lo=0.0, hi=1.0):
             dens,
             0.0,
         ),
+        marginal_cdf=_uniform_cdf(lo, hi),
         marginal_sampler=lambda rng, n: rng.uniform(lo, hi, n),
         support=(lo, hi),
         check_normalization=False,
@@ -306,14 +355,46 @@ def _draw_path(process, rng, n):
 # pushforward through a piecewise function
 
 
+def _image_cdf(f, cdf, ys):
+    """P(g(X) <= y) at every y for an all-injective g, from ``cdf(x)`` =
+    P(X <= x), whose output broadcasts against ys.
+
+    Each tile adds the mass from its end with the lower image to the
+    preimage of y: its ``preimage_table`` entry for y inside the tile's
+    image from ``image_window``, the whole tile from the top of that image
+    on and nothing up to its bottom.  A y inside the image without a valid
+    preimage gives NaN.
+    """
+    ys = np.asarray(ys, dtype=float)
+    table = f.preimage_table(ys)
+    _, _, images = f.image_window(f.domain_lo, f.domain_hi)
+    total = 0.0
+    for b, x, ok, (y_lo, y_hi) in zip(
+        f.branches, table.x, table.valid, images.reshape(-1, 2)
+    ):
+        # forward at two finite points of the tile tells its direction
+        mid = b.rep_point()
+        ends = np.array([max(b.domain_lo, mid - 1.0), min(b.domain_hi, mid + 1.0)])
+        ya, yc = np.asarray(b.forward(ends), dtype=float)
+        low, high = b.domain_lo, b.domain_hi
+        if ya > yc:
+            low, high = high, low
+        x = np.where(ok, x, np.nan)
+        x = np.where(ys <= y_lo, low, np.where(ys >= y_hi, high, x))
+        total = total + np.abs(cdf(x) - cdf(low))
+    # the tiles' rounding may sum past the whole mass
+    return np.minimum(total, 1.0)
+
+
 def pushforward_process(f, process):
     """Process of Y = g(X): exact marginal and the mixture kernel
 
     f_{Y2|Y1}(y2|y1) = sum_{x1 in preimage(y1)} w(x1) f_{Y2|X1}(y2|x1)
 
-    with weights w proportional to f_X(x1)/|g'(x1)|.  This is the true
-    conditional law whether or not the output process is Markov; treating
-    it as a first-order kernel is exact precisely in the lumpable case.
+    with weights w proportional to f_X(x1)/|g'(x1)|, and the distribution
+    functions that go with them.  This is the true conditional law
+    whether or not the output process is Markov; treating it as a
+    first-order kernel is exact precisely in the lumpable case.
     """
     if not f.all_injective:
         raise BadParameterError("pushforward needs an all-injective function")
@@ -341,18 +422,36 @@ def pushforward_process(f, process):
             pts = [np.where(ok[:, None], lookup(x), np.nan) for x, ok in rows]
             return f.image_points(np.column_stack(pts))
 
-        def cond_pdf(y2, y1):
+        def mixture(given_x1, y2, y1):
+            """given_x1(y2, x1s) at the preimages x1s of y1, one row per
+            branch, mixed with the weights f_X(x1)/|g'(x1)|, normalised."""
             # y1 and y2 padded to one ndim, so that their tables broadcast
             y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
             n = max(y1.ndim, y2.ndim)
-            t1, t2 = (f.preimage_table(y[(None,) * (n - y.ndim)]) for y in (y1, y2))
-            # mixture weights f_X(x1)/|g'(x1)| over the preimages x1 of y1,
-            # normalised, times the output density given each x1
+            y1, y2 = (y[(None,) * (n - y.ndim)] for y in (y1, y2))
+            t1 = f.preimage_table(y1)
             w = t1.weights(process.marginal_pdf)
             total = w.sum(axis=0)
             w = w / np.where(total > 0.0, total, 1.0)
-            given_x1 = t2.weights(lambda x2: base.cond_pdf(x2, t1.x[:, None]))
-            return (w * given_x1.sum(axis=1)).sum(axis=0)
+            return (w * given_x1(y2, t1.x)).sum(axis=0)
+
+        def cond_pdf(y2, y1):
+            # the output density given each x1, summed over the preimages of y2
+            return mixture(
+                lambda y2, x1s: f.preimage_table(y2)
+                .weights(lambda x2: base.cond_pdf(x2, x1s[:, None]))
+                .sum(axis=1),
+                y2,
+                y1,
+            )
+
+        def cond_cdf(y2, y1):
+            given_x1 = mixture(
+                lambda y2, x1s: _image_cdf(f, lambda x2: base.cond_cdf(x2, x1s), y2),
+                y2,
+                y1,
+            )
+            return np.minimum(given_x1, 1.0)  # the weights' rounding, as above
 
         def split_points(y1s):
             # the base kernel's jumps at the preimages of y1, mapped through
@@ -362,6 +461,7 @@ def pushforward_process(f, process):
 
         kernel = MarkovKernel(
             cond_pdf=cond_pdf,
+            cond_cdf=cond_cdf,
             split_points=split_points,
             # y1 whose preimages put a base-kernel jump onto a preimage of y2
             x1_split_points=lambda y2s: mapped(base.x1_split_points, y2s),
@@ -370,6 +470,7 @@ def pushforward_process(f, process):
     interior = sorted({float(s) for s in splits if y_lo < s < y_hi})
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
+        marginal_cdf=lambda ys: _image_cdf(f, process.marginal_cdf, ys),
         path_sampler=path_sampler,
         kernel=kernel,
         support=(y_lo, y_hi),

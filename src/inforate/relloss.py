@@ -14,34 +14,34 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadParameterError, NotNormalizedError, TooFewSamplesError, check_int
-from .estimate import DEFAULT_QUAD, branch_integrals, check_cover, quad
+from .estimate import DEFAULT_QUAD, check_cover, quad
 from .process import check_path_args, sample_path
 
 
 def relative_loss_rate_constant_pieces(f, process, cfg=DEFAULT_QUAD):
     """Marginal mass of the constant region; equals both the per-variable
     relative loss and the relative loss rate.  The marginal must integrate
-    to one over the process's quadrature window; checked to 1e-6."""
+    to one over the process's quadrature window; checked to 1e-6 by
+    quadrature to ``cfg``.  The mass of each constant tile, cut to that
+    window, is a difference of ``marginal_cdf``."""
     lo, hi = process.quad_support
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise BadParameterError("the constant mass needs a finite integration window")
     check_cover(f, process)
-    marginal_pdf = process.marginal_pdf
     points = process.marginal_split_points
-    norm = quad(marginal_pdf, lo, hi, cfg, points=points)
+    norm = quad(process.marginal_pdf, lo, hi, cfg, points=points)
     if abs(norm - 1.0) > 1e-6:
         raise NotNormalizedError(f"marginal integrates to {norm}, not 1")
     if not f.has_constant:
         return 0.0
     if all(b.kind == "constant" for b in f.branches):
         return 1.0
-    (masses,) = branch_integrals(
-        f, lambda x, col, b: marginal_pdf(x), lo, hi, cfg, [points]
-    )
     mass = 0.0  # a running sum in branch order; np.sum would regroup the terms
-    for b, m in zip(f.branches, masses):
+    for b in f.branches:
         if b.kind == "constant":
-            mass += m
+            ends = np.clip([b.domain_lo, b.domain_hi], lo, hi)
+            start, end = process.marginal_cdf(ends)
+            mass += end - start
     return float(min(max(mass, 0.0), 1.0))
 
 

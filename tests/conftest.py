@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from inforate import _kernels
 from inforate.process import MarkovKernel, StationaryProcess
@@ -27,6 +28,10 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
         d = np.asarray(x2, dtype=float) - (a * np.asarray(x1, dtype=float) + shift)
         return norm_z * np.exp(-d * d / (2 * sigma**2))
 
+    def cond_cdf(x2, x1):
+        d = np.asarray(x2, dtype=float) - (a * np.asarray(x1, dtype=float) + shift)
+        return ndtr(d / sigma)
+
     sd_x = math.sqrt(var_x)
 
     def path_sampler(rng, n):
@@ -39,6 +44,7 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
     # so split_points and x1_split_points keep their empty defaults
     kernel = MarkovKernel(
         cond_pdf=cond_pdf,
+        cond_cdf=cond_cdf,
         quad_range=lambda x1s: (
             a * x1s + shift - 10 * sigma,
             a * x1s + shift + 10 * sigma,
@@ -46,6 +52,7 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
     )
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
+        marginal_cdf=lambda x: ndtr(np.asarray(x, dtype=float) / sd_x),
         path_sampler=path_sampler,
         kernel=kernel,
         support=(-np.inf, np.inf),

@@ -1,13 +1,30 @@
 """Reference implementations that tests compare the library against.
 
-Neither runs on a library path: each computes by a direct route a
+None runs on a library path: each computes by a direct route a
 quantity that the library reaches another way or assumes.
 """
 
 import numpy as np
 
 from inforate.errors import ConstantBranchError
-from inforate.estimate import DEFAULT_QUAD, branch_integrals, quad_batch
+from inforate.estimate import DEFAULT_QUAD, quad_batch
+
+
+def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=()):
+    """int integrand(x, col, b) dx over each tile b of f cut to the
+    windows [lo[col], hi[col]].
+
+    ``points`` holds one row of split points per window.  Returns a
+    (windows, branches) array; tiles outside a window give 0.  One
+    batched quadrature per branch covers every window.
+    """
+    lo, hi = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    out = np.zeros((lo.size, len(f.branches)))
+    for i, b in enumerate(f.branches):
+        a = np.maximum(b.domain_lo, lo)
+        c = np.maximum(np.minimum(b.domain_hi, hi), a)
+        out[:, i] = quad_batch(lambda x, col: integrand(x, col, b), a, c, cfg, points)
+    return out
 
 
 def stationarity_residual(process):

@@ -39,7 +39,6 @@ from inforate.errors import (
     TooFewSamplesError,
 )
 from inforate.estimate import (
-    branch_integrals,
     cond_entropy_W_given_X,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
@@ -49,7 +48,7 @@ from inforate.estimate import (
 )
 from inforate._rng import make_rng
 from inforate import estimate
-from oracles import expected_log_abs_derivative
+from oracles import branch_integrals, expected_log_abs_derivative
 
 
 def gauss_pdf(x):
@@ -191,13 +190,16 @@ class TestQuadBatch:
             x = np.asarray(x, dtype=float)
             return np.where((x > 0.5) & (x < 1.0), np.nan, 1.0)
 
+        def cdf(x):
+            return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+
         def sampler(rng, n):
             return rng.uniform(0.0, 1.0, n)
 
         # abs(nan - 1.0) > 1e-6 is False: the normalization check let it by
         with pytest.raises(NoConvergenceError, match=r"\[0.0, 1.0\] gave nan"):
-            make_iid(pdf, sampler, (0.0, 1.0))
-        proc = make_iid(pdf, sampler, (0.0, 1.0), check_normalization=False)
+            make_iid(pdf, cdf, sampler, (0.0, 1.0))
+        proc = make_iid(pdf, cdf, sampler, (0.0, 1.0), check_normalization=False)
         with pytest.raises(NoConvergenceError, match="gave nan"):
             relative_loss_rate_constant_pieces(quantizer([0.0, 0.5, 1.0]), proc)
 
@@ -644,3 +646,30 @@ def test_batched_nested_quadrature_matches_the_per_x1_loop(case):
     assert cond_entropy_W_given_X(f, proc) == pytest.approx(
         scalar_hw2_given_x1(f, proc), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_CASES))
+def test_branch_probabilities_are_cdf_differences_not_quadratures(case, monkeypatch):
+    # against the quadrature of f(x2|x1) over each tile cut to the x2
+    # window, which the distribution functions replace
+    f, proc = NESTED_CASES[case]()
+    lo, hi = proc.quad_support
+    xs = np.linspace(lo, hi, 41)[1:-1] + 1e-9
+    kern = proc.kernel
+    wlo, whi = estimate._cond_windows(proc, xs)
+    want = branch_integrals(
+        f,
+        lambda x2, col, b: kern.cond_pdf(x2, xs[col]),
+        wlo,
+        whi,
+        QuadratureConfig(abs_tol=1e-12),
+        kern.split_points(xs),
+    )
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("branch probabilities ran a quadrature")
+
+    monkeypatch.setattr(estimate, "quad_batch", no_quadrature)
+    probs, total = estimate._branch_probabilities(f, proc, xs)
+    np.testing.assert_allclose(total, want.sum(axis=1), rtol=0, atol=1e-11)
+    np.testing.assert_allclose(probs * total[:, None], want, rtol=0, atol=1e-11)

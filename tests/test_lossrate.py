@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from inforate import (
     QuadratureConfig,
@@ -320,6 +321,7 @@ class TestSandwich:
         norm = 1.0 / math.sqrt(2.0 * math.pi)
         p = make_iid(
             lambda x: norm * np.exp(-0.5 * (np.asarray(x, dtype=float) - 0.5) ** 2),
+            lambda x: ndtr(np.asarray(x, dtype=float) - 0.5),
             lambda rng, n: rng.normal(0.5, 1.0, n),
             support=(-np.inf, np.inf),
             quad_support=(-9.5, 10.5),
@@ -449,6 +451,15 @@ class TestCascade:
         assert calls["check_lumpable"] == 2
         assert calls["cond_entropy_X2_given_Y2_X1"] == 2
         assert calls["pushforward_process"] == 1
+
+    def test_a_last_lossy_stage_gives_the_total(self, calls):
+        # the fold stage already runs the whole chain on AR(1) itself
+        res = cascade_loss_rate([scale(1.5), magnitude()], make_ar1(0.5, 1.0))
+        assert calls["check_lumpable"] == 1
+        assert calls["cond_entropy_X2_given_Y2_X1"] == 1
+        assert res.stages[0] == 0.0
+        assert res.total == res.stages[1]
+        assert res.additivity_gap == 0.0
 
     @pytest.mark.parametrize(
         "stages, method",

@@ -21,7 +21,6 @@ from inforate import (
 )
 from inforate.errors import BadParameterError
 from inforate.estimate import (
-    QuadratureConfig,
     _branch_probabilities,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
@@ -192,7 +191,7 @@ def reference_tightness_a(f, proc, grid, tol=1e-6):
     cond = _cond(proc)
     xs = _nudged_grid(*proc.quad_support, grid, avoid=f.tile_edges)
     xs = xs[proc.marginal_pdf(xs) > 0.0]
-    probs, totals = _branch_probabilities(f, proc, xs, QuadratureConfig(abs_tol=1e-12))
+    probs, totals = _branch_probabilities(f, proc, xs)
     y_lo, y_hi, _ = f.image_window(*proc.quad_support)
     y2s = _nudged_grid(y_lo, y_hi, grid, avoid=f.tile_edges)
     valid = [v for *_, v in f.preimage_terms(y2s)]

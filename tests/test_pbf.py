@@ -50,6 +50,10 @@ def uniform_pdf(lo, hi):
     )
 
 
+def uniform_cdf(lo, hi):
+    return lambda x: np.clip((np.asarray(x, float) - lo) / (hi - lo), 0.0, 1.0)
+
+
 def half_constant():
     """Constant 0 on [0,1), identity on [1,2)."""
     return PiecewiseFunction(
@@ -492,7 +496,9 @@ class TestInverseRoundTrip:
 def constant_mass(f, lo, hi, window):
     """The constant mass of f under the uniform density on [lo, hi),
     integrated over window; its normalization is left to that check."""
-    proc = make_iid(uniform_pdf(lo, hi), None, window, check_normalization=False)
+    proc = make_iid(
+        uniform_pdf(lo, hi), uniform_cdf(lo, hi), None, window, check_normalization=False
+    )
     return relative_loss_rate_constant_pieces(f, proc)
 
 
@@ -562,6 +568,19 @@ class TestBuilders:
     )
     def test_refuses_a_nan_tile_end_or_a_non_finite_offset(self, build):
         with pytest.raises(BadParameterError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: quantizer([0.0, math.nan]),
+            lambda: magnitude(math.nan, 1.0),
+            lambda: shift_mod(math.nan, lo=0.0, hi=2.0),
+        ],
+        ids=["quantizer", "magnitude", "shift_mod period"],
+    )
+    def test_a_nan_argument_is_named_in_the_refusal(self, build):
+        with pytest.raises(BadParameterError, match=r"is NaN|got nan"):
             build()
 
     def test_square_splits_at_zero(self):

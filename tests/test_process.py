@@ -185,6 +185,7 @@ class TestIid:
         with pytest.raises(NotNormalizedError):
             make_iid(
                 marginal_pdf=lambda x: np.full_like(np.asarray(x, float), 0.7),
+                marginal_cdf=lambda x: 0.7 * np.clip(np.asarray(x, float), 0.0, 1.0),
                 marginal_sampler=lambda rng, n: rng.uniform(0, 1, n),
                 support=(0.0, 1.0),
             )
@@ -192,10 +193,32 @@ class TestIid:
     def test_custom_normalized_accepted(self):
         p = make_iid(
             marginal_pdf=lambda x: 2.0 * np.asarray(x, float),
+            marginal_cdf=lambda x: np.clip(np.asarray(x, float), 0.0, 1.0) ** 2,
             marginal_sampler=lambda rng, n: np.sqrt(rng.uniform(0, 1, n)),
             support=(0.0, 1.0),
         )
         assert p.kernel is None
+
+    def test_distribution_functions_are_required(self):
+        def pdf(x):
+            return np.ones_like(np.asarray(x, float))
+
+        with pytest.raises(TypeError, match="marginal_cdf"):
+            make_iid(
+                marginal_pdf=pdf,
+                marginal_sampler=lambda rng, n: rng.uniform(0, 1, n),
+                support=(0.0, 1.0),
+            )
+        with pytest.raises(TypeError, match="marginal_cdf"):
+            process.StationaryProcess(
+                marginal_pdf=pdf,
+                path_sampler=None,
+                kernel=None,
+                support=(0.0, 1.0),
+                quad_support=(0.0, 1.0),
+            )
+        with pytest.raises(TypeError, match="cond_cdf"):
+            process.MarkovKernel(cond_pdf=lambda x2, x1: pdf(x2))
 
 
 def _iterate(x0, innovations, step):

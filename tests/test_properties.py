@@ -9,8 +9,9 @@ the quantile edges read off the sort against np.quantile, the
 labeller's edge table against a binary search, eval_array's value
 table against the masked loop it replaced, the scalar lookups against
 the array forms, the stages of random cascades against their
-evaluation on the explicit chain of pushforwards, and the process
-builders over the whole float range."""
+evaluation on the explicit chain of pushforwards, the process
+builders over the whole float range, and each process's distribution
+functions against quadrature of its densities."""
 
 import json
 import math
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 
 from inforate import (
     QuadratureConfig,
@@ -64,6 +66,7 @@ from inforate.estimate import (
     marginal_entropy_quad,
 )
 from inforate.lossrate import _sandwich
+from conftest import shifted_kernel_process
 from oracles import expected_log_abs_derivative
 from test_acceptance import hw2x1_closed
 from test_pbf import half_constant
@@ -395,6 +398,7 @@ def off_centre_gaussians(draw):
 
     process = make_iid(
         pdf,
+        lambda x: ndtr((np.asarray(x, dtype=float) - mean) / sigma),
         lambda rng, n: rng.normal(mean, sigma, n),
         support=(-np.inf, np.inf),
         quad_support=(mean - 10.0 * sigma, mean + 10.0 * sigma),
@@ -756,3 +760,69 @@ def test_a_built_process_has_a_finite_window_and_density(process):
     assert math.isfinite(lo) and math.isfinite(hi)
     density = built.marginal_pdf(np.linspace(lo, hi, 101))
     assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
+
+
+def _pushforward(draw, process, whole):
+    """process through |.| or a scale of either sign, on the domain whole."""
+    if draw(st.booleans()):
+        return pushforward_process(magnitude(*whole), process)
+    k = draw(reals(0.3, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return pushforward_process(scale(k, *whole), process)
+
+
+@st.composite
+def processes_with_cdfs(draw):
+    """A built-in, pushforward or fixture process; each carries its
+    distribution functions."""
+    kind = draw(
+        st.sampled_from(
+            ["ar1", "walk", "tightness", "gauss", "uniform", "ar1 g", "walk g", "shifted"]
+        )
+    )
+    if kind == "ar1":
+        return make_ar1(draw(reals(0.05, 0.95)), draw(reals(0.5, 2.0)))
+    if kind == "walk":
+        return make_cyclic_walk(1.0, draw(reals(0.05, 1.0)))
+    if kind == "tightness":
+        return make_tightness_example()
+    if kind == "gauss":
+        return make_iid_gaussian(draw(reals(0.5, 2.0)))
+    if kind == "uniform":
+        lo = draw(reals(-3.0, 3.0))
+        return make_iid_uniform(lo, lo + draw(reals(0.1, 5.0)))
+    if kind == "ar1 g":
+        return _pushforward(draw, make_ar1(draw(reals(0.05, 0.95)), 1.0), ())
+    if kind == "walk g":
+        return _pushforward(draw, make_cyclic_walk(1.0, draw(reals(0.05, 1.0))), (-1, 1))
+    return shifted_kernel_process(draw(reals(0.1, 0.9)), 1.0, draw(reals(-1.0, 1.0)))
+
+
+def _check_cdf(cdf, pdf, lo, hi, x, points):
+    """cdf(x) - cdf(lo) is the integral of pdf over [lo, x] within 1e-10,
+    and cdf is nondecreasing and within [0, 1] on a grid past [lo, hi]."""
+    want = quad(pdf, lo, x, QuadratureConfig(abs_tol=1e-12), points=points)
+    assert float(cdf(x) - cdf(lo)) == pytest.approx(want, abs=1e-10)
+    span = hi - lo
+    grid = cdf(np.linspace(lo - 0.1 * span, hi + 0.1 * span, 401))
+    assert np.all(np.diff(grid) >= 0.0)
+    assert np.all((grid >= 0.0) & (grid <= 1.0))
+
+
+@PROPERTY
+@given(processes_with_cdfs(), reals(0.0, 1.0), reals(0.0, 1.0))
+def test_distribution_functions_match_their_densities(process, s, t):
+    lo, hi = process.quad_support
+    x1, x2 = lo + s * (hi - lo), lo + t * (hi - lo)
+    points = process.marginal_split_points
+    _check_cdf(process.marginal_cdf, process.marginal_pdf, lo, hi, x2, points)
+    kern = process.kernel
+    if kern is None or not process.marginal_pdf(x1) > 0.0:
+        return
+    _check_cdf(
+        lambda x: kern.cond_cdf(x, x1),
+        lambda x: kern.cond_pdf(x, x1),
+        lo,
+        hi,
+        x2,
+        np.append(kern.split_points(np.array([x1]))[0], points),
+    )
