@@ -301,9 +301,12 @@ def _count(value, name):
 
 def _parse_values(text):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ParseError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise ParseError(f"numeric list {text!r} needs at least one value")
+    return values
 
 
 def build_parser():

@@ -154,7 +154,20 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     The depth limit only decides when to give up: an integral that
     converges under a smaller limit returns the same bits under a larger
     one.
+
+    The loop is ``_adapt``, which also returns the panels each integral
+    converged on: ``_output_integral`` starts its outer integral from
+    those of the marginal density.
     """
+    return _adapt(f, lo, hi, cfg, points)[0]
+
+
+def _adapt(f, lo, hi, cfg, points, panels=False):
+    """The adaptive loop of ``quad_batch``.  Returns its totals and, with
+    ``panels``, the panels each integral converged on, as arrays a, b and
+    col of their ends and integral in no particular order (else None).
+    ``quad_batch`` does not ask for them: gathering them would add three
+    gathers to every step of the inner batches of a nested integral."""
     lo, hi = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     n = lo.size
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -179,11 +192,14 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     val, err = _gk15(f, a, b, col)
 
     total = np.zeros(n)
+    settled = []
     while True:
         err_sum = np.bincount(col, weights=err, minlength=n)
         # NaN sums count as done; the total is refused below
         done = ~(err_sum[col] > cfg.abs_tol)
         total += np.bincount(col[done], weights=val[done], minlength=n)
+        if panels:
+            settled.append((a[done], b[done], col[done]))
         live = np.nonzero(~done)[0]
         if not live.size:
             bad = ~np.isfinite(total)
@@ -192,7 +208,7 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
                 raise NoConvergenceError(
                     f"quadrature over [{lo[j]}, {hi[j]}] gave {total[j]}"
                 )
-            return total
+            return total, tuple(map(np.concatenate, zip(*settled))) if panels else None
         # per integral, largest errors first: bisect each panel while the
         # errors from it on sum to more than half the tolerance, and
         # always the largest one
@@ -429,22 +445,42 @@ def _cond_windows(process, x1s):
     return lo, hi
 
 
-def _x1_integral(process, value, cfg, f):
-    """int f_X(x1) value(x1) dx1 over the truncated support.
-
-    ``value`` maps an array of x1 nodes to one value each.  Split where
-    value(x1) may kink: at the marginal's split points, at the finite tile
-    edges of f, and at the x1 where a kernel discontinuity lands on a
-    tile edge or an end of the support.  No rule finds such kinks by
-    itself (Lyness, 1983), so they are declared as in QUADPACK's QAGP.
-    """
+def _x1_split_points(process, f):
+    """Where value(x1) of ``_x1_integral`` may kink: at the marginal's split
+    points, at the finite tile edges of f, and at the x1 where a kernel
+    discontinuity lands on a tile edge or an end of the support.  No rule
+    finds such kinks by itself (Lyness, 1983), so they are declared as in
+    QUADPACK's QAGP."""
     lo, hi = process.quad_support
-    f_marg = process.marginal_pdf
     edges = np.array([lo, hi, *f.tile_edges])
     points = np.concatenate([process.marginal_split_points, edges])
     if process.kernel is not None:
         points = np.append(points, process.kernel.x1_split_points(edges))
+    return points
+
+
+def _x1_integral(process, value, cfg, f, points=()):
+    """int f_X(x1) value(x1) dx1 over the truncated support.
+
+    ``value`` maps an array of x1 nodes to one value each.  The first
+    panels are cut at ``_x1_split_points`` and at ``points``; from there
+    the integral keeps the full error control of ``quad``.
+    """
+    lo, hi = process.quad_support
+    f_marg = process.marginal_pdf
+    points = np.concatenate([_x1_split_points(process, f), points])
     return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
+
+
+def _marginal_edges(process, f, cfg):
+    """Edges of the panels on which GK15 integrates f_X alone to ``cfg``,
+    refined by ``quad_batch``'s loop from ``_x1_split_points``.  Raises
+    NoConvergenceError where that loop gives up on f_X."""
+    lo, hi = process.quad_support
+    f_marg = process.marginal_pdf
+    points = [_x1_split_points(process, f)]
+    _, (a, _, _) = _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points, True)
+    return a  # the panels tile [lo, hi], so their left ends are every inner edge
 
 
 def marginal_entropy_quad(process, cfg=DEFAULT_QUAD):
@@ -539,7 +575,14 @@ def _output_integral(f, process, node_value, cfg):
     """int f_X(x1) int node_value(t) dy dx1 for Y = g(X), where t holds
     the terms f(x_b | x1) / |g'(x_b)| at the preimages x_b of y, one row
     per branch.  The y window is the image of the x2 window, split at the
-    images of its tile edges and of the kernel's discontinuities."""
+    images of its tile edges and of the kernel's discontinuities.
+
+    Every outer x1 node runs a batch of inner y integrals, and GK15 nodes
+    do not nest, so the nodes of a bisected outer panel are paid for and
+    thrown away.  The outer bisections mostly follow the weight f_X, so
+    the outer integral starts from the panels that settle f_X alone
+    (``_marginal_edges``, which evaluates f_X and nothing else); its own
+    error control still refines wherever the inner value needs it."""
     lo, hi = process.quad_support
     kern = process.kernel
     cond = _cond_pdf_fn(process)
@@ -560,7 +603,9 @@ def _output_integral(f, process, node_value, cfg):
             cfg,
         )
 
-    return _x1_integral(process, point_value, cfg, f)
+    return _x1_integral(
+        process, point_value, cfg, f, _marginal_edges(process, f, cfg)
+    )
 
 
 def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):

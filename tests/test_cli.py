@@ -71,6 +71,18 @@ class TestCyclicSweep:
         assert code == 2
         assert "error" in err
 
+    def test_empty_ratio_list_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "cyclic-sweep", "--ratios", ",")
+        assert (code, out) == (2, "")
+        assert err == "error: numeric list ',' needs at least one value\n"
+
+
+class TestAr1Sweep:
+    def test_empty_pole_list_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "ar1-sweep", "--a-values", " , ")
+        assert (code, out) == (2, "")
+        assert err == "error: numeric list ' , ' needs at least one value\n"
+
 
 class TestTightness:
     def test_all_residuals_small(self, capsys):

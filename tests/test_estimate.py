@@ -13,6 +13,7 @@ from inforate import (
     compose,
     constant_branch,
     diff_entropy_hist,
+    injective_branch,
     magnitude,
     make_ar1,
     make_cyclic_walk,
@@ -39,7 +40,9 @@ from inforate.errors import (
     TooFewSamplesError,
 )
 from inforate.estimate import (
+    DEFAULT_QUAD,
     cond_entropy_W_given_X,
+    cond_entropy_X2_given_Y2_X1,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
     entropy_bits,
@@ -673,3 +676,77 @@ def test_branch_probabilities_are_cdf_differences_not_quadratures(case, monkeypa
     probs, total = estimate._branch_probabilities(f, proc, xs)
     np.testing.assert_allclose(total, want.sum(axis=1), rtol=0, atol=1e-11)
     np.testing.assert_allclose(probs * total[:, None], want, rtol=0, atol=1e-11)
+
+
+def shifted_ar1():
+    """AR(1) 0.5 moved by +0.5: stationary, and not lumpable under |.|."""
+    shift = injective_branch(
+        1,
+        -math.inf,
+        math.inf,
+        lambda x: x + 0.5,
+        lambda y: y - 0.5,
+        lambda x: np.ones_like(x),
+    )
+    return magnitude(), pushforward_process(
+        PiecewiseFunction((shift,)), make_ar1(0.5, 1.0)
+    )
+
+
+SETTLED_CASES = {
+    **NESTED_CASES,
+    "shifted ar1+magnitude": shifted_ar1,
+    "4-branch walk": lambda: (
+        compose(shift_mod(0.5, lo=0.0, hi=1.0), magnitude(-1.0, 1.0)),
+        make_cyclic_walk(1.0, 0.35),
+    ),
+}
+
+
+def nested_values(f, proc):
+    return (
+        cond_entropy_X2_given_Y2_X1(f, proc),
+        cond_entropy_output_given_input(f, proc),
+        cond_entropy_rate_quad(proc),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(SETTLED_CASES))
+def test_settling_the_marginal_first_changes_only_the_work(case, monkeypatch):
+    f, proc = SETTLED_CASES[case]()
+    settled = nested_values(f, proc)
+    monkeypatch.setattr(estimate, "_marginal_edges", lambda *args: np.empty(0))
+    assert settled == pytest.approx(nested_values(f, proc), abs=DEFAULT_QUAD.abs_tol)
+
+
+def inner_x1_nodes(case, monkeypatch):
+    """x1 nodes whose inner y integrals the rate H(X2|Y2,X1) runs."""
+    f, proc = SETTLED_CASES[case]()
+    nodes = []
+    y_integrals = estimate._y_integrals
+
+    def counted(f, value, ylo, *args):
+        nodes.append(np.size(ylo))
+        return y_integrals(f, value, ylo, *args)
+
+    monkeypatch.setattr(estimate, "_y_integrals", counted)
+    cond_entropy_X2_given_Y2_X1(f, proc)
+    return sum(nodes)
+
+
+@pytest.mark.parametrize("case", ["ar1+magnitude", "shifted ar1+magnitude"])
+def test_the_outer_integral_keeps_the_inner_integrals_it_runs(case, monkeypatch):
+    # bisecting from the split points alone runs them at 270 nodes
+    assert inner_x1_nodes(case, monkeypatch) <= 180
+
+
+def test_the_walk_runs_as_many_inner_integrals_as_without_the_panels(monkeypatch):
+    # its split points already settle its uniform marginal
+    assert inner_x1_nodes("walk+magnitude", monkeypatch) == 105
+
+
+def test_a_marginal_the_outer_panels_cannot_settle_is_refused():
+    # the x^4 pushforward's marginal goes as y**(-3/4) at 0
+    x4 = compose(square(0, math.inf), square())
+    with pytest.raises(NoConvergenceError, match="stalled"):
+        cond_entropy_rate_quad(pushforward_process(x4, make_ar1(0.5, 1.0)))
