@@ -155,19 +155,18 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     converges under a smaller limit returns the same bits under a larger
     one.
 
-    The loop is ``_adapt``, which also returns the panels each integral
-    converged on: ``_output_integral`` starts its outer integral from
-    those of the marginal density.
+    The loop is ``_adapt``, which also returns the left ends of the
+    panels the integrals converged on: ``_output_integral`` starts its
+    outer integral from those of the marginal density.
     """
     return _adapt(f, lo, hi, cfg, points)[0]
 
 
-def _adapt(f, lo, hi, cfg, points, panels=False):
-    """The adaptive loop of ``quad_batch``.  Returns its totals and, with
-    ``panels``, the panels each integral converged on, as arrays a, b and
-    col of their ends and integral in no particular order (else None).
-    ``quad_batch`` does not ask for them: gathering them would add three
-    gathers to every step of the inner batches of a nested integral."""
+def _adapt(f, lo, hi, cfg, points):
+    """The adaptive loop of ``quad_batch``.  Returns its totals and the
+    left ends of the panels all integrals converged on, in no particular
+    order; for one integral the panels tile its window, so those are its
+    first edge and every edge inside."""
     lo, hi = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     n = lo.size
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -192,14 +191,13 @@ def _adapt(f, lo, hi, cfg, points, panels=False):
     val, err = _gk15(f, a, b, col)
 
     total = np.zeros(n)
-    settled = []
+    left = []
     while True:
         err_sum = np.bincount(col, weights=err, minlength=n)
         # NaN sums count as done; the total is refused below
         done = ~(err_sum[col] > cfg.abs_tol)
         total += np.bincount(col[done], weights=val[done], minlength=n)
-        if panels:
-            settled.append((a[done], b[done], col[done]))
+        left.append(a[done])
         live = np.nonzero(~done)[0]
         if not live.size:
             bad = ~np.isfinite(total)
@@ -208,7 +206,7 @@ def _adapt(f, lo, hi, cfg, points, panels=False):
                 raise NoConvergenceError(
                     f"quadrature over [{lo[j]}, {hi[j]}] gave {total[j]}"
                 )
-            return total, tuple(map(np.concatenate, zip(*settled))) if panels else None
+            return total, np.concatenate(left)
         # per integral, largest errors first: bisect each panel while the
         # errors from it on sum to more than half the tolerance, and
         # always the largest one
@@ -459,28 +457,33 @@ def _x1_split_points(process, f):
     return points
 
 
-def _x1_integral(process, value, cfg, f, points=()):
+def _x1_integral(process, value, cfg, f, points=None):
     """int f_X(x1) value(x1) dx1 over the truncated support.
 
     ``value`` maps an array of x1 nodes to one value each.  The first
-    panels are cut at ``_x1_split_points`` and at ``points``; from there
-    the integral keeps the full error control of ``quad``.
+    panels are cut at ``points``, by default ``_x1_split_points``; from
+    there the integral keeps the full error control of ``quad``.
     """
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
-    points = np.concatenate([_x1_split_points(process, f), points])
+    if points is None:
+        points = _x1_split_points(process, f)
     return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
 
 
 def _marginal_edges(process, f, cfg):
     """Edges of the panels on which GK15 integrates f_X alone to ``cfg``,
-    refined by ``quad_batch``'s loop from ``_x1_split_points``.  Raises
-    NoConvergenceError where that loop gives up on f_X."""
+    refined by ``quad_batch``'s loop from ``_x1_split_points``; they hold
+    every split point inside the support.  Where that loop gives up on
+    f_X, raises NoConvergenceError without a partial sum: the integral
+    asked for has not begun."""
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
     points = [_x1_split_points(process, f)]
-    _, (a, _, _) = _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points, True)
-    return a  # the panels tile [lo, hi], so their left ends are every inner edge
+    try:
+        return _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points)[1]
+    except NoConvergenceError as e:
+        raise NoConvergenceError(f"settling the outer x1 panels on f_X: {e}") from e
 
 
 def marginal_entropy_quad(process, cfg=DEFAULT_QUAD):
@@ -581,8 +584,9 @@ def _output_integral(f, process, node_value, cfg):
     do not nest, so the nodes of a bisected outer panel are paid for and
     thrown away.  The outer bisections mostly follow the weight f_X, so
     the outer integral starts from the panels that settle f_X alone
-    (``_marginal_edges``, which evaluates f_X and nothing else); its own
-    error control still refines wherever the inner value needs it."""
+    (``_marginal_edges``, which evaluates f_X and nothing else and
+    includes the split points); its own error control still refines
+    wherever the inner value needs it."""
     lo, hi = process.quad_support
     kern = process.kernel
     cond = _cond_pdf_fn(process)
@@ -603,9 +607,7 @@ def _output_integral(f, process, node_value, cfg):
             cfg,
         )
 
-    return _x1_integral(
-        process, point_value, cfg, f, _marginal_edges(process, f, cfg)
-    )
+    return _x1_integral(process, point_value, cfg, f, _marginal_edges(process, f, cfg))
 
 
 def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):

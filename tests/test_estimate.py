@@ -715,7 +715,11 @@ def nested_values(f, proc):
 def test_settling_the_marginal_first_changes_only_the_work(case, monkeypatch):
     f, proc = SETTLED_CASES[case]()
     settled = nested_values(f, proc)
-    monkeypatch.setattr(estimate, "_marginal_edges", lambda *args: np.empty(0))
+
+    def split_points_only(process, f, cfg):  # the pass adds no edge
+        return estimate._x1_split_points(process, f)
+
+    monkeypatch.setattr(estimate, "_marginal_edges", split_points_only)
     assert settled == pytest.approx(nested_values(f, proc), abs=DEFAULT_QUAD.abs_tol)
 
 
@@ -748,5 +752,7 @@ def test_the_walk_runs_as_many_inner_integrals_as_without_the_panels(monkeypatch
 def test_a_marginal_the_outer_panels_cannot_settle_is_refused():
     # the x^4 pushforward's marginal goes as y**(-3/4) at 0
     x4 = compose(square(0, math.inf), square())
-    with pytest.raises(NoConvergenceError, match="stalled"):
+    with pytest.raises(NoConvergenceError, match="outer x1 panels.*stalled") as info:
         cond_entropy_rate_quad(pushforward_process(x4, make_ar1(0.5, 1.0)))
+    # f_X's mass so far is no partial sum of the entropy asked for
+    assert info.value.partial is None
