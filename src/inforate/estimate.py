@@ -108,38 +108,40 @@ def _split_rows(points, n):
 
 
 def _gk15(f, a, b, col):
-    """GK15 values and error estimates of panels [a, b] of integrals col,
-    from one integrand call on all their nodes."""
-    if not a.size:
-        return np.zeros(0), np.zeros(0)
+    """GK15 values of panels [a, b] of integrals col, a row of components
+    per panel, and each panel's error estimate, the largest of its
+    components', from one integrand call on all their nodes."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = (c[:, None] + h[:, None] * _XK).ravel()
     fv = np.asarray(f(x, np.repeat(col, 15)), dtype=float)
-    if fv.shape != x.shape:
-        raise BadParameterError("integrand must map each node to one value")
-    fv = fv.reshape(-1, 15)
+    if fv.shape[-1:] != x.shape or fv.ndim > 2:
+        raise BadParameterError("integrand must give (N,) or (m, N) values at N nodes")
+    shape = fv.shape[:-1] + a.shape
+    fv = fv.reshape(-1, 15)  # one row per panel of each component
     resk = fv @ _WK
-    err = np.abs(resk - fv[:, _GAUSS_IDX] @ _WG) * h
+    err = np.abs(resk - fv[:, _GAUSS_IDX] @ _WG).reshape(shape) * h
     # rescale against the deviation integral so integrable endpoint
     # singularities do not pin the estimate at the raw Gauss-Kronrod gap
-    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _WK) * h
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _WK).reshape(shape) * h
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    resabs = (np.abs(fv) @ _WK) * h
-    return resk * h, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    resabs = (np.abs(fv) @ _WK).reshape(shape) * h
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return (resk.reshape(shape) * h).T, err if err.ndim == 1 else err.max(axis=0)
 
 
 def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     """Adaptive GK15 integrals of one vectorized integrand over many windows.
 
     Integral j runs over [lo[j], hi[j]].  ``f(x, col)`` takes flat arrays
-    of nodes and of the integral each node belongs to, and returns one
-    value per node.  ``points`` is an (n, k) array, padded with NaN, of
-    mandatory split locations (discontinuities, kinks), one row per
-    integral; those inside the window become initial panel edges, the
-    others are dropped.
+    of N nodes and of the integral each node belongs to, and returns (N,)
+    values, or (m, N) for m components that share their panels, a panel's
+    error being the largest of theirs; the totals are (n,) or (m, n).
+    ``points`` is an (n, k) array, padded with NaN, of mandatory split
+    locations (discontinuities, kinks), one row per integral; those
+    inside the window become initial panel edges, the others are dropped.
 
     Each integral keeps its own error control: while its summed error
     estimate exceeds ``cfg.abs_tol``, its largest-error panels are
@@ -150,7 +152,8 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     would evaluate more than ``_MAX_INTERVALS`` panels over the whole
     batch (its initial panels, or the new panels of one step): that
     budget bounds the memory of a step however many integrals it holds.
-    Also raises it, naming the window, for an integral that is not finite.
+    Also raises it, naming the window, for an integral that is not finite
+    in some component; ``partial`` holds a sum per component.
     The depth limit only decides when to give up: an integral that
     converges under a smaller limit returns the same bits under a larger
     one.
@@ -190,21 +193,25 @@ def _adapt(f, lo, hi, cfg, points):
     depth = np.zeros(a.size, dtype=int)
     val, err = _gk15(f, a, b, col)
 
-    total = np.zeros(n)
+    # bin k * n + j sums component k of integral j; (N,) values skip offsets
+    offset = n * np.arange(math.prod(val.shape[1:]))
+    total = np.zeros(offset.size * n)
     left = []
     while True:
         err_sum = np.bincount(col, weights=err, minlength=n)
         # NaN sums count as done; the total is refused below
         done = ~(err_sum[col] > cfg.abs_tol)
-        total += np.bincount(col[done], weights=val[done], minlength=n)
+        bins = col[done] if val.ndim == 1 else (col[done][:, None] + offset).ravel()
+        total += np.bincount(bins, weights=val[done].ravel(), minlength=total.size)
         left.append(a[done])
         live = np.nonzero(~done)[0]
         if not live.size:
+            total = total.reshape(val.shape[1:] + (n,))
             bad = ~np.isfinite(total)
             if bad.any():
-                j = int(np.argmax(bad))
+                j = int(np.argmax(bad)) % n
                 raise NoConvergenceError(
-                    f"quadrature over [{lo[j]}, {hi[j]}] gave {total[j]}"
+                    f"quadrature over [{lo[j]}, {hi[j]}] gave {total[..., j]}"
                 )
             return total, np.concatenate(left)
         # per integral, largest errors first: bisect each panel while the
@@ -224,7 +231,7 @@ def _adapt(f, lo, hi, cfg, points):
             why = f"; one step would pass {_MAX_INTERVALS} panels" if grown else ""
             raise NoConvergenceError(
                 f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e}){why}",
-                partial=val[col == col[i]].sum(),
+                partial=val[col == col[i]].sum(axis=0),
             )
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mid])
@@ -245,9 +252,12 @@ def quad(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
 
     The one-integral case of ``quad_batch``: ``f`` maps an array of
     nodes to one value each, and ``points`` are mandatory split
-    locations.
+    locations.  BadParameterError refuses an integrand with components.
     """
-    return float(quad_batch(lambda x, col: f(x), lo, hi, cfg, [points])[0])
+    total = quad_batch(lambda x, col: f(x), lo, hi, cfg, [points])
+    if total.shape != (1,):
+        raise BadParameterError("quad integrates one value per node; use quad_batch")
+    return float(total[0])
 
 
 def xlog2x(p):
@@ -416,20 +426,12 @@ def mutual_information_hist(xs, ys, bins=None):
 # quadrature-based entropies
 
 
-def _cond_pdf_fn(process):
-    kern = process.kernel
-    if kern is None:
-        marginal = process.marginal_pdf
-        return lambda x2, x1: marginal(x2)
-    return kern.cond_pdf
-
-
-def _cond_cdf_fn(process):
-    kern = process.kernel
-    if kern is None:
-        marginal = process.marginal_cdf
-        return lambda x2, x1: marginal(x2)
-    return kern.cond_cdf
+def _cond_fns(process):
+    """Kernel density and distribution function; iid: the marginal's."""
+    if process.kernel is None:
+        pdf, cdf = process.marginal_pdf, process.marginal_cdf
+        return (lambda x2, x1: pdf(x2)), (lambda x2, x1: cdf(x2))
+    return process.kernel.cond_pdf, process.kernel.cond_cdf
 
 
 def _cond_windows(process, x1s):
@@ -514,7 +516,7 @@ def _branch_probabilities(f, process, x1s):
     kernel's distribution function at its tile's ends, both clipped into
     the x2 window."""
     x1s = np.asarray(x1s, dtype=float)
-    cdf = _cond_cdf_fn(process)
+    _, cdf = _cond_fns(process)
     wlo, whi = _cond_windows(process, x1s)
     ends = np.array([[b.domain_lo, b.domain_hi] for b in f.branches])
     ends = np.clip(ends, wlo[:, None, None], whi[:, None, None])
@@ -554,7 +556,8 @@ def _y_integrals(f, value, ylo, yhi, points, cfg):
     """``quad_batch`` of value(y, col) over windows [ylo, yhi] split at
     ``points``; one that ends at c in ``f.critical_images`` runs in s over
     [0, 1], y = c + (end - c) s**_GRADE, smooth where g' has a zero of order
-    <= 3 at c.  A critical image inside a window is left to bisection."""
+    <= 3 at c, each component times the Jacobian.  A critical image
+    inside a window is left to bisection."""
     at_lo = np.isin(ylo, f.critical_images)
     graded = (at_lo | np.isin(yhi, f.critical_images)) & (yhi > ylo)
     if not graded.any():
@@ -589,7 +592,7 @@ def _output_integral(f, process, node_value, cfg):
     wherever the inner value needs it."""
     lo, hi = process.quad_support
     kern = process.kernel
-    cond = _cond_pdf_fn(process)
+    cond, _ = _cond_fns(process)
 
     def point_value(x1s):
         wlo, whi = _cond_windows(process, x1s)
@@ -654,12 +657,11 @@ def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
     so that equally weighted preimages give log2 of their count exactly."""
     ylo, yhi, points = _support_image(f, process)
 
-    def value(ys, col):  # the loss in column 0, the output density in column 1
+    def value(ys, col):  # the loss and the output density, at the same nodes
         t = f.preimage_table(ys).weights(process.marginal_pdf)
-        return np.where(col == 0, _preimage_entropy(t), t.sum(axis=0))
+        return np.array([_preimage_entropy(t), t.sum(axis=0)])
 
-    ends = [np.full(2, ylo), np.full(2, yhi)]
-    loss, mass = _y_integrals(f, value, *ends, np.array([points] * 2), cfg)
+    (loss,), (mass,) = _y_integrals(f, value, [ylo], [yhi], [points], cfg)
     return float(loss / mass)
 
 

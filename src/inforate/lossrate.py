@@ -108,6 +108,11 @@ def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201):
     NoConvergenceError means some integral missed ``cfg.abs_tol`` within
     the depth budget of ``cfg``; there is no retry.
     """
+    return _loss_rate_detail(f, process, cfg, grid)[0]
+
+
+def _loss_rate_detail(f, process, cfg, grid):
+    """``loss_rate_analytic`` and the tag of the route that gave it."""
     check_grid_params(grid, _GATE_TOL)
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
@@ -117,8 +122,9 @@ def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201):
             raise NotLumpableError(
                 f"lumpability deviation {rep.max_deviation:.3e} exceeds {rep.tol}"
             )
-        return cond_entropy_X2_given_Y2_X1(f, process, cfg)
-    return loss_rv(f, process, cfg)
+        return cond_entropy_X2_given_Y2_X1(f, process, cfg), "quadrature (lumpable)"
+    loss, tag = _loss_rv_detail(f, process, cfg)
+    return loss, tag if len(f.branches) == 1 else f"iid marginal loss, {tag}"
 
 
 def loss_rate_bounds_mc(
@@ -211,8 +217,7 @@ def analyze_loss_rate(
     method["sandwich"] = f"histogram MI, N={sandwich.n_samples}, bins={sandwich.bins}"
 
     try:
-        value = loss_rate_analytic(f, process, cfg, grid=grid)
-        method["value"] = "quadrature (lumpable)"
+        value, method["value"] = _loss_rate_detail(f, process, cfg, grid)
     except (NotLumpableError, NoConvergenceError) as exc:
         method["value"] = f"unavailable: {exc}"
 

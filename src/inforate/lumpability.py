@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadParameterError, check_int
-from .estimate import _branch_probabilities, _cond_pdf_fn, _support_image
+from .estimate import _branch_probabilities, _cond_fns, _support_image
 
 _EDGE_EPS = 1e-9
 # points per kernel call in both checks
@@ -105,7 +105,7 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
     # x1 of each y1; they count where the input density is positive
     ys, table, label = _preimage_table(f, process, grid, tol)
     # iid: both sums equal the output marginal density by construction
-    cond = _cond_pdf_fn(process)
+    cond, _ = _cond_fns(process)
     x1 = table.x.T
     live = (table.valid & (process.marginal_pdf(table.x) > 0.0)).T
 
@@ -146,7 +146,7 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     """
     _, table, _ = _preimage_table(f, process, grid, tol)
     valid = table.valid.T
-    cond = _cond_pdf_fn(process)
+    cond, _ = _cond_fns(process)
     xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
     xs = xs[process.marginal_pdf(xs) > 0.0]
     probs, total = _branch_probabilities(f, process, xs)

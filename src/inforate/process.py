@@ -240,6 +240,13 @@ def make_tightness_example():
     )
 
 
+def check_normalized(marginal_pdf, window, split_points=(), cfg=DEFAULT_QUAD):
+    """NotNormalizedError unless ``marginal_pdf`` integrates to 1 in 1e-6."""
+    total = quad(marginal_pdf, *window, cfg, points=split_points)
+    if abs(total - 1.0) > 1e-6:
+        raise NotNormalizedError(f"marginal integrates to {total}, not 1")
+
+
 def make_iid(
     marginal_pdf,
     marginal_cdf,
@@ -255,12 +262,7 @@ def make_iid(
     if quad_support is None:
         quad_support = support
     if check_normalization:
-        lo, hi = quad_support
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise BadParameterError("iid process needs a finite quadrature window")
-        total = quad(marginal_pdf, lo, hi, DEFAULT_QUAD, points=split_points)
-        if abs(total - 1.0) > 1e-6:
-            raise NotNormalizedError(f"marginal integrates to {total}, not 1")
+        check_normalized(marginal_pdf, quad_support, split_points)
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
         marginal_cdf=marginal_cdf,

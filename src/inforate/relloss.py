@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadParameterError, NotNormalizedError, TooFewSamplesError, check_int
-from .estimate import DEFAULT_QUAD, check_cover, quad
-from .process import check_path_args, sample_path
+from .errors import TooFewSamplesError, check_int
+from .estimate import DEFAULT_QUAD, check_cover
+from .process import check_normalized, check_path_args, sample_path
 
 
 def relative_loss_rate_constant_pieces(f, process, cfg=DEFAULT_QUAD):
@@ -24,14 +24,9 @@ def relative_loss_rate_constant_pieces(f, process, cfg=DEFAULT_QUAD):
     to one over the process's quadrature window; checked to 1e-6 by
     quadrature to ``cfg``.  The mass of each constant tile, cut to that
     window, is a difference of ``marginal_cdf``."""
-    lo, hi = process.quad_support
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise BadParameterError("the constant mass needs a finite integration window")
     check_cover(f, process)
-    points = process.marginal_split_points
-    norm = quad(process.marginal_pdf, lo, hi, cfg, points=points)
-    if abs(norm - 1.0) > 1e-6:
-        raise NotNormalizedError(f"marginal integrates to {norm}, not 1")
+    lo, hi = process.quad_support
+    check_normalized(process.marginal_pdf, (lo, hi), process.marginal_split_points, cfg)
     if not f.has_constant:
         return 0.0
     if all(b.kind == "constant" for b in f.branches):

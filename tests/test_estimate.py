@@ -206,6 +206,41 @@ class TestQuadBatch:
         with pytest.raises(NoConvergenceError, match="gave nan"):
             relative_loss_rate_constant_pieces(quantizer([0.0, 0.5, 1.0]), proc)
 
+    def test_a_nan_component_is_refused_and_its_window_named(self):
+        def f(x, col):
+            return np.array([np.ones_like(x), np.where(col == 1, np.nan, x)])
+
+        # component 1 of integral 1 is NaN; the message names [2, 3]
+        with pytest.raises(NoConvergenceError, match=r"\[2.0, 3.0\] gave \[ *1\. +nan"):
+            quad_batch(f, [0.0, 2.0], [1.0, 3.0])
+
+    def test_a_stalled_integral_keeps_a_partial_sum_per_component(self, monkeypatch):
+        def wild(x):
+            return np.abs(np.sin(50.0 / (np.abs(x - 2.0) + 1e-3)))
+
+        monkeypatch.setattr(estimate, "_MAX_DEPTH", 3)
+        cfg = QuadratureConfig(abs_tol=1e-13)
+        partials = []
+        for f in (
+            lambda x, col: wild(x),
+            lambda x, col: np.array([wild(x), 2.0 * wild(x)]),
+        ):
+            with pytest.raises(NoConvergenceError) as info:
+                quad_batch(f, 2.0, 3.0, cfg)
+            partials.append(info.value.partial)
+        one, both = partials
+        # a number for one value per node; the pair's panels follow the
+        # larger error, so they need not be the single integral's
+        assert isinstance(one, float) and 0.0 < one < 1.0
+        assert both.shape == (2,) and 0.0 < both[0] < 1.0
+        assert both[1] == 2.0 * both[0]
+
+    def test_quad_refuses_an_integrand_with_components(self):
+        with pytest.raises(BadParameterError, match="one value per node"):
+            quad(lambda x: np.array([x, x]), 0.0, 1.0)
+        with pytest.raises(BadParameterError, match=r"\(m, N\) values"):
+            quad_batch(lambda x, col: np.zeros((2, 2, x.size)), 0.0, 1.0)
+
     def test_one_row_of_split_points_per_integral(self):
         with pytest.raises(BadParameterError):
             quad_batch(lambda x, col: x, [0.0, 0.0], [1.0, 1.0], points=[(0.5,)])
@@ -756,3 +791,28 @@ def test_a_marginal_the_outer_panels_cannot_settle_is_refused():
         cond_entropy_rate_quad(pushforward_process(x4, make_ar1(0.5, 1.0)))
     # f_X's mass so far is no partial sum of the entropy asked for
     assert info.value.partial is None
+
+
+@pytest.mark.parametrize(
+    "f, process, value, two_column_nodes",
+    [
+        (magnitude(), make_ar1(0.5, 1.0), 1.0, 210),
+        (magnitude(), make_iid_uniform(-1.0, 3.0), 0.5, 60),
+    ],
+)
+def test_the_marginal_loss_integrates_loss_and_mass_at_the_same_nodes(
+    f, process, value, two_column_nodes, monkeypatch
+):
+    # as two columns of one batch, each of which evaluated both integrands
+    # at every node, the loss and the output mass took two_column_nodes
+    nodes = []
+    table = PiecewiseFunction.preimage_table
+
+    def counted(self, ys):
+        nodes.append(np.size(ys))
+        return table(self, ys)
+
+    monkeypatch.setattr(PiecewiseFunction, "preimage_table", counted)
+    got = estimate.cond_entropy_input_given_output(f, process)
+    assert got == pytest.approx(value, abs=DEFAULT_QUAD.abs_tol)
+    assert sum(nodes) <= two_column_nodes // 2

@@ -620,6 +620,20 @@ class TestReport:
             loss_rate_analytic(magnitude(), p, grid=101), abs=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "f, process, value, route",
+        [
+            (scale(2.0), make_ar1(0.5, 1.0), 0.0, "bijective"),
+            (magnitude(), make_iid_uniform(-1.0, 3.0), 0.5, "iid marginal loss"),
+        ],
+    )
+    def test_the_value_names_the_route_that_gave_it(self, f, process, value, route):
+        # one injective branch and an iid input never pass the lumpability gate
+        rep = analyze_loss_rate(f, process, n_samples=10**4, seed=2)
+        assert rep.value == pytest.approx(value, abs=1e-12)
+        assert rep.method["value"].startswith(route)
+        assert "lumpable" not in rep.method["value"]
+
     def test_value_absent_when_not_lumpable(self):
         rep = analyze_loss_rate(
             magnitude(),

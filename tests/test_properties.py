@@ -1,8 +1,8 @@
 """Properties on generated inputs: quadrature against scipy, batches
-against their columns, the depth budget, preimage round trips of every
-built-in branch, the wrapped walk's closed forms at every step, the
-bound chain on random lumpable systems, their exact rate against
-h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
+against their columns and their components, the depth budget, preimage
+round trips of every built-in branch, the wrapped walk's closed forms at
+every step, the bound chain on random lumpable systems, their exact
+rate against h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
 h(X) - h(Y) + E log2|g'(X)|, the one-sort binning of the
 mutual-information estimators against the estimator as first written,
 the quantile edges read off the sort against np.quantile, the
@@ -167,6 +167,44 @@ def test_quad_batch_agrees_with_scipy_and_with_one_column_calls(columns):
         )
         assert abs(got[j] - ref) <= 1e-9 + ref_err
         assert abs(got[j] - quad(fn, lo, hi, points=jumps)) <= DEFAULT_QUAD.abs_tol
+
+
+@st.composite
+def component_batches(draw):
+    """One to three smooth components over one to three windows, each
+    cut at up to three points, padded with NaN (at an end: dropped)."""
+    components = draw(st.lists(smooth_integrands(), min_size=1, max_size=3))
+    cuts = st.lists(reals(0.0, 1.0), max_size=3)
+    window = st.tuples(reals(-5.0, 5.0), reals(1e-3, 10.0), cuts)
+    windows = draw(st.lists(window, min_size=1, max_size=3))
+    fns = [fn for fn, _, _ in components]
+    los = np.array([lo for lo, _, _ in windows])
+    his = np.array([lo + width for lo, width, _ in windows])
+    points = [
+        [lo + t * width for t in cuts] + [np.nan] * (3 - len(cuts))
+        for lo, width, cuts in windows
+    ]
+    return fns, los, his, points
+
+
+@PROPERTY
+@given(component_batches())
+def test_a_batch_of_components_equals_one_call_per_component(case):
+    fns, los, his, points = case
+
+    def stacked(x, col):
+        return np.array([fn(x) for fn in fns])
+
+    got = quad_batch(stacked, los, his, points=points)
+    assert got.shape == (len(fns), len(los))
+    for fn, row in zip(fns, got):
+        alone = quad_batch(lambda x, col: fn(x), los, his, points=points)
+        assert np.all(np.abs(row - alone) <= DEFAULT_QUAD.abs_tol)
+    # one component as (1, N) takes the bits of the (N,) call
+    first = quad_batch(lambda x, col: fns[0](x)[None], los, his, points=points)
+    alone = quad_batch(lambda x, col: fns[0](x), los, his, points=points)
+    assert first.shape == (1, len(los))
+    assert first[0].tolist() == alone.tolist()
 
 
 @PROPERTY
