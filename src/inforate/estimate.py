@@ -108,16 +108,16 @@ def _split_rows(points, n):
 
 
 def _gk15(f, a, b, col):
-    """GK15 values of panels [a, b] of integrals col, a row of components
-    per panel, and each panel's error estimate, the largest of its
-    components', from one integrand call on all their nodes."""
+    """GK15 values (panels, m) and errors (the largest component's) of panels
+    [a, b] of integrals col from one call of f, and f's leading shape."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = (c[:, None] + h[:, None] * _XK).ravel()
     fv = np.asarray(f(x, np.repeat(col, 15)), dtype=float)
     if fv.shape[-1:] != x.shape or fv.ndim > 2:
         raise BadParameterError("integrand must give (N,) or (m, N) values at N nodes")
-    shape = fv.shape[:-1] + a.shape
+    lead = fv.shape[:-1]
+    shape = (math.prod(lead), a.size)
     fv = fv.reshape(-1, 15)  # one row per panel of each component
     resk = fv @ _WK
     err = np.abs(resk - fv[:, _GAUSS_IDX] @ _WG).reshape(shape) * h
@@ -129,7 +129,7 @@ def _gk15(f, a, b, col):
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
     resabs = (np.abs(fv) @ _WK).reshape(shape) * h
     err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return (resk.reshape(shape) * h).T, err if err.ndim == 1 else err.max(axis=0)
+    return (resk.reshape(shape) * h).T, err.max(axis=0), lead
 
 
 def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
@@ -139,6 +139,8 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     of N nodes and of the integral each node belongs to, and returns (N,)
     values, or (m, N) for m components that share their panels, a panel's
     error being the largest of theirs; the totals are (n,) or (m, n).
+    Where every window has zero width ``f`` is still called once, with
+    empty arrays (N = 0), so that the shape of the zero totals is known.
     ``points`` is an (n, k) array, padded with NaN, of mandatory split
     locations (discontinuities, kinks), one row per integral; those
     inside the window become initial panel edges, the others are dropped.
@@ -147,16 +149,15 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     estimate exceeds ``cfg.abs_tol``, its largest-error panels are
     bisected until the rest sum to at most ``cfg.abs_tol / 2``.  One
     refinement step evaluates the new panels of every integral in one
-    integrand call.  Raises NoConvergenceError when a panel to bisect
-    already sits at ``_MAX_DEPTH`` halvings, or when one integrand call
-    would evaluate more than ``_MAX_INTERVALS`` panels over the whole
-    batch (its initial panels, or the new panels of one step): that
-    budget bounds the memory of a step however many integrals it holds.
-    Also raises it, naming the window, for an integral that is not finite
-    in some component; ``partial`` holds a sum per component.
-    The depth limit only decides when to give up: an integral that
-    converges under a smaller limit returns the same bits under a larger
-    one.
+    integrand call.  Raises NoConvergenceError, ``partial`` holding the
+    stalled integral's sums, when a panel to bisect already sits at
+    ``_MAX_DEPTH`` halvings, or when one integrand call would evaluate
+    more than ``_MAX_INTERVALS`` panels over the whole batch (its initial
+    panels, or the new panels of one step): that budget bounds the memory
+    of a step however many integrals it holds.  Also raises it, naming
+    the window, for an integral not finite in some component.  The depth
+    limit only decides when to give up: an integral that converges under
+    a smaller limit returns the same bits under a larger one.
 
     The loop is ``_adapt``, which also returns the left ends of the
     panels the integrals converged on: ``_output_integral`` starts its
@@ -191,22 +192,22 @@ def _adapt(f, lo, hi, cfg, points):
             f"quadrature batch starts with {a.size} panels, over {_MAX_INTERVALS}"
         )
     depth = np.zeros(a.size, dtype=int)
-    val, err = _gk15(f, a, b, col)
+    val, err, lead = _gk15(f, a, b, col)
 
-    # bin k * n + j sums component k of integral j; (N,) values skip offsets
-    offset = n * np.arange(math.prod(val.shape[1:]))
+    # bin k * n + j sums component k of integral j
+    offset = n * np.arange(val.shape[1])
     total = np.zeros(offset.size * n)
     left = []
     while True:
         err_sum = np.bincount(col, weights=err, minlength=n)
         # NaN sums count as done; the total is refused below
         done = ~(err_sum[col] > cfg.abs_tol)
-        bins = col[done] if val.ndim == 1 else (col[done][:, None] + offset).ravel()
+        bins = (col[done][:, None] + offset).ravel()
         total += np.bincount(bins, weights=val[done].ravel(), minlength=total.size)
         left.append(a[done])
         live = np.nonzero(~done)[0]
         if not live.size:
-            total = total.reshape(val.shape[1:] + (n,))
+            total = total.reshape(lead + (n,))
             bad = ~np.isfinite(total)
             if bad.any():
                 j = int(np.argmax(bad)) % n
@@ -231,13 +232,13 @@ def _adapt(f, lo, hi, cfg, points):
             why = f"; one step would pass {_MAX_INTERVALS} panels" if grown else ""
             raise NoConvergenceError(
                 f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e}){why}",
-                partial=val[col == col[i]].sum(axis=0),
+                partial=val[col == col[i]].sum(axis=0).reshape(lead)[()],
             )
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mid])
         new_b = np.concatenate([mid, b[split]])
         new_col = np.tile(col[split], 2)
-        new_val, new_err = _gk15(f, new_a, new_b, new_col)
+        new_val, new_err, _ = _gk15(f, new_a, new_b, new_col)
         keep = ~split
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
@@ -556,8 +557,7 @@ def _y_integrals(f, value, ylo, yhi, points, cfg):
     """``quad_batch`` of value(y, col) over windows [ylo, yhi] split at
     ``points``; one that ends at c in ``f.critical_images`` runs in s over
     [0, 1], y = c + (end - c) s**_GRADE, smooth where g' has a zero of order
-    <= 3 at c, each component times the Jacobian.  A critical image
-    inside a window is left to bisection."""
+    <= 3 at c.  A critical image inside a window is left to bisection."""
     at_lo = np.isin(ylo, f.critical_images)
     graded = (at_lo | np.isin(yhi, f.critical_images)) & (yhi > ylo)
     if not graded.any():
@@ -655,13 +655,13 @@ def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
     ``_preimage_entropy`` with f_X as the density, integrated in y as the
     rate integrates it and divided by the output mass, integrated alongside,
     so that equally weighted preimages give log2 of their count exactly."""
-    ylo, yhi, points = _support_image(f, process)
+    ylo, yhi, points = (np.array([v]) for v in _support_image(f, process))
 
     def value(ys, col):  # the loss and the output density, at the same nodes
         t = f.preimage_table(ys).weights(process.marginal_pdf)
         return np.array([_preimage_entropy(t), t.sum(axis=0)])
 
-    (loss,), (mass,) = _y_integrals(f, value, [ylo], [yhi], [points], cfg)
+    (loss,), (mass,) = _y_integrals(f, value, ylo, yhi, points, cfg)
     return float(loss / mass)
 
 

@@ -124,7 +124,7 @@ def _loss_rate_detail(f, process, cfg, grid):
             )
         return cond_entropy_X2_given_Y2_X1(f, process, cfg), "quadrature (lumpable)"
     loss, tag = _loss_rv_detail(f, process, cfg)
-    return loss, tag if len(f.branches) == 1 else f"iid marginal loss, {tag}"
+    return loss, tag if tag == "bijective" else f"iid marginal loss, {tag}"
 
 
 def loss_rate_bounds_mc(

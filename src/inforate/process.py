@@ -240,7 +240,7 @@ def make_tightness_example():
     )
 
 
-def check_normalized(marginal_pdf, window, split_points=(), cfg=DEFAULT_QUAD):
+def check_normalized(marginal_pdf, window, split_points, cfg=DEFAULT_QUAD):
     """NotNormalizedError unless ``marginal_pdf`` integrates to 1 in 1e-6."""
     total = quad(marginal_pdf, *window, cfg, points=split_points)
     if abs(total - 1.0) > 1e-6:

@@ -235,6 +235,21 @@ class TestQuadBatch:
         assert both.shape == (2,) and 0.0 < both[0] < 1.0
         assert both[1] == 2.0 * both[0]
 
+    def test_zero_width_windows_give_zeros_of_the_integrand_shape(self):
+        calls = []
+
+        def pair(x, col):
+            calls.append(x.size)
+            return np.array([x, 2.0 * x])
+
+        assert quad(lambda x: x, 1.5, 1.5) == 0.0
+        one = quad_batch(lambda x, col: x, [0.0, 2.0], [0.0, 2.0])
+        assert one.shape == (2,) and not one.any()
+        both = quad_batch(pair, [0.0, 2.0], [0.0, 2.0])
+        assert both.shape == (2, 2) and not both.any()
+        # the integrand is called once, on no nodes, to learn its shape
+        assert calls == [0]
+
     def test_quad_refuses_an_integrand_with_components(self):
         with pytest.raises(BadParameterError, match="one value per node"):
             quad(lambda x: np.array([x, x]), 0.0, 1.0)
