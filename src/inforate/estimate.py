@@ -160,8 +160,9 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     a smaller limit returns the same bits under a larger one.
 
     The loop is ``_adapt``, which also returns the left ends of the
-    panels the integrals converged on: ``_output_integral`` starts its
-    outer integral from those of the marginal density.
+    panels the integrals converged on: ``_marginal_edges`` reads those of
+    the marginal density, from which every outer x1 integral
+    (``_x1_integral``) starts.
     """
     return _adapt(f, lo, hi, cfg, points)[0]
 
@@ -460,17 +461,18 @@ def _x1_split_points(process, f):
     return points
 
 
-def _x1_integral(process, value, cfg, f, points=None):
+def _x1_integral(process, value, cfg, f):
     """int f_X(x1) value(x1) dx1 over the truncated support.
 
     ``value`` maps an array of x1 nodes to one value each.  The first
-    panels are cut at ``points``, by default ``_x1_split_points``; from
+    panels are those on which f_X alone settles (``_marginal_edges``):
+    GK15 nodes do not nest, so a bisected panel throws its values away,
+    and the bisections mostly follow the weight f_X, not ``value``.  From
     there the integral keeps the full error control of ``quad``.
     """
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
-    if points is None:
-        points = _x1_split_points(process, f)
+    points = _marginal_edges(process, f, cfg)
     return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
 
 
@@ -531,8 +533,9 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     """H(W2|X1): entropy of the next branch index given the current sample.
 
     W is the discrete process of partition indices.  The outer expectation
-    over X1 is a quadrature to ``cfg``; the branch probabilities given
-    each x1 are differences of the kernel's distribution function.
+    over X1 is a quadrature to ``cfg``, from the panels that settle f_X to
+    ``cfg``; the branch probabilities given each x1 are differences of the
+    kernel's distribution function.
     """
     check_cover(f, process)
 
@@ -557,20 +560,23 @@ def _y_integrals(f, value, ylo, yhi, points, cfg):
     """``quad_batch`` of value(y, col) over windows [ylo, yhi] split at
     ``points``; one that ends at c in ``f.critical_images`` runs in s over
     [0, 1], y = c + (end - c) s**_GRADE, smooth where g' has a zero of order
-    <= 3 at c.  A critical image inside a window is left to bisection."""
+    <= 3 at c; every other window runs in y itself, s = y with factor 1.
+    A critical image inside a window is left to bisection."""
     at_lo = np.isin(ylo, f.critical_images)
     graded = (at_lo | np.isin(yhi, f.critical_images)) & (yhi > ylo)
-    if not graded.any():
-        return quad_batch(value, ylo, yhi, cfg, points)
     c = np.where(at_lo, ylo, yhi)
     span = np.where(at_lo, yhi, ylo) - c  # < 0 where c is the high end
     with np.errstate(divide="ignore", invalid="ignore"):  # NaN off the window
         s_points = ((points - c[:, None]) / span[:, None]) ** (1.0 / _GRADE)
 
     def graded_value(s, col):
-        g, jac = graded[col], _GRADE * np.abs(span[col]) * s ** (_GRADE - 1)
-        y = np.where(g, c[col] + span[col] * s**_GRADE, s)
-        return value(y, col) * np.where(g, jac, 1.0)
+        # powers only at the nodes of graded windows, which most are not
+        g = graded[col]
+        t, j = s[g], col[g]
+        y, jac = s.copy(), np.ones_like(s)
+        y[g] = c[j] + span[j] * t**_GRADE
+        jac[g] = _GRADE * np.abs(span[j]) * t ** (_GRADE - 1)
+        return value(y, col) * jac
 
     lo, hi = np.where(graded, 0.0, ylo), np.where(graded, 1.0, yhi)
     s_points = np.where(graded[:, None], s_points, points)
@@ -581,15 +587,7 @@ def _output_integral(f, process, node_value, cfg):
     """int f_X(x1) int node_value(t) dy dx1 for Y = g(X), where t holds
     the terms f(x_b | x1) / |g'(x_b)| at the preimages x_b of y, one row
     per branch.  The y window is the image of the x2 window, split at the
-    images of its tile edges and of the kernel's discontinuities.
-
-    Every outer x1 node runs a batch of inner y integrals, and GK15 nodes
-    do not nest, so the nodes of a bisected outer panel are paid for and
-    thrown away.  The outer bisections mostly follow the weight f_X, so
-    the outer integral starts from the panels that settle f_X alone
-    (``_marginal_edges``, which evaluates f_X and nothing else and
-    includes the split points); its own error control still refines
-    wherever the inner value needs it."""
+    images of its tile edges and of the kernel's discontinuities."""
     lo, hi = process.quad_support
     kern = process.kernel
     cond, _ = _cond_fns(process)
@@ -610,7 +608,7 @@ def _output_integral(f, process, node_value, cfg):
             cfg,
         )
 
-    return _x1_integral(process, point_value, cfg, f, _marginal_edges(process, f, cfg))
+    return _x1_integral(process, point_value, cfg, f)
 
 
 def cond_entropy_output_given_input(f, process, cfg=DEFAULT_QUAD):

@@ -111,8 +111,9 @@ def loss_rate_analytic(f, process, cfg=DEFAULT_QUAD, grid=201):
     return _loss_rate_detail(f, process, cfg, grid)[0]
 
 
-def _loss_rate_detail(f, process, cfg, grid):
-    """``loss_rate_analytic`` and the tag of the route that gave it."""
+def _loss_rate_detail(f, process, cfg, grid, marginal=None):
+    """``loss_rate_analytic`` and the tag of the route that gave it;
+    ``marginal`` is ``_loss_rv_detail``'s result where the caller has it."""
     check_grid_params(grid, _GATE_TOL)
     if f.has_constant:
         raise ConstantBranchError("rate is infinite with constant pieces")
@@ -123,7 +124,7 @@ def _loss_rate_detail(f, process, cfg, grid):
                 f"lumpability deviation {rep.max_deviation:.3e} exceeds {rep.tol}"
             )
         return cond_entropy_X2_given_Y2_X1(f, process, cfg), "quadrature (lumpable)"
-    loss, tag = _loss_rv_detail(f, process, cfg)
+    loss, tag = marginal or _loss_rv_detail(f, process, cfg)
     return loss, tag if tag == "bijective" else f"iid marginal loss, {tag}"
 
 
@@ -201,7 +202,7 @@ def analyze_loss_rate(
     value = None
     bins = _path_bins(n_samples, seed, bins)
 
-    loss, loss_tag = _loss_rv_detail(f, process, cfg)
+    loss, loss_tag = marginal = _loss_rv_detail(f, process, cfg)
     method["bound_L"] = loss_tag
 
     # one path serves the block entropies and the sandwich: the second
@@ -217,7 +218,7 @@ def analyze_loss_rate(
     method["sandwich"] = f"histogram MI, N={sandwich.n_samples}, bins={sandwich.bins}"
 
     try:
-        value, method["value"] = _loss_rate_detail(f, process, cfg, grid)
+        value, method["value"] = _loss_rate_detail(f, process, cfg, grid, marginal)
     except (NotLumpableError, NoConvergenceError) as exc:
         method["value"] = f"unavailable: {exc}"
 

@@ -758,19 +758,32 @@ def nested_values(f, proc):
         cond_entropy_X2_given_Y2_X1(f, proc),
         cond_entropy_output_given_input(f, proc),
         cond_entropy_rate_quad(proc),
+        cond_entropy_W_given_X(f, proc),
     )
+
+
+def split_points_only(process, f, cfg):  # the pass adds no edge
+    return estimate._x1_split_points(process, f)
 
 
 @pytest.mark.parametrize("case", sorted(SETTLED_CASES))
 def test_settling_the_marginal_first_changes_only_the_work(case, monkeypatch):
     f, proc = SETTLED_CASES[case]()
     settled = nested_values(f, proc)
-
-    def split_points_only(process, f, cfg):  # the pass adds no edge
-        return estimate._x1_split_points(process, f)
-
     monkeypatch.setattr(estimate, "_marginal_edges", split_points_only)
     assert settled == pytest.approx(nested_values(f, proc), abs=DEFAULT_QUAD.abs_tol)
+
+
+def test_the_index_entropy_of_a_singular_marginal_keeps_its_value(monkeypatch):
+    # the x**2 pushforward's marginal goes as 1/sqrt(y) at 0; the tiles
+    # of this function meet at y = 1
+    f = shift_mod(133.0, lo=-132.0, hi=134.0)
+    proc = pushforward_process(square(), make_ar1(0.5, 1.0))
+    settled = cond_entropy_W_given_X(f, proc)
+    monkeypatch.setattr(estimate, "_marginal_edges", split_points_only)
+    assert settled == pytest.approx(
+        cond_entropy_W_given_X(f, proc), abs=DEFAULT_QUAD.abs_tol
+    )
 
 
 def inner_x1_nodes(case, monkeypatch):
@@ -794,6 +807,21 @@ def test_the_outer_integral_keeps_the_inner_integrals_it_runs(case, monkeypatch)
     assert inner_x1_nodes(case, monkeypatch) <= 180
 
 
+def test_the_index_entropy_evaluates_its_outer_integrand_at_fewer_nodes(monkeypatch):
+    # bisecting from the split points alone takes 270 x1 nodes
+    f, proc = SETTLED_CASES["ar1+magnitude"]()
+    nodes = []
+    probabilities = estimate._branch_probabilities
+
+    def counted(f, process, x1s):
+        nodes.append(np.size(x1s))
+        return probabilities(f, process, x1s)
+
+    monkeypatch.setattr(estimate, "_branch_probabilities", counted)
+    cond_entropy_W_given_X(f, proc)
+    assert sum(nodes) <= 180
+
+
 def test_the_walk_runs_as_many_inner_integrals_as_without_the_panels(monkeypatch):
     # its split points already settle its uniform marginal
     assert inner_x1_nodes("walk+magnitude", monkeypatch) == 105
@@ -805,6 +833,12 @@ def test_a_marginal_the_outer_panels_cannot_settle_is_refused():
     with pytest.raises(NoConvergenceError, match="outer x1 panels.*stalled") as info:
         cond_entropy_rate_quad(pushforward_process(x4, make_ar1(0.5, 1.0)))
     # f_X's mass so far is no partial sum of the entropy asked for
+    assert info.value.partial is None
+    # H(W2|X1) starts from the same panels, so the pass refuses it too
+    proc = pushforward_process(x4, make_ar1(0.5, 1.0))
+    hi = proc.quad_support[1]
+    with pytest.raises(NoConvergenceError, match="outer x1 panels.*stalled") as info:
+        cond_entropy_W_given_X(shift_mod(hi / 2, lo=0.0, hi=hi), proc)
     assert info.value.partial is None
 
 

@@ -634,6 +634,15 @@ class TestReport:
         assert rep.method["value"].startswith(route)
         assert "lumpable" not in rep.method["value"]
 
+    def test_an_iid_report_computes_the_marginal_loss_once(self, calls):
+        # the iid route's value is L itself, the bound the report holds
+        f, p = magnitude(), make_iid_uniform(-1.0, 3.0)
+        rep = analyze_loss_rate(f, p, n_samples=10**4)
+        assert calls["cond_entropy_input_given_output"] == 1
+        assert rep.value == rep.bound_L == 0.5
+        assert rep.method["bound_L"] == "quadrature H(X|Y)"
+        assert rep.method["value"] == "iid marginal loss, quadrature H(X|Y)"
+
     def test_value_absent_when_not_lumpable(self):
         rep = analyze_loss_rate(
             magnitude(),
