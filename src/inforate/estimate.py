@@ -204,7 +204,9 @@ def _adapt(f, lo, hi, cfg, points):
         # NaN sums count as done; the total is refused below
         done = ~(err_sum[col] > cfg.abs_tol)
         bins = (col[done][:, None] + offset).ravel()
-        total += np.bincount(bins, weights=val[done].ravel(), minlength=total.size)
+        total += np.bincount(
+            bins, weights=val.compress(done, axis=0).ravel(), minlength=total.size
+        )
         left.append(a[done])
         live = np.nonzero(~done)[0]
         if not live.size:
@@ -220,8 +222,10 @@ def _adapt(f, lo, hi, cfg, points):
         # errors from it on sum to more than half the tolerance, and
         # always the largest one
         live = live[np.lexsort((-err[live], col[live]))]
-        a, b, col, val, err, depth = (v[live] for v in (a, b, col, val, err, depth))
-        first = np.r_[True, col[1:] != col[:-1]]
+        a, b, col, val, err, depth = (
+            v.take(live, axis=0) for v in (a, b, col, val, err, depth)
+        )
+        first = np.concatenate(([True], col[1:] != col[:-1]))
         before = np.cumsum(err) - err
         before -= before[np.searchsorted(col, col)]
         split = first | (err_sum[col] - before > 0.5 * cfg.abs_tol)
@@ -238,15 +242,17 @@ def _adapt(f, lo, hi, cfg, points):
         mid = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[split], mid])
         new_b = np.concatenate([mid, b[split]])
-        new_col = np.tile(col[split], 2)
+        at = col[split]
+        new_col = np.concatenate([at, at])
         new_val, new_err, _ = _gk15(f, new_a, new_b, new_col)
         keep = ~split
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
         col = np.concatenate([col[keep], new_col])
-        val = np.concatenate([val[keep], new_val])
+        val = np.concatenate([val.compress(keep, axis=0), new_val])
         err = np.concatenate([err[keep], new_err])
-        depth = np.concatenate([depth[keep], np.tile(depth[split] + 1, 2)])
+        deeper = depth[split] + 1
+        depth = np.concatenate([depth[keep], deeper, deeper])
 
 
 def quad(f, lo, hi, cfg=DEFAULT_QUAD, points=()):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BadParameterError, check_int
 from .estimate import _branch_probabilities, _cond_fns, _support_image
+from .pbf import PreimageTable
 
 _EDGE_EPS = 1e-9
 # points per kernel call in both checks
@@ -50,8 +51,9 @@ def _relative_deviation(s, s_prime):
 
 
 def _spread(v):
-    """Relative gap between the largest and smallest non-NaN entry per row."""
-    return _relative_deviation(np.nanmax(v, axis=-1), np.nanmin(v, axis=-1))
+    """Relative gap between the largest and smallest non-NaN entry along
+    the leading axis; 0 where one entry is not NaN, NaN where none is."""
+    return _relative_deviation(np.fmax.reduce(v), np.fmin.reduce(v))
 
 
 def _nudged_grid(lo, hi, n, avoid=()):
@@ -77,11 +79,14 @@ def _preimage_table(f, process, grid, tol):
 
 def _kernel_terms(cond, table, x1s):
     """f(x2_b(y) | x1) / |g'(x2_b(y))| over the table at each x1, on
-    x1s.shape + (branch, grid) arrays, also where an iid kernel ignores
-    x1; 0 where x2_b(y) does not exist."""
+    (branch,) + x1s.shape + (grid,) arrays, also where an iid kernel
+    ignores x1; 0 where x2_b(y) does not exist.  Branch first, so that
+    sums and extremes over the branches run over contiguous slices."""
+    lift = (slice(None),) + (None,) * x1s.ndim
+    rows = PreimageTable(table.x[lift], table.dabs[lift], table.valid[lift])
     with np.errstate(all="ignore"):
-        val = table.weights(lambda x2: cond(x2, x1s[..., None, None]))
-    return np.broadcast_to(val, x1s.shape + table.valid.shape)
+        val = rows.weights(lambda x2: cond(x2, x1s[..., None]))
+    return np.broadcast_to(val, rows.x.shape[:1] + x1s.shape + rows.x.shape[-1:])
 
 
 def check_grid_params(grid, tol):
@@ -119,7 +124,7 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
         if not cols.size:
             continue
         i, j, xs = bi[pair], bj[pair], x1[blk]
-        sums = sum(np.moveaxis(_kernel_terms(cond, table, xs), -2, 0))
+        sums = sum(_kernel_terms(cond, table, xs))
         dev = _relative_deviation(sums[cols, i], sums[cols, j])
         k = np.argmax(dev, axis=1)
         peak = dev[np.arange(k.size), k]
@@ -145,26 +150,27 @@ def check_tightness(f, process, grid=201, tol=1e-6):
         value; (b) the branch probabilities given X1 = x are all equal.
     """
     _, table, _ = _preimage_table(f, process, grid, tol)
-    valid = table.valid.T
     cond, _ = _cond_fns(process)
     xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
     xs = xs[process.marginal_pdf(xs) > 0.0]
     probs, total = _branch_probabilities(f, process, xs)
-    # the conditions compare branches, so only x with two or more live
-    # branches count
-    live = (probs > tol) & (total[:, None] > 0)
-    rows = live.sum(axis=1) >= 2
-    xs, probs, live = xs[rows], probs[rows], live[rows]
+    # branch first from here.  The conditions compare branches, so only x
+    # with two or more live branches count
+    probs = probs.T
+    live = (probs > tol) & (total > 0)
+    rows = live.sum(axis=0) >= 2
+    xs, probs, live = xs[rows], probs[:, rows], live[:, rows]
     # (b): equal branch probabilities
     worst_b = float(_spread(np.where(live, probs, np.nan)).max(initial=0.0))
     # (a): equal kernel terms of the live branches wherever the preimage
-    # exists, on (x, y2, branch) arrays
+    # exists, on (branch, x, y2) arrays; a (x, y2) with one such term
+    # spreads 0, one with none NaN, which neither moves the maximum
     worst_a = 0.0
-    for blk in _blocks(xs.size, valid.size):
-        val = np.swapaxes(_kernel_terms(cond, table, xs[blk]), 1, 2)
-        terms = np.where(live[blk, None, :] & valid & np.isfinite(val), val, np.nan)
-        pairs = (~np.isnan(terms)).sum(axis=-1) >= 2
-        worst_a = max(worst_a, float(_spread(terms[pairs]).max(initial=0.0)))
+    for blk in _blocks(xs.size, table.valid.size):
+        val = _kernel_terms(cond, table, xs[blk])
+        keep = live[:, blk, None] & table.valid[:, None] & np.isfinite(val)
+        dev = _spread(np.where(keep, val, np.nan))
+        worst_a = max(worst_a, float(np.nanmax(dev, initial=0.0)))
     return TightnessResult(
         a_holds=worst_a <= tol,
         b_holds=worst_b <= tol,

@@ -132,11 +132,6 @@ def wrap_interval(x, m):
     return ((np.asarray(x, dtype=float) + m) % (2.0 * m)) - m
 
 
-def circular_distance(x, y, m):
-    """min_k |x - y - 2kM| on the circle of circumference 2M."""
-    return np.abs(wrap_interval(np.asarray(x, dtype=float) - y, m))
-
-
 def make_cyclic_walk(M, a):
     """Uniform-increment random walk wrapped onto [-M, M)."""
     if not 0.0 < a <= M < math.inf:
@@ -146,12 +141,25 @@ def make_cyclic_walk(M, a):
     # the sampler draws over [-M, M), so 2M must be finite too
     _, dens = _normalizers(lambda: (2.0 * M, 1.0 / (2.0 * a)))
 
+    def on_circle(x):
+        return (x >= -M) & (x < M)
+
     def marginal_pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= -M) & (x < M), 1.0 / (2.0 * M), 0.0)
+        return np.where(on_circle(np.asarray(x, dtype=float)), 1.0 / (2.0 * M), 0.0)
+
+    # the least float d with 2M - d <= a; 2M - d is exact for d >= M
+    far = 2.0 * M - a
+    if 2.0 * M - far > a:
+        far = np.nextafter(far, math.inf)
 
     def cond_pdf(x2, x1):
-        return np.where(circular_distance(x2, x1, M) <= a, dens, 0.0)
+        # for x1 and x2 on [-M, M), d = |x2 - x1| is on the step's arc
+        # directly (d <= a) or across the wrap (d >= far): compares, no
+        # float modulo; 0 unless both are on [-M, M), which holds the mass
+        x2, x1 = np.asarray(x2, dtype=float), np.asarray(x1, dtype=float)
+        d = np.abs(x2 - x1)
+        arc = ((d <= a) | (d >= far)) & (on_circle(x2) & on_circle(x1))
+        return dens * arc
 
     def cond_cdf(x2, x1):
         # the measure of the step's arc [x1 - a, x1 + a] that wraps onto

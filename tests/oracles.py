@@ -8,6 +8,7 @@ import numpy as np
 
 from inforate.errors import ConstantBranchError
 from inforate.estimate import DEFAULT_QUAD, quad_batch
+from inforate.process import wrap_interval
 
 
 def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=()):
@@ -25,6 +26,13 @@ def branch_integrals(f, integrand, lo, hi, cfg=DEFAULT_QUAD, points=()):
         c = np.maximum(np.minimum(b.domain_hi, hi), a)
         out[:, i] = quad_batch(lambda x, col: integrand(x, col, b), a, c, cfg, points)
     return out
+
+
+def circular_distance(x, y, m):
+    """min_k |x - y - 2km| on the circle of circumference 2m, through the
+    float modulo of ``wrap_interval``: the cyclic walk's kernel as first
+    written."""
+    return np.abs(wrap_interval(np.asarray(x, dtype=float) - y, m))
 
 
 def stationarity_residual(process):

@@ -9,6 +9,7 @@ import pytest
 from inforate import (
     check_lumpable,
     check_tightness,
+    compose,
     magnitude,
     make_ar1,
     make_cyclic_walk,
@@ -221,6 +222,13 @@ REFERENCE_SYSTEMS = {
     # ten branches over AR(1)'s whole window: the longest preimage sums
     # of these systems
     "ar1 mod 2.4": (shift_mod(2.4, lo=-12.0, hi=12.0), make_ar1(0.5, 1.0)),
+    # the walk's step kernel, lumpable under |.| and not once the
+    # quarter turns are folded too
+    "walk 0.35 |.|": (magnitude(-1.0, 1.0), make_cyclic_walk(1.0, 0.35)),
+    "4-branch walk": (
+        compose(shift_mod(0.5, lo=0.0, hi=1.0), magnitude(-1.0, 1.0)),
+        make_cyclic_walk(1.0, 0.35),
+    ),
 }
 
 

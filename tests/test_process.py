@@ -27,10 +27,10 @@ from inforate.errors import BadParameterError, NotNormalizedError
 from inforate.estimate import cond_entropy_rate_quad, marginal_entropy_quad
 from inforate._rng import make_rng
 from inforate import process
-from inforate.process import circular_distance, wrap_interval
+from inforate.process import wrap_interval
 
 from conftest import shifted_kernel_process
-from oracles import stationarity_residual
+from oracles import circular_distance, stationarity_residual
 
 
 class TestAR1:
@@ -132,6 +132,19 @@ class TestCyclicWalk:
         assert circular_distance(x2, x1, M) == pytest.approx(by_hand, abs=1e-12)
         p = make_cyclic_walk(M, 1.0)
         assert float(p.kernel.cond_pdf(x2, x1)) == pytest.approx(0.5)
+
+    def test_kernel_is_zero_off_the_circle(self):
+        # cond_cdf and the marginal put no mass off [-M, M): x2 = 2 is a
+        # whole turn from x1 = 0, and x2 = M is 0.1 from x1 = 0.9 across
+        # the wrap, where the left-closed end -M is on the circle; a given
+        # x1 off the circle has no mass either
+        p = make_cyclic_walk(1.0, 0.35)
+        assert float(p.kernel.cond_pdf(2.0, 0.0)) == 0.0
+        assert float(p.kernel.cond_pdf(1.0, 0.9)) == 0.0
+        assert float(p.kernel.cond_pdf(-1.0, 0.9)) == pytest.approx(1.0 / 0.7)
+        assert float(p.kernel.cond_pdf(0.0, 2.0)) == 0.0
+        assert float(p.kernel.cond_pdf(0.9, 1.0)) == 0.0
+        assert float(p.kernel.cond_cdf(2.0, 0.0)) == float(p.kernel.cond_cdf(1.0, 0.0))
 
     def test_stationarity(self):
         p = make_cyclic_walk(2.0, 0.7)

@@ -1,7 +1,8 @@
 """Properties on generated inputs: quadrature against scipy, batches
 against their columns and their components, the depth budget, preimage
-round trips of every built-in branch, the wrapped walk's closed forms at
-every step, the bound chain on random lumpable systems, their exact
+round trips of every built-in branch, the wrapped walk's kernel against
+the circular distance and its closed forms at every step, the bound
+chain on random lumpable systems, their exact
 rate against h(X2|X1) - h(Y2|X1) + E log2|g'(X)|, the marginal loss against
 h(X) - h(Y) + E log2|g'(X)|, the one-sort binning of the
 mutual-information estimators against the estimator as first written,
@@ -15,6 +16,7 @@ functions against quadrature of its densities."""
 
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -67,7 +69,7 @@ from inforate.estimate import (
 )
 from inforate.lossrate import _sandwich
 from conftest import shifted_kernel_process
-from oracles import expected_log_abs_derivative
+from oracles import circular_distance, expected_log_abs_derivative
 from test_acceptance import hw2x1_closed
 from test_pbf import half_constant
 
@@ -294,6 +296,48 @@ def test_walk_rate_and_index_bound_match_their_closed_forms(ratio):
     walk, f = make_cyclic_walk(1.0, ratio), magnitude(-1.0, 1.0)
     assert abs(loss_rate_analytic(f, walk) - ratio) <= EXACT_TOL
     assert abs(cond_entropy_W_given_X(f, walk) - hw2x1_closed(1.0, ratio)) <= EXACT_TOL
+
+
+@st.composite
+def walk_points(draw):
+    """(M, a, x1, x2) with 0 < a <= M and x1, x2 on [-M, M): half of them
+    multiples of M/64 with x2 - x1 at an end of the step's arc, every
+    sum exact; the others any floats."""
+    M = 2.0 ** draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        a = M * draw(st.integers(1, 64)) / 64
+        x1 = M * draw(st.integers(-64, 63)) / 64
+        x2 = x1 + draw(st.sampled_from([a, -a, 2 * M - a, a - 2 * M]))
+        x2 += 2 * M * ((x2 < -M) - (x2 >= M))  # back onto [-M, M)
+        return M, a, x1, x2
+    M *= draw(reals(1.0, 2.0))
+    a = M * draw(reals(1e-3, 1.0))
+    x1, x2 = (draw(st.floats(-M, M, exclude_max=True)) for _ in range(2))
+    return M, a, x1, x2
+
+
+@PROPERTY
+@given(walk_points())
+@example((1.0, 0.25, -0.5, -0.25))  # x2 - x1 = a
+@example((1.0, 0.25, 0.5, 0.25))  # -a
+@example((1.0, 0.25, -0.875, 0.875))  # 2M - a
+@example((1.0, 0.25, 0.875, -0.875))  # -(2M - a)
+@example((0.5, 0.5, -0.5, 0.25))  # a = M: the whole circle
+# x2 - x1 = fl(2M - a), which rounds 2M - a down (a = 0.35) and up (0.15)
+@example((1.0, 0.35, -1.0, 0.6499999999999999))
+@example((1.0, 0.15, -1.0, 0.8500000000000001))
+def test_walk_kernel_is_the_circular_distance_test(point):
+    M, a, x1, x2 = point
+    got = float(make_cyclic_walk(M, a).kernel.cond_pdf(x2, x1))
+    # the float x2 - x1 within a of 0 on the circle, in exact arithmetic
+    d = Fraction(abs(x2 - x1))
+    exact = min(d, 2 * Fraction(M) - d)
+    assert got == (1.0 / (2.0 * a) if exact <= a else 0.0)
+    # the float-modulo oracle agrees wherever its rounding of x2 - x1 + M
+    # cannot move it across an end of the arc
+    dist = float(circular_distance(x2, x1, M))
+    if Fraction(dist) == exact or abs(dist - a) > 4 * np.spacing(2 * M):
+        assert got == float(np.where(dist <= a, 1.0 / (2.0 * a), 0.0))
 
 
 @settings(PROPERTY, max_examples=30)
