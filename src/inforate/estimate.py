@@ -9,6 +9,7 @@ entropies are in bits.
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,28 +25,41 @@ from .pbf import identity
 
 LOG2E = 1.0 / math.log(2.0)
 
-# 15-point Kronrod nodes (ascending) with the embedded 7-point Gauss rule
-# sitting on the odd-indexed nodes.  Constants as published for QUADPACK.
-_XK = np.array(
+class _Rule(NamedTuple):
+    """A Gauss-Kronrod pair on [-1, 1]: the 2n + 1 Kronrod nodes in
+    ascending order with their weights, and the weights of the embedded
+    n-point Gauss rule, whose nodes are the odd-indexed ones."""
+
+    nodes: np.ndarray
+    wk: np.ndarray
+    wg: np.ndarray
+
+
+def _rule(xk, wk, wg):
+    """A ``_Rule`` from half tables laid out as in QUADPACK: the Kronrod
+    nodes from the outermost to 0 with their weights, and the Gauss
+    weights of every second one of them."""
+    xk, wk, wg = (np.array(v) for v in (xk, wk, wg))
+    return _Rule(
+        np.concatenate([-xk[:-1], xk[::-1]]),
+        np.concatenate([wk, wk[-2::-1]]),
+        np.concatenate([wg, wg[-2::-1]]),
+    )
+
+
+# Constants as published for QUADPACK (Piessens et al., 1983): dqk15, the
+# rule of the inner y integrals, and dqk31, the rule of quad and quad_batch.
+_GK15 = _rule(
     [
-        -0.991455371120812639206854697526329,
-        -0.949107912342758524526189684047851,
-        -0.864864423359769072789712788640926,
-        -0.741531185599394439863864773280788,
-        -0.586087235467691130294144838258730,
-        -0.405845151377397166906606412076961,
-        -0.207784955007898467600689403773245,
-        0.0,
-        0.207784955007898467600689403773245,
-        0.405845151377397166906606412076961,
-        0.586087235467691130294144838258730,
-        0.741531185599394439863864773280788,
-        0.864864423359769072789712788640926,
-        0.949107912342758524526189684047851,
         0.991455371120812639206854697526329,
-    ]
-)
-_WK = np.array(
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+        0.000000000000000000000000000000000,
+    ],
     [
         0.022935322010529224963732008058970,
         0.063092092629978553290700663189204,
@@ -55,29 +69,64 @@ _WK = np.array(
         0.190350578064785409913256402421014,
         0.204432940075298892414161999234649,
         0.209482141084727828012999174891714,
-        0.204432940075298892414161999234649,
-        0.190350578064785409913256402421014,
-        0.169004726639267902826583426598550,
-        0.140653259715525918745189590510238,
-        0.104790010322250183839876322541518,
-        0.063092092629978553290700663189204,
-        0.022935322010529224963732008058970,
-    ]
-)
-_WG = np.array(
+    ],
     [
         0.129484966168869693270611432679082,
         0.279705391489276667901467771423780,
         0.381830050505118944950369775488975,
         0.417959183673469387755102040816327,
-        0.381830050505118944950369775488975,
-        0.279705391489276667901467771423780,
-        0.129484966168869693270611432679082,
-    ]
+    ],
 )
-_GAUSS_IDX = np.arange(1, 15, 2)
+_GK31 = _rule(
+    [
+        0.998002298693397060285172840152271,
+        0.987992518020485428489565718586613,
+        0.967739075679139134257347978784337,
+        0.937273392400705904307758947710209,
+        0.897264532344081900882509656454496,
+        0.848206583410427216200648320774217,
+        0.790418501442465932967649294817947,
+        0.724417731360170047416186054613938,
+        0.650996741297416970533735895313275,
+        0.570972172608538847537226737253911,
+        0.485081863640239680693655740232351,
+        0.394151347077563369897207370981045,
+        0.299180007153168812166780024266389,
+        0.201194093997434522300628303394596,
+        0.101142066918717499027074231447392,
+        0.000000000000000000000000000000000,
+    ],
+    [
+        0.005377479872923348987792051430128,
+        0.015007947329316122538374763075807,
+        0.025460847326715320186874001019653,
+        0.035346360791375846222037948478360,
+        0.044589751324764876608227299373280,
+        0.053481524690928087265343147239430,
+        0.062009567800670640285139230960803,
+        0.069854121318728258709520077099147,
+        0.076849680757720378894432777482659,
+        0.083080502823133021038289247286104,
+        0.088564443056211770647275443693774,
+        0.093126598170825321225486872747346,
+        0.096642726983623678505179907627589,
+        0.099173598721791959332393173484603,
+        0.100769845523875595044946662617570,
+        0.101330007014791549017374792767493,
+    ],
+    [
+        0.030753241996117268354628393577204,
+        0.070366047488108124709267416450667,
+        0.107159220467171935011869546685869,
+        0.139570677926154314447804794511028,
+        0.166269205816993933553200860481209,
+        0.186161000015562211026800561866423,
+        0.198431485327111576456118326443839,
+        0.202578241925561272880620199967519,
+    ],
+)
 _MAX_DEPTH = 120  # halvings of a panel before quad_batch gives up on it
-_MAX_INTERVALS = 200_000  # panels one integrand call of a batch may evaluate
+_MAX_NODES = 3_000_000  # nodes one integrand call of a batch may evaluate
 _GRADE = 4  # power of the substitution at a critical image (_y_integrals)
 
 
@@ -107,33 +156,36 @@ def _split_rows(points, n):
     return rows
 
 
-def _gk15(f, a, b, col):
-    """GK15 values (panels, m) and errors (the largest component's) of panels
-    [a, b] of integrals col from one call of f, and f's leading shape."""
+def _gk(rule, f, a, b, col):
+    """Values (panels, m) and errors (the largest component's) under
+    ``rule`` of panels [a, b] of integrals col from one call of f, and
+    f's leading shape."""
+    xk, wk, wg = rule
+    k = xk.size
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    x = (c[:, None] + h[:, None] * _XK).ravel()
-    fv = np.asarray(f(x, np.repeat(col, 15)), dtype=float)
+    x = (c[:, None] + h[:, None] * xk).ravel()
+    fv = np.asarray(f(x, np.repeat(col, k)), dtype=float)
     if fv.shape[-1:] != x.shape or fv.ndim > 2:
         raise BadParameterError("integrand must give (N,) or (m, N) values at N nodes")
     lead = fv.shape[:-1]
     shape = (math.prod(lead), a.size)
-    fv = fv.reshape(-1, 15)  # one row per panel of each component
-    resk = fv @ _WK
-    err = np.abs(resk - fv[:, _GAUSS_IDX] @ _WG).reshape(shape) * h
+    fv = fv.reshape(-1, k)  # one row per panel of each component
+    resk = fv @ wk
+    err = np.abs(resk - fv[:, np.arange(1, k, 2)] @ wg).reshape(shape) * h
     # rescale against the deviation integral so integrable endpoint
     # singularities do not pin the estimate at the raw Gauss-Kronrod gap
-    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _WK).reshape(shape) * h
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ wk).reshape(shape) * h
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    resabs = (np.abs(fv) @ _WK).reshape(shape) * h
+    resabs = (np.abs(fv) @ wk).reshape(shape) * h
     err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
     return (resk.reshape(shape) * h).T, err.max(axis=0), lead
 
 
 def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
-    """Adaptive GK15 integrals of one vectorized integrand over many windows.
+    """Adaptive GK31 integrals of one vectorized integrand over many windows.
 
     Integral j runs over [lo[j], hi[j]].  ``f(x, col)`` takes flat arrays
     of N nodes and of the integral each node belongs to, and returns (N,)
@@ -152,26 +204,29 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     integrand call.  Raises NoConvergenceError, ``partial`` holding the
     stalled integral's sums, when a panel to bisect already sits at
     ``_MAX_DEPTH`` halvings, or when one integrand call would evaluate
-    more than ``_MAX_INTERVALS`` panels over the whole batch (its initial
+    more than ``_MAX_NODES`` nodes over the whole batch (its initial
     panels, or the new panels of one step): that budget bounds the memory
     of a step however many integrals it holds.  Also raises it, naming
     the window, for an integral not finite in some component.  The depth
     limit only decides when to give up: an integral that converges under
     a smaller limit returns the same bits under a larger one.
 
-    The loop is ``_adapt``, which also returns the left ends of the
-    panels the integrals converged on: ``_marginal_edges`` reads those of
-    the marginal density, from which every outer x1 integral
-    (``_x1_integral``) starts.
+    Each panel gets QUADPACK's 31-point Kronrod rule and its embedded
+    15-point Gauss rule (dqk31); the loop is ``_adapt``, which takes the
+    rule as data.  Every x1 integral runs through here, starting from the
+    panels on which the same rule settles f_X (``_marginal_edges``), so
+    it mostly converges in one step; the inner y integrals
+    (``_y_integrals``) call ``_adapt`` with the 15-point pair.
     """
-    return _adapt(f, lo, hi, cfg, points)[0]
+    return _adapt(f, lo, hi, cfg, points, _GK31)[0]
 
 
-def _adapt(f, lo, hi, cfg, points):
-    """The adaptive loop of ``quad_batch``.  Returns its totals and the
-    left ends of the panels all integrals converged on, in no particular
-    order; for one integral the panels tile its window, so those are its
-    first edge and every edge inside."""
+def _adapt(f, lo, hi, cfg, points, rule):
+    """The adaptive loop of ``quad_batch`` with the Gauss-Kronrod pair
+    ``rule``.  Returns its totals and the left ends of the panels all
+    integrals converged on, in no particular order; for one integral the
+    panels tile its window, so those are its first edge and every edge
+    inside."""
     lo, hi = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     n = lo.size
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -188,12 +243,14 @@ def _adapt(f, lo, hi, cfg, points):
     keep = b > a  # drops NaN padding, repeated points and empty windows
     col = np.nonzero(keep)[0]
     a, b = a[keep], b[keep]
-    if a.size > _MAX_INTERVALS:
+    k = rule.nodes.size
+    if a.size * k > _MAX_NODES:
         raise NoConvergenceError(
-            f"quadrature batch starts with {a.size} panels, over {_MAX_INTERVALS}"
+            f"quadrature batch starts with {a.size} panels ({a.size * k} nodes), "
+            f"over {_MAX_NODES} nodes"
         )
     depth = np.zeros(a.size, dtype=int)
-    val, err, lead = _gk15(f, a, b, col)
+    val, err, lead = _gk(rule, f, a, b, col)
 
     # bin k * n + j sums component k of integral j
     offset = n * np.arange(val.shape[1])
@@ -230,11 +287,11 @@ def _adapt(f, lo, hi, cfg, points):
         before -= before[np.searchsorted(col, col)]
         split = first | (err_sum[col] - before > 0.5 * cfg.abs_tol)
         stuck = split & (depth >= _MAX_DEPTH)
-        grown = 2 * np.count_nonzero(split) > _MAX_INTERVALS
+        grown = 2 * np.count_nonzero(split) * k > _MAX_NODES
         if stuck.any() or grown:
             # name a panel at the depth limit, else the batch's worst one
             i = int(np.argmax(stuck if stuck.any() else err))
-            why = f"; one step would pass {_MAX_INTERVALS} panels" if grown else ""
+            why = f"; its new panels would pass {_MAX_NODES} nodes" if grown else ""
             raise NoConvergenceError(
                 f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e}){why}",
                 partial=val[col == col[i]].sum(axis=0).reshape(lead)[()],
@@ -244,7 +301,7 @@ def _adapt(f, lo, hi, cfg, points):
         new_b = np.concatenate([mid, b[split]])
         at = col[split]
         new_col = np.concatenate([at, at])
-        new_val, new_err, _ = _gk15(f, new_a, new_b, new_col)
+        new_val, new_err, _ = _gk(rule, f, new_a, new_b, new_col)
         keep = ~split
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
@@ -256,7 +313,7 @@ def _adapt(f, lo, hi, cfg, points):
 
 
 def quad(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
-    """Adaptive GK15 integral of a vectorized integrand over [lo, hi].
+    """Adaptive GK31 integral of a vectorized integrand over [lo, hi].
 
     The one-integral case of ``quad_batch``: ``f`` maps an array of
     nodes to one value each, and ``points`` are mandatory split
@@ -472,9 +529,12 @@ def _x1_integral(process, value, cfg, f):
 
     ``value`` maps an array of x1 nodes to one value each.  The first
     panels are those on which f_X alone settles (``_marginal_edges``):
-    GK15 nodes do not nest, so a bisected panel throws its values away,
-    and the bisections mostly follow the weight f_X, not ``value``.  From
-    there the integral keeps the full error control of ``quad``.
+    Gauss-Kronrod nodes do not nest, so a bisected panel throws its
+    values away, and the bisections mostly follow the weight f_X, not
+    ``value``.  From there the integral keeps the full error control of
+    ``quad``.  The pass and ``quad`` share the GK31 rule, whose panels
+    that settle f_X mostly settle f_X * value too, so a nested integral
+    mostly runs one batch of inner integrals.
     """
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
@@ -483,16 +543,16 @@ def _x1_integral(process, value, cfg, f):
 
 
 def _marginal_edges(process, f, cfg):
-    """Edges of the panels on which GK15 integrates f_X alone to ``cfg``,
-    refined by ``quad_batch``'s loop from ``_x1_split_points``; they hold
-    every split point inside the support.  Where that loop gives up on
-    f_X, raises NoConvergenceError without a partial sum: the integral
-    asked for has not begun."""
+    """Edges of the panels on which GK31, the rule of ``quad``, integrates
+    f_X alone to ``cfg``, refined by ``quad_batch``'s loop from
+    ``_x1_split_points``; they hold every split point inside the support.
+    Where that loop gives up on f_X, raises NoConvergenceError without a
+    partial sum: the integral asked for has not begun."""
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
     points = [_x1_split_points(process, f)]
     try:
-        return _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points)[1]
+        return _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points, _GK31)[1]
     except NoConvergenceError as e:
         raise NoConvergenceError(f"settling the outer x1 panels on f_X: {e}") from e
 
@@ -563,11 +623,13 @@ def _preimage_entropy(t):
 
 
 def _y_integrals(f, value, ylo, yhi, points, cfg):
-    """``quad_batch`` of value(y, col) over windows [ylo, yhi] split at
-    ``points``; one that ends at c in ``f.critical_images`` runs in s over
-    [0, 1], y = c + (end - c) s**_GRADE, smooth where g' has a zero of order
-    <= 3 at c; every other window runs in y itself, s = y with factor 1.
-    A critical image inside a window is left to bisection."""
+    """``quad_batch``'s loop, with the GK15 pair, of value(y, col) over
+    windows [ylo, yhi] split at ``points``; one that ends at c in
+    ``f.critical_images`` runs in s over [0, 1], y = c + (end - c) s**_GRADE,
+    smooth where g' has a zero of order <= 3 at c; every other window runs
+    in y itself, s = y with factor 1.  A critical image inside a window is
+    left to bisection.  GK15, not GK31: on piecewise-constant kernels the
+    y panels are exact under either rule, and 31 nodes cost twice 15."""
     at_lo = np.isin(ylo, f.critical_images)
     graded = (at_lo | np.isin(yhi, f.critical_images)) & (yhi > ylo)
     c = np.where(at_lo, ylo, yhi)
@@ -586,7 +648,7 @@ def _y_integrals(f, value, ylo, yhi, points, cfg):
 
     lo, hi = np.where(graded, 0.0, ylo), np.where(graded, 1.0, yhi)
     s_points = np.where(graded[:, None], s_points, points)
-    return quad_batch(graded_value, lo, hi, cfg, s_points)
+    return _adapt(graded_value, lo, hi, cfg, s_points, _GK15)[0]
 
 
 def _output_integral(f, process, node_value, cfg):

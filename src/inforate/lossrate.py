@@ -241,8 +241,10 @@ def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201
     """Total and per-stage loss rates of a chain of systems.
 
     A bijection loses nothing, so the one-branch stages in front of the
-    first lossy stage each give 0.0, and that stage is evaluated as the
-    composition of the chain up to it on ``process`` itself.  Every later
+    first lossy stage each give 0.0, after the refusals that apply to
+    them on their own input, the pushforward of ``process`` through the
+    stages before them; that lossy stage is evaluated as the composition
+    of the chain up to it on ``process`` itself.  Every later
     stage is evaluated on the pushforward of the input through the stages
     before it.  The total is the rate of the full composition on
     ``process``.  When a stage follows the first lossy one, the total is
@@ -278,12 +280,16 @@ def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201
             return float(loss_rv(g, proc, cfg))
         return float(loss_rate_analytic(g, proc, cfg, grid=grid))
 
-    # the one-branch stages before the first lossy one lose nothing, and
-    # that stage runs as the chain up to it, on the input itself
+    # the one-branch stages before the first lossy one lose nothing on
+    # their own input, and that stage runs as the chain up to it, on the
+    # input itself
     first = next(
         (i for i, g in enumerate(f_list) if len(g.branches) > 1), len(f_list) - 1
     )
-    stages = [loss(g, process) for g in f_list[:first]]
+    stages = [
+        loss(g, pushforward_process(prefixes[i - 1], process) if i else process)
+        for i, g in enumerate(f_list[:first])
+    ]
     stages.append(loss(prefixes[first], process))
     current, g = process, prefixes[first]
     for nxt in f_list[first + 1 :]:

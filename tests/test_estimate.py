@@ -113,6 +113,31 @@ class TestQuad:
             assert abs(total - 1.0) <= 1e-6
 
 
+class TestRuleTables:
+    # an n-point Gauss rule is exact to degree 2n - 1, its 2n + 1-point
+    # Kronrod extension to degree 3n + 1
+    @pytest.mark.parametrize(
+        "rule, n", [(estimate._GK15, 7), (estimate._GK31, 15)], ids=["GK15", "GK31"]
+    )
+    def test_degrees_symmetry_and_positive_weights(self, rule, n):
+        x, wk, wg = rule
+        assert x.size == wk.size == 2 * n + 1 and wg.size == n
+        gauss = x[1::2]
+        for nodes, weights, degree in ((x, wk, 3 * n + 1), (gauss, wg, 2 * n - 1)):
+            for k in range(0, degree + 1, 2):
+                assert abs(weights @ nodes**k - 2.0 / (k + 1)) <= 1e-15, k
+            assert np.all(nodes == -nodes[::-1]) and np.all(np.diff(nodes) > 0)
+            assert np.all(weights == weights[::-1]) and np.all(weights > 0)
+        assert x[n] == 0.0 and -1.0 < x[0]
+
+    def test_gk31_is_quadpacks_dqk31(self):
+        # xgk(1), wgk(16) and wg(8) as published in dqk31
+        x, wk, wg = estimate._GK31
+        assert x[-1] == 0.998002298693397060285172840152271
+        assert wk[15] == 0.101330007014791549017374792767493
+        assert wg[7] == 0.202578241925561272880620199967519
+
+
 class TestQuadratureConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -157,15 +182,16 @@ class TestQuadBatch:
 
     def test_panel_budget_covers_the_whole_batch(self, monkeypatch):
         # one |x - c| bisects one panel a step; thirty of them in one
-        # batch evaluate 60 new panels a step, over a budget of 40
+        # batch evaluate 60 new panels a step, over a budget of 40 GK31
+        # panels, 1240 nodes
         centres = np.linspace(0.1, 0.9, 30)
-        monkeypatch.setattr(estimate, "_MAX_INTERVALS", 40)
+        monkeypatch.setattr(estimate, "_MAX_NODES", 40 * 31)
         cfg = QuadratureConfig(abs_tol=1e-12)
         alone = quad_batch(lambda x, col: np.abs(x - 0.3), 0.0, 1.0, cfg)
         assert alone[0] == pytest.approx(0.29, abs=1e-12)
-        with pytest.raises(NoConvergenceError, match="would pass 40 panels"):
+        with pytest.raises(NoConvergenceError, match="would pass 1240 nodes"):
             quad_batch(lambda x, col: np.abs(x - centres[col]), 0.0, np.ones(30), cfg)
-        with pytest.raises(NoConvergenceError, match="starts with 120 panels"):
+        with pytest.raises(NoConvergenceError, match=r"starts with 120 panels \(3720"):
             quad_batch(
                 lambda x, col: x, np.zeros(30), np.ones(30), cfg,
                 np.tile([0.25, 0.5, 0.75], (30, 1)),
@@ -722,7 +748,7 @@ def test_branch_probabilities_are_cdf_differences_not_quadratures(case, monkeypa
     def no_quadrature(*args, **kwargs):
         raise AssertionError("branch probabilities ran a quadrature")
 
-    monkeypatch.setattr(estimate, "quad_batch", no_quadrature)
+    monkeypatch.setattr(estimate, "_adapt", no_quadrature)
     probs, total = estimate._branch_probabilities(f, proc, xs)
     np.testing.assert_allclose(total, want.sum(axis=1), rtol=0, atol=1e-11)
     np.testing.assert_allclose(probs * total[:, None], want, rtol=0, atol=1e-11)
@@ -823,8 +849,11 @@ def test_the_index_entropy_evaluates_its_outer_integrand_at_fewer_nodes(monkeypa
 
 
 def test_the_walk_runs_as_many_inner_integrals_as_without_the_panels(monkeypatch):
-    # its split points already settle its uniform marginal
-    assert inner_x1_nodes("walk+magnitude", monkeypatch) == 105
+    # its split points already settle its uniform marginal, so the pass
+    # adds no edge: 7 panels of 31 nodes either way
+    settled = inner_x1_nodes("walk+magnitude", monkeypatch)
+    monkeypatch.setattr(estimate, "_marginal_edges", split_points_only)
+    assert settled == inner_x1_nodes("walk+magnitude", monkeypatch)
 
 
 def test_a_marginal_the_outer_panels_cannot_settle_is_refused():

@@ -230,14 +230,15 @@ class TestRefusedBeforeAnyWork:
         # AR(1)'s window is +-11.55; each pair misses most of it
         import inforate.estimate
 
+        # every quadrature, either rule, runs the one adaptive loop
         quads = []
-        real = inforate.estimate.quad_batch
+        real = inforate.estimate._adapt
 
         def counted(*args, **kwargs):
             quads.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(inforate.estimate, "quad_batch", counted)
+        monkeypatch.setattr(inforate.estimate, "_adapt", counted)
         p, fold = make_ar1(0.5, 1.0), magnitude(-1.0, 1.0)
         cells = quantizer([10.0, 11.0])
         entry_points = [

@@ -397,6 +397,20 @@ def pushforward_route(stages, process):
 
 @settings(PROPERTY, max_examples=30)
 @given(cascades())
+# one-branch stages before the first lossy one, each with a domain that
+# covers its own input's window but not the chain input's
+@example(
+    (
+        [scale(0.5, -1.0, 1.0), scale(2.0, -0.5, 0.5), magnitude(-1.0, 1.0)],
+        make_cyclic_walk(1.0, 0.35),
+    )
+)
+@example(
+    (
+        [scale(-2.0, -1.0, 3.0), scale(-2.0, -6.0, 2.0), scale(-2.0, -4.0, 12.0)],
+        make_iid_uniform(-1.0, 3.0),
+    )
+)
 def test_cascade_stages_agree_with_the_pushforward_route(chain):
     stages, process = chain
     res = cascade_loss_rate(stages, process)
