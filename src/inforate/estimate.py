@@ -1,15 +1,14 @@
 """Numerical primitives shared by the loss-rate computations.
 
-Adaptive Gauss-Kronrod quadrature with mandatory split points, histogram
-estimators for differential entropy and mutual information, conditional
-entropies of branch-index variables, and plug-in block entropies.  All
-entropies are in bits.
+Adaptive quadrature under nested Kronrod-Patterson rules with mandatory
+split points, histogram estimators for differential entropy and mutual
+information, conditional entropies of branch-index variables, and plug-in
+block entropies.  All entropies are in bits.
 """
 
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,106 +24,145 @@ from .pbf import identity
 
 LOG2E = 1.0 / math.log(2.0)
 
-class _Rule(NamedTuple):
-    """A Gauss-Kronrod pair on [-1, 1]: the 2n + 1 Kronrod nodes in
-    ascending order with their weights, and the weights of the embedded
-    n-point Gauss rule, whose nodes are the odd-indexed ones."""
-
-    nodes: np.ndarray
-    wk: np.ndarray
-    wg: np.ndarray
-
-
-def _rule(xk, wk, wg):
-    """A ``_Rule`` from half tables laid out as in QUADPACK: the Kronrod
-    nodes from the outermost to 0 with their weights, and the Gauss
-    weights of every second one of them."""
-    xk, wk, wg = (np.array(v) for v in (xk, wk, wg))
-    return _Rule(
-        np.concatenate([-xk[:-1], xk[::-1]]),
-        np.concatenate([wk, wk[-2::-1]]),
-        np.concatenate([wg, wg[-2::-1]]),
-    )
+def _nested(*tables):
+    """(nodes, weights) of each rule of a nested sequence on [-1, 1], the
+    nodes ascending, those of the rule before at odd indices; from half
+    tables, outermost node first, of the nodes a rule adds (down to 0 for
+    the first) and the weights of all its nodes down to 0."""
+    levels, nodes = [], np.empty(0)
+    for new, w in tables:
+        new, w = np.array(new), np.array(w)
+        nodes = np.sort(np.concatenate([nodes, -new[new > 0], new]))
+        levels.append((nodes, np.concatenate([w, w[-2::-1]])))
+    return tuple(levels)
 
 
-# Constants as published for QUADPACK (Piessens et al., 1983): dqk15, the
-# rule of the inner y integrals, and dqk31, the rule of quad and quad_batch.
-_GK15 = _rule(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-        0.000000000000000000000000000000000,
-    ],
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084727828012999174891714,
-    ],
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-    ],
+# Patterson's nested rules G7 < K15 < P31 < P63 (Math. Comp. 22, 1968): G7
+# and K15 from QUADPACK's dqk15 (Piessens et al., 1983); P31 and P63 derived
+# with mpmath at 200 digits, each adding the n + 1 roots of the monic q with
+# int prod(x - node) q(x) x**k dx = 0 for k <= n, with interpolatory weights.
+_LEVELS = _nested(
+    (
+        [
+            0.949107912342758524526189684047851,
+            0.741531185599394439863864773280788,
+            0.405845151377397166906606412076961,
+            0.000000000000000000000000000000000,
+        ],
+        [
+            0.129484966168869693270611432679082,
+            0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975,
+            0.417959183673469387755102040816327,
+        ],
+    ),
+    (
+        [
+            0.991455371120812639206854697526329,
+            0.864864423359769072789712788640926,
+            0.586087235467691130294144838258730,
+            0.207784955007898467600689403773245,
+        ],
+        [
+            0.022935322010529224963732008058970,
+            0.063092092629978553290700663189204,
+            0.104790010322250183839876322541518,
+            0.140653259715525918745189590510238,
+            0.169004726639267902826583426598550,
+            0.190350578064785409913256402421014,
+            0.204432940075298892414161999234649,
+            0.209482141084727828012999174891714,
+        ],
+    ),
+    (
+        [
+            0.998687109678466729790660660569463,
+            0.975383588208893369675287074951628,
+            0.912204882783262878350584611171538,
+            0.807688939172437509088075575912030,
+            0.667348098104300175431382116612425,
+            0.498636786552832004293429260084633,
+            0.308579247910587778899587521987072,
+            0.104528273810780713400625068279575,
+        ],
+        [
+            0.003634931195049883856073927323479,
+            0.011319468444683435107484337677574,
+            0.021039446258726795607092616934190,
+            0.031577706217045857273769765165731,
+            0.042193500584546594484849918471097,
+            0.052384370820982692472468037761585,
+            0.061821985645449856431459019945985,
+            0.070332046410400650935000423631126,
+            0.077875347115245996421179504125039,
+            0.084498765301243021195121987354564,
+            0.090261802146558602310121354156035,
+            0.095178029931830680121115000866675,
+            0.099196857667432912489848978389310,
+            0.102214180005702743915914938969645,
+            0.104099955472697355014704207842270,
+            0.104743213564805844727591962771386,
+        ],
+    ),
+    (
+        [
+            0.999809214198043517683853183801810,
+            0.996040238625968543068929416814380,
+            0.984637143875644179797308158697301,
+            0.963564953613396169948875982747928,
+            0.931984657380665140627131096209738,
+            0.889809364874942640040706031974947,
+            0.837456832560144586521412458847055,
+            0.775673908358334814097856547302901,
+            0.705382409374850309141845887609357,
+            0.627545421382293261363880410874788,
+            0.543082350986701131146601933622507,
+            0.452855632849607231381999359735536,
+            0.357714831586033270409031511090624,
+            0.258559618754472473546151272260968,
+            0.156392640336081401531118588925022,
+            0.052344665459830506663082263918285,
+        ],
+        [
+            0.000539407286658021770227282651189,
+            0.001803939389445907328564786148484,
+            0.003557740557132036398470433186518,
+            0.005660867725095312756491752589004,
+            0.008008877528118372921808738832923,
+            0.010519600488254708542550823156437,
+            0.013129713474427210902904437075012,
+            0.015788872779215423952826797363047,
+            0.018455916099884639803929444219689,
+            0.021096745715199243564092531115339,
+            0.023683152580752000205659558914159,
+            0.026192186880710567449383235551446,
+            0.028605857490498295943818272429331,
+            0.030910992205938984343763578651508,
+            0.033099092907400232260095420548826,
+            0.035166023524553984272055668514642,
+            0.037111404910397191759135754166883,
+            0.038937673364353656897663986246097,
+            0.040648875788571024107184933445887,
+            0.042249382781031758513685093961325,
+            0.043742748418925043826302908632958,
+            0.045130900978520531207843398040543,
+            0.046413730813032435147882814992167,
+            0.047589015038602680558435386205614,
+            0.048652555041851185680857155266320,
+            0.049598428775219425281144054259548,
+            0.050419337829027882637267417252215,
+            0.051107090052427067321974073405396,
+            0.051653256012700288788277931664642,
+            0.052049977691713990512535540115507,
+            0.052290832457614024465476569516938,
+            0.052371606825453741755380443760816,
+        ],
+    ),
 )
-_GK31 = _rule(
-    [
-        0.998002298693397060285172840152271,
-        0.987992518020485428489565718586613,
-        0.967739075679139134257347978784337,
-        0.937273392400705904307758947710209,
-        0.897264532344081900882509656454496,
-        0.848206583410427216200648320774217,
-        0.790418501442465932967649294817947,
-        0.724417731360170047416186054613938,
-        0.650996741297416970533735895313275,
-        0.570972172608538847537226737253911,
-        0.485081863640239680693655740232351,
-        0.394151347077563369897207370981045,
-        0.299180007153168812166780024266389,
-        0.201194093997434522300628303394596,
-        0.101142066918717499027074231447392,
-        0.000000000000000000000000000000000,
-    ],
-    [
-        0.005377479872923348987792051430128,
-        0.015007947329316122538374763075807,
-        0.025460847326715320186874001019653,
-        0.035346360791375846222037948478360,
-        0.044589751324764876608227299373280,
-        0.053481524690928087265343147239430,
-        0.062009567800670640285139230960803,
-        0.069854121318728258709520077099147,
-        0.076849680757720378894432777482659,
-        0.083080502823133021038289247286104,
-        0.088564443056211770647275443693774,
-        0.093126598170825321225486872747346,
-        0.096642726983623678505179907627589,
-        0.099173598721791959332393173484603,
-        0.100769845523875595044946662617570,
-        0.101330007014791549017374792767493,
-    ],
-    [
-        0.030753241996117268354628393577204,
-        0.070366047488108124709267416450667,
-        0.107159220467171935011869546685869,
-        0.139570677926154314447804794511028,
-        0.166269205816993933553200860481209,
-        0.186161000015562211026800561866423,
-        0.198431485327111576456118326443839,
-        0.202578241925561272880620199967519,
-    ],
-)
+_TOP = len(_LEVELS) - 1  # P63: a panel that fails at its top rule is bisected
+_SIZES = np.array([nodes.size for nodes, _ in _LEVELS])
+_BOUNDS = np.arange(1, _TOP + 2)  # where a sorted run of levels changes
+_ADDS = np.array([0, *np.diff(_SIZES)[1:], 2 * _SIZES[1]])  # nodes a refinement adds
 _MAX_DEPTH = 120  # halvings of a panel before quad_batch gives up on it
 _MAX_NODES = 3_000_000  # nodes one integrand call of a batch may evaluate
 _GRADE = 4  # power of the substitution at a critical image (_y_integrals)
@@ -156,36 +194,63 @@ def _split_rows(points, n):
     return rows
 
 
-def _gk(rule, f, a, b, col):
-    """Values (panels, m) and errors (the largest component's) under
-    ``rule`` of panels [a, b] of integrals col from one call of f, and
-    f's leading shape."""
-    xk, wk, wg = rule
-    k = xk.size
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = (c[:, None] + h[:, None] * xk).ravel()
-    fv = np.asarray(f(x, np.repeat(col, k)), dtype=float)
+def _gk(f, a, b, col, level, old=None):
+    """Values (panels, m), errors (the largest component's) and node values
+    (panels, m, 31) of panels [a, b] of integrals col under the rules
+    ``level``, from one call of f; and f's leading shape.  The last
+    len(``old``) panels rise from ``old``, their values under the rule
+    below.  ``level`` does not decrease over the others, nor over these."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fresh = a.size - (0 if old is None else len(old))
+    groups = []  # runs of panels under one rule, new or rising
+    for start, stop, up in ((0, fresh, False), (fresh, a.size, True)):
+        if stop == start and (up or a.size):  # an empty batch still calls f once
+            continue
+        ends = (start + np.searchsorted(level[start:stop], _BOUNDS)).tolist()
+        for lv in range(1, _TOP + 1):
+            if ends[lv] > ends[lv - 1] or not (a.size or lv > 1):
+                nodes = _LEVELS[lv][0][::2] if up else _LEVELS[lv][0]
+                groups.append((slice(ends[lv - 1], ends[lv]), lv, nodes, up))
+    x = np.concatenate([(c[s, None] + h[s, None] * t).ravel() for s, _, t, _ in groups])
+    at = np.concatenate([np.repeat(col[s], t.size) for s, _, t, _ in groups])
+    fv = np.asarray(f(x, at), dtype=float)
     if fv.shape[-1:] != x.shape or fv.ndim > 2:
         raise BadParameterError("integrand must give (N,) or (m, N) values at N nodes")
     lead = fv.shape[:-1]
-    shape = (math.prod(lead), a.size)
-    fv = fv.reshape(-1, k)  # one row per panel of each component
-    resk = fv @ wk
-    err = np.abs(resk - fv[:, np.arange(1, k, 2)] @ wg).reshape(shape) * h
+    fv = fv.reshape(m := math.prod(lead), x.size)
+    kept = np.empty((a.size, m, _SIZES[_TOP - 1]))
+    sums = np.empty((4, a.size * m))  # one column per panel and component
+    done = 0
+    for s, lv, t, up in groups:
+        k = s.stop - s.start
+        v = fv[:, done : done + k * t.size].reshape(m, k, t.size).transpose(1, 0, 2)
+        done += k * t.size
+        if up:  # the rule below holds the odd-indexed nodes
+            got, v = v, np.empty((k, m, _SIZES[lv]))
+            v[..., ::2] = got
+            v[..., 1::2] = old[s.start - fresh : s.stop - fresh, :, : _SIZES[lv - 1]]
+        if lv < _TOP:
+            kept[s, :, : _SIZES[lv]] = v
+        v = v.reshape(-1, _SIZES[lv])
+        wk, cols = _LEVELS[lv][1], slice(s.start * m, s.stop * m)
+        sums[0, cols] = resk = v @ wk
+        sums[1, cols] = v[:, 1::2] @ _LEVELS[lv - 1][1]
+        sums[2, cols] = np.abs(v - 0.5 * resk[:, None]) @ wk
+        sums[3, cols] = np.abs(v) @ wk
+    sums *= np.repeat(h, m)
+    resk, resg, resasc, resabs = sums
+    err = np.abs(resk - resg)
     # rescale against the deviation integral so integrable endpoint
-    # singularities do not pin the estimate at the raw Gauss-Kronrod gap
-    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ wk).reshape(shape) * h
+    # singularities do not pin the estimate at the raw rule gap
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    resabs = (np.abs(fv) @ wk).reshape(shape) * h
     err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return (resk.reshape(shape) * h).T, err.max(axis=0), lead
+    return resk.reshape(-1, m), err.reshape(-1, m).max(axis=1), kept, lead
 
 
 def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
-    """Adaptive GK31 integrals of one vectorized integrand over many windows.
+    """Adaptive integrals of one vectorized integrand over many windows.
 
     Integral j runs over [lo[j], hi[j]].  ``f(x, col)`` takes flat arrays
     of N nodes and of the integral each node belongs to, and returns (N,)
@@ -197,36 +262,34 @@ def quad_batch(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
     locations (discontinuities, kinks), one row per integral; those
     inside the window become initial panel edges, the others are dropped.
 
-    Each integral keeps its own error control: while its summed error
-    estimate exceeds ``cfg.abs_tol``, its largest-error panels are
-    bisected until the rest sum to at most ``cfg.abs_tol / 2``.  One
-    refinement step evaluates the new panels of every integral in one
-    integrand call.  Raises NoConvergenceError, ``partial`` holding the
-    stalled integral's sums, when a panel to bisect already sits at
-    ``_MAX_DEPTH`` halvings, or when one integrand call would evaluate
-    more than ``_MAX_NODES`` nodes over the whole batch (its initial
-    panels, or the new panels of one step): that budget bounds the memory
-    of a step however many integrals it holds.  Also raises it, naming
-    the window, for an integral not finite in some component.  The depth
-    limit only decides when to give up: an integral that converges under
-    a smaller limit returns the same bits under a larger one.
-
-    Each panel gets QUADPACK's 31-point Kronrod rule and its embedded
-    15-point Gauss rule (dqk31); the loop is ``_adapt``, which takes the
-    rule as data.  Every x1 integral runs through here, starting from the
-    panels on which the same rule settles f_X (``_marginal_edges``), so
-    it mostly converges in one step; the inner y integrals
-    (``_y_integrals``) call ``_adapt`` with the 15-point pair.
+    A panel starts at K15, the 15-point Kronrod extension of the 7-point
+    Gauss rule (QUADPACK's dqk15), and rises to Patterson's extensions P31
+    and P63 by evaluating only the 16 or 32 nodes each adds; its error is
+    the gap to the rule below, scaled as in QUADPACK.  Each integral keeps
+    its own error control: while its summed error estimate exceeds
+    ``cfg.abs_tol``, its largest-error panels are refined, one rule up or,
+    at 63 nodes, bisected into two K15 panels, until the rest sum to at
+    most ``cfg.abs_tol / 2``.  One refinement step evaluates the new nodes
+    of every integral in one integrand call.  Raises NoConvergenceError,
+    ``partial`` holding the stalled integral's sums, when a panel to bisect
+    already sits at ``_MAX_DEPTH`` halvings, or when one integrand call
+    would evaluate more than ``_MAX_NODES`` nodes over the whole batch (its
+    initial panels, or the new nodes of one step): that budget bounds the
+    memory of a step however many integrals it holds; the node values kept
+    for rising add 31 floats a live panel and component.  Also raises it,
+    naming the window, for an integral not finite in some component.  The
+    depth limit only decides when to give up: an integral that converges
+    under a smaller limit returns the same bits under a larger one.
     """
-    return _adapt(f, lo, hi, cfg, points, _GK31)[0]
+    return _adapt(f, lo, hi, cfg, points)[0]
 
 
-def _adapt(f, lo, hi, cfg, points, rule):
-    """The adaptive loop of ``quad_batch`` with the Gauss-Kronrod pair
-    ``rule``.  Returns its totals and the left ends of the panels all
-    integrals converged on, in no particular order; for one integral the
-    panels tile its window, so those are its first edge and every edge
-    inside."""
+def _adapt(f, lo, hi, cfg, points, levels=None):
+    """The adaptive loop of ``quad_batch``, its initial panels under the
+    rules ``levels`` (1: K15, 2: P31, 3: P63; None: all K15) in the order
+    the points cut them.  Returns its totals, and the left ends and rules
+    of the panels all integrals converged on, in no particular order; for
+    one integral those ends are its first edge and every edge inside."""
     lo, hi = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(lo, hi))
     n = lo.size
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -243,30 +306,32 @@ def _adapt(f, lo, hi, cfg, points, rule):
     keep = b > a  # drops NaN padding, repeated points and empty windows
     col = np.nonzero(keep)[0]
     a, b = a[keep], b[keep]
-    k = rule.nodes.size
-    if a.size * k > _MAX_NODES:
+    # a panel at stage s has been bisected s // 3 times and runs the rule
+    # s % 3 + 1: each refinement takes it one stage on
+    stage = np.zeros(a.size, dtype=int) if levels is None else np.asarray(levels) - 1
+    if stage.shape != a.shape or not np.all((stage >= 0) & (stage < _TOP)):
+        raise BadParameterError(f"need a rule 1-{_TOP} per initial panel, got {levels}")
+    order = np.argsort(stage, kind="stable")  # _gk takes them rule by rule
+    a, b, col, stage = a[order], b[order], col[order], stage[order]
+    if (nodes := _SIZES[stage + 1].sum()) > _MAX_NODES:
         raise NoConvergenceError(
-            f"quadrature batch starts with {a.size} panels ({a.size * k} nodes), "
+            f"quadrature batch starts with {a.size} panels ({nodes} nodes), "
             f"over {_MAX_NODES} nodes"
         )
-    depth = np.zeros(a.size, dtype=int)
-    val, err, lead = _gk(rule, f, a, b, col)
+    val, err, kept, lead = _gk(f, a, b, col, stage + 1)
 
-    # bin k * n + j sums component k of integral j
-    offset = n * np.arange(val.shape[1])
-    total = np.zeros(offset.size * n)
-    left = []
+    settled = []  # the panels of each step whose integral converged
     while True:
         err_sum = np.bincount(col, weights=err, minlength=n)
         # NaN sums count as done; the total is refused below
         done = ~(err_sum[col] > cfg.abs_tol)
-        bins = (col[done][:, None] + offset).ravel()
-        total += np.bincount(
-            bins, weights=val.compress(done, axis=0).ravel(), minlength=total.size
-        )
-        left.append(a[done])
+        settled.append((col[done], val[done], a[done], stage[done]))
         live = np.nonzero(~done)[0]
         if not live.size:
+            col, val, ends, stage = map(np.concatenate, zip(*settled))
+            # bin k * n + j sums component k of integral j
+            bins = (col[:, None] + n * np.arange(val.shape[1])).ravel()
+            total = np.bincount(bins, weights=val.ravel(), minlength=val.shape[1] * n)
             total = total.reshape(lead + (n,))
             bad = ~np.isfinite(total)
             if bad.any():
@@ -274,52 +339,56 @@ def _adapt(f, lo, hi, cfg, points, rule):
                 raise NoConvergenceError(
                     f"quadrature over [{lo[j]}, {hi[j]}] gave {total[..., j]}"
                 )
-            return total, np.concatenate(left)
-        # per integral, largest errors first: bisect each panel while the
+            return total, ends, stage % _TOP + 1
+        # per integral, largest errors first: refine each panel while the
         # errors from it on sum to more than half the tolerance, and
         # always the largest one
         live = live[np.lexsort((-err[live], col[live]))]
-        a, b, col, val, err, depth = (
-            v.take(live, axis=0) for v in (a, b, col, val, err, depth)
-        )
-        first = np.concatenate(([True], col[1:] != col[:-1]))
-        before = np.cumsum(err) - err
-        before -= before[np.searchsorted(col, col)]
-        split = first | (err_sum[col] - before > 0.5 * cfg.abs_tol)
-        stuck = split & (depth >= _MAX_DEPTH)
-        grown = 2 * np.count_nonzero(split) * k > _MAX_NODES
+        c, e = col[live], err[live]
+        first = np.concatenate(([True], c[1:] != c[:-1]))
+        before = np.cumsum(e) - e
+        before -= before[np.searchsorted(c, c)]
+        split = first | (err_sum[c] - before > 0.5 * cfg.abs_tol)
+        stay, go = live[~split], live[split]
+        # a panel below the top rule rises one; one at the top is bisected
+        level = stage[go] % _TOP + 1
+        order = np.argsort(level, kind="stable")
+        go, level = go[order], level[order]
+        cut = np.searchsorted(level, _TOP)
+        rise, halve = go[:cut], go[cut:]
+        stuck = stage[halve] // _TOP >= _MAX_DEPTH
+        grown = _ADDS[level].sum() > _MAX_NODES
         if stuck.any() or grown:
             # name a panel at the depth limit, else the batch's worst one
-            i = int(np.argmax(stuck if stuck.any() else err))
+            i = halve[np.argmax(stuck)] if stuck.any() else live[np.argmax(e)]
             why = f"; its new panels would pass {_MAX_NODES} nodes" if grown else ""
             raise NoConvergenceError(
                 f"quadrature stalled on [{a[i]}, {b[i]}] (err={err[i]:.3e}){why}",
                 partial=val[col == col[i]].sum(axis=0).reshape(lead)[()],
             )
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        at = col[split]
-        new_col = np.concatenate([at, at])
-        new_val, new_err, _ = _gk(rule, f, new_a, new_b, new_col)
-        keep = ~split
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        col = np.concatenate([col[keep], new_col])
-        val = np.concatenate([val.compress(keep, axis=0), new_val])
-        err = np.concatenate([err[keep], new_err])
-        deeper = depth[split] + 1
-        depth = np.concatenate([depth[keep], deeper, deeper])
+        mid = 0.5 * (a[halve] + b[halve])
+        src = np.concatenate([halve, halve, rise])  # the panel each new one refines
+        new_a = np.concatenate([a[halve], mid, a[rise]])
+        new_b = np.concatenate([mid, b[halve], b[rise]])
+        new = new_a, new_b, col[src], stage[src] + 1
+        new += _gk(f, *new[:3], new[3] % _TOP + 1, kept[rise])[:3]
+        a, b, col, stage, val, err, kept = (
+            np.concatenate([v[stay], w]) if stay.size else w
+            for v, w in zip((a, b, col, stage, val, err, kept), new)
+        )
 
 
-def quad(f, lo, hi, cfg=DEFAULT_QUAD, points=()):
-    """Adaptive GK31 integral of a vectorized integrand over [lo, hi].
+def quad(f, lo, hi, cfg=DEFAULT_QUAD, points=(), *, levels=None):
+    """Adaptive integral of a vectorized integrand over [lo, hi].
 
     The one-integral case of ``quad_batch``: ``f`` maps an array of
     nodes to one value each, and ``points`` are mandatory split
-    locations.  BadParameterError refuses an integrand with components.
+    locations; ``levels`` are the rules the panels they cut start at, as
+    ``_marginal_edges`` returns them.  BadParameterError refuses an
+    integrand with components.
     """
-    total = quad_batch(lambda x, col: f(x), lo, hi, cfg, [points])
+    points = np.asarray(points, dtype=float)[None]
+    total = _adapt(lambda x, col: f(x), lo, hi, cfg, points, levels)[0]
     if total.shape != (1,):
         raise BadParameterError("quad integrates one value per node; use quad_batch")
     return float(total[0])
@@ -528,33 +597,34 @@ def _x1_integral(process, value, cfg, f):
     """int f_X(x1) value(x1) dx1 over the truncated support.
 
     ``value`` maps an array of x1 nodes to one value each.  The first
-    panels are those on which f_X alone settles (``_marginal_edges``):
-    Gauss-Kronrod nodes do not nest, so a bisected panel throws its
-    values away, and the bisections mostly follow the weight f_X, not
-    ``value``.  From there the integral keeps the full error control of
-    ``quad``.  The pass and ``quad`` share the GK31 rule, whose panels
-    that settle f_X mostly settle f_X * value too, so a nested integral
-    mostly runs one batch of inner integrals.
+    panels, each at its own rule, are those on which f_X alone settles
+    (``_marginal_edges``): the bisections and rises mostly follow the
+    weight f_X, not ``value``, and a panel that settles f_X mostly
+    settles f_X * value too, so a nested integral mostly runs one batch
+    of inner integrals.  From there the integral keeps the full error
+    control of ``quad``.
     """
     lo, hi = process.quad_support
-    f_marg = process.marginal_pdf
-    points = _marginal_edges(process, f, cfg)
-    return quad(lambda x1s: f_marg(x1s) * value(x1s), lo, hi, cfg, points=points)
+    fx = process.marginal_pdf
+    points, levels = _marginal_edges(process, f, cfg)
+    return quad(lambda x1s: fx(x1s) * value(x1s), lo, hi, cfg, points, levels=levels)
 
 
 def _marginal_edges(process, f, cfg):
-    """Edges of the panels on which GK31, the rule of ``quad``, integrates
-    f_X alone to ``cfg``, refined by ``quad_batch``'s loop from
-    ``_x1_split_points``; they hold every split point inside the support.
-    Where that loop gives up on f_X, raises NoConvergenceError without a
-    partial sum: the integral asked for has not begun."""
+    """Edges, in ascending order, and rules of the panels on which
+    ``quad_batch``'s loop integrates f_X alone to ``cfg``, refined from
+    ``_x1_split_points``; the edges hold every split point inside the
+    support.  Where that loop gives up on f_X, raises NoConvergenceError
+    without a partial sum: the integral asked for has not begun."""
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
-    points = [_x1_split_points(process, f)]
+    points = _x1_split_points(process, f)[None]
     try:
-        return _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points, _GK31)[1]
+        _, edges, levels = _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points)
     except NoConvergenceError as e:
         raise NoConvergenceError(f"settling the outer x1 panels on f_X: {e}") from e
+    order = np.argsort(edges)
+    return edges[order], levels[order]
 
 
 def marginal_entropy_quad(process, cfg=DEFAULT_QUAD):
@@ -623,13 +693,12 @@ def _preimage_entropy(t):
 
 
 def _y_integrals(f, value, ylo, yhi, points, cfg):
-    """``quad_batch``'s loop, with the GK15 pair, of value(y, col) over
-    windows [ylo, yhi] split at ``points``; one that ends at c in
+    """``quad_batch``'s loop of value(y, col) over windows [ylo, yhi] split
+    at ``points``, every panel starting at K15; a window that ends at c in
     ``f.critical_images`` runs in s over [0, 1], y = c + (end - c) s**_GRADE,
     smooth where g' has a zero of order <= 3 at c; every other window runs
     in y itself, s = y with factor 1.  A critical image inside a window is
-    left to bisection.  GK15, not GK31: on piecewise-constant kernels the
-    y panels are exact under either rule, and 31 nodes cost twice 15."""
+    left to refinement."""
     at_lo = np.isin(ylo, f.critical_images)
     graded = (at_lo | np.isin(yhi, f.critical_images)) & (yhi > ylo)
     c = np.where(at_lo, ylo, yhi)
@@ -648,7 +717,7 @@ def _y_integrals(f, value, ylo, yhi, points, cfg):
 
     lo, hi = np.where(graded, 0.0, ylo), np.where(graded, 1.0, yhi)
     s_points = np.where(graded[:, None], s_points, points)
-    return _adapt(graded_value, lo, hi, cfg, s_points, _GK15)[0]
+    return _adapt(graded_value, lo, hi, cfg, s_points)[0]
 
 
 def _output_integral(f, process, node_value, cfg):

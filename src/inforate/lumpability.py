@@ -124,7 +124,7 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
         if not cols.size:
             continue
         i, j, xs = bi[pair], bj[pair], x1[blk]
-        sums = sum(_kernel_terms(cond, table, xs))
+        sums = np.add.reduce(_kernel_terms(cond, table, xs), axis=0)
         dev = _relative_deviation(sums[cols, i], sums[cols, j])
         k = np.argmax(dev, axis=1)
         peak = dev[np.arange(k.size), k]

@@ -112,8 +112,11 @@ class PreimageTable:
 
     def weights(self, density):
         """density(x) / |g'(x)| from one call of density on the table,
-        broadcast with its output; 0 where no preimage exists."""
-        return np.where(self.valid, density(self.x) / self.dabs, 0.0)
+        broadcast with its output; 0 where no preimage exists.  The divide
+        and the mask are skipped where every |g'| is 1 or every x exists."""
+        w = density(self.x)
+        w = w if (self.dabs == 1.0).all() else w / self.dabs
+        return w if self.valid.all() else np.where(self.valid, w, 0.0)
 
 
 @dataclass(frozen=True)

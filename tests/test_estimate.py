@@ -99,6 +99,16 @@ class TestQuad:
         with pytest.raises(BadParameterError):
             quad(lambda x: x, 0.0, np.inf)
 
+    def test_panels_start_at_the_rules_given_or_are_refused(self):
+        # two panels, the second under P63 from the start; a rule outside
+        # 1-3 or a count that misses a panel is refused
+        assert quad(np.exp, 0.0, 2.0, points=(1.0,), levels=[1, 3]) == pytest.approx(
+            math.e**2 - 1.0, abs=1e-12
+        )
+        for levels in ([1, 4], [0, 1], [1]):
+            with pytest.raises(BadParameterError, match="rule 1-3"):
+                quad(np.exp, 0.0, 2.0, points=(1.0,), levels=levels)
+
     def test_density_normalization_all_builtins(self):
         procs = [
             make_ar1(0.5, 1.0),
@@ -114,28 +124,61 @@ class TestQuad:
 
 
 class TestRuleTables:
-    # an n-point Gauss rule is exact to degree 2n - 1, its 2n + 1-point
-    # Kronrod extension to degree 3n + 1
+    # G7 is exact to degree 13 and its Kronrod extension K15 to 22; each
+    # Patterson extension of an n-point rule by n + 1 nodes is exact to
+    # degree 3n + 1
     @pytest.mark.parametrize(
-        "rule, n", [(estimate._GK15, 7), (estimate._GK31, 15)], ids=["GK15", "GK31"]
+        "level, degree", [(0, 13), (1, 22), (2, 46), (3, 94)],
+        ids=["G7", "GK15", "P31", "P63"],
     )
-    def test_degrees_symmetry_and_positive_weights(self, rule, n):
-        x, wk, wg = rule
-        assert x.size == wk.size == 2 * n + 1 and wg.size == n
-        gauss = x[1::2]
-        for nodes, weights, degree in ((x, wk, 3 * n + 1), (gauss, wg, 2 * n - 1)):
-            for k in range(0, degree + 1, 2):
-                assert abs(weights @ nodes**k - 2.0 / (k + 1)) <= 1e-15, k
-            assert np.all(nodes == -nodes[::-1]) and np.all(np.diff(nodes) > 0)
-            assert np.all(weights == weights[::-1]) and np.all(weights > 0)
-        assert x[n] == 0.0 and -1.0 < x[0]
+    def test_degrees_symmetry_and_positive_weights(self, level, degree):
+        x, w = estimate._LEVELS[level]
+        assert x.size == w.size == 2 ** (level + 3) - 1
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ x**k - exact) <= 1e-15, k
+        assert np.all(x == -x[::-1]) and np.all(np.diff(x) > 0) and -1.0 < x[0]
+        assert np.all(w == w[::-1]) and np.all(w > 0)
 
-    def test_gk31_is_quadpacks_dqk31(self):
-        # xgk(1), wgk(16) and wg(8) as published in dqk31
-        x, wk, wg = estimate._GK31
-        assert x[-1] == 0.998002298693397060285172840152271
-        assert wk[15] == 0.101330007014791549017374792767493
-        assert wg[7] == 0.202578241925561272880620199967519
+    @pytest.mark.parametrize("level", [1, 2, 3], ids=["GK15", "P31", "P63"])
+    def test_each_rule_holds_the_nodes_of_the_one_below_bit_for_bit(self, level):
+        # the loop reads a panel's values at the rule below off its
+        # odd-indexed nodes, so the new nodes must interlace with the old
+        x, _ = estimate._LEVELS[level]
+        assert np.array_equal(x[1::2], estimate._LEVELS[level - 1][0])
+
+    def test_k15_is_quadpacks_dqk15(self):
+        # xgk, wgk and wg as published in dqk15, from the outermost node in
+        xgk = [
+            0.991455371120812639206854697526329,
+            0.949107912342758524526189684047851,
+            0.864864423359769072789712788640926,
+            0.741531185599394439863864773280788,
+            0.586087235467691130294144838258730,
+            0.405845151377397166906606412076961,
+            0.207784955007898467600689403773245,
+            0.000000000000000000000000000000000,
+        ]
+        wgk = [
+            0.022935322010529224963732008058970,
+            0.063092092629978553290700663189204,
+            0.104790010322250183839876322541518,
+            0.140653259715525918745189590510238,
+            0.169004726639267902826583426598550,
+            0.190350578064785409913256402421014,
+            0.204432940075298892414161999234649,
+            0.209482141084727828012999174891714,
+        ]
+        wg = [
+            0.129484966168869693270611432679082,
+            0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975,
+            0.417959183673469387755102040816327,
+        ]
+        (x, wk), (_, gauss) = estimate._LEVELS[1], estimate._LEVELS[0]
+        assert x[:6:-1].tolist() == xgk and (-x[:8]).tolist() == xgk
+        assert wk[:8].tolist() == wgk and wk[:6:-1].tolist() == wgk
+        assert gauss[:4].tolist() == wg and gauss[:2:-1].tolist() == wg
 
 
 class TestQuadratureConfig:
@@ -181,17 +224,17 @@ class TestQuadBatch:
         assert 0.0 < info.value.partial < 1.0
 
     def test_panel_budget_covers_the_whole_batch(self, monkeypatch):
-        # one |x - c| bisects one panel a step; thirty of them in one
-        # batch evaluate 60 new panels a step, over a budget of 40 GK31
-        # panels, 1240 nodes
+        # one |x - c| refines at least one panel a step; thirty of them in
+        # one batch raise 30 panels from 31 to 63 nodes, 960 new nodes,
+        # over a budget of 40 panels of 15 nodes, 600 nodes
         centres = np.linspace(0.1, 0.9, 30)
-        monkeypatch.setattr(estimate, "_MAX_NODES", 40 * 31)
+        monkeypatch.setattr(estimate, "_MAX_NODES", 40 * 15)
         cfg = QuadratureConfig(abs_tol=1e-12)
         alone = quad_batch(lambda x, col: np.abs(x - 0.3), 0.0, 1.0, cfg)
         assert alone[0] == pytest.approx(0.29, abs=1e-12)
-        with pytest.raises(NoConvergenceError, match="would pass 1240 nodes"):
+        with pytest.raises(NoConvergenceError, match="would pass 600 nodes"):
             quad_batch(lambda x, col: np.abs(x - centres[col]), 0.0, np.ones(30), cfg)
-        with pytest.raises(NoConvergenceError, match=r"starts with 120 panels \(3720"):
+        with pytest.raises(NoConvergenceError, match=r"starts with 120 panels \(1800"):
             quad_batch(
                 lambda x, col: x, np.zeros(30), np.ones(30), cfg,
                 np.tile([0.25, 0.5, 0.75], (30, 1)),
@@ -789,7 +832,7 @@ def nested_values(f, proc):
 
 
 def split_points_only(process, f, cfg):  # the pass adds no edge
-    return estimate._x1_split_points(process, f)
+    return estimate._x1_split_points(process, f), None
 
 
 @pytest.mark.parametrize("case", sorted(SETTLED_CASES))
@@ -850,10 +893,36 @@ def test_the_index_entropy_evaluates_its_outer_integrand_at_fewer_nodes(monkeypa
 
 def test_the_walk_runs_as_many_inner_integrals_as_without_the_panels(monkeypatch):
     # its split points already settle its uniform marginal, so the pass
-    # adds no edge: 7 panels of 31 nodes either way
+    # adds no edge: 7 panels of 15 nodes either way
     settled = inner_x1_nodes("walk+magnitude", monkeypatch)
     monkeypatch.setattr(estimate, "_marginal_edges", split_points_only)
     assert settled == inner_x1_nodes("walk+magnitude", monkeypatch)
+
+
+def test_the_walk_rate_runs_its_inner_integrals_at_the_15_nodes_of_7_panels(
+    monkeypatch,
+):
+    # under a 31-point rule on every x1 panel it ran them at 217 nodes
+    assert inner_x1_nodes("walk+magnitude", monkeypatch) == 105
+
+
+def test_the_ar1_rate_keeps_the_y_nodes_of_a_panel_that_rises(monkeypatch):
+    # y nodes of the inner integrals of H(X2|Y2,X1); 15-node panels that
+    # bisect instead of rising to 31 and 63 nodes took 14,100
+    f, proc = SETTLED_CASES["ar1+magnitude"]()
+    nodes = []
+    y_integrals = estimate._y_integrals
+
+    def counted(f, value, *args):
+        def counted_value(ys, col):
+            nodes.append(ys.size)
+            return value(ys, col)
+
+        return y_integrals(f, counted_value, *args)
+
+    monkeypatch.setattr(estimate, "_y_integrals", counted)
+    cond_entropy_X2_given_Y2_X1(f, proc)
+    assert sum(nodes) <= 9000
 
 
 def test_a_marginal_the_outer_panels_cannot_settle_is_refused():

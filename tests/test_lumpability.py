@@ -1,6 +1,7 @@
 """Markovity-of-the-output checks and bound-tightness conditions."""
 
 import math
+import types
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +11,7 @@ from inforate import (
     check_lumpable,
     check_tightness,
     compose,
+    lumpability,
     magnitude,
     make_ar1,
     make_cyclic_walk,
@@ -27,8 +29,10 @@ from inforate.estimate import (
     cond_entropy_rate_quad,
 )
 from inforate.lumpability import LumpabilityReport, _nudged_grid, full_report
+from inforate.pbf import PreimageTable
 
 from conftest import shifted_kernel_process
+from test_estimate import shifted_ar1
 
 
 class TestCheckLumpable:
@@ -249,3 +253,44 @@ def test_three_branch_witnesses_are_pinned():
     assert len(f.preimage(0.5)) == 3
     assert rep.max_deviation == 0.5
     assert len(rep.witnesses) == 10
+
+
+# ---------------------------------------------------------------------------
+# the gate's identity passes
+
+
+def plain_weights(self, density):  # the divide and the mask everywhere
+    return np.where(self.valid, density(self.x) / self.dabs, 0.0)
+
+
+class BuiltinSum:
+    """numpy, except that add.reduce over the branches is Python's sum."""
+
+    add = types.SimpleNamespace(reduce=lambda terms, axis: sum(terms))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+GATE_FIXTURES = {
+    "ar1 |.|": lambda: (magnitude(), make_ar1(0.5, 1.0)),
+    "walk 0.35 |.|": lambda: (magnitude(-1.0, 1.0), make_cyclic_walk(1.0, 0.35)),
+    "tightness": lambda: (shift_mod(2.0, lo=0.0, hi=4.0), make_tightness_example()),
+    "shifted ar1 |.|": shifted_ar1,
+    "4-branch walk": lambda: REFERENCE_SYSTEMS["4-branch walk"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_FIXTURES))
+def test_the_gate_keeps_its_bits_without_the_identity_passes(name, monkeypatch):
+    # weights skips dividing by |g'| = 1 and masking where every preimage
+    # exists, and the branch sum runs in numpy: against the route that
+    # divides, masks and sums in Python, every bit of the report stays
+    f, proc = GATE_FIXTURES[name]()
+    fast = check_lumpable(f, proc)
+    monkeypatch.setattr(PreimageTable, "weights", plain_weights)
+    monkeypatch.setattr(lumpability, "np", BuiltinSum())
+    slow = check_lumpable(f, proc)
+    assert fast.max_deviation.hex() == slow.max_deviation.hex()
+    assert fast.witnesses == slow.witnesses
+    assert (fast.max_deviation > 1e-3) == (name in ("shifted ar1 |.|", "4-branch walk"))
