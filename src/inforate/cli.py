@@ -10,11 +10,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
+from dataclasses import asdict, replace
 
 from . import __version__
 from .config import EstimationParams, check_estimation, load_config
@@ -37,60 +36,49 @@ from .lossrate import (
     loss_rv,
 )
 from .lumpability import check_lumpable, full_report
-from .pbf import magnitude
+from .pbf import magnitude, shift_mod
 from .process import make_ar1, make_cyclic_walk, make_tightness_example
-from .relloss import (
-    downsampler_relative_loss,
-    empirical_constant_frequency,
-    relative_loss_rate_constant_pieces,
+from .relloss import downsampler_relative_loss, relative_loss_rate_constant_pieces
+
+# the errors of bad input, which exit 2; any other InforateError exits 1
+_USAGE_ERRORS = (
+    BadParameterError,
+    IncompatibleSpecError,
+    ParseError,
+    TooFewSamplesError,
+    OSError,
 )
 
 
-@dataclass
-class SweepTable:
-    columns: list
-    rows: list = field(default_factory=list)
-
-    def add(self, **cells):
-        self.rows.append([cells[c] for c in self.columns])
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_format_cell(v) for v in row])
-        return buf.getvalue()
+def _text(result):
+    """A report (a dict) as JSON, or rows (dicts, one key per column) as
+    CSV with each float as its repr."""
+    if isinstance(result, dict):
+        return json.dumps(result, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, list(result[0]), lineterminator="\n")
+    writer.writeheader()
+    for row in result:
+        writer.writerow(
+            {k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()}
+        )
+    return buf.getvalue()
 
 
-def _format_cell(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return v
-
-
-def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_output(args, text, est=None, **params):
-    """Write ``text`` with its metadata: the value in ``est`` of each
-    estimation flag the command takes, its own ``params``, the command
-    line and the version."""
+def _write_output(args, result, est=None, **params):
+    """Write ``result``, rows or a report, with its metadata: the value in
+    ``est`` of each estimation flag the command takes, its own
+    ``params``, the command line and the version."""
     meta = {key: getattr(est, key) for key in args.flags}
     meta.update(params, command=" ".join(args.argv), version=__version__)
-    if args.out:
-        _atomic_write(args.out, text)
-        _atomic_write(
-            args.out + ".meta.json",
-            json.dumps(meta, indent=2, sort_keys=True) + "\n",
-        )
-    else:
-        sys.stdout.write(text)
+    if not args.out:
+        sys.stdout.write(_text(result))
         print(json.dumps(meta, sort_keys=True), file=sys.stderr)
+        return
+    for path, body in ((args.out, result), (args.out + ".meta.json", meta)):
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write(_text(body))
+        os.replace(path + ".tmp", path)
 
 
 # estimation flags: type and help; the defaults are EstimationParams'
@@ -133,31 +121,22 @@ def cmd_ar1_sweep(args):
         raise ParseError("pole values must lie in (0, 1)")
     est = _estimation(args)
     cfg = est.quad_cfg
-    table = SweepTable(
-        columns=[
-            "a",
-            "loss_rv",
-            "lower",
-            "upper",
-            "hw2x1",
-            "lump_deviation",
-        ],
-    )
+    rows = []
     for i, a in enumerate(a_values):
         proc = make_ar1(a, args.sigma)
         f = magnitude()
         sw = loss_rate_bounds_mc(f, proc, est.samples, est.seed + i, est.bins, cfg)
-        hwx = cond_entropy_W_given_X(f, proc, cfg)
-        rep = check_lumpable(f, proc, grid=est.grid)
-        table.add(
-            a=a,
-            loss_rv=sw.loss_rv_value,
-            lower=sw.lower,
-            upper=sw.upper,
-            hw2x1=hwx,
-            lump_deviation=rep.max_deviation,
+        rows.append(
+            {
+                "a": a,
+                "loss_rv": sw.loss_rv_value,
+                "lower": sw.lower,
+                "upper": sw.upper,
+                "hw2x1": cond_entropy_W_given_X(f, proc, cfg),
+                "lump_deviation": check_lumpable(f, proc, grid=est.grid).max_deviation,
+            }
         )
-    _write_output(args, table.to_csv(), est, sigma=args.sigma)
+    _write_output(args, rows, est, sigma=args.sigma)
     return 0
 
 
@@ -167,36 +146,26 @@ def cmd_cyclic_sweep(args):
         raise ParseError("ratios a/M must lie in (0, 1]")
     est = _estimation(args)
     cfg = est.quad_cfg
-    table = SweepTable(
-        columns=[
-            "ratio",
-            "loss_rate_closed",
-            "loss_rate_quad",
-            "hw2x1_closed",
-            "hw2x1_quad",
-        ],
-    )
+    rows = []
     for r in ratios:
         a = r * args.M
         proc = make_cyclic_walk(args.M, a)
         f = magnitude(-args.M, args.M)
-        lbar = loss_rate_analytic(f, proc, cfg, grid=est.grid)
-        hwx = cond_entropy_W_given_X(f, proc, cfg)
-        table.add(
-            ratio=r,
-            loss_rate_closed=a / args.M,
-            loss_rate_quad=lbar,
-            hw2x1_closed=cyclic_hw2x1_closed_form(args.M, a),
-            hw2x1_quad=hwx,
+        rows.append(
+            {
+                "ratio": r,
+                "loss_rate_closed": a / args.M,
+                "loss_rate_quad": loss_rate_analytic(f, proc, cfg, grid=est.grid),
+                "hw2x1_closed": cyclic_hw2x1_closed_form(args.M, a),
+                "hw2x1_quad": cond_entropy_W_given_X(f, proc, cfg),
+            }
         )
-    _write_output(args, table.to_csv(), est, M=args.M)
+    _write_output(args, rows, est, M=args.M)
     return 0
 
 
 def cyclic_hw2x1_closed_form(M, a):
     """H(W2|X1) of the wrapped walk split at zero, in bits."""
-    import math
-
     if M > 2 * a:
         return a / (M * math.log(2.0))
     return (M - a) / (M * math.log(2.0)) + math.log2(2.0 * a / M)
@@ -206,8 +175,6 @@ def cmd_tightness(args):
     est = _estimation(args)
     cfg = est.quad_cfg
     proc = make_tightness_example()
-    from .pbf import shift_mod
-
     f = shift_mod(period=2.0, offset=0.0, lo=0.0, hi=4.0)
     h_x = marginal_entropy_quad(proc, cfg)
     h_rate = cond_entropy_rate_quad(proc, cfg)
@@ -230,7 +197,7 @@ def cmd_tightness(args):
         },
         "lumpability": asdict(rep),
     }
-    _write_output(args, json.dumps(report, indent=2, sort_keys=True) + "\n", est)
+    _write_output(args, report, est)
     ok = all(v <= 1e-6 for v in report["residuals"].values())
     ok = ok and rep.condition_holds and rep.tightness_a_holds and rep.tightness_b_holds
     return 0 if ok else 1
@@ -238,14 +205,14 @@ def cmd_tightness(args):
 
 def cmd_downsample(args):
     m = _count(args.M, "--M")
-    table = SweepTable(columns=["n", "dim_out", "rel_loss", "rel_loss_float"])
-    for v in filter(str.strip, args.blocks.split(",")):
-        n = _count(v, "--blocks entry")
-        rel = downsampler_relative_loss(m, n)
-        table.add(n=n, dim_out=n // m, rel_loss=str(rel), rel_loss_float=float(rel))
-    limit = downsampler_relative_loss(m)
-    table.add(n="limit", dim_out="", rel_loss=str(limit), rel_loss_float=float(limit))
-    _write_output(args, table.to_csv(), M=m)
+    blocks = [_count(v, "--blocks entry") for v in args.blocks.split(",") if v.strip()]
+
+    def row(n, dim_out, rel):
+        return dict(n=n, dim_out=dim_out, rel_loss=str(rel), rel_loss_float=float(rel))
+
+    rows = [row(n, n // m, downsampler_relative_loss(m, n)) for n in blocks]
+    rows.append(row("limit", "", downsampler_relative_loss(m)))
+    _write_output(args, rows, M=m)
     return 0
 
 
@@ -253,7 +220,7 @@ def cmd_lump_check(args):
     spec = load_config(args.config)
     est = _estimation(args, spec)
     rep = full_report(spec.function, spec.process, grid=est.grid, tol=args.tol)
-    _write_output(args, json.dumps(asdict(rep), indent=2, sort_keys=True) + "\n", est)
+    _write_output(args, asdict(rep), est)
     return 0 if rep.condition_holds else 1
 
 
@@ -263,13 +230,12 @@ def cmd_analyze(args):
     f, proc = spec.function, spec.process
     out = {"process": spec.raw.get("process"), "function": spec.raw.get("function")}
     if f.has_constant:
-        analytic = relative_loss_rate_constant_pieces(f, proc, cfg=est.quad_cfg)
+        # compose refuses constant pieces, so every config function that
+        # has one is all constant: a quantizer
         out["pipeline"] = "relative-loss"
-        out["relative_loss"] = analytic
-        if any(b.kind == "injective" for b in f.branches):
-            out["empirical_frequency"] = empirical_constant_frequency(
-                f, proc, n_samples=est.samples, seed=est.seed
-            )
+        out["relative_loss"] = relative_loss_rate_constant_pieces(
+            f, proc, cfg=est.quad_cfg
+        )
     else:
         report = analyze_loss_rate(
             f,
@@ -284,7 +250,7 @@ def cmd_analyze(args):
         out["pipeline"] = "loss-rate"
         out["loss_rate"] = asdict(report)
         out["lumpability"] = asdict(full_report(f, proc, grid=est.grid))
-    _write_output(args, json.dumps(out, indent=2, sort_keys=True) + "\n", est)
+    _write_output(args, out, est)
     return 0
 
 
@@ -364,18 +330,9 @@ def main(argv=None):
             if key in vars(args):
                 check_estimation(key, getattr(args, key), "--" + key.replace("_", "-"))
         return args.func(args)
-    except (
-        BadParameterError,
-        IncompatibleSpecError,
-        ParseError,
-        TooFewSamplesError,
-        OSError,
-    ) as exc:
+    except (InforateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InforateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -192,7 +192,7 @@ def check_estimation(key, value, label=None):
 
 
 def _build_estimation(spec):
-    spec = spec or {}
+    spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise ParseError("field 'estimation' must be an object")
     extra = set(spec) - {"quad_tol", *_INT_RANGES}

@@ -353,7 +353,9 @@ def compose(outer, inner):
     if not (outer.all_injective and inner.all_injective):
         raise ConstantBranchError("compose requires all-injective functions")
     r_lo, r_hi = inner.range_hull()
-    slack = _ROUNDTRIP_TOL * max(1.0, abs(outer.domain_lo), abs(outer.domain_hi))
+    # an infinite end would make the slack infinite: read the finite ends
+    ends = [abs(e) for e in (outer.domain_lo, outer.domain_hi) if abs(e) < np.inf]
+    slack = _ROUNDTRIP_TOL * max([1.0] + ends)
     if r_lo < outer.domain_lo - slack or r_hi > outer.domain_hi + slack:
         raise RangeMismatchError(
             f"inner range [{r_lo}, {r_hi}] not inside outer domain "

@@ -21,6 +21,16 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+AR1_HEADER = ["a", "loss_rv", "lower", "upper", "hw2x1", "lump_deviation"]
+CYCLIC_HEADER = [
+    "ratio",
+    "loss_rate_closed",
+    "loss_rate_quad",
+    "hw2x1_closed",
+    "hw2x1_quad",
+]
+
+
 class TestDownsample:
     def test_table_values(self, capsys):
         code, out, _ = run_cli(
@@ -32,6 +42,19 @@ class TestDownsample:
         by_n = {r[0]: r for r in rows}
         assert by_n["7"][1:3] == ["2", "5/7"]
         assert by_n["limit"][2] == "2/3"
+
+    def test_table_is_pinned_byte_for_byte(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "downsample", "--M", "3", "--blocks", "1,7,10"
+        )
+        assert code == 0
+        assert out.splitlines(keepends=True) == [
+            "n,dim_out,rel_loss,rel_loss_float\n",
+            "1,0,1,1.0\n",
+            "7,2,5/7,0.7142857142857143\n",
+            "10,3,7/10,0.7\n",
+            "limit,,2/3,0.6666666666666666\n",
+        ]
 
     def test_m_one_lossless(self, capsys):
         code, out, _ = run_cli(capsys, "downsample", "--M", "1", "--blocks", "5")
@@ -58,6 +81,7 @@ class TestCyclicSweep:
         code, out, _ = run_cli(capsys, "cyclic-sweep", "--ratios", "0.5,1.0")
         assert code == 0
         header, rows = parse_csv(out)
+        assert header == CYCLIC_HEADER
         top = dict(zip(header, rows[0]))
         assert float(top["loss_rate_quad"]) == pytest.approx(0.5, abs=1e-3)
         assert float(top["hw2x1_quad"]) == pytest.approx(
@@ -65,6 +89,19 @@ class TestCyclicSweep:
         )
         last = dict(zip(header, rows[1]))
         assert float(last["hw2x1_quad"]) == pytest.approx(1.0, abs=1e-6)
+
+    def test_below_half_a_turn_matches_the_closed_forms(self, capsys):
+        # a/M < 0.5 takes the a / (M ln 2) branch of the closed form; the
+        # quadrature is asked for the 1e-11 that the check needs (at the
+        # default 1e-9 it lands 1.4e-11 off)
+        argv = ["cyclic-sweep", "--ratios", "0.3", "--quad-tol", "1e-11"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, (row,) = parse_csv(out)
+        row = dict(zip(header, map(float, row)))
+        assert row["hw2x1_closed"] == 0.3 / math.log(2.0)
+        assert abs(row["hw2x1_quad"] - row["hw2x1_closed"]) <= 1e-11
+        assert abs(row["loss_rate_quad"] - row["loss_rate_closed"]) <= 1e-11
 
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "cyclic-sweep", "--ratios", "0.5,1.5")
@@ -78,6 +115,14 @@ class TestCyclicSweep:
 
 
 class TestAr1Sweep:
+    def test_one_row_per_pole_under_the_header(self, capsys):
+        argv = ["ar1-sweep", "--a-values", "0.5", "--samples", "1001"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == AR1_HEADER
+        assert [row[0] for row in rows] == ["0.5"]
+
     def test_empty_pole_list_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "ar1-sweep", "--a-values", " , ")
         assert (code, out) == (2, "")
@@ -95,6 +140,17 @@ class TestTightness:
         assert report["lumpability"]["tightness_b_holds"]
         assert report["h_marginal"] == pytest.approx(2.0, abs=1e-9)
         assert report["h_rate"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_library_error_that_is_not_bad_input_exits_1(self, capsys, monkeypatch):
+        import inforate.cli
+        from inforate.errors import NoConvergenceError
+
+        def stall(args):
+            raise NoConvergenceError("quadrature stalled")
+
+        monkeypatch.setattr(inforate.cli, "cmd_tightness", stall)
+        code, out, err = run_cli(capsys, "tightness")
+        assert (code, out, err) == (1, "", "error: quadrature stalled\n")
 
 
 class TestLumpCheck:
@@ -320,6 +376,7 @@ class TestConfigUsageErrors:
             ("samples", 500),
             ("block_order", 7),
             ("block_order", -1),
+            ("rho", 1),
         ],
     )
     def test_bad_estimation_field_exits_2(self, capsys, tmp_path, field, value):
@@ -386,6 +443,10 @@ class TestConfigUsageErrors:
             ({"kind": "quantizer", "edges": 2.0}, "edges"),
             ({"kind": "quantizer", "edges": [-1.0, 1.0], "lo": -1.0}, "lo"),
             ({"kind": "shift_mod", "period": 1e-320}, "shift_mod"),
+            ({"kind": "scale"}, "missing field 'k'"),
+            (3, "'function' must be an object"),
+            ({"compose": []}, "non-empty"),
+            ({"kind": "scale", "k": 10**400}, "'k'"),
         ],
         ids=[
             "misspelt offset",
@@ -401,6 +462,10 @@ class TestConfigUsageErrors:
             "edges not a list",
             "quantizer with a domain",
             "period too small to count",
+            "missing factor",
+            "function not an object",
+            "empty compose list",
+            "integer past the float range",
         ],
     )
     def test_bad_function_spec_exits_2(self, capsys, tmp_path, function, word):
@@ -504,6 +569,8 @@ class TestConfigUsageErrors:
             (["ar1-sweep", "--a-values", "0.5", "--sigma", "nan"], "sigma must be"),
             (["cyclic-sweep", "--M", "0"], "need 0 < a <= M"),
             (["cyclic-sweep", "--M", "inf"], "need 0 < a <= M"),
+            (["ar1-sweep", "--a-values", "1.5"], "pole values must lie in (0, 1)"),
+            (["cyclic-sweep", "--ratios", "0.5,x"], "bad numeric list '0.5,x'"),
             ({"kind": "quantizer", "edges": [-1.0, 0.0, 1.0]}, "all-injective"),
             (
                 {"compose": [MAGNITUDE, {"kind": "scale", "k": 2, "lo": 0, "hi": 0.5}]},
@@ -519,6 +586,8 @@ class TestConfigUsageErrors:
             "sigma nan",
             "M 0",
             "M inf",
+            "pole 1.5",
+            "ratio not a number",
             "lump-check on a quantizer",
             "compose range outside the outer domain",
             "compose with a quantizer",
@@ -534,6 +603,23 @@ class TestConfigUsageErrors:
         assert out == ""
         assert err.startswith("error:") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "estimation", [[], 4, False], ids=["empty list", "number", "false"]
+    )
+    def test_estimation_that_is_not_an_object_exits_2(
+        self, capsys, tmp_path, estimation
+    ):
+        code, out, err = self.analyze(capsys, tmp_path, estimation=estimation)
+        assert (code, out) == (2, "")
+        assert err == "error: field 'estimation' must be an object\n"
+
+    def test_top_level_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[]")
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: top level must be an object\n"
 
     def test_well_typed_function_specs_parse(self):
         from inforate.config import parse_config
@@ -703,6 +789,30 @@ class TestReproducibility:
         assert meta["M"] == 2
         # stdout stays pure CSV
         parse_csv(out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tightness"],
+            ["lump-check", "--config", "walk.json"],
+            ["analyze", "--config", "walk.json", "--samples", "1001"],
+        ],
+        ids=["tightness", "lump-check", "analyze"],
+    )
+    def test_reports_are_indented_sorted_json(self, capsys, tmp_path, argv):
+        (tmp_path / "walk.json").write_text(
+            json.dumps(
+                {
+                    "process": {"kind": "cyclic_walk", "M": 1.0, "a": 0.35},
+                    "function": {"kind": "magnitude"},
+                    "estimation": {"grid": 101},
+                }
+            )
+        )
+        argv = [str(tmp_path / a) if a == "walk.json" else a for a in argv]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "argv, own",

@@ -575,6 +575,7 @@ class TestBlockEntropy:
             shift_mod(2.0, lo=0.0, hi=4.0), p, k=3, n_samples=200_000, seed=52
         )
         assert est.value == pytest.approx(1.0, abs=0.01)
+        assert float(est) == est.value
 
     def test_full_wrap_one_bit(self):
         p = make_cyclic_walk(1.0, 1.0)
@@ -661,6 +662,20 @@ class TestBlockEntropy:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+class TestSupportImage:
+    def test_a_window_that_no_injective_tile_meets_is_refused(self):
+        # constant on [0, 1), identity on [1, 2): on uniform(0, 1) only the
+        # constant piece meets the window, so Y has no density part
+        f = PiecewiseFunction(
+            (
+                constant_branch(1, 0.0, 1.0, 0.0),
+                injective_branch(2, 1.0, 2.0, np.positive, np.positive, np.ones_like),
+            )
+        )
+        with pytest.raises(BadParameterError, match="range is empty"):
+            estimate._support_image(f, make_iid_uniform(0.0, 1.0))
 
 
 class TestMarginalEntropyQuad:

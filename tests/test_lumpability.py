@@ -223,6 +223,9 @@ REFERENCE_SYSTEMS = {
     "shifted x^2": (square(), shifted_kernel_process()),
     "tightness mod 4/3": (shift_mod(4 / 3, lo=0.0, hi=4.0), make_tightness_example()),
     "iid uniform mod 1": (shift_mod(1.0, lo=0.0, hi=4.0), make_iid_uniform(0.0, 4.0)),
+    # above y = 1 only the right branch has a preimage: whole blocks of
+    # y1 values hold no pair to compare
+    "iid uniform(-1, 3) |.|": (magnitude(), make_iid_uniform(-1.0, 3.0)),
     # ten branches over AR(1)'s whole window: the longest preimage sums
     # of these systems
     "ar1 mod 2.4": (shift_mod(2.4, lo=-12.0, hi=12.0), make_ar1(0.5, 1.0)),

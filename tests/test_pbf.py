@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from inforate import (
+    Branch,
     PiecewiseFunction,
     compose,
     constant_branch,
@@ -64,6 +65,7 @@ def half_constant():
 class TestEval:
     def test_magnitude(self):
         assert magnitude().eval(-3.0) == 3.0
+        assert magnitude()(-3.0) == 3.0
 
     def test_shift_map(self):
         f = shift_mod(2.0, lo=0.0, hi=4.0)
@@ -346,6 +348,10 @@ class TestImageWindow:
         with pytest.raises(BadParameterError, match="NaN"):
             compose(identity(), f)
 
+    def test_a_quantizer_range_is_the_hull_of_its_values(self):
+        # image_window skips constant branches; range_hull adds their values
+        assert quantizer([0.0, 1.0, 3.0]).range_hull() == (0.5, 2.0)
+
     def test_image_points_keep_the_domain_only(self):
         f = shift_mod(2.0, lo=0.0, hi=4.0)
         np.testing.assert_array_equal(
@@ -396,6 +402,27 @@ class TestValidate:
                 (_identity_branch(1, 0.0, 1.0), _identity_branch(2, 0.0, 1.0))
             )
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _identity_branch(1, 1.0, 1.0), "empty domain"),
+            (lambda: Branch(1, 0.0, 1.0, "linear"), "unknown branch kind"),
+            (
+                lambda: Branch(1, 0.0, 1.0, "injective", forward=np.negative),
+                "needs forward/inverse/derivative",
+            ),
+            (lambda: PiecewiseFunction(()), "at least one branch"),
+            (
+                lambda: PiecewiseFunction((_identity_branch(2, 0.0, 1.0),)),
+                "indices must be 1..n in order",
+            ),
+        ],
+        ids=["empty tile", "unknown kind", "missing closures", "no branch", "index"],
+    )
+    def test_bad_structure_is_refused(self, build, message):
+        with pytest.raises(BadParameterError, match=message):
+            build()
+
 
 class TestCompose:
     def test_identity_after_magnitude(self):
@@ -419,6 +446,11 @@ class TestCompose:
     def test_range_mismatch(self):
         with pytest.raises(RangeMismatchError):
             compose(identity(0.0, 1.0), scale(5.0, 0.0, 1.0))
+
+    def test_range_mismatch_at_an_infinite_outer_end(self):
+        # the inner range is (-inf, 0]; x**2 on [0, inf) takes none of it
+        with pytest.raises(RangeMismatchError, match=r"\[-inf, 0\.0\]"):
+            compose(square(0.0, inf), compose(scale(-2.0), magnitude()))
 
     def test_constant_refused(self):
         with pytest.raises(ConstantBranchError):
@@ -582,6 +614,15 @@ class TestBuilders:
     def test_a_nan_argument_is_named_in_the_refusal(self, build):
         with pytest.raises(BadParameterError, match=r"is NaN|got nan"):
             build()
+
+    def test_shift_mod_needs_an_upper_end(self):
+        with pytest.raises(BadParameterError, match="upper bound"):
+            shift_mod(1.0, lo=0.0)
+
+    def test_square_on_the_negative_half_line_inverts_to_it(self):
+        f = square(-3.0, 0.0)
+        assert len(f.branches) == 1
+        assert [p.x for p in f.preimage(4.0)] == [-2.0]
 
     def test_square_splits_at_zero(self):
         f = square(-2.0, 2.0)

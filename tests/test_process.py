@@ -11,6 +11,7 @@ import pytest
 from inforate import (
     PiecewiseFunction,
     magnitude,
+    quantizer,
     scale,
     shift_mod,
     make_ar1,
@@ -467,6 +468,10 @@ class TestPushforward:
             want = f.eval_array(sample_path(proc, 1000, seed).values)
             np.testing.assert_array_equal(got, want)
         assert sample_path(push, 1, 5).values.shape == (1,)
+
+    def test_a_constant_piece_is_refused(self):
+        with pytest.raises(BadParameterError, match="all-injective"):
+            pushforward_process(quantizer([-12.0, 0.0, 12.0]), make_ar1(0.5, 1.0))
 
     def test_sampled_pushforward_feeds_the_simulation_bounds(self):
         from inforate import analyze_loss_rate, loss_rate_bounds_mc
