@@ -22,7 +22,6 @@ from .errors import (
 )
 from .pbf import identity
 
-LOG2E = 1.0 / math.log(2.0)
 
 def _nested(*tables):
     """(nodes, weights) of each rule of a nested sequence on [-1, 1], the
@@ -561,21 +560,28 @@ def mutual_information_hist(xs, ys, bins=None):
 
 
 def _cond_fns(process):
-    """Kernel density and distribution function; iid: the marginal's."""
-    if process.kernel is None:
+    """Density, distribution function and x2 split points of X2 given X1,
+    the lookups taking arrays; iid: the marginal's at every x1."""
+    kern = process.kernel
+    if kern is None:
         pdf, cdf = process.marginal_pdf, process.marginal_cdf
-        return (lambda x2, x1: pdf(x2)), (lambda x2, x1: cdf(x2))
-    return process.kernel.cond_pdf, process.kernel.cond_cdf
+        jumps = np.array(process.marginal_split_points, dtype=float)
+        return (
+            lambda x2, x1: pdf(x2),
+            lambda x2, x1: cdf(x2),
+            lambda x1s: np.tile(jumps, (np.size(x1s), 1)),
+        )
+    return kern.cond_pdf, kern.cond_cdf, kern.split_points
 
 
 def _cond_windows(process, x1s):
-    """Low and high ends of the x2 window at each x1."""
-    kern = process.kernel
-    if kern is None or kern.quad_range is None:
-        ends = process.quad_support
-    else:
-        ends = kern.quad_range(x1s)
-    lo, hi, _ = np.broadcast_arrays(*ends, x1s)
+    """Low and high ends of the x2 window at each x1: the kernel's
+    ``quad_range`` clipped to ``quad_support``, or ``quad_support``."""
+    lo, hi = process.quad_support
+    if process.kernel is not None and process.kernel.quad_range is not None:
+        wlo, whi = process.kernel.quad_range(x1s)
+        lo, hi = np.maximum(wlo, lo), np.minimum(whi, hi)
+    lo, hi, _ = np.broadcast_arrays(lo, hi, x1s)
     return lo, hi
 
 
@@ -655,7 +661,7 @@ def _branch_probabilities(f, process, x1s):
     kernel's distribution function at its tile's ends, both clipped into
     the x2 window."""
     x1s = np.asarray(x1s, dtype=float)
-    _, cdf = _cond_fns(process)
+    _, cdf, _ = _cond_fns(process)
     wlo, whi = _cond_windows(process, x1s)
     ends = np.array([[b.domain_lo, b.domain_hi] for b in f.branches])
     ends = np.clip(ends, wlo[:, None, None], whi[:, None, None])
@@ -724,15 +730,11 @@ def _output_integral(f, process, node_value, cfg):
     """int f_X(x1) int node_value(t) dy dx1 for Y = g(X), where t holds
     the terms f(x_b | x1) / |g'(x_b)| at the preimages x_b of y, one row
     per branch.  The y window is the image of the x2 window, split at the
-    images of its tile edges and of the kernel's discontinuities."""
-    lo, hi = process.quad_support
-    kern = process.kernel
-    cond, _ = _cond_fns(process)
+    images of its tile edges and of the x2 split points."""
+    cond, _, kinks = _cond_fns(process)
 
     def point_value(x1s):
-        wlo, whi = _cond_windows(process, x1s)
-        kinks = np.empty((x1s.size, 0)) if kern is None else kern.split_points(x1s)
-        ylo, yhi, edges = f.image_window(np.maximum(wlo, lo), np.minimum(whi, hi))
+        ylo, yhi, edges = f.image_window(*_cond_windows(process, x1s))
         empty = ~(yhi > ylo)  # ylo = yhi = 0 there: the integral is 0
         return _y_integrals(
             f,
@@ -741,7 +743,7 @@ def _output_integral(f, process, node_value, cfg):
             ),
             np.where(empty, 0.0, ylo),
             np.where(empty, 0.0, yhi),
-            np.column_stack([edges, f.image_points(kinks)]),
+            np.column_stack([edges, f.image_points(kinks(x1s))]),
             cfg,
         )
 

@@ -11,6 +11,7 @@ previous input, one nested quadrature.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (
     BadParameterError,
@@ -240,23 +241,23 @@ def analyze_loss_rate(
 def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201):
     """Total and per-stage loss rates of a chain of systems.
 
-    A bijection loses nothing, so the one-branch stages in front of the
-    first lossy stage each give 0.0, after the refusals that apply to
-    them on their own input, the pushforward of ``process`` through the
-    stages before them; that lossy stage is evaluated as the composition
-    of the chain up to it on ``process`` itself.  Every later
-    stage is evaluated on the pushforward of the input through the stages
-    before it.  The total is the rate of the full composition on
-    ``process``.  When a stage follows the first lossy one, the total is
-    computed apart from the stages, so ``additivity_gap`` is an
-    independent check; when the first lossy stage is the last, that
-    stage already ran the full composition on ``process``, so its value
-    is the total and the gap is 0.  iid inputs use marginal losses
-    (``method="rv"``, the rate equals the marginal loss there); Markov
-    inputs use the exact rate (``"analytic"``), which requires every
-    lossy stage to pass the lumpability check.  BadParameterError refuses,
-    before any other work, a bad ``grid`` for every input, an empty chain
-    and a ``method`` other than "auto", "rv" or "analytic".
+    Every stage but the first lossy one is evaluated on its own input: the
+    pushforward of ``process`` through the composition of the stages before
+    it, or ``process`` for the first stage.  A bijection loses nothing, so
+    the one-branch stages in front of the first lossy one each give 0.0
+    there, after the refusals that apply to them.  The first lossy stage is
+    evaluated as the composition of the chain up to it on ``process``
+    itself.  The total is the rate of the full composition on ``process``.
+    When a stage follows the first lossy one, the total is computed apart
+    from the stages, so ``additivity_gap`` is an independent check; when the
+    first lossy stage is the last, that stage already ran the full
+    composition on ``process``, so its value is the total and the gap is 0.
+    iid inputs use marginal losses (``method="rv"``, the rate equals the
+    marginal loss there); Markov inputs use the exact rate (``"analytic"``),
+    which requires every lossy stage to pass the lumpability check.
+    BadParameterError refuses, before any other work, a bad ``grid`` for
+    every input, an empty chain and a ``method`` other than "auto", "rv" or
+    "analytic".
     """
     from .pbf import compose
 
@@ -271,31 +272,25 @@ def cascade_loss_rate(f_list, process, method="auto", cfg=DEFAULT_QUAD, grid=201
         method = "rv" if process.kernel is None else "analytic"
 
     # prefixes[i] is the chain up to stage i; the last one is the total's
-    prefixes = [f_list[0]]
-    for nxt in f_list[1:]:
-        prefixes.append(compose(nxt, prefixes[-1]))
+    prefixes = list(accumulate(f_list, lambda g, nxt: compose(nxt, g)))
 
     def loss(g, proc):
         if method == "rv":
             return float(loss_rv(g, proc, cfg))
         return float(loss_rate_analytic(g, proc, cfg, grid=grid))
 
-    # the one-branch stages before the first lossy one lose nothing on
-    # their own input, and that stage runs as the chain up to it, on the
-    # input itself
+    # the first lossy stage runs as the chain up to it, on the input
+    # itself; every other stage runs on the input pushed through the
+    # chain before it
     first = next(
         (i for i, g in enumerate(f_list) if len(g.branches) > 1), len(f_list) - 1
     )
     stages = [
-        loss(g, pushforward_process(prefixes[i - 1], process) if i else process)
-        for i, g in enumerate(f_list[:first])
+        loss(prefixes[i], process)
+        if i == first
+        else loss(g, pushforward_process(prefixes[i - 1], process) if i else process)
+        for i, g in enumerate(f_list)
     ]
-    stages.append(loss(prefixes[first], process))
-    current, g = process, prefixes[first]
-    for nxt in f_list[first + 1 :]:
-        current = pushforward_process(g, current)
-        stages.append(loss(nxt, current))
-        g = nxt
     # prefixes[first] is prefixes[-1] when the first lossy stage is last
     total = stages[-1] if first == len(f_list) - 1 else loss(prefixes[-1], process)
     return CascadeResult(

@@ -110,7 +110,7 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
     # x1 of each y1; they count where the input density is positive
     ys, table, label = _preimage_table(f, process, grid, tol)
     # iid: both sums equal the output marginal density by construction
-    cond, _ = _cond_fns(process)
+    cond, _, _ = _cond_fns(process)
     x1 = table.x.T
     live = (table.valid & (process.marginal_pdf(table.x) > 0.0)).T
 
@@ -150,7 +150,7 @@ def check_tightness(f, process, grid=201, tol=1e-6):
         value; (b) the branch probabilities given X1 = x are all equal.
     """
     _, table, _ = _preimage_table(f, process, grid, tol)
-    cond, _ = _cond_fns(process)
+    cond, _, _ = _cond_fns(process)
     xs = _nudged_grid(*process.quad_support, grid, avoid=f.tile_edges)
     xs = xs[process.marginal_pdf(xs) > 0.0]
     probs, total = _branch_probabilities(f, process, xs)

@@ -64,11 +64,6 @@ def _normal_cdf(z):
     return ndtr(np.asarray(z, dtype=float))
 
 
-def _uniform_cdf(lo, hi):
-    """Distribution function of the uniform law on [lo, hi)."""
-    return lambda x: np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
-
-
 def _normalizers(compute):
     """The constants ``compute()`` returns; BadParameterError unless each
     is finite and > 0.  A builder checks those the rest follow from."""
@@ -79,6 +74,21 @@ def _normalizers(compute):
     if not all(0.0 < v < math.inf for v in values):
         raise BadParameterError("a normalizing constant overflows or underflows")
     return values
+
+
+def _uniform(lo, hi):
+    """Density and distribution function of the uniform law on [lo, hi);
+    BadParameterError unless its density 1 / (hi - lo) is finite and > 0."""
+    (dens,) = _normalizers(lambda: (1.0 / (hi - lo),))
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= lo) & (x < hi), dens, 0.0)
+
+    def cdf(x):
+        return np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
+
+    return pdf, cdf
 
 
 def make_ar1(a, sigma):
@@ -139,13 +149,11 @@ def make_cyclic_walk(M, a):
     M = float(M)
     a = float(a)
     # the sampler draws over [-M, M), so 2M must be finite too
-    _, dens = _normalizers(lambda: (2.0 * M, 1.0 / (2.0 * a)))
+    marginal_pdf, marginal_cdf = _uniform(-M, M)
+    (dens,) = _normalizers(lambda: (1.0 / (2.0 * a),))
 
     def on_circle(x):
         return (x >= -M) & (x < M)
-
-    def marginal_pdf(x):
-        return np.where(on_circle(np.asarray(x, dtype=float)), 1.0 / (2.0 * M), 0.0)
 
     # the least float d with 2M - d <= a; 2M - d is exact for d >= M
     far = 2.0 * M - a
@@ -191,7 +199,7 @@ def make_cyclic_walk(M, a):
     )
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
-        marginal_cdf=_uniform_cdf(-M, M),
+        marginal_cdf=marginal_cdf,
         path_sampler=path_sampler,
         kernel=kernel,
         support=(-M, M),
@@ -205,10 +213,7 @@ def make_tightness_example():
     From the even blocks [0,1) u [2,3) the next sample is uniform on the
     odd blocks [1,2) u [3,4), and vice versa; the marginal is uniform.
     """
-
-    def marginal_pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0.0) & (x < 4.0), 0.25, 0.0)
+    marginal_pdf, marginal_cdf = _uniform(0.0, 4.0)
 
     def _even(x):
         x = np.asarray(x, dtype=float)
@@ -239,7 +244,7 @@ def make_tightness_example():
     )
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
-        marginal_cdf=_uniform_cdf(0.0, 4.0),
+        marginal_cdf=marginal_cdf,
         path_sampler=path_sampler,
         kernel=kernel,
         support=(0.0, 4.0),
@@ -262,15 +267,14 @@ def make_iid(
     support,
     quad_support=None,
     split_points=(),
-    check_normalization=True,
 ):
     """Memoryless process from a marginal density, its distribution
     function and a sampler ``marginal_sampler(rng, n)`` of n independent
-    draws, its path sampler."""
+    draws, its path sampler.  NotNormalizedError unless the density
+    integrates to 1 over ``quad_support`` (``support`` by default)."""
     if quad_support is None:
         quad_support = support
-    if check_normalization:
-        check_normalized(marginal_pdf, quad_support, split_points)
+    check_normalized(marginal_pdf, quad_support, split_points)
     return StationaryProcess(
         marginal_pdf=marginal_pdf,
         marginal_cdf=marginal_cdf,
@@ -289,14 +293,14 @@ def make_iid_gaussian(sigma=1.0):
     # the density squares x up to the window's edge, 10 sigma
     inv_2var, _ = _normalizers(lambda: (0.5 / sigma**2, (10.0 * sigma) ** 2))
     norm = 1.0 / math.sqrt(2.0 * math.pi) / sigma
-    return make_iid(
+    return StationaryProcess(
         marginal_pdf=lambda x: norm
         * np.exp(-inv_2var * np.asarray(x, dtype=float) ** 2),
         marginal_cdf=lambda x: _normal_cdf(np.asarray(x, dtype=float) / sigma),
-        marginal_sampler=lambda rng, n: rng.normal(0.0, sigma, n),
+        path_sampler=lambda rng, n: rng.normal(0.0, sigma, n),
+        kernel=None,
         support=(-np.inf, np.inf),
         quad_support=(-10.0 * sigma, 10.0 * sigma),
-        check_normalization=False,
     )
 
 
@@ -305,17 +309,14 @@ def make_iid_uniform(lo=0.0, hi=1.0):
         raise BadParameterError("need finite lo < hi with hi - lo finite")
     lo = float(lo)
     hi = float(hi)
-    (dens,) = _normalizers(lambda: (1.0 / (hi - lo),))
-    return make_iid(
-        marginal_pdf=lambda x: np.where(
-            (np.asarray(x, dtype=float) >= lo) & (np.asarray(x, dtype=float) < hi),
-            dens,
-            0.0,
-        ),
-        marginal_cdf=_uniform_cdf(lo, hi),
-        marginal_sampler=lambda rng, n: rng.uniform(lo, hi, n),
+    marginal_pdf, marginal_cdf = _uniform(lo, hi)
+    return StationaryProcess(
+        marginal_pdf=marginal_pdf,
+        marginal_cdf=marginal_cdf,
+        path_sampler=lambda rng, n: rng.uniform(lo, hi, n),
+        kernel=None,
         support=(lo, hi),
-        check_normalization=False,
+        quad_support=(lo, hi),
     )
 
 

@@ -10,9 +10,11 @@ import pytest
 from inforate import (
     PiecewiseFunction,
     QuadratureConfig,
+    StationaryProcess,
     compose,
     constant_branch,
     diff_entropy_hist,
+    identity,
     injective_branch,
     magnitude,
     make_ar1,
@@ -43,6 +45,7 @@ from inforate.estimate import (
     DEFAULT_QUAD,
     cond_entropy_W_given_X,
     cond_entropy_X2_given_Y2_X1,
+    cond_entropy_input_given_output,
     cond_entropy_output_given_input,
     cond_entropy_rate_quad,
     entropy_bits,
@@ -271,7 +274,14 @@ class TestQuadBatch:
         # abs(nan - 1.0) > 1e-6 is False: the normalization check let it by
         with pytest.raises(NoConvergenceError, match=r"\[0.0, 1.0\] gave nan"):
             make_iid(pdf, cdf, sampler, (0.0, 1.0))
-        proc = make_iid(pdf, cdf, sampler, (0.0, 1.0), check_normalization=False)
+        proc = StationaryProcess(
+            marginal_pdf=pdf,
+            marginal_cdf=cdf,
+            path_sampler=sampler,
+            kernel=None,
+            support=(0.0, 1.0),
+            quad_support=(0.0, 1.0),
+        )
         with pytest.raises(NoConvergenceError, match="gave nan"):
             relative_loss_rate_constant_pieces(quantizer([0.0, 0.5, 1.0]), proc)
 
@@ -810,6 +820,49 @@ def test_branch_probabilities_are_cdf_differences_not_quadratures(case, monkeypa
     probs, total = estimate._branch_probabilities(f, proc, xs)
     np.testing.assert_allclose(total, want.sum(axis=1), rtol=0, atol=1e-11)
     np.testing.assert_allclose(probs * total[:, None], want, rtol=0, atol=1e-11)
+
+
+def test_the_x2_window_stays_inside_the_quadrature_window():
+    # a * x1 -+ 10 sigma reaches past +-10 sd_x at the ends of quad_support
+    proc = make_ar1(0.5, 1.0)
+    lo, hi = proc.quad_support
+    wlo, whi = estimate._cond_windows(proc, np.array([lo, 0.0, hi]))
+    assert np.all(wlo >= lo) and np.all(whi <= hi)
+    np.testing.assert_array_equal([wlo[0], whi[2]], [lo, hi])
+    np.testing.assert_array_equal([wlo[1], whi[1]], [-10.0, 10.0])
+
+
+def jump_iid():
+    """iid law on [0, 1) whose density steps from 2 to 4/7 at 0.3, its
+    declared split point."""
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 0.0) & (x < 1.0), np.where(x < 0.3, 2.0, 4.0 / 7.0), 0.0)
+
+    def cdf(x):
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        return np.where(x < 0.3, 2.0 * x, 0.6 + (x - 0.3) * (4.0 / 7.0))
+
+    return make_iid(pdf, cdf, None, (0.0, 1.0), split_points=(0.3,))
+
+
+class TestIidJumps:
+    # the x2 split points of an iid input are its marginal's at every x1,
+    # so the inner y integrals are cut at the jump and need no bisection
+
+    def test_h_y2_given_x1_at_the_identity_is_h_x(self):
+        proc = jump_iid()
+        got = cond_entropy_output_given_input(identity(0.0, 1.0), proc)
+        assert got == pytest.approx(marginal_entropy_quad(proc), rel=0, abs=1e-12)
+
+    def test_the_rate_is_the_marginal_loss(self):
+        proc = jump_iid()
+        g = compose(shift_mod(0.5, lo=0.0, hi=1.0), identity(0.0, 1.0))
+        want = cond_entropy_input_given_output(g, proc)
+        assert cond_entropy_X2_given_Y2_X1(g, proc) == pytest.approx(
+            want, rel=0, abs=1e-12
+        )
 
 
 def shifted_ar1():

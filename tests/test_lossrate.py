@@ -453,6 +453,24 @@ class TestCascade:
         assert calls["cond_entropy_X2_given_Y2_X1"] == 2
         assert calls["pushforward_process"] == 1
 
+    def test_every_later_stage_reads_the_input_pushed_through_its_prefix(
+        self, monkeypatch
+    ):
+        # no stage is pushed forward from another stage's pushforward
+        proc, inputs = make_ar1(0.55, 1.0), []
+        real = inforate.lossrate.pushforward_process
+
+        def recorded(f, process):
+            inputs.append(process)
+            return real(f, process)
+
+        monkeypatch.setattr(inforate.lossrate, "pushforward_process", recorded)
+        chain = [scale(0.5), magnitude(), scale(2.0), scale(0.5)]
+        res = cascade_loss_rate(chain, proc)
+        assert len(inputs) == 2 and all(p is proc for p in inputs)
+        assert res.stages == (0.0, 0.7937017031194797, 0.0, 0.0)
+        assert res.total == 0.7937017031194797
+
     def test_a_last_lossy_stage_gives_the_total(self, calls):
         # the fold stage already runs the whole chain on AR(1) itself
         res = cascade_loss_rate([scale(1.5), magnitude()], make_ar1(0.5, 1.0))

@@ -9,12 +9,12 @@ import pytest
 from inforate import (
     Branch,
     PiecewiseFunction,
+    StationaryProcess,
     compose,
     constant_branch,
     identity,
     injective_branch,
     magnitude,
-    make_iid,
     quantizer,
     relative_loss_rate_constant_pieces,
     scale,
@@ -528,8 +528,13 @@ class TestInverseRoundTrip:
 def constant_mass(f, lo, hi, window):
     """The constant mass of f under the uniform density on [lo, hi),
     integrated over window; its normalization is left to that check."""
-    proc = make_iid(
-        uniform_pdf(lo, hi), uniform_cdf(lo, hi), None, window, check_normalization=False
+    proc = StationaryProcess(
+        marginal_pdf=uniform_pdf(lo, hi),
+        marginal_cdf=uniform_cdf(lo, hi),
+        path_sampler=None,
+        kernel=None,
+        support=window,
+        quad_support=window,
     )
     return relative_loss_rate_constant_pieces(f, proc)
 

@@ -213,6 +213,16 @@ class TestIid:
         )
         assert p.kernel is None
 
+    def test_normalization_is_always_checked(self):
+        with pytest.raises(TypeError, match="check_normalization"):
+            make_iid(
+                marginal_pdf=lambda x: np.full_like(np.asarray(x, float), 0.7),
+                marginal_cdf=lambda x: 0.7 * np.clip(np.asarray(x, float), 0.0, 1.0),
+                marginal_sampler=lambda rng, n: rng.uniform(0, 1, n),
+                support=(0.0, 1.0),
+                check_normalization=False,
+            )
+
     def test_distribution_functions_are_required(self):
         def pdf(x):
             return np.ones_like(np.asarray(x, float))
@@ -233,6 +243,28 @@ class TestIid:
             )
         with pytest.raises(TypeError, match="cond_cdf"):
             process.MarkovKernel(cond_pdf=lambda x2, x1: pdf(x2))
+
+
+# the uniform marginals as their constructors wrote them out, and their ends
+UNIFORM_MARGINALS = {
+    "walk": (lambda: make_cyclic_walk(0.7, 0.3), 1.0 / (2.0 * 0.7), -0.7, 0.7),
+    "tightness": (make_tightness_example, 0.25, 0.0, 4.0),
+    "iid uniform": (lambda: make_iid_uniform(-1.0, 3.0), 1.0 / 4.0, -1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIFORM_MARGINALS))
+def test_uniform_marginals_keep_their_floats(name):
+    make, dens, lo, hi = UNIFORM_MARGINALS[name]
+    proc = make()
+    ends = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, -np.inf)]
+    xs = np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 1001), ends])
+    np.testing.assert_array_equal(
+        proc.marginal_pdf(xs), np.where((xs >= lo) & (xs < hi), dens, 0.0)
+    )
+    np.testing.assert_array_equal(
+        proc.marginal_cdf(xs), np.clip((xs - lo) / (hi - lo), 0.0, 1.0)
+    )
 
 
 def _iterate(x0, innovations, step):
