@@ -164,7 +164,7 @@ _BOUNDS = np.arange(1, _TOP + 2)  # where a sorted run of levels changes
 _ADDS = np.array([0, *np.diff(_SIZES)[1:], 2 * _SIZES[1]])  # nodes a refinement adds
 _MAX_DEPTH = 120  # halvings of a panel before quad_batch gives up on it
 _MAX_NODES = 3_000_000  # nodes one integrand call of a batch may evaluate
-_GRADE = 4  # power of the substitution at a critical image (_y_integrals)
+_GRADE = 4  # power of the substitution at a graded window end (_grading)
 
 
 @dataclass(frozen=True)
@@ -587,46 +587,82 @@ def _cond_windows(process, x1s):
 
 def _x1_split_points(process, f):
     """Where value(x1) of ``_x1_integral`` may kink: at the marginal's split
-    points, at the finite tile edges of f, and at the x1 where a kernel
-    discontinuity lands on a tile edge or an end of the support.  No rule
-    finds such kinks by itself (Lyness, 1983), so they are declared as in
-    QUADPACK's QAGP."""
+    points, at the finite tile edges of f, and at the kernel's
+    ``_x1_landings``.  No rule finds such kinks by itself (Lyness, 1983),
+    so they are declared as in QUADPACK's QAGP."""
     lo, hi = process.quad_support
-    edges = np.array([lo, hi, *f.tile_edges])
-    points = np.concatenate([process.marginal_split_points, edges])
-    if process.kernel is not None:
-        points = np.append(points, process.kernel.x1_split_points(edges))
-    return points
+    edges = [lo, hi, *f.tile_edges]
+    return np.concatenate(
+        [process.marginal_split_points, edges, _x1_landings(process, f)]
+    )
 
 
-def _x1_integral(process, value, cfg, f):
+def _x1_landings(process, f):
+    """The x1, NaN among them, where a kernel discontinuity lands on a tile
+    edge of f or on an end of the support."""
+    if process.kernel is None:
+        return np.empty(0)
+    lo, hi = process.quad_support
+    return process.kernel.x1_split_points(np.array([lo, hi, *f.tile_edges])).ravel()
+
+
+def _x1_windows(process, f, graded):
+    """``_grading`` of the windows between the x1 split points, in place:
+    a map s -> (x1, dx1/ds) over the support, and the s split points (the
+    window ends and the midpoints of the windows graded at both)."""
+    lo, hi = process.quad_support
+    points = _x1_split_points(process, f)
+    ends = np.sort(np.concatenate([[lo, hi], points[(points > lo) & (points < hi)]]))
+    *_, mids, _, x_of = _grading(ends[:-1], ends[1:], graded, unit=False)
+    inner = ends[1:-1]
+
+    def x1_of(s):  # the last window starting at or below each node
+        return x_of(s, np.searchsorted(inner, s, "right"))
+
+    return x1_of, np.concatenate([ends, mids])
+
+
+def _x1_integral(process, value, cfg, f, graded=()):
     """int f_X(x1) value(x1) dx1 over the truncated support.
 
-    ``value`` maps an array of x1 nodes to one value each.  The first
-    panels, each at its own rule, are those on which f_X alone settles
-    (``_marginal_edges``): the bisections and rises mostly follow the
-    weight f_X, not ``value``, and a panel that settles f_X mostly
-    settles f_X * value too, so a nested integral mostly runs one batch
-    of inner integrals.  From there the integral keeps the full error
-    control of ``quad``.
+    ``value`` maps an array of x1 nodes to one value each.  The windows
+    between the x1 split points that end at a point of ``graded`` run
+    graded (``_grading``), all of them in one integral to ``cfg``.  The
+    first panels, each at its own rule, are those on which f_X dx1/ds
+    alone settles (``_marginal_edges``): the bisections and rises mostly
+    follow the weight f_X, not ``value``, and a panel that settles f_X
+    mostly settles f_X * value too, so a nested integral mostly runs one
+    batch of inner integrals.  From there the integral keeps the full
+    error control of ``quad``.
     """
     lo, hi = process.quad_support
     fx = process.marginal_pdf
-    points, levels = _marginal_edges(process, f, cfg)
-    return quad(lambda x1s: fx(x1s) * value(x1s), lo, hi, cfg, points, levels=levels)
+    x1_of, s_points = _x1_windows(process, f, graded)
+    points, levels = _marginal_edges(process, cfg, x1_of, s_points)
+
+    def graded_value(s):
+        x1s, jac = x1_of(s)
+        return fx(x1s) * value(x1s) * jac
+
+    return quad(graded_value, lo, hi, cfg, points, levels=levels)
 
 
-def _marginal_edges(process, f, cfg):
+def _marginal_edges(process, cfg, x1_of, points):
     """Edges, in ascending order, and rules of the panels on which
-    ``quad_batch``'s loop integrates f_X alone to ``cfg``, refined from
-    ``_x1_split_points``; the edges hold every split point inside the
-    support.  Where that loop gives up on f_X, raises NoConvergenceError
-    without a partial sum: the integral asked for has not begun."""
+    ``quad_batch``'s loop integrates f_X dx1/ds alone to ``cfg``, refined
+    from the s split ``points`` of the map ``x1_of`` (``_x1_windows``);
+    the edges hold every split point inside the support.  Where that loop
+    gives up on f_X, raises NoConvergenceError without a partial sum: the
+    integral asked for has not begun."""
     lo, hi = process.quad_support
     f_marg = process.marginal_pdf
-    points = _x1_split_points(process, f)[None]
+
+    def weight(s, col):
+        x1s, jac = x1_of(s)
+        return f_marg(x1s) * jac
+
     try:
-        _, edges, levels = _adapt(lambda x1s, col: f_marg(x1s), lo, hi, cfg, points)
+        _, edges, levels = _adapt(weight, lo, hi, cfg, points[None])
     except NoConvergenceError as e:
         raise NoConvergenceError(f"settling the outer x1 panels on f_X: {e}") from e
     order = np.argsort(edges)
@@ -677,7 +713,9 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
     W is the discrete process of partition indices.  The outer expectation
     over X1 is a quadrature to ``cfg``, from the panels that settle f_X to
     ``cfg``; the branch probabilities given each x1 are differences of the
-    kernel's distribution function.
+    kernel's distribution function.  A branch probability can reach 0 at
+    the kernel's ``_x1_landings``, where p log2 p has an unbounded slope,
+    so the outer integral is graded there.
     """
     check_cover(f, process)
 
@@ -685,7 +723,7 @@ def cond_entropy_W_given_X(f, process, cfg=DEFAULT_QUAD):
         probs, total = _branch_probabilities(f, process, x1s)
         return np.where(total > 0, -np.sum(xlog2x(probs), axis=1), 0.0)
 
-    return _x1_integral(process, point_entropy, cfg, f)
+    return _x1_integral(process, point_entropy, cfg, f, _x1_landings(process, f))
 
 
 def _preimage_entropy(t):
@@ -698,32 +736,88 @@ def _preimage_entropy(t):
     return terms.sum(axis=0)
 
 
+def _grading(lo, hi, points, unit):
+    """The variable s that windows [lo, hi] are integrated in.
+
+    A window that ends at c in ``points`` runs as x = c + (e - c) t**_GRADE,
+    t going from 0 at c to 1 at its other end e, with factor
+    _GRADE |e - c| t**(_GRADE - 1) |dt/ds|: smooth in t where the integrand
+    goes as a power of |x - c| down to -3/4, or has an unbounded slope at
+    c.  One that ends at two such points is halved at its midpoint, each
+    half graded at its own end.  A graded window runs in s = t over [0, 1]
+    (``unit``; from its low end where both ends are graded, the midpoint
+    at s = 1/2) or over [lo, hi] itself, t affine in s.  Every other
+    window runs in x, s = x with factor 1.
+
+    Returns the windows in s, the s of each window's midpoint where it is
+    halved (NaN elsewhere), ``cut(rows)``: the s of rows of points, one
+    row per window (a point outside its window maps outside its window in
+    s, or to NaN), and ``x_of(s, w)``: x and the factor at nodes s of
+    windows w."""
+    at = np.isin(np.array([lo, hi]), points) & (hi > lo)
+    graded = at[0] | at[1]
+    windows = (lo, hi)
+    if unit:
+        windows = np.where(graded, 0.0, lo), np.where(graded, 1.0, hi)
+    mids = np.full(lo.size, np.nan)
+    gi = np.flatnonzero(graded)
+    if not gi.size:  # s = x everywhere: nothing to compute at a node
+        return *windows, mids, lambda points: points, lambda s, w: (s, 1.0)
+    # from here the m graded windows only, at their places ``slot``
+    m, slot = gi.size, np.cumsum(graded) - 1
+    ends, (at_lo, at_hi) = np.array([lo[gi], hi[gi]]), at[:, gi]
+    mid = 0.5 * (ends[0] + ends[1])
+    both = at_lo & at_hi & (ends[0] < mid) & (mid < ends[1])  # too narrow: from lo
+    s_ends = ends
+    if unit:  # s = 0 at the graded end, at the low end where both are
+        from_hi = (at_hi & ~at_lo).astype(float)
+        s_ends = np.array([from_hi, 1.0 - from_hi])
+    s_mid = 0.5 * (s_ends[0] + s_ends[1])
+    mids[gi] = np.where(both, s_mid, np.nan)
+    # nodes of a window above ``half`` grade from its high end
+    half = np.where(both, s_mid, np.where(at_lo, np.inf, -np.inf))
+    # per piece, the m graded from the low end and then the m from the high
+    # end: the graded end and the span to the other end, in x and in s
+    far, s_far = np.where(both, mid, ends[::-1]), np.where(both, s_mid, s_ends[::-1])
+    pieces = np.array([ends, far - ends, s_ends, s_far - s_ends]).reshape(4, 2 * m)
+
+    def cut(points):
+        rows = points[gi]
+        piece = np.arange(m)[:, None] + m * (rows > half[:, None])
+        pc, pspan, psc, pds = pieces[:, piece]
+        with np.errstate(divide="ignore", invalid="ignore"):  # NaN off the window
+            t = ((rows - pc) / pspan) ** (1.0 / _GRADE)
+        out = np.array(points, dtype=float)
+        out[gi] = psc + pds * t
+        return out
+
+    def x_of(s, w):
+        # powers only at the nodes of graded windows, which most are not
+        g = graded[w]
+        j, sg = slot[w[g]], s[g]
+        pc, pspan, psc, pds = pieces[:, j + m * (sg > half[j])]
+        t = (sg - psc) / pds
+        x, jac = s.copy(), np.ones_like(s)
+        x[g] = pc + pspan * t**_GRADE
+        jac[g] = _GRADE * np.abs(pspan / pds) * t ** (_GRADE - 1)
+        return x, jac
+
+    return *windows, mids, cut, x_of
+
+
 def _y_integrals(f, value, ylo, yhi, points, cfg):
     """``quad_batch``'s loop of value(y, col) over windows [ylo, yhi] split
-    at ``points``, every panel starting at K15; a window that ends at c in
-    ``f.critical_images`` runs in s over [0, 1], y = c + (end - c) s**_GRADE,
-    smooth where g' has a zero of order <= 3 at c; every other window runs
-    in y itself, s = y with factor 1.  A critical image inside a window is
-    left to refinement."""
-    at_lo = np.isin(ylo, f.critical_images)
-    graded = (at_lo | np.isin(yhi, f.critical_images)) & (yhi > ylo)
-    c = np.where(at_lo, ylo, yhi)
-    span = np.where(at_lo, yhi, ylo) - c  # < 0 where c is the high end
-    with np.errstate(divide="ignore", invalid="ignore"):  # NaN off the window
-        s_points = ((points - c[:, None]) / span[:, None]) ** (1.0 / _GRADE)
+    at ``points``, every panel starting at K15; each window graded
+    (``_grading``, over [0, 1]) where it ends at a point of
+    ``f.critical_images``, smooth there where g' has a zero of order <= 3.
+    A critical image inside a window is left to refinement."""
+    lo, hi, mids, cut, y_of = _grading(ylo, yhi, f.critical_images, unit=True)
 
     def graded_value(s, col):
-        # powers only at the nodes of graded windows, which most are not
-        g = graded[col]
-        t, j = s[g], col[g]
-        y, jac = s.copy(), np.ones_like(s)
-        y[g] = c[j] + span[j] * t**_GRADE
-        jac[g] = _GRADE * np.abs(span[j]) * t ** (_GRADE - 1)
+        y, jac = y_of(s, col)
         return value(y, col) * jac
 
-    lo, hi = np.where(graded, 0.0, ylo), np.where(graded, 1.0, yhi)
-    s_points = np.where(graded[:, None], s_points, points)
-    return _adapt(graded_value, lo, hi, cfg, s_points)[0]
+    return _adapt(graded_value, lo, hi, cfg, np.column_stack([cut(points), mids]))[0]
 
 
 def _output_integral(f, process, node_value, cfg):

@@ -77,13 +77,18 @@ def _preimage_table(f, process, grid, tol):
     return ys, f.preimage_table(ys), f"{grid}x{grid} on [{y_lo:.6g}, {y_hi:.6g}]^2"
 
 
-def _kernel_terms(cond, table, x1s):
-    """f(x2_b(y) | x1) / |g'(x2_b(y))| over the table at each x1, on
-    (branch,) + x1s.shape + (grid,) arrays, also where an iid kernel
-    ignores x1; 0 where x2_b(y) does not exist.  Branch first, so that
-    sums and extremes over the branches run over contiguous slices."""
-    lift = (slice(None),) + (None,) * x1s.ndim
-    rows = PreimageTable(table.x[lift], table.dabs[lift], table.valid[lift])
+def _lifted(table, ndim):
+    """The table's (branch, grid) rows as (branch,) + (1,) * ndim + (grid,),
+    to broadcast against x1 arrays of ``ndim`` dimensions."""
+    lift = (slice(None),) + (None,) * ndim
+    return PreimageTable(table.x[lift], table.dabs[lift], table.valid[lift])
+
+
+def _kernel_terms(cond, rows, x1s):
+    """f(x2_b(y) | x1) / |g'(x2_b(y))| over the ``_lifted`` rows at each
+    x1, on (branch,) + x1s.shape + (grid,) arrays, also where an iid
+    kernel ignores x1; 0 where x2_b(y) does not exist.  Branch first, so
+    that sums and extremes over the branches run over contiguous slices."""
     with np.errstate(all="ignore"):
         val = rows.weights(lambda x2: cond(x2, x1s[..., None]))
     return np.broadcast_to(val, rows.x.shape[:1] + x1s.shape + rows.x.shape[-1:])
@@ -117,22 +122,25 @@ def check_lumpable(f, process, grid=201, tol=1e-6):
     # per block of y1 values: every pair of live preimages of one y1, by
     # y1, then by branches, and the preimage sums in branch order
     bi, bj = np.triu_indices(live.shape[1], 1)
+    both = live[:, bi] & live[:, bj]
+    rows = _lifted(table, 2)
     worst = 0.0
     witnesses = []
     for blk in _blocks(grid, live.shape[1] * table.valid.size):
-        cols, pair = np.nonzero(live[blk, bi] & live[blk, bj])
+        cols, pair = np.nonzero(both[blk])
         if not cols.size:
             continue
         i, j, xs = bi[pair], bj[pair], x1[blk]
-        sums = np.add.reduce(_kernel_terms(cond, table, xs), axis=0)
+        sums = np.add.reduce(_kernel_terms(cond, rows, xs), axis=0)
         dev = _relative_deviation(sums[cols, i], sums[cols, j])
-        k = np.argmax(dev, axis=1)
-        peak = dev[np.arange(k.size), k]
-        worst = max(worst, float(np.nanmax(peak, initial=0.0)))
+        peak = dev.max(axis=1)  # NaN where a row holds one, as argmax finds
+        worst = max(worst, float(np.fmax.reduce(peak, initial=0.0)))
+        # the y2 of the peak only for the pairs that become witnesses
         hit = np.nonzero(peak > tol)[0][: 10 - len(witnesses)]
+        k = np.argmax(dev[hit], axis=1)
         witnesses += [
             (float(ys[blk][c]), float(ys[kk]), float(xs[c, a]), float(xs[c, b]))
-            for c, kk, a, b in zip(cols[hit], k[hit], i[hit], j[hit])
+            for c, kk, a, b in zip(cols[hit], k, i[hit], j[hit])
         ]
     return LumpabilityReport(
         condition_holds=worst <= tol,
@@ -165,9 +173,10 @@ def check_tightness(f, process, grid=201, tol=1e-6):
     # (a): equal kernel terms of the live branches wherever the preimage
     # exists, on (branch, x, y2) arrays; a (x, y2) with one such term
     # spreads 0, one with none NaN, which neither moves the maximum
+    rows = _lifted(table, 1)
     worst_a = 0.0
     for blk in _blocks(xs.size, table.valid.size):
-        val = _kernel_terms(cond, table, xs[blk])
+        val = _kernel_terms(cond, rows, xs[blk])
         keep = live[:, blk, None] & table.valid[:, None] & np.isfinite(val)
         dev = _spread(np.where(keep, val, np.nan))
         worst_a = max(worst_a, float(np.nanmax(dev, initial=0.0)))

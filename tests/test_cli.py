@@ -91,17 +91,14 @@ class TestCyclicSweep:
         assert float(last["hw2x1_quad"]) == pytest.approx(1.0, abs=1e-6)
 
     def test_below_half_a_turn_matches_the_closed_forms(self, capsys):
-        # a/M < 0.5 takes the a / (M ln 2) branch of the closed form; the
-        # quadrature is asked for the 1e-11 that the check needs (at the
-        # default 1e-9 it lands 1.4e-11 off)
-        argv = ["cyclic-sweep", "--ratios", "0.3", "--quad-tol", "1e-11"]
-        code, out, _ = run_cli(capsys, *argv)
+        # a/M < 0.5 takes the a / (M ln 2) branch of the closed form
+        code, out, _ = run_cli(capsys, "cyclic-sweep", "--ratios", "0.3")
         assert code == 0
         header, (row,) = parse_csv(out)
         row = dict(zip(header, map(float, row)))
         assert row["hw2x1_closed"] == 0.3 / math.log(2.0)
-        assert abs(row["hw2x1_quad"] - row["hw2x1_closed"]) <= 1e-11
-        assert abs(row["loss_rate_quad"] - row["loss_rate_closed"]) <= 1e-11
+        assert abs(row["hw2x1_quad"] - row["hw2x1_closed"]) <= 1e-13
+        assert abs(row["loss_rate_quad"] - row["loss_rate_closed"]) <= 1e-13
 
     def test_bad_ratio_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "cyclic-sweep", "--ratios", "0.5,1.5")

@@ -899,8 +899,8 @@ def nested_values(f, proc):
     )
 
 
-def split_points_only(process, f, cfg):  # the pass adds no edge
-    return estimate._x1_split_points(process, f), None
+def split_points_only(process, cfg, x1_of, points):  # the pass adds no edge
+    return points, None
 
 
 @pytest.mark.parametrize("case", sorted(SETTLED_CASES))
@@ -944,9 +944,8 @@ def test_the_outer_integral_keeps_the_inner_integrals_it_runs(case, monkeypatch)
     assert inner_x1_nodes(case, monkeypatch) <= 180
 
 
-def test_the_index_entropy_evaluates_its_outer_integrand_at_fewer_nodes(monkeypatch):
-    # bisecting from the split points alone takes 270 x1 nodes
-    f, proc = SETTLED_CASES["ar1+magnitude"]()
+def index_entropy_calls(f, proc, monkeypatch):
+    """x1 nodes of each call of H(W2|X1)'s outer integrand."""
     nodes = []
     probabilities = estimate._branch_probabilities
 
@@ -956,7 +955,87 @@ def test_the_index_entropy_evaluates_its_outer_integrand_at_fewer_nodes(monkeypa
 
     monkeypatch.setattr(estimate, "_branch_probabilities", counted)
     cond_entropy_W_given_X(f, proc)
-    assert sum(nodes) <= 180
+    return nodes
+
+
+def test_the_index_entropy_evaluates_its_outer_integrand_at_fewer_nodes(monkeypatch):
+    # bisecting from the split points alone takes 270 x1 nodes
+    f, proc = SETTLED_CASES["ar1+magnitude"]()
+    assert sum(index_entropy_calls(f, proc, monkeypatch)) <= 180
+
+
+# ---------------------------------------------------------------------------
+# H(W2|X1) graded where a branch probability reaches 0
+
+
+@pytest.mark.parametrize("ratio", [round(0.05 * i, 2) for i in range(2, 21)])
+def test_the_walk_index_entropy_lands_on_its_closed_form(ratio):
+    # below a/M = 0.5 a branch probability reaches 0 at x1 = +-a and
+    # +-(M - a), where p log2 p has an unbounded slope; bisecting towards
+    # those x1 ended 1.1-2.2e-11 off at the default abs_tol
+    got = cond_entropy_W_given_X(magnitude(-1.0, 1.0), make_cyclic_walk(1.0, ratio))
+    assert abs(got - cyclic_hw2x1(1.0, ratio)) <= 1e-13
+
+
+def test_the_walk_index_entropy_needs_two_outer_integrand_calls(monkeypatch):
+    # bisecting towards x1 = +-0.35 and +-0.65 took 9 calls (843 x1 nodes)
+    f, proc = SETTLED_CASES["walk+magnitude"]()
+    assert len(index_entropy_calls(f, proc, monkeypatch)) <= 2
+
+
+def test_the_four_branch_walk_index_entropy_is_its_value_at_a_tighter_tolerance():
+    # bisection alone left the default abs_tol 1.1e-11 from the 1e-13 value
+    f, proc = SETTLED_CASES["4-branch walk"]()
+    tight = cond_entropy_W_given_X(f, proc, QuadratureConfig(abs_tol=1e-13))
+    assert abs(cond_entropy_W_given_X(f, proc) - tight) <= 1e-13
+
+
+def ungraded_x1_integral(process, value, cfg, f, graded=()):
+    """``_x1_integral`` with no window graded: f_X value in x1 itself,
+    from the panels on which f_X alone settles from the x1 split points."""
+    lo, hi = process.quad_support
+    fx = process.marginal_pdf
+    points = estimate._x1_split_points(process, f)[None]
+    _, edges, levels = estimate._adapt(lambda x1s, col: fx(x1s), lo, hi, cfg, points)
+    order = np.argsort(edges)
+    points, levels = edges[order], levels[order]
+    return quad(lambda x1s: fx(x1s) * value(x1s), lo, hi, cfg, points, levels=levels)
+
+
+UNGRADED_CASES = {
+    **{
+        f"ar1 {a}+magnitude": lambda a=a: (magnitude(), make_ar1(a, 1.0))
+        for a in (0.2, 0.4, 0.6, 0.8, 0.9)
+    },
+    "tightness": NESTED_CASES["tightness"],
+    "iid gaussian+magnitude": lambda: (magnitude(), make_iid_gaussian(1.0)),
+    "iid uniform+magnitude": lambda: (magnitude(), make_iid_uniform(-1.0, 3.0)),
+    "shifted ar1+magnitude": shifted_ar1,
+    "ar1+square": NESTED_CASES["ar1+square"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNGRADED_CASES))
+def test_an_input_with_no_landing_keeps_the_ungraded_route_bit_for_bit(
+    case, monkeypatch
+):
+    # no kernel discontinuity lands on a tile edge, so no x1 window is
+    # graded and s = x1 with a factor of 1 gives the same floats
+    f, proc = UNGRADED_CASES[case]()
+    assert not estimate._x1_landings(proc, f).size
+    got = cond_entropy_W_given_X(f, proc), cond_entropy_X2_given_Y2_X1(f, proc)
+    monkeypatch.setattr(estimate, "_x1_integral", ungraded_x1_integral)
+    want = cond_entropy_W_given_X(f, proc), cond_entropy_X2_given_Y2_X1(f, proc)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("ratio", (0.15, 0.35, 0.65, 0.85))
+def test_the_walk_rate_keeps_the_ungraded_route_bit_for_bit(ratio, monkeypatch):
+    # only H(W2|X1) grades its x1 windows; the rate grades none
+    f, proc = magnitude(-1.0, 1.0), make_cyclic_walk(1.0, ratio)
+    got = cond_entropy_X2_given_Y2_X1(f, proc)
+    monkeypatch.setattr(estimate, "_x1_integral", ungraded_x1_integral)
+    assert repr(got) == repr(cond_entropy_X2_given_Y2_X1(f, proc))
 
 
 def test_the_walk_runs_as_many_inner_integrals_as_without_the_panels(monkeypatch):

@@ -19,6 +19,7 @@ from inforate import (
     make_iid_uniform,
     make_tightness_example,
     pushforward_process,
+    scale,
     shift_mod,
     square,
 )
@@ -297,3 +298,76 @@ def test_the_gate_keeps_its_bits_without_the_identity_passes(name, monkeypatch):
     assert fast.max_deviation.hex() == slow.max_deviation.hex()
     assert fast.witnesses == slow.witnesses
     assert (fast.max_deviation > 1e-3) == (name in ("shifted ar1 |.|", "4-branch walk"))
+
+
+# ---------------------------------------------------------------------------
+# the gate against its per-block gather
+
+
+def per_block_gate(f, proc, grid, tol):
+    """check_lumpable with the preimage rows lifted and the live pairs
+    found per block, and the peak of every row gathered at its argmax."""
+    ys, table, label = lumpability._preimage_table(f, proc, grid, tol)
+    cond, _, _ = lumpability._cond_fns(proc)
+    x1 = table.x.T
+    live = (table.valid & (proc.marginal_pdf(table.x) > 0.0)).T
+    bi, bj = np.triu_indices(live.shape[1], 1)
+    worst = 0.0
+    witnesses = []
+    for blk in lumpability._blocks(grid, live.shape[1] * table.valid.size):
+        cols, pair = np.nonzero(live[blk, bi] & live[blk, bj])
+        if not cols.size:
+            continue
+        i, j, xs = bi[pair], bj[pair], x1[blk]
+        rows = lumpability._lifted(table, xs.ndim)
+        sums = np.add.reduce(lumpability._kernel_terms(cond, rows, xs), axis=0)
+        dev = lumpability._relative_deviation(sums[cols, i], sums[cols, j])
+        k = np.argmax(dev, axis=1)
+        peak = dev[np.arange(k.size), k]
+        worst = max(worst, float(np.nanmax(peak, initial=0.0)))
+        hit = np.nonzero(peak > tol)[0][: 10 - len(witnesses)]
+        witnesses += [
+            (float(ys[blk][c]), float(ys[kk]), float(xs[c, a]), float(xs[c, b]))
+            for c, kk, a, b in zip(cols[hit], k[hit], i[hit], j[hit])
+        ]
+    return LumpabilityReport(
+        condition_holds=worst <= tol,
+        max_deviation=worst,
+        grid=label,
+        tol=tol,
+        witnesses=tuple(witnesses),
+    )
+
+
+GATE_SYSTEMS = {
+    **{
+        f"walk {r} |.|": (lambda r=r: (magnitude(-1.0, 1.0), make_cyclic_walk(1.0, r)))
+        for r in (0.15, 0.35, 0.5, 0.65, 0.85)
+    },
+    **{
+        f"ar1 {a} |.|": (lambda a=a: (magnitude(), make_ar1(a, 1.0)))
+        for a in (0.2, 0.5, 0.9)
+    },
+    "ar1 x^2": lambda: (square(), make_ar1(0.5, 1.0)),
+    "tightness": GATE_FIXTURES["tightness"],
+    "4-branch walk": GATE_FIXTURES["4-branch walk"],
+    "shifted ar1 |.|": shifted_ar1,
+    "iid gaussian |.|": lambda: (magnitude(), make_iid_gaussian(1.0)),
+    "iid uniform(-1, 3) |.|": lambda: REFERENCE_SYSTEMS["iid uniform(-1, 3) |.|"],
+    "scaled pushforward |.|": lambda: (
+        magnitude(),
+        pushforward_process(scale(2.0), make_ar1(0.5, 1.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, tol", [(201, 1e-6), (101, 0), (333, 1e-3)])
+@pytest.mark.parametrize("name", sorted(GATE_SYSTEMS))
+def test_the_gate_gives_the_report_of_its_per_block_gather(name, grid, tol):
+    # the live pairs and the lifted rows once per call, the peaks by max
+    # and the argmax only on the rows that become witnesses
+    f, proc = GATE_SYSTEMS[name]()
+    rep = check_lumpable(f, proc, grid=grid, tol=tol)
+    assert repr(rep) == repr(per_block_gate(f, proc, grid, tol))
+    if name in ("shifted ar1 |.|", "4-branch walk"):
+        assert rep.witnesses
