@@ -402,7 +402,7 @@ def xlog2x(p):
 
 
 def entropy_bits(probs):
-    """Shannon entropy in bits of a (not necessarily normalized) vector."""
+    """-sum p log2 p in bits of the vector as given, not renormalized."""
     return float(-np.sum(xlog2x(np.asarray(probs, dtype=float))))
 
 
@@ -607,13 +607,13 @@ def _x1_landings(process, f):
 
 
 def _x1_windows(process, f, graded):
-    """``_grading`` of the windows between the x1 split points, in place:
-    a map s -> (x1, dx1/ds) over the support, and the s split points (the
+    """``_grading`` of the windows between the x1 split points: a map
+    s -> (x1, dx1/ds) over the support, and the s split points (the
     window ends and the midpoints of the windows graded at both)."""
     lo, hi = process.quad_support
     points = _x1_split_points(process, f)
     ends = np.sort(np.concatenate([[lo, hi], points[(points > lo) & (points < hi)]]))
-    *_, mids, _, x_of = _grading(ends[:-1], ends[1:], graded, unit=False)
+    mids, _, x_of = _grading(ends[:-1], ends[1:], graded)
     inner = ends[1:-1]
 
     def x1_of(s):  # the last window starting at or below each node
@@ -736,88 +736,76 @@ def _preimage_entropy(t):
     return terms.sum(axis=0)
 
 
-def _grading(lo, hi, points, unit):
+def _grading(lo, hi, points):
     """The variable s that windows [lo, hi] are integrated in.
 
     A window that ends at c in ``points`` runs as x = c + (e - c) t**_GRADE,
-    t going from 0 at c to 1 at its other end e, with factor
-    _GRADE |e - c| t**(_GRADE - 1) |dt/ds|: smooth in t where the integrand
-    goes as a power of |x - c| down to -3/4, or has an unbounded slope at
-    c.  One that ends at two such points is halved at its midpoint, each
-    half graded at its own end.  A graded window runs in s = t over [0, 1]
-    (``unit``; from its low end where both ends are graded, the midpoint
-    at s = 1/2) or over [lo, hi] itself, t affine in s.  Every other
-    window runs in x, s = x with factor 1.
+    t = (s - c) / (e - c) going from 0 at c to 1 at its other end e, with
+    factor _GRADE t**(_GRADE - 1): smooth in t where the integrand goes as
+    a power of |x - c| down to -3/4, or has an unbounded slope at c.  One
+    that ends at two such points is halved at its midpoint, each half
+    graded at its own end.  Every other window runs in x, s = x with
+    factor 1.  Either way s runs over the window itself.
 
-    Returns the windows in s, the s of each window's midpoint where it is
-    halved (NaN elsewhere), ``cut(rows)``: the s of rows of points, one
-    row per window (a point outside its window maps outside its window in
-    s, or to NaN), and ``x_of(s, w)``: x and the factor at nodes s of
-    windows w."""
+    Returns the midpoint of each window where it is halved (NaN
+    elsewhere), ``cut(rows)``: the s of rows of points, one row per window
+    (a point outside its window maps outside its window, or to NaN), and
+    ``x_of(s, w)``: x and the factor at nodes s of windows w."""
     at = np.isin(np.array([lo, hi]), points) & (hi > lo)
     graded = at[0] | at[1]
-    windows = (lo, hi)
-    if unit:
-        windows = np.where(graded, 0.0, lo), np.where(graded, 1.0, hi)
     mids = np.full(lo.size, np.nan)
     gi = np.flatnonzero(graded)
     if not gi.size:  # s = x everywhere: nothing to compute at a node
-        return *windows, mids, lambda points: points, lambda s, w: (s, 1.0)
+        return mids, lambda points: points, lambda s, w: (s, 1.0)
     # from here the m graded windows only, at their places ``slot``
     m, slot = gi.size, np.cumsum(graded) - 1
     ends, (at_lo, at_hi) = np.array([lo[gi], hi[gi]]), at[:, gi]
     mid = 0.5 * (ends[0] + ends[1])
     both = at_lo & at_hi & (ends[0] < mid) & (mid < ends[1])  # too narrow: from lo
-    s_ends = ends
-    if unit:  # s = 0 at the graded end, at the low end where both are
-        from_hi = (at_hi & ~at_lo).astype(float)
-        s_ends = np.array([from_hi, 1.0 - from_hi])
-    s_mid = 0.5 * (s_ends[0] + s_ends[1])
-    mids[gi] = np.where(both, s_mid, np.nan)
+    mids[gi] = np.where(both, mid, np.nan)
     # nodes of a window above ``half`` grade from its high end
-    half = np.where(both, s_mid, np.where(at_lo, np.inf, -np.inf))
+    half = np.where(both, mid, np.where(at_lo, np.inf, -np.inf))
     # per piece, the m graded from the low end and then the m from the high
-    # end: the graded end and the span to the other end, in x and in s
-    far, s_far = np.where(both, mid, ends[::-1]), np.where(both, s_mid, s_ends[::-1])
-    pieces = np.array([ends, far - ends, s_ends, s_far - s_ends]).reshape(4, 2 * m)
+    # end: the graded end c and the span to the other end
+    far = np.where(both, mid, ends[::-1])
+    pieces = np.array([ends, far - ends]).reshape(2, 2 * m)
 
     def cut(points):
         rows = points[gi]
-        piece = np.arange(m)[:, None] + m * (rows > half[:, None])
-        pc, pspan, psc, pds = pieces[:, piece]
+        pc, pspan = pieces[:, np.arange(m)[:, None] + m * (rows > half[:, None])]
         with np.errstate(divide="ignore", invalid="ignore"):  # NaN off the window
             t = ((rows - pc) / pspan) ** (1.0 / _GRADE)
         out = np.array(points, dtype=float)
-        out[gi] = psc + pds * t
+        out[gi] = pc + pspan * t
         return out
 
     def x_of(s, w):
         # powers only at the nodes of graded windows, which most are not
         g = graded[w]
         j, sg = slot[w[g]], s[g]
-        pc, pspan, psc, pds = pieces[:, j + m * (sg > half[j])]
-        t = (sg - psc) / pds
+        pc, pspan = pieces[:, j + m * (sg > half[j])]
+        t = (sg - pc) / pspan
         x, jac = s.copy(), np.ones_like(s)
         x[g] = pc + pspan * t**_GRADE
-        jac[g] = _GRADE * np.abs(pspan / pds) * t ** (_GRADE - 1)
+        jac[g] = _GRADE * t ** (_GRADE - 1)
         return x, jac
 
-    return *windows, mids, cut, x_of
+    return mids, cut, x_of
 
 
 def _y_integrals(f, value, ylo, yhi, points, cfg):
     """``quad_batch``'s loop of value(y, col) over windows [ylo, yhi] split
-    at ``points``, every panel starting at K15; each window graded
-    (``_grading``, over [0, 1]) where it ends at a point of
-    ``f.critical_images``, smooth there where g' has a zero of order <= 3.
-    A critical image inside a window is left to refinement."""
-    lo, hi, mids, cut, y_of = _grading(ylo, yhi, f.critical_images, unit=True)
+    at ``points``, every panel starting at K15; each window graded in
+    place (``_grading``) where it ends at a point of ``f.critical_images``,
+    smooth there where g' has a zero of order <= 3.  A critical image
+    inside a window is left to refinement."""
+    mids, cut, y_of = _grading(ylo, yhi, f.critical_images)
 
     def graded_value(s, col):
         y, jac = y_of(s, col)
         return value(y, col) * jac
 
-    return _adapt(graded_value, lo, hi, cfg, np.column_stack([cut(points), mids]))[0]
+    return _adapt(graded_value, ylo, yhi, cfg, np.column_stack([cut(points), mids]))[0]
 
 
 def _output_integral(f, process, node_value, cfg):

@@ -257,8 +257,21 @@ class TestQuadBatch:
         # the float warnings on the way are not what this test checks
         f = compose(shift_mod(4.0, offset=5.0, lo=0.0, hi=4.0), square(-1.0, 1.0))
         with np.errstate(all="ignore"):
-            with pytest.raises(NoConvergenceError, match=r"\[.+\] gave -inf"):
+            with pytest.raises(NoConvergenceError, match=r"\[5\.0, 6\.0\] gave -inf"):
                 cond_entropy_output_given_input(f, make_cyclic_walk(1.0, 0.35))
+
+    def test_a_stalled_graded_y_window_is_named_in_y(self):
+        # x^2 + 5 at 1e-11: the graded y window [5, 6] runs in place, so
+        # the panel it stalls on is a panel of y
+        f = compose(shift_mod(4.0, offset=5.0, lo=0.0, hi=4.0), square(-1.0, 1.0))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NoConvergenceError, match="stalled on") as info:
+                cond_entropy_X2_given_Y2_X1(
+                    f, make_cyclic_walk(1.0, 0.35), QuadratureConfig(abs_tol=1e-11)
+                )
+        panel = re.search(r"stalled on \[(\S+), (\S+)\]", str(info.value))
+        a, b = map(float, panel.groups())
+        assert 5.0 <= a < b <= 6.0
 
     def test_a_nan_integral_is_refused(self):
         def pdf(x):
