@@ -606,39 +606,31 @@ def _x1_landings(process, f):
     return process.kernel.x1_split_points(np.array([lo, hi, *f.tile_edges])).ravel()
 
 
-def _x1_windows(process, f, graded):
-    """``_grading`` of the windows between the x1 split points: a map
-    s -> (x1, dx1/ds) over the support, and the s split points (the
-    window ends and the midpoints of the windows graded at both)."""
+def _x1_integral(process, value, cfg, f, graded=()):
+    """int f_X(x1) value(x1) dx1 over the truncated support.
+
+    ``value`` maps an array of x1 nodes to one value each.  The x1 split
+    points inside the support cut it into windows; those that end at a
+    point of ``graded`` run graded (``_grading``), all of them in one
+    integral to ``cfg``.  The first panels, each at its own rule, are
+    those on which f_X dx1/ds alone settles (``_marginal_edges``), from
+    the window ends and the midpoints ``_grading`` halves windows at: the
+    bisections and rises mostly follow the weight f_X, not ``value``, and
+    a panel that settles f_X mostly settles f_X * value too, so a nested
+    integral mostly runs one batch of inner integrals.  From there the
+    integral keeps the full error control of ``quad``.
+    """
     lo, hi = process.quad_support
-    points = _x1_split_points(process, f)
-    ends = np.sort(np.concatenate([[lo, hi], points[(points > lo) & (points < hi)]]))
+    fx = process.marginal_pdf
+    cuts = _x1_split_points(process, f)
+    ends = np.sort(np.concatenate([[lo, hi], cuts[(cuts > lo) & (cuts < hi)]]))
     mids, _, x_of = _grading(ends[:-1], ends[1:], graded)
     inner = ends[1:-1]
 
     def x1_of(s):  # the last window starting at or below each node
         return x_of(s, np.searchsorted(inner, s, "right"))
 
-    return x1_of, np.concatenate([ends, mids])
-
-
-def _x1_integral(process, value, cfg, f, graded=()):
-    """int f_X(x1) value(x1) dx1 over the truncated support.
-
-    ``value`` maps an array of x1 nodes to one value each.  The windows
-    between the x1 split points that end at a point of ``graded`` run
-    graded (``_grading``), all of them in one integral to ``cfg``.  The
-    first panels, each at its own rule, are those on which f_X dx1/ds
-    alone settles (``_marginal_edges``): the bisections and rises mostly
-    follow the weight f_X, not ``value``, and a panel that settles f_X
-    mostly settles f_X * value too, so a nested integral mostly runs one
-    batch of inner integrals.  From there the integral keeps the full
-    error control of ``quad``.
-    """
-    lo, hi = process.quad_support
-    fx = process.marginal_pdf
-    x1_of, s_points = _x1_windows(process, f, graded)
-    points, levels = _marginal_edges(process, cfg, x1_of, s_points)
+    points, levels = _marginal_edges(process, cfg, x1_of, np.concatenate([ends, mids]))
 
     def graded_value(s):
         x1s, jac = x1_of(s)
@@ -650,7 +642,7 @@ def _x1_integral(process, value, cfg, f, graded=()):
 def _marginal_edges(process, cfg, x1_of, points):
     """Edges, in ascending order, and rules of the panels on which
     ``quad_batch``'s loop integrates f_X dx1/ds alone to ``cfg``, refined
-    from the s split ``points`` of the map ``x1_of`` (``_x1_windows``);
+    from the s split ``points`` of the map ``x1_of`` (``_x1_integral``);
     the edges hold every split point inside the support.  Where that loop
     gives up on f_X, raises NoConvergenceError without a partial sum: the
     integral asked for has not begun."""
@@ -793,13 +785,13 @@ def _grading(lo, hi, points):
     return mids, cut, x_of
 
 
-def _y_integrals(f, value, ylo, yhi, points, cfg):
+def _y_integrals(value, ylo, yhi, points, graded, cfg):
     """``quad_batch``'s loop of value(y, col) over windows [ylo, yhi] split
     at ``points``, every panel starting at K15; each window graded in
-    place (``_grading``) where it ends at a point of ``f.critical_images``,
-    smooth there where g' has a zero of order <= 3.  A critical image
-    inside a window is left to refinement."""
-    mids, cut, y_of = _grading(ylo, yhi, f.critical_images)
+    place (``_grading``) where it ends at a point of ``graded``, the
+    critical images of g: smooth there where g' has a zero of order <= 3.
+    A critical image inside a window is left to refinement."""
+    mids, cut, y_of = _grading(ylo, yhi, graded)
 
     def graded_value(s, col):
         y, jac = y_of(s, col)
@@ -819,13 +811,13 @@ def _output_integral(f, process, node_value, cfg):
         ylo, yhi, edges = f.image_window(*_cond_windows(process, x1s))
         empty = ~(yhi > ylo)  # ylo = yhi = 0 there: the integral is 0
         return _y_integrals(
-            f,
             lambda ys, col: node_value(
                 f.preimage_table(ys).weights(lambda x2: cond(x2, x1s[col]))
             ),
             np.where(empty, 0.0, ylo),
             np.where(empty, 0.0, yhi),
             np.column_stack([edges, f.image_points(kinks(x1s))]),
+            f.critical_images,
             cfg,
         )
 
@@ -857,12 +849,14 @@ def check_cover(f, process):
 def _support_image(f, process):
     """``f.image_window`` of the quadrature window, with the tile image
     ends and the images of the marginal's split points as its split
-    points; refuses a function that misses part of the window, and an
-    empty image."""
+    points; refuses a function that misses part of the window, an empty
+    image and one that is not finite."""
     check_cover(f, process)
     y_lo, y_hi, edges = f.image_window(*process.quad_support)
     if y_lo > y_hi:
         raise BadParameterError("function range is empty on the process support")
+    if not (math.isfinite(y_lo) and math.isfinite(y_hi)):
+        raise BadParameterError(f"function image [{y_lo}, {y_hi}] is not finite")
     return y_lo, y_hi, np.concatenate(
         [edges, f.image_points(process.marginal_split_points)]
     )
@@ -880,7 +874,7 @@ def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
         t = f.preimage_table(ys).weights(process.marginal_pdf)
         return np.array([_preimage_entropy(t), t.sum(axis=0)])
 
-    (loss,), (mass,) = _y_integrals(f, value, ylo, yhi, points, cfg)
+    (loss,), (mass,) = _y_integrals(value, ylo, yhi, points, f.critical_images, cfg)
     return float(loss / mass)
 
 

@@ -99,10 +99,14 @@ def make_ar1(a, sigma):
         raise BadParameterError("sigma must be finite and positive")
     a = float(a)
     sigma = float(sigma)
-    var_x, inv_2var_z = _normalizers(lambda: (sigma**2 / (1.0 - a**2), 0.5 / sigma**2))
+
+    def constants():
+        var_x = sigma**2 / (1.0 - a**2)
+        return var_x, 0.5 / sigma**2, 1.0 / math.sqrt(2.0 * math.pi * var_x)
+
+    var_x, inv_2var_z, norm_x = _normalizers(constants)
     sd_x = math.sqrt(var_x)
     inv_2var_x = 0.5 / var_x
-    norm_x = 1.0 / math.sqrt(2.0 * math.pi * var_x)
     norm_z = 1.0 / math.sqrt(2.0 * math.pi) / sigma
 
     def marginal_pdf(x):

@@ -444,6 +444,16 @@ class TestConfigUsageErrors:
             (3, "'function' must be an object"),
             ({"compose": []}, "non-empty"),
             ({"kind": "scale", "k": 10**400}, "'k'"),
+            (
+                {
+                    "compose": [
+                        {"kind": "scale", "k": 2},
+                        {"kind": "magnitude"},
+                        {"kind": "scale", "k": 1e308},
+                    ]
+                },
+                "finite",
+            ),
         ],
         ids=[
             "misspelt offset",
@@ -463,6 +473,7 @@ class TestConfigUsageErrors:
             "function not an object",
             "empty compose list",
             "integer past the float range",
+            "image past the float range",
         ],
     )
     def test_bad_function_spec_exits_2(self, capsys, tmp_path, function, word):
@@ -510,6 +521,8 @@ class TestConfigUsageErrors:
             {"kind": "cyclic_walk", "M": 1e308, "a": 0.5},
             {"kind": "cyclic_walk", "M": 1.0, "a": 5e-324},
             {"kind": "iid_uniform", "lo": 0.0, "hi": 5e-324},
+            # sigma**2 is finite, but 2 pi var_x overflows: density 0
+            {"kind": "ar1", "a": 0.5, "sigma": 5e153},
         ],
     )
     def test_constant_past_the_float_range_exits_2(self, capsys, tmp_path, process):

@@ -104,6 +104,14 @@ def test_bad_grid_or_tol_is_refused(check, grid, tol):
         check(magnitude(), make_ar1(0.5, 1.0), grid=grid, tol=tol)
 
 
+def test_a_function_whose_image_of_the_window_is_not_finite_is_refused():
+    # 1e308 * |2x| maps the walk's window [-1, 1] onto [0, inf]: a grid
+    # there is all NaN, and a NaN deviation would pass as no deviation
+    f = compose(scale(1e308), compose(magnitude(), scale(2.0)))
+    with pytest.raises(BadParameterError, match="not finite"):
+        check_lumpable(f, make_cyclic_walk(1.0, 0.35))
+
+
 class TestCheckTightness:
     def test_tightness_example_both_hold(self):
         proc = make_tightness_example()
