@@ -8,7 +8,7 @@ block entropies.  All entropies are in bits.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,6 +165,7 @@ _ADDS = np.array([0, *np.diff(_SIZES)[1:], 2 * _SIZES[1]])  # nodes a refinement
 _MAX_DEPTH = 120  # halvings of a panel before quad_batch gives up on it
 _MAX_NODES = 3_000_000  # nodes one integrand call of a batch may evaluate
 _GRADE = 4  # power of the substitution at a graded window end (_grading)
+_MAX_BINS = 4096  # bins per axis: a pair table of 2**24 int64 counters, 128 MiB
 
 
 @dataclass(frozen=True)
@@ -413,10 +414,10 @@ def entropy_bits(probs):
 def resolve_bins(bins, n):
     """Bins per axis for ``n`` samples: ``bins``, or if it is None the
     cube-root rule used throughout, ceil(n**(1/3)).  Raises
-    BadParameterError unless ``bins`` is an int >= 1."""
+    BadParameterError unless ``bins`` is an int in 1.._MAX_BINS."""
     if bins is None:
-        return int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
-    check_int("bins", bins, 1)
+        bins = int(math.ceil(n ** (1.0 / 3.0) - 1e-9))
+    check_int("bins", bins, 1, _MAX_BINS)
     return int(bins)
 
 
@@ -607,7 +608,9 @@ def _x1_landings(process, f):
 
 
 def _x1_integral(process, value, cfg, f, graded=()):
-    """int f_X(x1) value(x1) dx1 over the truncated support.
+    """int f_X(x1) value(x1) dx1 over the truncated support; for an iid
+    input, whose value does not depend on x1, value at one x1 node, as
+    Python floats.
 
     ``value`` maps an array of x1 nodes to one value each.  The x1 split
     points inside the support cut it into windows; those that end at a
@@ -621,6 +624,8 @@ def _x1_integral(process, value, cfg, f, graded=()):
     integral keeps the full error control of ``quad``.
     """
     lo, hi = process.quad_support
+    if process.kernel is None:
+        return value(np.array([lo]))[..., 0].tolist()
     fx = process.marginal_pdf
     cuts = _x1_split_points(process, f)
     ends = np.sort(np.concatenate([[lo, hi], cuts[(cuts > lo) & (cuts < hi)]]))
@@ -662,23 +667,16 @@ def _marginal_edges(process, cfg, x1_of, points):
 
 
 def marginal_entropy_quad(process, cfg=DEFAULT_QUAD):
-    """h(X) = -int f log2 f over the truncated support, by quadrature."""
-    f = process.marginal_pdf
-    lo, hi = process.quad_support
-    return -quad(
-        lambda x: xlog2x(f(x)), lo, hi, cfg, points=process.marginal_split_points
-    )
+    """h(X) = -int f log2 f over the truncated support, by quadrature:
+    h(X2|X1) of the marginal law, the process without its kernel (only its
+    law is read, never its sampler)."""
+    return cond_entropy_rate_quad(replace(process, kernel=None), cfg)
 
 
 def cond_entropy_rate_quad(process, cfg=DEFAULT_QUAD):
-    """h(X2|X1) for a Markov process by nested quadrature (bits): h(Y2|X1)
-    at g = identity, whose y windows, split points and integrand values
-    are those of x2.
-
-    For an iid process this reduces to the marginal entropy.
-    """
-    if process.kernel is None:
-        return marginal_entropy_quad(process, cfg)
+    """h(X2|X1) by nested quadrature (bits): h(Y2|X1) at g = identity, whose
+    y windows, split points and integrand values are those of x2.  For an
+    iid process this is the marginal entropy."""
     return cond_entropy_output_given_input(identity(), process, cfg)
 
 
@@ -865,17 +863,17 @@ def _support_image(f, process):
 def cond_entropy_input_given_output(f, process, cfg=DEFAULT_QUAD):
     """H(X|Y) for Y = g(X): the loss L(X -> Y) of the marginal variable.
 
-    ``_preimage_entropy`` with f_X as the density, integrated in y as the
-    rate integrates it and divided by the output mass, integrated alongside,
-    so that equally weighted preimages give log2 of their count exactly."""
-    ylo, yhi, points = (np.array([v]) for v in _support_image(f, process))
+    ``_preimage_entropy`` with f_X as the density, integrated in y through
+    ``_output_integral`` of the marginal law (the process without its
+    kernel), and divided by the output mass, integrated alongside, so that
+    equally weighted preimages give log2 of their count exactly."""
+    _support_image(f, process)  # for its refusals
 
-    def value(ys, col):  # the loss and the output density, at the same nodes
-        t = f.preimage_table(ys).weights(process.marginal_pdf)
+    def value(t):  # the loss and the output density, at the same nodes
         return np.array([_preimage_entropy(t), t.sum(axis=0)])
 
-    (loss,), (mass,) = _y_integrals(value, ylo, yhi, points, f.critical_images, cfg)
-    return float(loss / mass)
+    loss, mass = _output_integral(f, replace(process, kernel=None), value, cfg)
+    return loss / mass
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,8 @@ def loss_rate_bounds_mc(
     systems they agree up to estimator noise.  L is computed to ``cfg``.
     Before any work it refuses, with BadParameterError, an ``n_samples``
     that is not an int >= 1, a ``seed`` not an int >= 0 and ``bins`` not
-    None or an int >= 1, and with TooFewSamplesError fewer than 1001 samples.
+    None or an int in 1..4096, and with TooFewSamplesError fewer than 1001
+    samples.
     """
     bins = _path_bins(n_samples, seed, bins)
     loss, _ = _loss_rv_detail(f, process, cfg)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from scipy.special import ndtr
 
 from inforate import _kernels
@@ -58,3 +59,18 @@ def shifted_kernel_process(a=0.5, sigma=1.0, shift=0.5):
         support=(-np.inf, np.inf),
         quad_support=(-10 * sd_x, 10 * sd_x),
     )
+
+
+@pytest.fixture
+def small_bincounts(monkeypatch):
+    """np.bincount, as ``_kernels`` calls it, raising MemoryError where it
+    would count into more than 10**8 bins: a refused table is asked for
+    without being allocated."""
+    bincount = np.bincount
+
+    def guarded(x, weights=None, minlength=0):
+        if minlength > 10**8:
+            raise MemoryError(f"{minlength} counters")
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(_kernels.np, "bincount", guarded)

@@ -701,6 +701,15 @@ class TestConfigUsageErrors:
         assert (code, out) == (2, "")
         assert err == "error: need at least 1001 samples: 1e3 sample pairs\n"
 
+    def test_bins_past_the_pair_table_cap_exit_2(
+        self, capsys, tmp_path, small_bincounts
+    ):
+        code, out, err = self.analyze(
+            capsys, tmp_path, estimation={"samples": 20000, "bins": 10**6}
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: bins must be an integer in 1..4096, got 1000000\n"
+
     def test_too_few_samples_past_the_pairs_for_the_block_order_exits_2(
         self, capsys, tmp_path
     ):

@@ -16,6 +16,7 @@ from inforate import (
     diff_entropy_hist,
     identity,
     injective_branch,
+    loss_rv,
     magnitude,
     make_ar1,
     make_cyclic_walk,
@@ -432,6 +433,16 @@ class TestMutualInformationHist:
         mi = mutual_information_hist(x[:-1], x[1:])
         assert mi == pytest.approx(-0.5 * math.log2(1 - a * a), abs=0.03)
 
+    def test_a_pair_table_past_the_cap_is_refused_before_any_sort(self, monkeypatch):
+        # 10**6 bins a side would be 10**12 counters
+        def refuse(*args):
+            raise AssertionError("samples sorted before the bins were checked")
+
+        monkeypatch.setattr(estimate, "_sorted_finite", refuse)
+        x = np.linspace(0.0, 1.0, 1000)
+        with pytest.raises(BadParameterError, match=r"bins .* in 1\.\.4096"):
+            mutual_information_hist(x, x, bins=10**6)
+
     def test_nonnegative_on_magnitude_pairs(self):
         rng = make_rng(33)
         x = rng.normal(0, 1, 10**5)
@@ -699,6 +710,45 @@ class TestSupportImage:
         )
         with pytest.raises(BadParameterError, match="range is empty"):
             estimate._support_image(f, make_iid_uniform(0.0, 1.0))
+
+
+PINNED_CASES = {
+    "ar1": lambda: (magnitude(), make_ar1(0.5, 1.0)),
+    "walk": lambda: (magnitude(-1.0, 1.0), make_cyclic_walk(1.0, 0.35)),
+    "tightness": lambda: (shift_mod(2.0, lo=0.0, hi=4.0), make_tightness_example()),
+    "iid gaussian": lambda: (magnitude(), make_iid_gaussian(1.0)),
+    "iid uniform": lambda: (magnitude(-1.0, 3.0), make_iid_uniform(-1.0, 3.0)),
+}
+
+# the values of the five cases in PINNED_CASES' order, to the bit
+PINNED_VALUES = {
+    "marginal_entropy_quad": (
+        lambda f, proc: marginal_entropy_quad(proc),
+        (2.2546143348200633, 1.0, 2.0, 2.0470955851806414, 2.0),
+    ),
+    "cond_entropy_rate_quad": (
+        lambda f, proc: cond_entropy_rate_quad(proc),
+        (2.047095585180641, -0.5145731728297582, 1.0, 2.0470955851806414, 2.0),
+    ),
+    "loss_rv": (loss_rv, (1.0, 1.0, 1.0, 1.0, 0.5)),
+    "cond_entropy_W_given_X": (
+        cond_entropy_W_given_X,
+        (0.8748045658111533, 0.5049432643111371, 1.0, 1.0, 0.8112781244591328),
+    ),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(PINNED_VALUES))
+def test_the_marginal_and_the_rate_keep_their_bits(quantity):
+    # h(X) and L run through h(Y2|X1)'s route on the law without its kernel
+    call, want = PINNED_VALUES[quantity]
+    got = tuple(call(*make()) for make in PINNED_CASES.values())
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("process", [make_ar1(0.5, 1.0), make_iid_gaussian(1.0)])
+def test_the_square_loses_one_bit_to_the_bit(process):
+    assert repr(loss_rv(square(), process)) == "1.0"
 
 
 class TestMarginalEntropyQuad:
@@ -1050,8 +1100,6 @@ UNGRADED_CASES = {
         for a in (0.2, 0.4, 0.6, 0.8, 0.9)
     },
     "tightness": NESTED_CASES["tightness"],
-    "iid gaussian+magnitude": lambda: (magnitude(), make_iid_gaussian(1.0)),
-    "iid uniform+magnitude": lambda: (magnitude(), make_iid_uniform(-1.0, 3.0)),
     "shifted ar1+magnitude": shifted_ar1,
     "ar1+square": NESTED_CASES["ar1+square"],
 }
@@ -1069,6 +1117,48 @@ def test_an_input_with_no_landing_keeps_the_ungraded_route_bit_for_bit(
     monkeypatch.setattr(estimate, "_x1_integral", ungraded_x1_integral)
     want = cond_entropy_W_given_X(f, proc), cond_entropy_X2_given_Y2_X1(f, proc)
     assert repr(got) == repr(want)
+
+
+IID_CASES = {
+    "iid gaussian+magnitude": lambda: (magnitude(), make_iid_gaussian(1.0)),
+    "iid uniform+magnitude": lambda: (
+        magnitude(-1.0, 3.0),
+        make_iid_uniform(-1.0, 3.0),
+    ),
+}
+
+X1_QUANTITIES = {
+    "H(W2|X1)": cond_entropy_W_given_X,
+    "h(Y2|X1)": cond_entropy_output_given_input,
+    "H(X2|Y2,X1)": cond_entropy_X2_given_Y2_X1,
+    "h(X2|X1)": lambda f, proc: cond_entropy_rate_quad(proc),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(X1_QUANTITIES))
+@pytest.mark.parametrize("case", sorted(IID_CASES))
+def test_an_iid_input_takes_its_x1_quantities_at_one_node(case, quantity, monkeypatch):
+    # X2 does not depend on X1: no f_X pass and no outer integral runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("an iid input ran an x1 integral")
+
+    monkeypatch.setattr(estimate, "_marginal_edges", refuse)
+    monkeypatch.setattr(estimate, "quad", refuse)
+    calls = []
+    x1_integral = estimate._x1_integral
+
+    def recorded(process, value, *args):
+        def recorded_value(x1s):
+            calls.append((np.size(x1s), value(x1s)))
+            return calls[-1][1]
+
+        return x1_integral(process, recorded_value, *args)
+
+    monkeypatch.setattr(estimate, "_x1_integral", recorded)
+    got = X1_QUANTITIES[quantity](*IID_CASES[case]())
+    [(nodes, want)] = calls
+    assert type(got) is float
+    assert nodes == 1 and got == want[0]
 
 
 @pytest.mark.parametrize("ratio", (0.15, 0.35, 0.65, 0.85))

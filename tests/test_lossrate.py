@@ -265,6 +265,18 @@ class TestRefusedBeforeAnyWork:
         assert draws == []
         assert quads == []
 
+    def test_a_pair_table_past_the_bin_cap(self, calls, draws, small_bincounts):
+        # 10**6 bins a side would ask np.bincount for 10**12 counters, 8 TB
+        f, p = magnitude(), make_ar1(0.5, 1.0)
+        for call in (
+            lambda: analyze_loss_rate(f, p, n_samples=20000, bins=10**6),
+            lambda: loss_rate_bounds_mc(f, p, 20000, 1, bins=10**6),
+        ):
+            with pytest.raises(BadParameterError, match=r"bins .* in 1\.\.4096"):
+                call()
+        assert draws == []
+        assert sum(calls.values()) == 0
+
     def test_too_few_samples(self, calls, draws):
         f, p = magnitude(), make_ar1(0.5, 1.0)
         for call in (
